@@ -1,5 +1,6 @@
 (* Bechamel micro-benchmarks of the computational kernels underneath the
-   schemes: exact search, ORAM reads, crypto primitives, record
+   schemes: exact search, pyramid ORAM batch fetches at the widths the
+   serving path runs, crypto primitives, record
    decoding, and one end-to-end private query per scheme.  These measure
    real wall-clock on this machine (the experiment tables report
    *simulated* 2012-hardware times instead). *)
@@ -25,7 +26,8 @@ let tests env =
   for i = 0 to 255 do
     ignore (Psp_storage.Page_file.append store_file (Bytes.make 64 (Char.chr (i land 0xff))))
   done;
-  let store = Psp_pir.Oblivious_store.create ~key:Harness.key store_file in
+  let store = Psp_pir.Pyramid_store.create ~key:Harness.key store_file in
+  let ids width = Array.init width (fun i -> (17 + (37 * i)) mod 256) in
   let blob = Bytes.make 4096 'x' in
   let chacha_key = Psp_crypto.Sha256.digest_string "bench" in
   let nonce = Bytes.make 12 'n' in
@@ -45,8 +47,10 @@ let tests env =
     Test.make ~name:"sha256 4KB" (Staged.stage (fun () -> ignore (Psp_crypto.Sha256.digest blob)));
     Test.make ~name:"chacha20 4KB" (Staged.stage (fun () ->
         ignore (Psp_crypto.Chacha20.encrypt ~key:chacha_key ~nonce blob)));
-    Test.make ~name:"oram read" (Staged.stage (fun () ->
-        ignore (Psp_pir.Oblivious_store.read store 17)));
+    Test.make_indexed ~name:"pyramid fetch_many w" ~fmt:"%s%d" ~args:[ 1; 4; 16 ]
+      (fun width ->
+        let ids = ids width in
+        Staged.stage (fun () -> ignore (Psp_pir.Pyramid_store.fetch_many store ids)));
     Test.make ~name:"region decode" (Staged.stage (fun () ->
         ignore (Psp_index.Encoding.decode_region Psp_index.Encoding.plain_config region_blob)));
     Test.make ~name:"CI private query e2e" (Staged.stage (fun () ->

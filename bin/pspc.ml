@@ -69,6 +69,10 @@ let replicas_arg =
   in
   Arg.(value & opt int 1 & info [ "replicas" ] ~doc)
 
+let mode_arg =
+  let doc = "Serve through the real pyramid ORAM instead of the simulated store." in
+  Arg.(value & vflag `Simulated [ (`Pyramid, info [ "oblivious" ] ~doc) ])
+
 let fault_seed_arg =
   let doc = "Seed for probabilistic (p:F) fault schedules." in
   Arg.(value & opt int 2012 & info [ "fault-seed" ] ~doc)
@@ -232,15 +236,11 @@ let build_cmd =
 let query_cmd =
   let s_arg = Arg.(value & opt (some int) None & info [ "s" ] ~doc:"Source node id.") in
   let t_arg = Arg.(value & opt (some int) None & info [ "t" ] ~doc:"Destination node id.") in
-  let oblivious =
-    Arg.(value & flag & info [ "oblivious" ] ~doc:"Serve through the real ORAM.")
-  in
-  let run preset preset_scale gr co seed scheme page_size s t oblivious replicas faults
+  let run preset preset_scale gr co seed scheme page_size s t mode replicas faults
       fault_seed metrics =
     if replicas < 1 then failwith "--replicas must be >= 1";
     let g = load_network preset preset_scale gr co seed in
     let db = build_database g scheme page_size seed in
-    let mode = if oblivious then `Oblivious else `Simulated in
     let cost = Psp_pir.Cost_model.ibm4764 in
     let key = Psp_crypto.Sha256.digest_string "pspc" in
     let serve =
@@ -287,7 +287,7 @@ let query_cmd =
     (Cmd.info "query" ~doc:"Run one private shortest-path query end to end")
     Term.(
       const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ s_arg $ t_arg $ oblivious $ replicas_arg $ fault_arg
+      $ page_size_arg $ s_arg $ t_arg $ mode_arg $ replicas_arg $ fault_arg
       $ fault_seed_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -300,15 +300,11 @@ let batch_cmd =
   let count =
     Arg.(value & opt int 8 & info [ "queries" ] ~doc:"Total queries to serve.")
   in
-  let oblivious =
-    Arg.(value & flag & info [ "oblivious" ] ~doc:"Serve through the real ORAM.")
-  in
-  let run preset preset_scale gr co seed scheme page_size width count oblivious faults
+  let run preset preset_scale gr co seed scheme page_size width count mode faults
       fault_seed metrics =
     if width <= 0 then failwith "--width must be positive";
     let g = load_network preset preset_scale gr co seed in
     let db = build_database g scheme page_size seed in
-    let mode = if oblivious then `Oblivious else `Simulated in
     let server =
       Psp_pir.Server.create ~mode ~cost:Psp_pir.Cost_model.ibm4764
         ~key:(Psp_crypto.Sha256.digest_string "pspc") (DB.files db)
@@ -372,7 +368,7 @@ let batch_cmd =
        ~doc:"Serve many private queries as merged same-plan batches")
     Term.(
       const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ width $ count $ oblivious $ fault_arg $ fault_seed_arg
+      $ page_size_arg $ width $ count $ mode_arg $ fault_arg $ fault_seed_arg
       $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)

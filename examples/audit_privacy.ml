@@ -6,17 +6,17 @@
       byte-identical adversary views;
    2. plan conformance - that view must equal the one derivable from the
       public header alone, so it carries zero query information;
-   3. the ORAM layer - running the same scheme through the real
-      square-root ORAM, the physical slots the host sees never repeat
-      within an epoch and epochs advance at a fixed cadence, whatever
-      the logical access pattern.
+   3. the ORAM layer - through the real pyramid ORAM, the physical
+      slots the host sees never repeat within a level's epoch and
+      rebuilds happen at a fixed cadence, whatever the logical access
+      pattern.
 
      dune exec examples/audit_privacy.exe
 *)
 
 module DB = Psp_index.Database
 module PF = Psp_storage.Page_file
-module OS = Psp_pir.Oblivious_store
+module PS = Psp_pir.Pyramid_store
 
 let () =
   let city =
@@ -66,28 +66,35 @@ let () =
     ignore (PF.append file (Bytes.of_string (Printf.sprintf "secret record %d" i)))
   done;
   let probe label plan =
-    let store = OS.create ~key:(Psp_crypto.Sha256.digest_string "audit-oram") file in
-    List.iter (fun i -> ignore (OS.read store i)) plan;
-    let events = OS.physical_trace store in
+    let store = PS.create ~key:(Psp_crypto.Sha256.digest_string "audit-oram") file in
+    List.iter (fun i -> ignore (PS.read store i)) plan;
+    let events = PS.physical_trace store in
     let per_epoch = Hashtbl.create 8 in
     let repeats = ref 0 in
     List.iter
       (function
-        | OS.Slot { epoch; slot } ->
+        | PS.Slot { level; epoch; slot } ->
             let seen =
-              Option.value ~default:[] (Hashtbl.find_opt per_epoch epoch)
+              Option.value ~default:[] (Hashtbl.find_opt per_epoch (level, epoch))
             in
             if List.mem slot seen then incr repeats;
-            Hashtbl.replace per_epoch epoch (slot :: seen)
-        | OS.Reshuffle _ -> ())
+            Hashtbl.replace per_epoch (level, epoch) (slot :: seen)
+        | PS.Rebuild _ -> ())
       events;
+    let count p = List.length (List.filter p events) in
     Printf.printf
-      "    %-22s %3d slot touches, %d epochs, %d repeated slots within an epoch\n" label
-      (List.length (List.filter (function OS.Slot _ -> true | _ -> false) events))
-      (OS.epoch store + 1) !repeats;
-    List.map (function OS.Slot _ -> `S | OS.Reshuffle _ -> `R) events
+      "    %-22s %3d slot touches, %d rebuilds, %d repeated slots within an epoch\n"
+      label
+      (count (function PS.Slot _ -> true | _ -> false))
+      (count (function PS.Rebuild _ -> true | _ -> false))
+      !repeats;
+    List.map
+      (function
+        | PS.Slot { level; epoch; _ } -> `S (level, epoch)
+        | PS.Rebuild { level; items } -> `R (level, items))
+      events
   in
-  print_endline "[3] square-root ORAM host view:";
+  print_endline "[3] pyramid ORAM host view:";
   let scan = probe "sequential scan" (List.init 30 (fun i -> i mod 100)) in
   let hammer = probe "same page 30 times" (List.init 30 (fun _ -> 7)) in
   if scan = hammer then

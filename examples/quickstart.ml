@@ -37,9 +37,10 @@ let () =
       ~key:(Psp_crypto.Sha256.digest_string "quickstart") (DB.files db)
   in
 
-  (* 4. A client asks for a route by coordinates only. *)
+  (* 4. A client asks for a route by coordinates only.  A single query
+     is a batch of one. *)
   let sx, sy = G.coords city 17 and tx, ty = G.coords city 1203 in
-  let result = Psp_core.Client.query server ~sx ~sy ~tx ~ty in
+  let result = (Psp_core.Client.query_batch server [| { sx; sy; tx; ty } |]).(0) in
   (match result.Psp_core.Client.path with
   | None -> print_endline "no route found"
   | Some (nodes, cost) ->

@@ -87,79 +87,9 @@ let unknown_result stats client_seconds ~scheme =
     status = Unknown_scheme { scheme } }
 
 (* ------------------------------------------------------------------ *)
-
-let query ?(pad = true) ?(retry = default_retry) server ~sx:(sx [@secret])
-    ~sy:(sy [@secret]) ~tx:(tx [@secret]) ~ty:(ty [@secret]) =
-  Obs.incr m_queries;
-  Obs.with_span "query" (fun () ->
-      let started =
-        (Sys.time ())
-        [@leak_ok
-          "wall-clock sample for the public stats record; it never influences the \
-           fetch schedule"]
-      in
-      let session = Session.start server in
-      let on_retry ~backoff = Session.note_retry session ~backoff in
-      (* exhausting the retry budget degrades the result instead of raising:
-         the session still finishes, so the partial trace and the recovery
-         cost remain observable *)
-      let outcome =
-        (match
-           let header, psize =
-             (* plan selection: the header download and region location fix
-                the public query plan before any oblivious round begins *)
-             Obs.with_span "plan" (fun () ->
-                 let header_pages =
-                   Engine.with_retry ~policy:retry ~on_retry (fun () ->
-                       Session.download session ~file:"header")
-                 in
-                 (H.of_pages header_pages, Bytes.length header_pages.(0)))
-           in
-           match Registry.find header.H.scheme with
-           | None -> `Unknown header.H.scheme
-           | Some scheme ->
-               let ctx = { Engine.header; psize; pad } in
-               let q = locate header { sx; sy; tx; ty } in
-               `Answer (Engine.run scheme session ~policy:retry ctx q)
-         with
-        | v -> Ok v
-        | exception Engine.Gave_up { point; attempts } -> Error (`Gave_up (point, attempts))
-        | exception e when Engine.failover_class e <> None ->
-            Error (`Failover (Option.get (Engine.failover_class e))))
-        [@leak_ok
-          "the exception arms are steered by the fault schedule and retry budget alone \
-           (with_retry re-issues identical requests); degrading instead of raising \
-           keeps the partial trace and recovery cost observable"]
-      in
-      let stats = Session.finish session in
-      let client_seconds =
-        (Sys.time () -. started)
-        [@leak_ok
-          "wall-clock sample for the public stats record; the session is already \
-           finished"]
-      in
-      Obs.observe m_query_seconds client_seconds;
-      (match outcome with
-      | Ok (`Answer (path, regions_fetched)) ->
-          { path; stats; client_seconds; regions_fetched; status = status_of_stats stats }
-      | Ok (`Unknown scheme) -> unknown_result stats client_seconds ~scheme
-      | Error (`Gave_up (point, attempts)) ->
-          unavailable_result stats client_seconds ~point ~attempts
-      | Error (`Failover reason) ->
-          (* the session was finished first: the abandoned attempt's
-             partial trace and accounted cost travel with the exception
-             so the failover loop can charge them *)
-          raise
-            (Replica_failed
-               { replica = Psp_pir.Server.replica server; reason; stats = [| stats |] }))
-      [@leak_ok
-        "result assembly happens after the session closed; the server observes \
-         nothing from this match"])
-  [@@oblivious]
-
-(* ------------------------------------------------------------------ *)
-(* Batched serving: N same-plan queries walk the plan in lockstep, each
-   fetch slot becoming one merged oblivious-store pass (Batcher). *)
+(* The one query path: N same-plan queries walk the plan in lockstep,
+   each fetch slot becoming one merged oblivious-store pass (Batcher).
+   A single query is the width-1 batch. *)
 
 let query_batch ?(pad = true) ?(retry = default_retry)
     ?(pacing = Engine.sequential) server (queries : endpoints array) =
@@ -178,22 +108,20 @@ let query_batch ?(pad = true) ?(retry = default_retry)
          in
          let batcher = Batcher.start server ~width in
          (* every member downloads the header over its own session, so each
-            per-member trace carries the same plain download a sequential
-            query's would *)
+            per-member trace carries the same plain download a width-1
+            query's would; the header download and region location fix
+            the public query plan before any oblivious round begins, and
+            a download fault retries batch-granularly like a fetch *)
          let outcome =
            (match
               let header, psize =
                 Obs.with_span "plan" (fun () ->
-                    let pages = ref [||] in
-                    Array.iter
-                      (fun session ->
-                        pages :=
-                          Engine.with_retry ~policy:retry
-                            ~on_retry:(fun ~backoff ->
-                              Session.note_retry session ~backoff)
-                            (fun () -> Session.download session ~file:"header"))
-                      (Batcher.sessions batcher);
-                    (H.of_pages !pages, Bytes.length !pages.(0)))
+                    let pages =
+                      Engine.with_retry ~policy:retry
+                        ~on_retry:(Batcher.note_retry batcher) (fun () ->
+                          Session.download ~file:"header" (Batcher.sessions batcher))
+                    in
+                    (H.of_pages pages, Bytes.length pages.(0)))
               in
               match Registry.find header.H.scheme with
               | None -> `Unknown header.H.scheme
@@ -209,8 +137,9 @@ let query_batch ?(pad = true) ?(retry = default_retry)
                Error (`Failover (Option.get (Engine.failover_class e))))
            [@leak_ok
              "the exception arms are steered by the fault schedule and retry budget \
-              alone; a batch-granular failure degrades every member identically, \
-              keeping their partial traces mutually equal"]
+              alone (with_retry re-issues identical requests); a batch-granular \
+              failure degrades every member identically, keeping their partial \
+              traces mutually equal and the recovery cost observable"]
          in
          let stats = Batcher.finish batcher in
          let client_seconds =
@@ -237,6 +166,9 @@ let query_batch ?(pad = true) ?(retry = default_retry)
                (fun s -> unavailable_result s client_seconds ~point ~attempts)
                stats
          | Error (`Failover reason) ->
+             (* the sessions were finished first: the abandoned attempt's
+                partial traces and accounted costs travel with the
+                exception so the failover loop can charge them *)
              raise
                (Replica_failed
                   { replica = Psp_pir.Server.replica server; reason; stats }))
@@ -289,7 +221,8 @@ let degrade ~failovers r =
 let stats_seconds (s : Session.stats) =
   s.Session.pir_seconds +. s.Session.comm_seconds +. s.Session.server_cpu_seconds
 
-let replicated_run rset ~max_failovers run =
+let replicated_run ?max_failovers rset run =
+  let max_failovers = Option.value max_failovers ~default:(3 * RS.width rset) in
   let cost = Psp_pir.Server.cost (RS.server rset 0) in
   let is_unavailable r = match r.status with Unavailable _ -> true | _ -> false in
   let rec go ~failovers ~fo_seconds ~abandoned ~last =
@@ -352,56 +285,33 @@ let replicated_run rset ~max_failovers run =
   in
   go ~failovers:0 ~fo_seconds:0.0 ~abandoned:[] ~last:None
 
-let failover_budget ?max_failovers rset =
-  match max_failovers with Some n -> n | None -> 3 * RS.width rset
-
-let query_replicated ?pad ?retry ?max_failovers rset ~sx:(sx [@secret])
-    ~sy:(sy [@secret]) ~tx:(tx [@secret]) ~ty:(ty [@secret]) =
-  replicated_run rset ~max_failovers:(failover_budget ?max_failovers rset)
-    (fun server -> [| query ?pad ?retry server ~sx ~sy ~tx ~ty |])
-  [@@oblivious]
-
 let query_batch_replicated ?pad ?retry ?max_failovers rset (queries : endpoints array) =
-  replicated_run rset ~max_failovers:(failover_budget ?max_failovers rset)
-    (fun server -> query_batch ?pad ?retry server queries)
+  replicated_run ?max_failovers rset (fun server -> query_batch ?pad ?retry server queries)
   [@@oblivious]
 
 (* ------------------------------------------------------------------ *)
+(* Node-id adapters for harnesses that hold the server-side graph. *)
+
+let endpoints_of_nodes g (pairs [@secret]) =
+  (Array.map
+     (fun (s, t) ->
+       let sx, sy = Psp_graph.Graph.coords g s in
+       let tx, ty = Psp_graph.Graph.coords g t in
+       { sx; sy; tx; ty })
+     pairs
+  [@leak_ok
+    "trip count is the batch length, which the server observes as the number of \
+     plan executions regardless; the endpoints inside stay secret"])
+  [@@oblivious]
 
 let query_nodes ?pad ?retry server g (s [@secret]) (t [@secret]) =
-  let sx, sy = Psp_graph.Graph.coords g s in
-  let tx, ty = Psp_graph.Graph.coords g t in
-  query ?pad ?retry server ~sx ~sy ~tx ~ty
+  (query_batch ?pad ?retry server (endpoints_of_nodes g [| (s, t) |])).(0)
   [@@oblivious]
 
 let query_nodes_batch ?pad ?retry ?pacing server g (pairs [@secret]) =
-  query_batch ?pad ?retry ?pacing server
-    (Array.map
-       (fun (s, t) ->
-         let sx, sy = Psp_graph.Graph.coords g s in
-         let tx, ty = Psp_graph.Graph.coords g t in
-         { sx; sy; tx; ty })
-       pairs
-    [@leak_ok
-      "trip count is the batch length, which the server observes as the number of \
-       plan executions regardless; the endpoints inside stay secret"])
+  query_batch ?pad ?retry ?pacing server (endpoints_of_nodes g pairs)
   [@@oblivious]
 
 let query_nodes_replicated ?pad ?retry ?max_failovers rset g (s [@secret]) (t [@secret]) =
-  let sx, sy = Psp_graph.Graph.coords g s in
-  let tx, ty = Psp_graph.Graph.coords g t in
-  query_replicated ?pad ?retry ?max_failovers rset ~sx ~sy ~tx ~ty
-  [@@oblivious]
-
-let query_nodes_batch_replicated ?pad ?retry ?max_failovers rset g (pairs [@secret]) =
-  query_batch_replicated ?pad ?retry ?max_failovers rset
-    (Array.map
-       (fun (s, t) ->
-         let sx, sy = Psp_graph.Graph.coords g s in
-         let tx, ty = Psp_graph.Graph.coords g t in
-         { sx; sy; tx; ty })
-       pairs
-    [@leak_ok
-      "trip count is the batch length, which the server observes as the number of \
-       plan executions regardless; the endpoints inside stay secret"])
+  query_batch_replicated ?pad ?retry ?max_failovers rset (endpoints_of_nodes g [| (s, t) |])
   [@@oblivious]

@@ -8,6 +8,12 @@
     PI/PI* §6, HY §6, LM/AF §4) including the dummy padding that makes
     every trace conform to the published plan.
 
+    There is one query path: {!query_batch} runs N same-plan queries in
+    lockstep over one {!Psp_pir.Batcher}, and a single query is a
+    width-1 batch.  {!query_batch_replicated} adds whole-plan failover
+    over a replica set; the [query_nodes*] functions are node-id
+    adapters over those two.
+
     Returns the path (as a node-id sequence with its cost), the server
     session statistics (PIR time, communication time, per-file page
     counts, the adversary-visible trace) and the client-side CPU time —
@@ -53,6 +59,10 @@ type result = {
 type endpoints = { sx : float; sy : float; tx : float; ty : float }
 (** One query's raw coordinates, for {!query_batch}. *)
 
+val endpoints_of_nodes : Psp_graph.Graph.t -> (int * int) array -> endpoints array
+(** Resolve (source, destination) node-id pairs to coordinates through
+    the server-side graph — the harnesses' way in. *)
+
 exception Replica_failed of {
   replica : int;
   reason : string;
@@ -61,32 +71,18 @@ exception Replica_failed of {
 (** A replica-level failure ({!Engine.failover_class}: tampering,
     outage, timeout) aborted the plan walk.  The abandoned sessions are
     finished first, so the partial traces and accounted costs travel
-    with the exception; the replicated entry points catch it and replay
-    the whole plan against the next replica.  Escapes {!query} and
-    {!query_batch} only when replica failpoints are armed against a
-    standalone server — there is nowhere to fail over to. *)
+    with the exception; {!query_batch_replicated} catches it and replays
+    the whole plan against the next replica.
 
-val query :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  Psp_pir.Server.t ->
-  sx:float -> sy:float -> tx:float -> ty:float ->
-  result
-(** Execute one shortest-path query from (sx, sy) to (tx, ty).  Source
-    and destination are snapped to the nearest network node of their
-    regions.  [pad] (default true) enforces the query plan with dummy
-    retrievals; calibration passes disable it.
-
-    Transient faults and checksum failures raised by the server are
-    retried under [retry] (default {!default_retry}) with deterministic
-    exponential backoff; the retry schedule depends only on fault
-    outcomes and attempt numbers, never on query content, so traces stay
-    indistinguishable across queries under any fixed fault schedule
-    (DESIGN.md, "Failure handling").  An exhausted budget yields
-    [status = Unavailable _]; an unrecognised scheme tag yields
-    [status = Unknown_scheme _].
-    @raise Failure on a malformed database or a plan the query cannot
-    fit into. *)
+    A standalone {!Psp_pir.Server.t} is deliberately {e not} a replica
+    set of one.  With no other host, whole-plan replay could only re-run
+    the plan against the host that just failed or tampered, adding
+    attempts (and failpoint consultations) that a standalone caller's
+    traces and fault schedule never contained.  So {!query_batch} (and
+    {!query_nodes}, {!query_nodes_batch}) let this exception escape when
+    a replica failpoint fires or a page — the header included — fails
+    its tag against a standalone server; callers that want failover
+    serve through a {!Psp_pir.Replica_set}. *)
 
 val query_batch :
   ?pad:bool ->
@@ -95,21 +91,36 @@ val query_batch :
   Psp_pir.Server.t ->
   endpoints array ->
   result array
-(** Execute N queries concurrently over one {!Psp_pir.Batcher}: all
-    members walk the same public plan in lockstep and each fetch slot
-    becomes one merged oblivious-store pass, amortizing the PIR cost
-    (Table 2) across the batch.  Member [i]'s result — path, stats,
-    per-member trace — matches what a sequential [query] would have
+(** Execute N shortest-path queries, each from (sx, sy) to (tx, ty),
+    concurrently over one {!Psp_pir.Batcher}; a single query is
+    [query_batch server [| e |]].  All members walk the same public
+    plan in lockstep and each fetch slot becomes one merged
+    oblivious-store pass, amortizing the PIR cost (Table 2) across the
+    batch.  Source and destination are snapped to the nearest network
+    node of their regions.  Member [i]'s result — path, stats,
+    per-member trace — matches what a width-1 batch would have
     produced; [client_seconds] reports the per-query share of the
-    batch's wall-clock.  The batch width is public.  A batch-granular
-    fault that exhausts the retry budget degrades {e every} member to
-    [Unavailable] identically.  An empty array returns an empty array
-    without contacting the server.
+    batch's wall-clock.  The batch width is public.  [pad] (default
+    true) enforces the query plan with dummy retrievals; calibration
+    passes disable it.  An empty array returns an empty array without
+    contacting the server.
+
+    Transient faults and checksum failures raised by the server are
+    retried under [retry] (default {!default_retry}) with deterministic
+    exponential backoff; the retry schedule depends only on fault
+    outcomes and attempt numbers, never on query content, so traces stay
+    indistinguishable across queries under any fixed fault schedule
+    (DESIGN.md, "Failure handling").  A batch-granular fault that
+    exhausts the budget degrades {e every} member to [Unavailable]
+    identically; an unrecognised scheme tag yields [Unknown_scheme].
 
     [pacing] (default {!Engine.sequential}) threads the engine's phase
     reports to an execution scheduler; {!Psp_async.Pipeline} suspends
     the call at the engine's release point through it.  It changes
-    nothing about what the server observes. *)
+    nothing about what the server observes.
+    @raise Replica_failed on a replica-level failure (see above);
+    Failure on a malformed database or a plan the query cannot fit
+    into. *)
 
 (** {1 Replicated serving}
 
@@ -132,7 +143,7 @@ type abandoned = {
 
 type replicated = {
   results : result array;
-      (** one per query (singleton for {!query_replicated}); a query
+      (** one per query (singleton for {!query_nodes_replicated}); a query
           that survived via failover is at best [Degraded], its retry
           count raised by the number of failovers *)
   replica : int;  (** the replica that served the final attempt *)
@@ -144,22 +155,6 @@ type replicated = {
   abandoned : abandoned list;  (** oldest first *)
 }
 
-val query_replicated :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  ?max_failovers:int ->
-  Psp_pir.Replica_set.t ->
-  sx:float -> sy:float -> tx:float -> ty:float ->
-  replicated
-(** {!query} against the replica the set's breakers select, failing
-    over (whole-plan replay) on {!Replica_failed} or retry exhaustion
-    until a replica serves, breakers admit no replica, or
-    [max_failovers] (default [3 × width]) is exceeded — then the last
-    attempt's [Unavailable] results are returned.  Simulated time
-    (attempt costs plus failover backoff) drives the breakers' clock.
-    @raise Psp_pir.Replica_set.No_replica_available only when every
-    breaker is already open before the first attempt. *)
-
 val query_batch_replicated :
   ?pad:bool ->
   ?retry:retry_policy ->
@@ -167,35 +162,21 @@ val query_batch_replicated :
   Psp_pir.Replica_set.t ->
   endpoints array ->
   replicated
-(** {!query_batch} with the same failover loop: any replica-level fault
-    is batch-granular, so the whole batch replays together and members
-    stay mutually trace-identical on every replica. *)
-
-val query_nodes_replicated :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  ?max_failovers:int ->
-  Psp_pir.Replica_set.t ->
-  Psp_graph.Graph.t ->
-  int -> int ->
-  replicated
-(** {!query_replicated} over node ids resolved through the server-side
-    graph. *)
-
-val query_nodes_batch_replicated :
-  ?pad:bool ->
-  ?retry:retry_policy ->
-  ?max_failovers:int ->
-  Psp_pir.Replica_set.t ->
-  Psp_graph.Graph.t ->
-  (int * int) array ->
-  replicated
-(** {!query_batch_replicated} over node-id pairs. *)
+(** {!query_batch} against the replica the set's breakers select,
+    failing over (whole-plan replay) on {!Replica_failed} or retry
+    exhaustion until a replica serves, breakers admit no replica, or
+    [max_failovers] (default [3 × width]) is exceeded — then the last
+    attempt's [Unavailable] results are returned.  Any replica-level
+    fault is batch-granular, so the whole batch replays together and
+    members stay mutually trace-identical on every replica.  Simulated
+    time (attempt costs plus failover backoff) drives the breakers'
+    clock.
+    @raise Psp_pir.Replica_set.No_replica_available only when every
+    breaker is already open before the first attempt. *)
 
 val query_nodes :
   ?pad:bool -> ?retry:retry_policy -> Psp_pir.Server.t -> Psp_graph.Graph.t -> int -> int -> result
-(** Convenience for harnesses: look up the nodes' coordinates in the
-    (server-side) graph and query by coordinates. *)
+(** A width-1 {!query_batch} over one node-id pair. *)
 
 val query_nodes_batch :
   ?pad:bool ->
@@ -205,5 +186,14 @@ val query_nodes_batch :
   Psp_graph.Graph.t ->
   (int * int) array ->
   result array
-(** {!query_batch} over node-id pairs resolved through the server-side
-    graph. *)
+(** {!query_batch} over node-id pairs ({!endpoints_of_nodes}). *)
+
+val query_nodes_replicated :
+  ?pad:bool ->
+  ?retry:retry_policy ->
+  ?max_failovers:int ->
+  Psp_pir.Replica_set.t ->
+  Psp_graph.Graph.t ->
+  int -> int ->
+  replicated
+(** A width-1 {!query_batch_replicated} over one node-id pair. *)

@@ -81,36 +81,6 @@ let with_retry ~policy ~on_retry op =
   [@@oblivious]
 
 (* ------------------------------------------------------------------ *)
-(* Transports: how a walk reaches the server — one session, or one
-   batcher multiplexing N lockstep sessions.  The page array's length is
-   the batch width; it rides down through Batcher.fetch into the
-   oblivious store's merged pass, which serves the whole batch with one
-   level scan per level per chunk. *)
-
-type transport = {
-  next_round : unit -> unit;
-  fetch : file:string -> int array -> bytes array;
-  on_retry : backoff:float -> unit;
-  accounted : unit -> float;
-}
-
-let session_transport session =
-  { next_round = (fun () -> Session.next_round session);
-    fetch = (fun ~file pages -> [| Session.fetch session ~file ~page:pages.(0) |]);
-    on_retry = (fun ~backoff -> Session.note_retry session ~backoff);
-    accounted = (fun () -> Session.accounted_seconds session) }
-
-let batcher_transport batcher =
-  { next_round = (fun () -> Batcher.next_round batcher);
-    fetch = (fun ~file pages -> Batcher.fetch batcher ~file ~pages);
-    on_retry = (fun ~backoff -> Batcher.note_retry batcher ~backoff);
-    accounted =
-      (fun () ->
-        Array.fold_left
-          (fun acc s -> acc +. Session.accounted_seconds s)
-          0.0 (Batcher.sessions batcher)) }
-
-(* ------------------------------------------------------------------ *)
 (* Pacing: how a walk reports its phase boundaries to an execution
    scheduler.  A pipelined executor (Psp_async.Pipeline) threads a
    record whose [on_release] suspends the running fiber at the release
@@ -152,9 +122,14 @@ let plan_slots ctx =
 (* ------------------------------------------------------------------ *)
 (* The walker: one engine drives every scheme over the public step list,
    owning padding, retry, telemetry spans and — by construction — trace
-   conformance (Privacy.expected_trace folds over the same list). *)
+   conformance (Privacy.expected_trace folds over the same list).  It
+   reaches the server through one batcher multiplexing the members'
+   lockstep sessions; a single query is a width-1 batcher.  The page
+   array's length is the batch width; it rides down through
+   Batcher.fetch into the oblivious store's merged pass, which serves
+   the whole batch with one level scan per level per chunk. *)
 
-let walk (type s) (module S : SCHEME with type state = s) transport ~policy ctx
+let walk (type s) (module S : SCHEME with type state = s) batcher ~policy ctx
     (states : s array) =
   let all_exhausted () =
     Array.for_all S.exhausted states
@@ -179,8 +154,8 @@ let walk (type s) (module S : SCHEME with type state = s) transport ~policy ctx
     (if pad_slot || any_real then begin
        let (pages [@secret]) = Array.map (Option.value ~default:0) wants in
        let blobs =
-         with_retry ~policy ~on_retry:transport.on_retry (fun () ->
-             transport.fetch ~file pages)
+         with_retry ~policy ~on_retry:(Batcher.note_retry batcher) (fun () ->
+             Batcher.fetch batcher ~file ~pages)
        in
        Array.iteri
          (fun i blob ->
@@ -199,7 +174,7 @@ let walk (type s) (module S : SCHEME with type state = s) transport ~policy ctx
     (fun step ->
       match step with
       | QP.Next_round ->
-          (if ctx.pad || not (all_exhausted ()) then transport.next_round ())
+          (if ctx.pad || not (all_exhausted ()) then Batcher.next_round batcher)
           [@leak_ok
             "with padding on, every plan round runs — the branch is constant-true; \
              unpadded (calibration) runs already forgo the plan's shape"]
@@ -223,7 +198,7 @@ let walk (type s) (module S : SCHEME with type state = s) transport ~policy ctx
   | Some { QP.file; window; per_round } ->
       let continue_ = ref (not (all_exhausted ())) in
       while !continue_ do
-        if per_round then transport.next_round ();
+        if per_round then Batcher.next_round batcher;
         let any = ref false in
         for _ = 1 to window do
           if slot ~pad_slot:false ~file then any := true
@@ -235,8 +210,15 @@ let walk (type s) (module S : SCHEME with type state = s) transport ~policy ctx
      access-pattern cost; the loop stops as soon as no member needs real data"]
   [@@oblivious]
 
-let run_transport (module S : SCHEME) transport ~policy ~pacing ctx queries =
+let run_batch ?(pacing = sequential) (module S : SCHEME) batcher ~policy ctx queries =
+  if Array.length queries <> Batcher.width batcher then
+    invalid_arg "Engine.run_batch: one query per batcher session required";
   let states = Array.map (S.init ctx) queries in
+  let accounted () =
+    Array.fold_left
+      (fun acc s -> acc +. Session.accounted_seconds s)
+      0.0 (Batcher.sessions batcher)
+  in
   (* Phase reports are unconditional — every walk reports exactly once,
      including walks aborted by retry exhaustion or replica failure, so
      an execution scheduler's accounting never depends on the outcome.
@@ -244,23 +226,12 @@ let run_transport (module S : SCHEME) transport ~policy ~pacing ctx queries =
      (the overflow loop included): a suspended fiber has nothing left
      to say to the server, so resuming it later cannot reorder the
      server-visible schedule. *)
-  (match walk (module S) transport ~policy ctx states with
-  | () -> pacing.on_server ~seconds:(transport.accounted ())
+  (match walk (module S) batcher ~policy ctx states with
+  | () -> pacing.on_server ~seconds:(accounted ())
   | exception e ->
-      pacing.on_server ~seconds:(transport.accounted ());
+      pacing.on_server ~seconds:(accounted ());
       raise e);
   pacing.on_decode ~bytes:(Array.length queries * plan_slots ctx * ctx.psize);
   pacing.on_release ();
   Obs.with_span "solve" (fun () -> Array.map S.answer states)
-  [@@oblivious]
-
-let run scheme session ~policy ctx q =
-  (run_transport scheme (session_transport session) ~policy ~pacing:sequential ctx
-     [| q |]).(0)
-  [@@oblivious]
-
-let run_batch ?(pacing = sequential) scheme batcher ~policy ctx queries =
-  if Array.length queries <> Psp_pir.Batcher.width batcher then
-    invalid_arg "Engine.run_batch: one query per batcher session required";
-  run_transport scheme (batcher_transport batcher) ~policy ~pacing ctx queries
   [@@oblivious]

@@ -112,7 +112,7 @@ type pacing = {
   on_server : seconds:float -> unit;
       (** total server-side accounted seconds at the release point
           ({!Psp_pir.Server.Session.accounted_seconds} summed over the
-          transport's sessions) *)
+          batcher's sessions) *)
   on_decode : bytes:int -> unit;
       (** plan-fixed byte volume the client-side decode consumes:
           members × plan slots × page size *)
@@ -123,17 +123,6 @@ type pacing = {
 val sequential : pacing
 (** The inert default: all three hooks do nothing. *)
 
-val run :
-  scheme ->
-  Psp_pir.Server.Session.t ->
-  policy:retry_policy ->
-  ctx ->
-  query ->
-  answer
-(** Walk the plan once for one query.
-    @raise Gave_up on retry-budget exhaustion; Failure on a malformed
-    database. *)
-
 val run_batch :
   ?pacing:pacing ->
   scheme ->
@@ -142,13 +131,15 @@ val run_batch :
   ctx ->
   query array ->
   answer array
-(** Walk the plan once for N same-plan queries in lockstep: each fetch
-    slot becomes one merged {!Psp_pir.Batcher.fetch} pass, and a retry
+(** The walker's one entry point: walk the plan once for N same-plan
+    queries in lockstep (a single query is N = 1).  Each fetch slot
+    becomes one merged {!Psp_pir.Batcher.fetch} pass, and a retry
     re-issues every member's identical request so members stay mutually
     trace-identical.  The batch width flows through the batcher into the
     oblivious store, where the pass executes as one level scan per level
     per chunk ({!Psp_pir.Pyramid_store.fetch_many}) — so the engine's
     simulated amortization and the store's executed page touches agree
     by construction.
-    @raise Invalid_argument unless there is one query per batcher
+    @raise Gave_up on retry-budget exhaustion; Failure on a malformed
+    database; Invalid_argument unless there is one query per batcher
     session. *)

@@ -4,7 +4,7 @@
    functor-body) value bindings under a canonical fully qualified name:
    dune's wrapped-library mangling ("Psp_core__Engine", or the wrapper
    alias "Psp_core__.Engine") is undone so that the names the typedtree
-   prints at call sites ("Psp_pir.Server.replica", "Psp_core.Engine.run")
+   prints at call sites ("Psp_pir.Server.replica", "Psp_core.Engine.run_batch")
    resolve directly.
 
    Functor instances are handled with *redirects*: both
@@ -65,7 +65,7 @@ let has_attr name attrs =
 (* The universe *)
 
 type fn = {
-  fn_name : string; (* canonical fq name, e.g. "Psp_pir.Server.Session.fetch" *)
+  fn_name : string; (* canonical fq name, e.g. "Psp_pir.Server.Session.fetch_batch" *)
   fn_prefix : string; (* enclosing module path, e.g. "Psp_pir.Server.Session" *)
   fn_oblivious : bool;
   fn_binding : Typedtree.value_binding;
@@ -267,7 +267,7 @@ let apply_redirects t name =
 (* Candidate spellings of an alias-expanded name as seen from inside
    [current] (the caller's enclosing module path): the name as-is, then
    qualified by each enclosing prefix from innermost to outermost (a
-   bare [helper] or a sibling [Session.fetch]). *)
+   bare [helper] or a sibling [Session.fetch_batch]). *)
 let candidates ~current name =
   let rec prefixes acc p =
     match String.rindex_opt p '.' with

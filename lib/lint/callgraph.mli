@@ -8,7 +8,7 @@
     functor body. *)
 
 type fn = {
-  fn_name : string;  (** canonical fq name, e.g. ["Psp_pir.Server.Session.fetch"] *)
+  fn_name : string;  (** canonical fq name, e.g. ["Psp_pir.Server.Session.fetch_batch"] *)
   fn_prefix : string;  (** enclosing module path *)
   fn_oblivious : bool;  (** carries [[\@\@oblivious]] *)
   fn_binding : Typedtree.value_binding;
@@ -49,8 +49,8 @@ val project_name : t -> string -> bool
     library's top component) and therefore belongs on the audit surface. *)
 
 val canon : string -> string
-(** Undo dune's name mangling: ["Psp_core__Engine.run"] ->
-    ["Psp_core.Engine.run"]; the wrapper alias ["Psp_core__.X"] -> ["Psp_core.X"]. *)
+(** Undo dune's name mangling: ["Psp_core__Engine.run_batch"] ->
+    ["Psp_core.Engine.run_batch"]; the wrapper alias ["Psp_core__.X"] -> ["Psp_core.X"]. *)
 
 val expand_aliases : (string * string) list -> string -> string
 (** Expand a leading module alias repeatedly, then strip [Stdlib.]. *)

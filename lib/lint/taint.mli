@@ -67,7 +67,7 @@ val analyze_binding :
 val analyze_structure :
   ?env:env -> Typedtree.structure -> Finding.t list * Finding.audit list
 (** Per-module mode: every [\@\@oblivious] binding in the structure, with
-    file-local naming ([Session.fetch]-style for nested modules). *)
+    file-local naming ([Session.fetch_batch]-style for nested modules). *)
 
 val analyze_fn : env:env -> Callgraph.fn -> Finding.t list * Finding.audit
 (** Whole-program mode: analyze one indexed function under its fully

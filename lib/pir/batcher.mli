@@ -5,11 +5,13 @@
     lockstep and their per-round page requests can be merged into one
     oblivious-store pass each ({!Server.Session.fetch_batch}) — the
     amortization that lets hardware-aided PIR serve real request
-    volumes.  The pass is {e executed}, not just simulated: in the
-    oblivious server modes the width-k request lands in
-    {!Pyramid_store.fetch_many} / {!Oblivious_store.fetch_many}, which
-    serve all k probes with one sequential scan per level while keeping
-    every member's slot trace byte-identical to sequential execution.
+    volumes.  The pass is {e executed}, not just simulated: in
+    [`Pyramid] server mode the width-k request lands in
+    {!Pyramid_store.fetch_many}, which serves all k probes with one
+    sequential scan per level while keeping every member's slot trace
+    byte-identical to sequential execution.  A single query is a
+    width-1 batcher: this is the only way the client reaches the PIR
+    interface.
     The batch width is public: the LBS trivially observes how
     many sessions it serves, and learns nothing else beyond the one
     shared plan.
@@ -17,7 +19,7 @@
     A batcher owns one {!Server.Session} per member, so every member
     keeps its own trace, cost accounting and stats; the privacy tests
     assert the members' traces stay mutually equal and equal to a
-    sequential query's trace.
+    width-1 query's trace.
 
     This module is deliberately the {e same-plan merge core} only.
     Routing a mixed multi-tenant stream to per-plan batchers lives in

@@ -71,7 +71,7 @@ val pir_batch_fetch_seconds : t -> file_pages:int -> levels:int -> batch:int -> 
     merged level scans actually execute — capped at the full-pass cost
     (a batch can always fall back to independent passes).  [levels] is
     the serving store's hierarchy depth ({!Pyramid_store.level_count},
-    or {!pyramid_levels} when simulating; 1 for the square-root store).
+    or {!pyramid_levels} when simulating).
     [batch = 1] equals {!pir_fetch_seconds} exactly. *)
 
 val decode_seconds : t -> bytes:int -> float

@@ -22,10 +22,9 @@
     distinct within a level's epoch, and rebuilds at a fixed cadence —
     nothing else.
 
-    This store is the engineering counterpart of {!Oblivious_store}
-    (square-root ORAM): same interface, polylogarithmic instead of
-    square-root amortized cost.  The {!Cost_model} charges the paper's
-    amortized O(log² N) either way. *)
+    This is the server's one oblivious store ([`Pyramid] mode).  The
+    {!Cost_model} charges the paper's amortized O(log² N) per access;
+    the executed per-probe touch count is one slot per level. *)
 
 type t
 

@@ -1,8 +1,6 @@
 module Obs = Psp_obs.Obs
 
-type mode = [ `Simulated | `Oblivious | `Pyramid ]
-
-type store = Sqrt of Oblivious_store.t | Pyramid of Pyramid_store.t
+type mode = [ `Simulated | `Pyramid ]
 
 exception File_too_large of { file : string; bytes : int; limit : int }
 exception Page_corrupt of { file : string; page : int }
@@ -16,7 +14,7 @@ type t = {
   key : bytes; (* publisher master key: page authentication at fetch time *)
   replica : int;
   files : (string, Psp_storage.Page_file.t) Hashtbl.t;
-  stores : (string, store) Hashtbl.t; (* oblivious modes only *)
+  stores : (string, Pyramid_store.t) Hashtbl.t; (* `Pyramid mode only *)
   order : string list;
 }
 
@@ -35,12 +33,8 @@ let create ?(mode = `Simulated) ?(replica = 0) ~cost ~key files =
          scratch server with a different key reseals for itself) *)
       Psp_storage.Page_file.seal f ~key;
       Hashtbl.replace table name f;
-      if Psp_storage.Page_file.page_count f > 0 then begin
-        match mode with
-        | `Simulated -> ()
-        | `Oblivious -> Hashtbl.replace stores name (Sqrt (Oblivious_store.create ~key f))
-        | `Pyramid -> Hashtbl.replace stores name (Pyramid (Pyramid_store.create ~key f))
-      end)
+      if mode = `Pyramid && Psp_storage.Page_file.page_count f > 0 then
+        Hashtbl.replace stores name (Pyramid_store.create ~key f))
     files;
   { mode;
     cost;
@@ -67,28 +61,16 @@ let database_bytes t =
     (fun acc name -> acc + Psp_storage.Page_file.size_bytes (file t name))
     0 t.order
 
-(* Executed-side accounting, summed over the instantiated oblivious
+(* Executed-side accounting, summed over the instantiated pyramid
    stores (zero in `Simulated mode, where no store exists).  Both totals
    are public functions of the access count and the batch widths — what
    the batch benchmark and test_batch.ml compare against the cost
    model's page-touch basis. *)
 let executed_slot_touches t =
-  Hashtbl.fold
-    (fun _ store acc ->
-      acc
-      + (match store with
-        | Sqrt s -> Oblivious_store.slot_touches s
-        | Pyramid s -> Pyramid_store.slot_touches s))
-    t.stores 0
+  Hashtbl.fold (fun _ s acc -> acc + Pyramid_store.slot_touches s) t.stores 0
 
 let executed_level_scans t =
-  Hashtbl.fold
-    (fun _ store acc ->
-      acc
-      + (match store with
-        | Sqrt s -> Oblivious_store.sweeps s
-        | Pyramid s -> Pyramid_store.level_scans s))
-    t.stores 0
+  Hashtbl.fold (fun _ s acc -> acc + Pyramid_store.level_scans s) t.stores 0
 
 (* The hierarchy depth a batched pass probes per marginal member: the
    serving store's actual depth, or — in `Simulated mode, where no store
@@ -101,10 +83,7 @@ let probe_levels t ~file:name ~pages =
   | `Simulated ->
       Cost_model.pyramid_levels
         ~cache_capacity:Pyramid_store.default_cache_capacity ~file_pages:pages
-  | `Oblivious | `Pyramid -> (
-      match Hashtbl.find t.stores name with
-      | Sqrt _ -> 1
-      | Pyramid store -> Pyramid_store.level_count store)
+  | `Pyramid -> Pyramid_store.level_count (Hashtbl.find t.stores name)
 
 module Session = struct
   type server = t
@@ -170,33 +149,8 @@ module Session = struct
       fetch_counts = Hashtbl.create 8;
       trace = Trace.create () }
 
-  (* Replica-level chaos, consulted after the attempt is traced (the
-     adversary saw the request even when the replica is dead).  All
-     branches here are on fault-schedule outcomes — public functions of
-     hit ordinals — never on query content. *)
   let m_replica_down = Obs.counter "pir.replica.down"
   let m_replica_spikes = Obs.counter "pir.replica.spikes"
-
-  let replica_faults t =
-    (if Psp_fault.Fault.fires "pir.replica.down" then begin
-       Obs.incr m_replica_down;
-       raise (Replica_down { replica = t.server.replica })
-     end)
-    [@leak_ok
-      "replica outage aborts the attempt; the exception carries only the public \
-       replica index and the failover replays the identical public plan elsewhere"];
-    if Psp_fault.Fault.fires "pir.replica.latency" then begin
-      Obs.incr m_replica_spikes;
-      let s = Cost_model.latency_spike_seconds t.server.cost in
-      t.comm_seconds <- t.comm_seconds +. s;
-      t.spike_seconds <- t.spike_seconds +. s;
-      (if t.spike_seconds > Cost_model.timeout_seconds t.server.cost then
-         raise (Replica_timeout { replica = t.server.replica; seconds = t.spike_seconds }))
-      [@leak_ok
-        "the timeout threshold and the accumulated spike delay are deterministic \
-         cost-model quantities, independent of query content"]
-    end
-    [@@oblivious]
 
   let next_round ?(share = 1) t =
     Obs.incr m_rounds;
@@ -206,93 +160,24 @@ module Session = struct
 
   let round t = t.round
 
-  let fetch t ~file:name ~page:(page [@secret]) =
-    Obs.with_span "pir_fetch" (fun () ->
-        (* all recorded quantities are public: the file name, a constant
-           delta per fetch and per page — never the secret index *)
-        Obs.incr m_fetches;
-        Obs.incr (m_fetch_file name);
-        Obs.add_pages 1;
-        let f = file t.server name in
-        let pages = Psp_storage.Page_file.page_count f in
-        (* the requested page index is secret: the abort message may only name
-           the file and its public page range, never the index itself *)
-        (if page < 0 || page >= pages then
-           invalid_arg
-             (Printf.sprintf "Session.fetch(%s): page out of range [0,%d)" name pages))
-        [@leak_ok "bounds check fails closed; the message is redacted to public data"];
-        t.pir_seconds <-
-          t.pir_seconds +. Cost_model.pir_fetch_seconds t.server.cost ~file_pages:pages;
-        t.comm_seconds <-
-          t.comm_seconds
-          +. Cost_model.transfer_seconds t.server.cost
-               ~bytes:(Psp_storage.Page_file.page_size f);
-        Hashtbl.replace t.fetch_counts name
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.fetch_counts name));
-        (* the attempt is recorded before any fault fires: the adversary saw
-           the request whether or not the retrieval succeeded *)
-        Trace.record t.trace (Trace.Pir_fetch { round = t.round; file = name });
-        Psp_fault.Fault.inject "pir.fetch.transient";
-        replica_faults t;
-        let bytes =
-          match t.server.mode with
-          | `Simulated -> Psp_storage.Page_file.read f page
-          | `Oblivious | `Pyramid -> (
-              match Hashtbl.find t.server.stores name with
-              | Sqrt store -> Oblivious_store.read store page
-              | Pyramid store -> Pyramid_store.read store page)
-        in
-        let bytes =
-          (if Psp_fault.Fault.fires "pir.fetch.corrupt" then begin
-             (* flip one bit; the checksum gate below must catch it *)
-             let b = Bytes.copy bytes in
-             if Bytes.length b > 0 then
-               Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-             b
-           end
-           else bytes)
-          [@leak_ok
-            "fault-injection test hook: flips one bit of the already-fetched page, whose \
-             length is the file's public page size"]
-        in
-        (if not (Psp_storage.Page_file.verify_page f page bytes) then
-           raise (Page_corrupt { file = name; page }))
-        [@leak_ok
-          "integrity failure aborts the query; the exception stays inside the client trust \
-           boundary and Client.recoverable redacts it to the file name before reporting"];
-        let bytes =
-          (if Psp_fault.Fault.fires "pir.fetch.tamper" then begin
-             (* a Byzantine host recomputes the CRC after altering the page, so
-                the flip lands after the checksum gate — only the keyed tag
-                check below can catch it *)
-             let b = Bytes.copy bytes in
-             if Bytes.length b > 0 then
-               Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));
-             b
-           end
-           else bytes)
-          [@leak_ok
-            "fault-injection test hook: flips one bit of the already-fetched page, whose \
-             length is the file's public page size"]
-        in
-        (if not (Psp_storage.Page_file.authenticate f ~key:t.server.key page bytes) then
-           raise (Tampered { file = name; page }))
-        [@leak_ok
-          "authenticity failure aborts the replica, not the query; the exception stays \
-           inside the client trust boundary and the failover replays the identical public \
-           plan against the next replica"];
-        bytes)
-    [@@oblivious]
+  (* The fault hooks' corruption: one flipped bit of an already-fetched
+     page, whose length is the file's public page size. *)
+  let flip ~mask bytes =
+    let b = Bytes.copy bytes in
+    if Bytes.length b > 0 then Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor mask));
+    b
 
-  (* One merged pass for same-round requests of concurrent sessions.
-     Every member's attempt is accounted and recorded in its own trace
-     *before* the shared failpoint is consulted, so a batch-granular
-     fault (and its retry) adds the same extra events to every member —
-     batched sessions stay mutually trace-identical under any fault
-     schedule.  In the oblivious modes the k probes are executed as one
-     merged level scan per level (fetch_many); the simulated pass cost
-     charges the same marginal page-touch count and is split evenly:
-     each member is charged pir_batch_fetch_seconds / batch. *)
+  (* One merged pass for same-round requests of concurrent sessions — a
+     single query is the width-1 case.  Every member's attempt is
+     accounted and recorded in its own trace *before* the shared
+     failpoint is consulted: the adversary saw the request whether or
+     not the retrieval succeeded, and a batch-granular fault (and its
+     retry) adds the same extra events to every member — batched
+     sessions stay mutually trace-identical under any fault schedule.
+     In `Pyramid mode the k probes are executed as one merged level scan
+     per level (fetch_many); the simulated pass cost charges the same
+     marginal page-touch count and is split evenly: each member is
+     charged pir_batch_fetch_seconds / batch. *)
   let fetch_batch ~file:name (requests : (t * int) array) =
     match Array.length requests with
     | 0 -> [||]
@@ -315,11 +200,14 @@ module Session = struct
             in
             Array.iter
               (fun (s, (page [@secret])) ->
+                (* all recorded quantities are public: the file name, a
+                   constant delta per fetch and per page — never the
+                   secret index *)
                 Obs.incr m_fetches;
                 Obs.incr (m_fetch_file name);
                 Obs.add_pages 1;
-                (* as in fetch: the abort message may only name the file and
-                   its public page range, never the secret index *)
+                (* the abort message may only name the file and its
+                   public page range, never the secret index *)
                 (if page < 0 || page >= pages then
                    invalid_arg
                      (Printf.sprintf "Session.fetch_batch(%s): page out of range [0,%d)"
@@ -360,20 +248,18 @@ module Session = struct
                 "the timeout threshold and the accumulated spike delay are deterministic \
                  cost-model quantities, independent of query content"]
             end;
-            (* the store pass: one merged fetch serves every member's
-               probe (level-major scans in the pyramid, one sweep in the
-               square-root store) instead of k independent walks *)
+            (* the store pass: one merged fetch_many serves every
+               member's probe with level-major scans instead of k
+               independent walks *)
             let contents =
               (match server.mode with
               | `Simulated ->
                   Array.map
                     (fun (_, (page [@secret])) -> Psp_storage.Page_file.read f page)
                     requests
-              | `Oblivious | `Pyramid -> (
-                  let ids = Array.map (fun (_, (page [@secret])) -> page) requests in
-                  match Hashtbl.find server.stores name with
-                  | Sqrt store -> Oblivious_store.fetch_many store ids
-                  | Pyramid store -> Pyramid_store.fetch_many store ids))
+              | `Pyramid ->
+                  Pyramid_store.fetch_many (Hashtbl.find server.stores name)
+                    (Array.map (fun (_, (page [@secret])) -> page) requests))
               [@leak_ok
                 "the merged pass's loop structure depends only on the public batch \
                  width and the access count; the secret page indices only select \
@@ -381,15 +267,10 @@ module Session = struct
             in
             Array.mapi
               (fun m (_, (page [@secret])) ->
-                let bytes = contents.(m) in
                 let bytes =
-                  (if Psp_fault.Fault.fires "pir.fetch.corrupt" then begin
-                     let b = Bytes.copy bytes in
-                     if Bytes.length b > 0 then
-                       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-                     b
-                   end
-                   else bytes)
+                  (if Psp_fault.Fault.fires "pir.fetch.corrupt" then
+                     flip ~mask:0x01 contents.(m)
+                   else contents.(m))
                   [@leak_ok
                     "fault-injection test hook: flips one bit of the already-fetched page, \
                      whose length is the file's public page size"]
@@ -401,14 +282,10 @@ module Session = struct
                    client trust boundary and the engine's retry re-issues every member's \
                    identical request"];
                 let bytes =
-                  (if Psp_fault.Fault.fires "pir.fetch.tamper" then begin
-                     (* as in fetch: the flip lands after the checksum gate,
-                        simulating a host that recomputes the CRC *)
-                     let b = Bytes.copy bytes in
-                     if Bytes.length b > 0 then
-                       Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x80));
-                     b
-                   end
+                  (* a Byzantine host recomputes the CRC after altering the
+                     page, so the flip lands after the checksum gate — only
+                     the keyed tag check below can catch it *)
+                  (if Psp_fault.Fault.fires "pir.fetch.tamper" then flip ~mask:0x80 bytes
                    else bytes)
                   [@leak_ok
                     "fault-injection test hook: flips one bit of the already-fetched page, \
@@ -423,18 +300,46 @@ module Session = struct
               requests)
     [@@oblivious]
 
-  let download t ~file:name =
-    let f = file t.server name in
-    let pages = Psp_storage.Page_file.page_count f in
-    t.comm_seconds <-
-      t.comm_seconds
-      +. Cost_model.transfer_seconds t.server.cost ~bytes:(Psp_storage.Page_file.size_bytes f);
-    Trace.record t.trace (Trace.Plain_download { round = t.round; file = name; pages });
-    (* public: whole-file downloads touch a page count fixed by the layout *)
-    Obs.add m_downloads pages;
-    Obs.add_pages pages;
-    Psp_fault.Fault.inject "pir.download.transient";
-    Array.init pages (Psp_storage.Page_file.read f)
+  (* The header download, one per member session as one exchange.
+     Like fetch_batch, every member is charged and records its own plain
+     download before the shared failpoints fire, so a fault (and the
+     batch-granular retry) adds the same events to every member.  The
+     pages pass the same CRC and tag gates as a private fetch: the header
+     fixes the plan, the KD-tree splits and the scheme tag, so a host
+     that could rewrite it would choose what the client walks.  The page
+     numbers here are public. *)
+  let download ~file:name (sessions : t array) =
+    match Array.length sessions with
+    | 0 -> [||]
+    | _ ->
+        let server = sessions.(0).server in
+        let f = file server name in
+        let pages = Psp_storage.Page_file.page_count f in
+        Array.iter
+          (fun t ->
+            if t.server != server then
+              invalid_arg "Session.download: sessions span different servers";
+            t.comm_seconds <-
+              t.comm_seconds
+              +. Cost_model.transfer_seconds server.cost
+                   ~bytes:(Psp_storage.Page_file.size_bytes f);
+            Trace.record t.trace (Trace.Plain_download { round = t.round; file = name; pages });
+            (* public: whole-file downloads touch a page count fixed by the layout *)
+            Obs.add m_downloads pages;
+            Obs.add_pages pages)
+          sessions;
+        Psp_fault.Fault.inject "pir.download.transient";
+        Array.init pages (fun page ->
+            let bytes = Psp_storage.Page_file.read f page in
+            if not (Psp_storage.Page_file.verify_page f page bytes) then
+              raise (Page_corrupt { file = name; page });
+            let bytes =
+              if Psp_fault.Fault.fires "pir.download.tamper" then flip ~mask:0x80 bytes
+              else bytes
+            in
+            if not (Psp_storage.Page_file.authenticate f ~key:server.key page bytes) then
+              raise (Tampered { file = name; page });
+            bytes)
     [@@oblivious]
 
   let plain_fetch t ~file:name ~page =

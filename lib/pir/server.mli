@@ -3,36 +3,40 @@
     The server hosts a set of page files (the scheme's database) and
     exposes the two access paths of the architecture:
 
-    - {!Session.fetch}: one page via the PIR interface.  The host learns
-      only (round, file); latency follows {!Cost_model}.
+    - {!Session.fetch_batch}: one page per member session via the PIR
+      interface, a single query being the width-1 case.  The host learns
+      only (round, file) and the batch width; latency follows
+      {!Cost_model}.
     - {!Session.download}: a whole file in plaintext over the SSL link —
       only ever used for the public header, which every client fetches.
     - {!Session.plain_fetch}: an unsecured page read, used exclusively
       by the non-private OBF baseline for comparison.
 
-    Three execution modes: [`Simulated] serves pages straight from the
+    Two execution modes: [`Simulated] serves pages straight from the
     page files (fast — used by the benchmark harness; costs and traces
-    are identical), [`Oblivious] routes every PIR fetch through a real
-    square-root ORAM ({!Oblivious_store}), and [`Pyramid] through the
-    Williams–Sion-style hierarchical store ({!Pyramid_store}) — both
-    used by the privacy tests and examples. *)
+    are identical), and [`Pyramid] routes every PIR fetch through the
+    Williams–Sion-style hierarchical store ({!Pyramid_store}) — the
+    paper's PIR black box, used by the privacy tests, the examples and
+    the measured benchmark. *)
 
 type t
 
-type mode = [ `Simulated | `Oblivious | `Pyramid ]
+type mode = [ `Simulated | `Pyramid ]
 
 exception File_too_large of { file : string; bytes : int; limit : int }
 (** Raised at registration when a file exceeds what the SCP can support
     (§3.2) — this is how PI "becomes inapplicable" on large networks. *)
 
 exception Page_corrupt of { file : string; page : int }
-(** Raised by {!Session.fetch} when a retrieved page fails its CRC-32
+(** Raised by {!Session.fetch_batch} and {!Session.download} when a
+    retrieved page fails its CRC-32
     check against the checksum recorded at append time — corruption in
     storage or in flight, detected before the payload reaches protocol
     code.  Clients treat it like a transient fault and re-fetch. *)
 
 exception Tampered of { file : string; page : int }
-(** Raised by {!Session.fetch} when a retrieved page passes the CRC but
+(** Raised by {!Session.fetch_batch} and {!Session.download} when a
+    retrieved page passes the CRC but
     fails its pack-time HMAC tag ({!Psp_storage.Page_file.authenticate})
     — a Byzantine host altered content and recomputed the checksum.
     Unlike {!Page_corrupt} this is {e not} retried in place: the replica
@@ -84,9 +88,8 @@ val executed_slot_touches : t -> int
     [test_batch.ml] assert. *)
 
 val executed_level_scans : t -> int
-(** Merged level scans (pyramid) or epoch sweeps (square-root) the
-    server's oblivious stores have executed since creation, summed over
-    files (0 in [`Simulated] mode).  The executed-side amortization: a
+(** Merged level scans the server's pyramid stores have executed since
+    creation, summed over files (0 in [`Simulated] mode).  The executed-side amortization: a
     width-k batch runs one scan per level per chunk instead of k. *)
 
 module Session : sig
@@ -105,63 +108,64 @@ module Session : sig
 
   val round : t -> int
 
-  val fetch : t -> file:string -> page:int -> bytes
-  (** Private page retrieval via the SCP.  The returned page is verified
-      against its recorded CRC-32 and then against its pack-time HMAC
-      tag before being released.
-
-      The trace event and cost accounting for the attempt happen
-      {e before} any fault can fire: a failed retrieval is still part of
-      the adversary's view.  Failpoints: [pir.fetch.transient] (raises
-      {!Psp_fault.Fault.Injected}), [pir.fetch.corrupt] (flips a bit in
-      the retrieved page, which the checksum gate converts into
-      {!Page_corrupt}), [pir.fetch.tamper] (flips a bit {e after} the
-      checksum gate — a Byzantine host recomputing the CRC — which the
-      tag gate converts into {!Tampered}), [pir.replica.down] (raises
-      {!Replica_down}) and [pir.replica.latency] (adds
-      {!Cost_model.latency_spike_seconds} to the session; past
-      {!Cost_model.timeout_seconds} cumulative it raises
-      {!Replica_timeout}).
-
-      @raise Not_found on unknown file; Invalid_argument on a bad page
-      number; {!Page_corrupt} on a checksum failure; {!Tampered} on a
-      tag failure; {!Replica_down}/{!Replica_timeout} on replica
-      faults. *)
-
   val fetch_batch : file:string -> (t * int) array -> bytes array
-(** One merged oblivious-store pass serving same-round requests of
-      concurrent sessions (the {!Psp_pir.Batcher} building block).  Each
-      member's attempt is accounted and recorded in its own trace before
-      the shared [pir.fetch.transient] failpoint is consulted, so a
-      fault — and the retry that re-issues every member's identical
-      request — adds the same events to every member: batched sessions
-      stay mutually trace-identical under any fault schedule.
+  (** Private page retrieval via the SCP: one merged oblivious-store
+      pass serving same-round requests of concurrent sessions (the
+      {!Psp_pir.Batcher} building block; a single query is a width-1
+      batch).  Every returned page is verified against its recorded
+      CRC-32 and then against its pack-time HMAC tag before release.
+
+      Each member's attempt is accounted and recorded in its own trace
+      {e before} any fault can fire: a failed retrieval is still part of
+      the adversary's view, and a fault — with the retry that re-issues
+      every member's identical request — adds the same events to every
+      member, so batched sessions stay mutually trace-identical under
+      any fault schedule.
 
       The pass cost {!Cost_model.pir_batch_fetch_seconds} is split
-      evenly across members; with one request the cost, trace and fault
-      behaviour equal {!fetch} exactly.  In [`Oblivious]/[`Pyramid]
-      modes the k probes are {e executed} as one merged pass
-      ({!Pyramid_store.fetch_many} / {!Oblivious_store.fetch_many}):
-      one sequential scan per level serves every member, per-member
-      slot traces stay byte-identical to sequential execution, and the
+      evenly across members; at width 1 it equals
+      {!Cost_model.pir_fetch_seconds}.  In [`Pyramid] mode the k probes
+      are {e executed} as one merged pass ({!Pyramid_store.fetch_many}):
+      one sequential scan per level serves every member, per-member slot
+      traces stay byte-identical to sequential execution, and the
       marginal page-touch count equals the simulated cost model's
       {!Cost_model.batch_probe_touches} basis by construction (both
       sides derive the depth from {!Cost_model.pyramid_levels}).
 
-      Replica faults are batch-granular: [pir.replica.down] and
-      [pir.replica.latency] are consulted once per merged pass and their
-      effect (abort, or spike delay) applies to every member, so batched
-      sessions stay mutually trace-identical.  [pir.fetch.tamper]
-      mirrors [pir.fetch.corrupt]: consulted per member, but any
-      {!Tampered} aborts the whole batch.
+      Failpoints, in the order they are consulted:
+      [pir.fetch.transient] (raises {!Psp_fault.Fault.Injected}),
+      [pir.replica.down] (raises {!Replica_down}) and
+      [pir.replica.latency] (adds {!Cost_model.latency_spike_seconds} to
+      every member; past {!Cost_model.timeout_seconds} cumulative it
+      raises {!Replica_timeout}) once per pass; then per member
+      [pir.fetch.corrupt] (flips a bit, which the checksum gate converts
+      into {!Page_corrupt}) and [pir.fetch.tamper] (flips a bit {e after}
+      the checksum gate — a Byzantine host recomputing the CRC — which
+      the tag gate converts into {!Tampered}).
+
+      @raise Not_found on unknown file; Invalid_argument if the sessions
+      belong to different servers or a page is out of range;
+      {!Page_corrupt}, {!Tampered}, {!Replica_down} and
+      {!Replica_timeout} abort the whole batch. *)
+
+  val download : file:string -> t array -> bytes array
+  (** Plaintext download of an entire (public) file — the header — for
+      each of the given sessions of one server as one exchange (a single
+      query passes one session).  Every member is charged the transfer
+      and records its own plain-download trace event before any fault
+      can fire, so batched sessions stay mutually trace-identical.
+      Every page passes the same CRC and HMAC gates as {!fetch_batch}:
+      the header fixes the plan, the KD-tree splits and the scheme tag,
+      so it is authenticated like any other byte from the host.
+
+      Failpoints: [pir.download.transient] (raises
+      {!Psp_fault.Fault.Injected} before any page is read), then per
+      page [pir.download.tamper] (flips a bit after the checksum gate,
+      which the tag gate converts into {!Tampered}).
 
       @raise Invalid_argument if the sessions belong to different
-      servers or a page is out of range; {!Page_corrupt}, {!Tampered},
-      {!Replica_down} and {!Replica_timeout} abort the whole batch. *)
-
-  val download : t -> file:string -> bytes array
-  (** Plaintext download of an entire (public) file.  Failpoint:
-      [pir.download.transient]. *)
+      servers; {!Page_corrupt} on a checksum failure; {!Tampered} on a
+      tag failure. *)
 
   val plain_fetch : t -> file:string -> page:int -> bytes
   (** Unsecured read: the LBS sees the page number (OBF baseline only). *)

@@ -64,7 +64,7 @@ let append t payload =
 let append_blank t = append t Bytes.empty
 
 let check t (no [@secret]) =
-  (* the index is secret when reached from the PIR hot path (Session.fetch
+  (* the index is secret when reached from the PIR hot path (Session.fetch_batch
      serves [@secret] page numbers): the abort message may only name the
      file and its public page range, never the index itself *)
   (if no < 0 || no >= page_count t then

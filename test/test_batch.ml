@@ -1,5 +1,5 @@
 (* The batched multi-query session layer: Client.query_batch must serve
-   every member exactly as a sequential Client.query would — same paths,
+   every member exactly as a width-1 query would — same paths,
    same per-member adversary trace, same constant telemetry shape — while
    the merged oblivious-store passes amortize the PIR cost (Table 2) as
    the batch grows. *)
@@ -116,8 +116,8 @@ let test_batch_correct () =
         batched)
     (Lazy.force databases)
 
-(* query_nodes (the sequential convenience wrapper) resolves coordinates
-   through the graph and must agree with a raw coordinate query. *)
+(* query_nodes (the node-id adapter) resolves coordinates through the
+   graph and must agree with a raw coordinate query. *)
 let test_query_nodes () =
   let db = List.assoc "CI" (Lazy.force databases) in
   let server = server_of db in
@@ -126,8 +126,8 @@ let test_query_nodes () =
       let by_nodes = Client.query_nodes server g s t in
       let sx, sy = Psp_graph.Graph.coords g s in
       let tx, ty = Psp_graph.Graph.coords g t in
-      let by_coords = Client.query server ~sx ~sy ~tx ~ty in
-      check_paths_match "query_nodes vs query" by_nodes by_coords)
+      let by_coords = (Client.query_batch server [| { Client.sx; sy; tx; ty } |]).(0) in
+      check_paths_match "query_nodes vs query_batch" by_nodes by_coords)
     (Array.sub queries 0 5)
 
 (* ------------------------------------------------------------------ *)
@@ -295,7 +295,6 @@ let test_batch_seed_sweep () =
    slot traces byte-identical to k sequential reads, and its executed
    page-touch count must equal the cost model's batched basis. *)
 
-module OS = Psp_pir.Oblivious_store
 module PS = Psp_pir.Pyramid_store
 module CM = Psp_pir.Cost_model
 
@@ -308,12 +307,12 @@ let make_file ?(name = "data") ~pages ~page_size () =
 
 (* Capture, on a twin store, each member's own sequential event list
    (clearing the trace between reads), together with its payload. *)
-let sequential_members ~read ~clear ~trace store ids =
+let sequential_members store ids =
   Array.map
     (fun id ->
-      clear store;
-      let page = read store id in
-      (page, trace store))
+      PS.clear_trace store;
+      let page = PS.read store id in
+      (page, PS.physical_trace store))
     ids
 
 (* Pyramid: the merged trace must be, per flush-cadence chunk, the
@@ -327,10 +326,7 @@ let test_pyramid_fetch_many_trace () =
   let ids = [| 3; 41; 3; 17; 59; 0; 41; 8; 3 |] in
   let mk () = PS.create ~key (make_file ~pages ~page_size ()) in
   let seq = mk () and mrg = mk () in
-  let members =
-    sequential_members ~read:PS.read ~clear:PS.clear_trace ~trace:PS.physical_trace
-      seq ids
-  in
+  let members = sequential_members seq ids in
   PS.clear_trace mrg;
   let got = PS.fetch_many mrg ids in
   Array.iteri
@@ -361,32 +357,6 @@ let test_pyramid_fetch_many_trace () =
   Alcotest.(check bool)
     "merged trace = level-major reorder of the sequential member traces" true
     (PS.physical_trace mrg = List.rev !expected)
-
-(* Square-root: the merged sweep visits slots in member order, so the
-   merged trace equals the plain concatenation of the members'
-   sequential traces (reshuffles included, at the same positions). *)
-let test_sqrt_fetch_many_trace () =
-  let pages = 25 in
-  let ids = [| 5; 19; 5; 0; 24; 19; 7; 3; 3; 11 |] in
-  let mk () = OS.create ~key (make_file ~pages ~page_size:32 ()) in
-  let seq = mk () and mrg = mk () in
-  let members =
-    sequential_members ~read:OS.read ~clear:OS.clear_trace ~trace:OS.physical_trace
-      seq ids
-  in
-  OS.clear_trace mrg;
-  let got = OS.fetch_many mrg ids in
-  Array.iteri
-    (fun m (page, _) ->
-      Alcotest.(check string)
-        (Printf.sprintf "member %d payload equals sequential" m)
-        (Bytes.to_string page)
-        (Bytes.to_string got.(m)))
-    members;
-  let expected = List.concat_map snd (Array.to_list members) in
-  Alcotest.(check bool)
-    "merged trace = concatenation of the sequential member traces" true
-    (OS.physical_trace mrg = expected)
 
 (* The executed page-touch count is the cost model's basis, width by
    width: a width-k pass touches one slot per level per member — the
@@ -543,8 +513,6 @@ let () =
       ( "executed",
         [ Alcotest.test_case "pyramid fetch_many trace = sequential" `Quick
             test_pyramid_fetch_many_trace;
-          Alcotest.test_case "sqrt fetch_many trace = sequential" `Quick
-            test_sqrt_fetch_many_trace;
           Alcotest.test_case "executed touches = cost basis (widths 1/4/16)" `Quick
             test_executed_touches_match_basis;
           Alcotest.test_case "server executed = simulated (widths 1/4/16)" `Quick

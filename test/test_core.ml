@@ -121,13 +121,13 @@ let test_same_region_query () =
   end
 
 let test_oblivious_mode_end_to_end () =
-  (* the full protocol through the real square-root ORAM, every scheme *)
+  (* the full protocol through the real pyramid ORAM, every scheme *)
   let small = network ~nodes:120 ~seed:4 () in
   let qs = Psp_netgen.Synthetic.random_queries small ~count:6 ~seed:9 in
   let lm, _ = DB.build_lm ~anchors:3 ~seed:2 ~page_size:256 small in
   List.iter
     (fun (name, db) ->
-      let server = Server.create ~mode:`Oblivious ~cost ~key (DB.files db) in
+      let server = Server.create ~mode:`Pyramid ~cost ~key (DB.files db) in
       Array.iter
         (fun (s, t) ->
           let r = Client.query_nodes server small s t in
@@ -143,23 +143,29 @@ let test_oblivious_mode_end_to_end () =
       ("LM", Calibrate.lm lm ~queries:qs) ]
 
 let test_modes_identical_traces () =
-  (* the adversary's view is the same whether pages are served directly
-     or through either ORAM - the cost/trace layer is mode-independent *)
+  (* the adversary's view and the accounted costs are the same whether
+     pages are served directly or through the pyramid ORAM — the check
+     that keeps `Simulated valid as the fast path for paper-table sweeps *)
   let small = network ~nodes:100 ~seed:6 () in
-  let db = DB.build_ci ~page_size:256 small in
   let qs = Psp_netgen.Synthetic.random_queries small ~count:3 ~seed:2 in
-  let trace_of mode =
-    let server = Server.create ~mode ~cost ~key (DB.files db) in
-    Array.to_list
-      (Array.map
-         (fun (s, t) ->
-           Psp_pir.Trace.fingerprint
-             (Client.query_nodes server small s t).Client.stats.Session.trace)
-         qs)
-  in
-  let sim = trace_of `Simulated in
-  Alcotest.(check (list string)) "sqrt oram same view" sim (trace_of `Oblivious);
-  Alcotest.(check (list string)) "pyramid same view" sim (trace_of `Pyramid)
+  List.iter
+    (fun (name, db) ->
+      let view_of mode =
+        let server = Server.create ~mode ~cost ~key (DB.files db) in
+        Array.to_list
+          (Array.map
+             (fun (s, t) ->
+               let st = (Client.query_nodes server small s t).Client.stats in
+               ( Psp_pir.Trace.fingerprint st.Session.trace,
+                 (st.Session.pir_seconds, st.Session.comm_seconds),
+                 st.Session.pir_fetches ))
+             qs)
+      in
+      Alcotest.(check (list (triple string (pair (float 0.0) (float 0.0))
+                               (list (pair string int)))))
+        (name ^ ": pyramid same view and costs")
+        (view_of `Simulated) (view_of `Pyramid))
+    [ ("CI", DB.build_ci ~page_size:256 small); ("PI", DB.build_pi ~page_size:256 small) ]
 
 let test_plan_fetches_match_stats () =
   (* for every scheme, the session's actual private fetch counts equal

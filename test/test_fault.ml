@@ -172,10 +172,10 @@ let test_backoff_is_deterministic_and_query_independent () =
   Alcotest.(check bool) "distinct queries, identical recovery schedule" true (r0 = r1)
 
 let test_retry_through_real_oram () =
-  (* recovery also works when pages come from the square-root ORAM *)
+  (* recovery also works when pages come from the pyramid ORAM *)
   let small = network ~nodes:100 ~seed:3 () in
   let db = DB.build_ci ~page_size small in
-  let server = Server.create ~mode:`Oblivious ~cost ~key (DB.files db) in
+  let server = Server.create ~mode:`Pyramid ~cost ~key (DB.files db) in
   let s, t = (Psp_netgen.Synthetic.random_queries small ~count:1 ~seed:8).(0) in
   with_faults
     [ ("pir.fetch.transient", F.Hits [ 2 ]); ("pir.fetch.corrupt", F.Hits [ 5 ]) ]

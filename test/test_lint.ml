@@ -356,7 +356,6 @@ let core_cmts =
   [ lib_cmt "core" "Client";
     lib_cmt "storage" "Page_file";
     lib_cmt "pir" "Server";
-    lib_cmt "pir" "Oblivious_store";
     lib_cmt "pir" "Pyramid_store";
     lib_cmt "pir" "Trace";
     lib_cmt "index" "Query_plan";
@@ -379,11 +378,11 @@ let test_core_secrets_seeded () =
     | None -> Alcotest.failf "no audit record for %s" name
   in
   Alcotest.(check (list string))
-    "client query secrets" [ "sx"; "sy"; "tx"; "ty" ] (audit_of "query").secrets;
+    "client query secrets" [ "s"; "t" ] (audit_of "query_nodes").secrets;
   Alcotest.(check (list string))
-    "session fetch secrets" [ "page" ] (audit_of "Session.fetch").secrets;
+    "session fetch secrets" [ "page" ] (audit_of "Session.fetch_batch").secrets;
   Alcotest.(check bool) "session fetch justifies sites" true
-    ((audit_of "Session.fetch").justified >= 3)
+    ((audit_of "Session.fetch_batch").justified >= 3)
 
 let () =
   Alcotest.run "lint"

@@ -1,8 +1,7 @@
-(* PIR substrate: Table 2 cost model, square-root ORAM obliviousness and
+(* PIR substrate: Table 2 cost model, pyramid ORAM obliviousness and
    correctness, server session accounting and the adversary trace. *)
 
 module CM = Psp_pir.Cost_model
-module OS = Psp_pir.Oblivious_store
 module Server = Psp_pir.Server
 module Session = Psp_pir.Server.Session
 module Trace = Psp_pir.Trace
@@ -74,146 +73,15 @@ let test_transfer_time () =
   Alcotest.(check (float 1e-9)) "1s" 1.0 (CM.transfer_seconds CM.ibm4764 ~bytes:48_000)
 
 (* ------------------------------------------------------------------ *)
-(* Oblivious store *)
-
-let test_store_reads_correct () =
-  let f = make_file ~pages:37 ~page_size:64 () in
-  let s = OS.create ~key f in
-  Alcotest.(check int) "pages" 37 (OS.page_count s);
-  for round = 1 to 3 do
-    ignore round;
-    for i = 0 to 36 do
-      let got = OS.read s i in
-      Alcotest.(check string) "content" (Printf.sprintf "page-%06d" i)
-        (Bytes.to_string (Bytes.sub got 0 11))
-    done
-  done
-
-let test_store_repeated_reads () =
-  let f = make_file ~pages:25 ~page_size:32 () in
-  let s = OS.create ~key f in
-  for _ = 1 to 40 do
-    let got = OS.read s 7 in
-    Alcotest.(check string) "same page every time" "page-000007"
-      (Bytes.to_string (Bytes.sub got 0 11))
-  done
-
-let slots_of_epoch events epoch =
-  List.filter_map
-    (function
-      | OS.Slot { epoch = e; slot } when e = epoch -> Some slot
-      | _ -> None)
-    events
-
-let all_distinct l = List.length (List.sort_uniq compare l) = List.length l
-
-let test_store_no_slot_repeats_within_epoch () =
-  let f = make_file ~pages:50 ~page_size:32 () in
-  let s = OS.create ~key f in
-  (* heavily repeated logical pattern *)
-  for _ = 1 to 30 do
-    ignore (OS.read s 3)
-  done;
-  let events = OS.physical_trace s in
-  for e = 0 to OS.epoch s do
-    Alcotest.(check bool) "distinct slots per epoch" true (all_distinct (slots_of_epoch events e))
-  done
-
-let trace_shape events =
-  (* the adversary's view reduced to structure: per-event tag and epoch *)
-  List.map (function OS.Slot { epoch; _ } -> `S epoch | OS.Reshuffle { epoch } -> `R epoch) events
-
-let test_store_pattern_independent_shape () =
-  (* two very different logical sequences of the same length must give
-     structurally identical physical traces *)
-  let mk () = OS.create ~key (make_file ~pages:40 ~page_size:32 ()) in
-  let s1 = mk () and s2 = mk () in
-  for i = 0 to 59 do
-    ignore (OS.read s1 (i mod 40)); (* scan *)
-    ignore (OS.read s2 0) (* hammer one page *)
-  done;
-  Alcotest.(check bool) "same shape" true
-    (trace_shape (OS.physical_trace s1) = trace_shape (OS.physical_trace s2));
-  Alcotest.(check int) "same epoch count" (OS.epoch s1) (OS.epoch s2)
-
-let test_store_reshuffle_cadence () =
-  let f = make_file ~pages:16 ~page_size:32 () in
-  let s = OS.create ~key f in
-  let cap = OS.shelter_capacity s in
-  for _ = 1 to cap do
-    ignore (OS.read s 1)
-  done;
-  Alcotest.(check int) "one reshuffle after shelter fills" 1 (OS.epoch s)
-
-let test_store_key_changes_slots () =
-  let f = make_file ~pages:30 ~page_size:32 () in
-  let s1 = OS.create ~key f in
-  let s2 = OS.create ~key:(Psp_crypto.Sha256.digest_string "other") f in
-  let probe s = List.filter_map (function OS.Slot { slot; _ } -> Some slot | _ -> None)
-                  (ignore (OS.read s 0); ignore (OS.read s 1); ignore (OS.read s 2);
-                   OS.physical_trace s) in
-  Alcotest.(check bool) "different keys -> different slots" true (probe s1 <> probe s2)
-
-let test_store_tamper_detection () =
-  let f = make_file ~pages:20 ~page_size:32 () in
-  let s = OS.create ~key f in
-  (* honest reads fine, then the host corrupts every slot *)
-  ignore (OS.read s 0);
-  for slot = 0 to OS.slot_count s - 1 do
-    OS.corrupt_slot s ~slot
-  done;
-  let caught = ref false in
-  (try
-     for i = 1 to 19 do
-       ignore (OS.read s i)
-     done
-   with OS.Tampering_detected _ -> caught := true);
-  Alcotest.(check bool) "tampering detected" true !caught
-
-let test_store_bounds () =
-  let f = make_file ~pages:4 ~page_size:32 () in
-  let s = OS.create ~key f in
-  Alcotest.check_raises "oob" (Invalid_argument "Oblivious_store.read: page out of range")
-    (fun () -> ignore (OS.read s 4))
-
-let oram_random_sequences =
-  (* over random logical access sequences: both stores stay correct and
-     their host-visible slots stay distinct within each epoch *)
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:25 ~name:"oram correct under random sequences"
-       QCheck2.Gen.(
-         let* pages = int_range 5 40 in
-         let* len = int_range 1 80 in
-         let* seed = int_range 0 10_000 in
-         return (pages, len, seed))
-       (fun (pages, len, seed) ->
-         let f = make_file ~pages ~page_size:32 () in
-         let s = OS.create ~key f in
-         let rng = Psp_util.Rng.create seed in
-         let ok = ref true in
-         for _ = 1 to len do
-           let i = Psp_util.Rng.int rng pages in
-           let got = Bytes.to_string (Bytes.sub (OS.read s i) 0 11) in
-           if got <> Printf.sprintf "page-%06d" i then ok := false
-         done;
-         (* distinctness within epochs *)
-         let seen = Hashtbl.create 64 in
-         List.iter
-           (function
-             | OS.Slot { epoch; slot } ->
-                 if Hashtbl.mem seen (epoch, slot) then ok := false
-                 else Hashtbl.replace seen (epoch, slot) ()
-             | OS.Reshuffle _ -> ())
-           (OS.physical_trace s);
-         !ok))
-
-(* ------------------------------------------------------------------ *)
 (* Pyramid (hierarchical) store *)
 
 (* a tiny model so tests can hand-check the arithmetic *)
 let small_cost = { CM.ibm4764 with CM.page_size = 64 }
 
 module PS = Psp_pir.Pyramid_store
+
+(* a single private fetch is a width-1 merged pass *)
+let fetch s ~file ~page = (Session.fetch_batch ~file [| (s, page) |]).(0)
 
 let test_pyramid_reads_correct () =
   let f = make_file ~pages:60 ~page_size:32 () in
@@ -283,10 +151,145 @@ let test_pyramid_server_mode () =
   let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
   let s = Session.start server in
   for i = 0 to 19 do
-    let got = Session.fetch s ~file:"data" ~page:i in
+    let got = fetch s ~file:"data" ~page:i in
     Alcotest.(check string) "pyramid-served read" (Printf.sprintf "page-%06d" i)
       (Bytes.to_string (Bytes.sub got 0 11))
   done
+
+(* ------------------------------------------------------------------ *)
+(* The oblivious-store contract the server relies on, checked on its
+   one store: correct reads, host-visible slots fresh within an epoch,
+   a trace shape that does not depend on the logical sequence, a fixed
+   rebuild cadence, keyed placement, bounds and tamper detection. *)
+
+let test_store_reads_correct () =
+  let f = make_file ~pages:37 ~page_size:64 () in
+  let s = PS.create ~key f in
+  Alcotest.(check int) "pages" 37 (PS.page_count s);
+  for _ = 1 to 3 do
+    for i = 0 to 36 do
+      let got = PS.read s i in
+      Alcotest.(check string) "content" (Printf.sprintf "page-%06d" i)
+        (Bytes.to_string (Bytes.sub got 0 11))
+    done
+  done
+
+let test_store_repeated_reads () =
+  let s = PS.create ~key (make_file ~pages:25 ~page_size:32 ()) in
+  for _ = 1 to 40 do
+    let got = PS.read s 7 in
+    Alcotest.(check string) "same page every time" "page-000007"
+      (Bytes.to_string (Bytes.sub got 0 11))
+  done
+
+let test_store_no_slot_repeats () =
+  (* a heavily repeated logical pattern still touches fresh slots *)
+  let s = PS.create ~key (make_file ~pages:50 ~page_size:32 ()) in
+  for _ = 1 to 30 do
+    ignore (PS.read s 3)
+  done;
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (function
+      | PS.Slot { level; epoch; slot } ->
+          Alcotest.(check bool) "distinct slots per level epoch" false
+            (Hashtbl.mem seen (level, epoch, slot));
+          Hashtbl.replace seen (level, epoch, slot) ()
+      | PS.Rebuild _ -> ())
+    (PS.physical_trace s)
+
+let test_store_pattern_independent_shape () =
+  (* a scan and a single hammered page of the same length give
+     structurally identical host-visible traces *)
+  let mk () = PS.create ~key (make_file ~pages:40 ~page_size:32 ()) in
+  let s1 = mk () and s2 = mk () in
+  for i = 0 to 59 do
+    ignore (PS.read s1 (i mod 40));
+    ignore (PS.read s2 0)
+  done;
+  Alcotest.(check bool) "same shape" true
+    (pyramid_shape (PS.physical_trace s1) = pyramid_shape (PS.physical_trace s2));
+  Alcotest.(check int) "same slot touches" (PS.slot_touches s1) (PS.slot_touches s2)
+
+let test_store_tamper_detection () =
+  (* honest reads pass; a page the host alters behind the store and
+     re-checksums is caught by the keyed tag check *)
+  let f = make_file ~pages:20 ~page_size:64 () in
+  let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
+  let s = Session.start server in
+  ignore (fetch s ~file:"data" ~page:0);
+  let module F = Psp_fault.Fault in
+  F.arm "pir.fetch.tamper" (F.Hits [ 1 ]);
+  Fun.protect ~finally:F.reset (fun () ->
+      match fetch s ~file:"data" ~page:7 with
+      | exception Server.Tampered { file = "data"; page = 7 } -> ()
+      | _ -> Alcotest.fail "expected Tampered")
+
+let test_pyramid_bounds () =
+  let s = PS.create ~key (make_file ~pages:4 ~page_size:32 ()) in
+  Alcotest.check_raises "read oob" (Invalid_argument "Pyramid_store.read: page out of range")
+    (fun () -> ignore (PS.read s 4));
+  Alcotest.check_raises "fetch_many oob"
+    (Invalid_argument "Pyramid_store.fetch_many: page out of range") (fun () ->
+      ignore (PS.fetch_many s [| 0; -1 |]))
+
+let test_pyramid_key_changes_slots () =
+  let f = make_file ~pages:30 ~page_size:32 () in
+  let probe key =
+    let s = PS.create ~key f in
+    List.iter (fun i -> ignore (PS.read s i)) [ 0; 1; 2 ];
+    List.filter_map
+      (function PS.Slot { slot; _ } -> Some slot | PS.Rebuild _ -> None)
+      (PS.physical_trace s)
+  in
+  Alcotest.(check bool) "different keys -> different slots" true
+    (probe key <> probe (Psp_crypto.Sha256.digest_string "other"))
+
+let test_pyramid_rebuild_cadence () =
+  (* the cache flushes — a host-visible rebuild — after every
+     cache_capacity reads, and at no other time *)
+  let s = PS.create ~key (make_file ~pages:40 ~page_size:32 ()) in
+  let cap = PS.cache_capacity s in
+  let rebuilds () =
+    List.length (List.filter (function PS.Rebuild _ -> true | _ -> false) (PS.physical_trace s))
+  in
+  for q = 1 to 5 * cap do
+    let before = rebuilds () in
+    ignore (PS.read s (q mod 3));
+    Alcotest.(check bool)
+      (Printf.sprintf "read %d rebuilds iff it fills the cache" q)
+      (q mod cap = 0)
+      (rebuilds () > before)
+  done
+
+let pyramid_random_sequences =
+  (* over random logical access sequences: the store stays correct and
+     its host-visible slots stay distinct within each level's epoch *)
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:25 ~name:"oram correct under random sequences"
+       QCheck2.Gen.(
+         let* pages = int_range 5 40 in
+         let* len = int_range 1 80 in
+         let* seed = int_range 0 10_000 in
+         return (pages, len, seed))
+       (fun (pages, len, seed) ->
+         let s = PS.create ~key (make_file ~pages ~page_size:32 ()) in
+         let rng = Psp_util.Rng.create seed in
+         let ok = ref true in
+         for _ = 1 to len do
+           let i = Psp_util.Rng.int rng pages in
+           let got = Bytes.to_string (Bytes.sub (PS.read s i) 0 11) in
+           if got <> Printf.sprintf "page-%06d" i then ok := false
+         done;
+         let seen = Hashtbl.create 64 in
+         List.iter
+           (function
+             | PS.Slot { level; epoch; slot } ->
+                 if Hashtbl.mem seen (level, epoch, slot) then ok := false
+                 else Hashtbl.replace seen (level, epoch, slot) ()
+             | PS.Rebuild _ -> ())
+           (PS.physical_trace s);
+         !ok))
 
 (* ------------------------------------------------------------------ *)
 (* Server sessions *)
@@ -295,10 +298,10 @@ let test_server_fetch_accounting () =
   let f = make_file ~pages:10 ~page_size:64 () in
   let server = Server.create ~cost:small_cost ~key [ f ] in
   let s = Session.start server in
-  ignore (Session.fetch s ~file:"data" ~page:3);
+  ignore (fetch s ~file:"data" ~page:3);
   Session.next_round s;
-  ignore (Session.fetch s ~file:"data" ~page:4);
-  ignore (Session.fetch s ~file:"data" ~page:4);
+  ignore (fetch s ~file:"data" ~page:4);
+  ignore (fetch s ~file:"data" ~page:4);
   let stats = Session.finish s in
   Alcotest.(check int) "rounds" 2 stats.Session.rounds;
   Alcotest.(check (list (pair string int))) "fetch counts" [ ("data", 3) ]
@@ -315,21 +318,31 @@ let test_server_trace_hides_pages () =
   let server = Server.create ~cost:small_cost ~key [ f ] in
   let run pages =
     let s = Session.start server in
-    List.iter (fun p -> ignore (Session.fetch s ~file:"data" ~page:p)) pages;
+    List.iter (fun p -> ignore (fetch s ~file:"data" ~page:p)) pages;
     (Session.finish s).Session.trace
   in
   (* different page numbers, same trace *)
   Alcotest.(check bool) "same view" true (Trace.equal (run [ 1; 2; 3 ]) (run [ 9; 9; 0 ]))
 
+(* the oblivious mode ([`Pyramid], what [pspc --oblivious] selects)
+   serves correct pages with the simulated mode's trace and accounted
+   costs *)
 let test_server_oblivious_mode () =
   let f = make_file ~pages:12 ~page_size:64 () in
-  let server = Server.create ~mode:`Oblivious ~cost:small_cost ~key [ f ] in
-  let s = Session.start server in
-  for i = 0 to 11 do
-    let got = Session.fetch s ~file:"data" ~page:i in
-    Alcotest.(check string) "oblivious read correct" (Printf.sprintf "page-%06d" i)
-      (Bytes.to_string (Bytes.sub got 0 11))
-  done
+  let run mode =
+    let s = Session.start (Server.create ~mode ~cost:small_cost ~key [ f ]) in
+    for i = 0 to 11 do
+      let got = fetch s ~file:"data" ~page:i in
+      Alcotest.(check string) "oblivious read correct" (Printf.sprintf "page-%06d" i)
+        (Bytes.to_string (Bytes.sub got 0 11))
+    done;
+    Session.finish s
+  in
+  let sim = run `Simulated and obl = run `Pyramid in
+  Alcotest.(check bool) "same trace" true (Trace.equal sim.Session.trace obl.Session.trace);
+  Alcotest.(check (float 1e-12)) "same pir time" sim.Session.pir_seconds obl.Session.pir_seconds;
+  Alcotest.(check (float 1e-12)) "same comm time" sim.Session.comm_seconds
+    obl.Session.comm_seconds
 
 let test_server_file_too_large () =
   let cost = CM.with_max_file small_cost ~bytes:(64 * 4) in
@@ -348,12 +361,24 @@ let test_server_download () =
   let f = make_file ~name:"header" ~pages:3 ~page_size:64 () in
   let server = Server.create ~cost:small_cost ~key [ f ] in
   let s = Session.start server in
-  let pages = Session.download s ~file:"header" in
+  let pages = Session.download ~file:"header" [| s |] in
   Alcotest.(check int) "all pages" 3 (Array.length pages);
   let stats = Session.finish s in
   Alcotest.(check (float 1e-9)) "no pir" 0.0 stats.Session.pir_seconds;
   let expected = small_cost.CM.rtt +. CM.transfer_seconds small_cost ~bytes:(3 * 64) in
   Alcotest.(check (float 1e-9)) "download comm" expected stats.Session.comm_seconds
+
+(* the header passes the same CRC and tag gates as a private fetch: a
+   host that alters a page and recomputes its CRC is caught *)
+let test_server_download_tamper () =
+  let f = make_file ~name:"header" ~pages:3 ~page_size:64 () in
+  let server = Server.create ~cost:small_cost ~key [ f ] in
+  let module F = Psp_fault.Fault in
+  F.arm "pir.download.tamper" (F.Hits [ 2 ]);
+  Fun.protect ~finally:F.reset (fun () ->
+      match Session.download ~file:"header" [| Session.start server |] with
+      | exception Server.Tampered { file = "header"; page = 1 } -> ()
+      | _ -> Alcotest.fail "expected Tampered on the second header page")
 
 let test_server_plain_fetch () =
   let f = make_file ~pages:5 ~page_size:64 () in
@@ -401,13 +426,14 @@ let () =
       ( "oblivious_store",
         [ Alcotest.test_case "reads correct" `Quick test_store_reads_correct;
           Alcotest.test_case "repeated reads" `Quick test_store_repeated_reads;
-          Alcotest.test_case "no slot repeats" `Quick test_store_no_slot_repeats_within_epoch;
-          Alcotest.test_case "pattern-independent shape" `Quick test_store_pattern_independent_shape;
-          Alcotest.test_case "reshuffle cadence" `Quick test_store_reshuffle_cadence;
-          Alcotest.test_case "key sensitivity" `Quick test_store_key_changes_slots;
+          Alcotest.test_case "no slot repeats" `Quick test_store_no_slot_repeats;
+          Alcotest.test_case "pattern-independent shape" `Quick
+            test_store_pattern_independent_shape;
+          Alcotest.test_case "reshuffle cadence" `Quick test_pyramid_rebuild_cadence;
+          Alcotest.test_case "key sensitivity" `Quick test_pyramid_key_changes_slots;
           Alcotest.test_case "tamper detection" `Quick test_store_tamper_detection;
-          Alcotest.test_case "bounds" `Quick test_store_bounds;
-          oram_random_sequences ] );
+          Alcotest.test_case "bounds" `Quick test_pyramid_bounds;
+          pyramid_random_sequences ] );
       ( "pyramid_store",
         [ Alcotest.test_case "reads correct" `Quick test_pyramid_reads_correct;
           Alcotest.test_case "pattern independent" `Quick test_pyramid_pattern_independent;
@@ -421,6 +447,7 @@ let () =
           Alcotest.test_case "file too large" `Quick test_server_file_too_large;
           Alcotest.test_case "duplicate names" `Quick test_server_duplicate_names;
           Alcotest.test_case "download" `Quick test_server_download;
+          Alcotest.test_case "download tamper" `Quick test_server_download_tamper;
           Alcotest.test_case "plain fetch" `Quick test_server_plain_fetch ] );
       ( "trace",
         [ Alcotest.test_case "fingerprint/counts" `Quick test_trace_fingerprint_and_counts ] ) ]

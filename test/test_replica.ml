@@ -318,7 +318,7 @@ let test_batch_traces_equal_and_members_indistinguishable () =
   let run pairs =
     with_faults arms (fun () ->
         let set = rset () in
-        let rep = Client.query_nodes_batch_replicated set g pairs in
+        let rep = Client.query_batch_replicated set (Client.endpoints_of_nodes g pairs) in
         Array.iteri
           (fun i (r : Client.result) ->
             let s, t = pairs.(i) in
@@ -353,6 +353,65 @@ let test_batch_traces_equal_and_members_indistinguishable () =
   let other = run (Array.sub queries 4 4) in
   Alcotest.(check bool) "different batches, identical per-replica views" true
     (reference = other)
+
+(* ------------------------------------------------------------------ *)
+(* The header is authenticated like every other page *)
+
+let is_header_tamper reason = reason = "pir.fetch.tamper(header)"
+
+let test_header_tamper_survived () =
+  let set = rset () in
+  let s, t = queries.(0) in
+  with_faults [ ("pir.download.tamper", F.First 1) ] (fun () ->
+      let rep = Client.query_nodes_replicated set g s t in
+      check_correct "header tamper" rep.Client.results.(0) s t;
+      Alcotest.(check int) "one failover" 1 rep.Client.failovers;
+      Alcotest.(check int) "served by replica 1" 1 rep.Client.replica;
+      match rep.Client.abandoned with
+      | [ a ] ->
+          Alcotest.(check bool) "classified as header tampering" true
+            (is_header_tamper a.Client.reason)
+      | l -> Alcotest.fail (Printf.sprintf "expected 1 abandoned, got %d" (List.length l)))
+
+(* a standalone server is not a replica set of one: the typed failure
+   escapes to the caller instead of a silently wrong plan *)
+let test_header_tamper_standalone () =
+  let server = Server.create ~cost ~key (DB.files (Lazy.force db)) in
+  let s, t = queries.(1) in
+  with_faults [ ("pir.download.tamper", F.First 1) ] (fun () ->
+      match Client.query_nodes server g s t with
+      | exception Client.Replica_failed { replica = 0; reason; stats } ->
+          Alcotest.(check bool) "header tampering reason" true (is_header_tamper reason);
+          Alcotest.(check int) "the abandoned session travels" 1 (Array.length stats)
+      | _ -> Alcotest.fail "expected Replica_failed from a standalone server")
+
+let test_header_tamper_batch_indistinguishable () =
+  let run pairs =
+    with_faults [ ("pir.download.tamper", F.First 1) ] (fun () ->
+        let set = rset () in
+        let rep = Client.query_batch_replicated set (Client.endpoints_of_nodes g pairs) in
+        Array.iteri
+          (fun i (r : Client.result) ->
+            let s, t = pairs.(i) in
+            check_correct (Printf.sprintf "header batch[%d]" i) r s t)
+          rep.Client.results;
+        List.iter
+          (fun (a : Client.abandoned) ->
+            match
+              Privacy.indistinguishable
+                (Array.to_list
+                   (Array.map (fun (s : Session.stats) -> s.Session.trace)
+                      a.Client.attempt_stats))
+            with
+            | Ok () -> ()
+            | Error e -> Alcotest.fail ("abandoned header attempt members leak: " ^ e))
+          rep.Client.abandoned;
+        attempt_fingerprints rep)
+  in
+  let reference = run (Array.sub queries 0 3) in
+  Alcotest.(check int) "header failover exercised" 2 (List.length reference);
+  Alcotest.(check bool) "different batches, identical per-replica views" true
+    (reference = run (Array.sub queries 3 3))
 
 (* 32-seed sweep: random schedules over the replica failpoints, random
    query pairs — the per-replica views stay equal whenever the schedule
@@ -398,6 +457,13 @@ let () =
             test_all_replicas_down_unavailable;
           Alcotest.test_case "retry exhaustion fails over" `Quick
             test_retry_exhaustion_fails_over ] );
+      ( "header",
+        [ Alcotest.test_case "tamper survived via failover" `Quick
+            test_header_tamper_survived;
+          Alcotest.test_case "standalone raises Replica_failed" `Quick
+            test_header_tamper_standalone;
+          Alcotest.test_case "batch members indistinguishable" `Quick
+            test_header_tamper_batch_indistinguishable ] );
       ( "trace equality",
         [ Alcotest.test_case "equal across queries" `Slow
             test_traces_equal_across_queries;
