@@ -31,6 +31,17 @@ let tests env =
   let blob = Bytes.make 4096 'x' in
   let chacha_key = Psp_crypto.Sha256.digest_string "bench" in
   let nonce = Bytes.make 12 'n' in
+  (* the per-slot PRF consumers of a pyramid rebuild and probe: one
+     HMAC of a 16-byte message, a 4-round Feistel point (plus cycle
+     walking), and a Bloom membership test over a loaded filter *)
+  let prf = Psp_crypto.Prf.create ~key:chacha_key ~label:"bench" in
+  let perm = Psp_crypto.Feistel.create ~key:chacha_key ~domain:1000 in
+  let bloom =
+    Psp_crypto.Bloom.sized_for ~key:chacha_key ~label:"bench" ~expected:256 ~fp_rate:0.01
+  in
+  for x = 0 to 255 do
+    Psp_crypto.Bloom.add bloom x
+  done;
   let region_blob =
     Psp_index.Encoding.encode_region Psp_index.Encoding.plain_config g
       (Psp_partition.Kdtree.nodes_of_region db.DB.partition 0)
@@ -47,10 +58,19 @@ let tests env =
     Test.make ~name:"sha256 4KB" (Staged.stage (fun () -> ignore (Psp_crypto.Sha256.digest blob)));
     Test.make ~name:"chacha20 4KB" (Staged.stage (fun () ->
         ignore (Psp_crypto.Chacha20.encrypt ~key:chacha_key ~nonce blob)));
+    Test.make ~name:"hmac prf 16B" (Staged.stage (fun () ->
+        ignore (Psp_crypto.Prf.int prf 12345)));
+    Test.make ~name:"feistel forward" (Staged.stage (fun () ->
+        ignore (Psp_crypto.Feistel.forward perm 617)));
+    Test.make ~name:"bloom mem" (Staged.stage (fun () -> ignore (Psp_crypto.Bloom.mem bloom 77)));
     Test.make_indexed ~name:"pyramid fetch_many w" ~fmt:"%s%d" ~args:[ 1; 4; 16 ]
       (fun width ->
         let ids = ids width in
-        Staged.stage (fun () -> ignore (Psp_pir.Pyramid_store.fetch_many store ids)));
+        (* drop the host-visible event log each run, as a server does
+           after every pass, so the loop does not grow the heap *)
+        Staged.stage (fun () ->
+            ignore (Psp_pir.Pyramid_store.fetch_many store ids);
+            Psp_pir.Pyramid_store.clear_trace store));
     Test.make ~name:"region decode" (Staged.stage (fun () ->
         ignore (Psp_index.Encoding.decode_region Psp_index.Encoding.plain_config region_blob)));
     Test.make ~name:"CI private query e2e" (Staged.stage (fun () ->

@@ -15,6 +15,10 @@ val sized_for : key:bytes -> label:string -> expected:int -> fp_rate:float -> t
 (** Filter dimensioned by the standard formulas for [expected] insertions
     at target false-positive rate [fp_rate]. *)
 
+val positions : t -> int -> int list
+(** The [hashes] cell indices an element probes, in probe order — the
+    cells {!add} sets and {!mem} tests. *)
+
 val add : t -> int -> unit
 (** Insert an element (idempotent for the filter's purposes). *)
 

@@ -1,76 +1,124 @@
+(* 32-bit words live in native ints masked to 32 bits.  The kernel keeps
+   the 16 state words of a block in local refs (which the compiler turns
+   into registers / stack slots) and XORs the keystream straight into
+   the output, so a call allocates its output and nothing else. *)
+
 let mask = 0xFFFFFFFF
 
-let read_le32 b off =
-  Char.code (Bytes.get b off)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+let check_sizes key nonce =
+  if Bytes.length key <> 32 then invalid_arg "Chacha20: key must be 32 bytes";
+  if Bytes.length nonce <> 12 then invalid_arg "Chacha20: nonce must be 12 bytes"
 
-let write_le32 b off v =
-  Bytes.set b off (Char.chr (v land 0xFF));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xFF));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xFF))
+(* little-endian 32-bit word at [off] *)
+let word b off = Int32.to_int (Bytes.get_int32_le b off) land mask
 
 let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
-let quarter_round st a b c d =
-  st.(a) <- (st.(a) + st.(b)) land mask;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 16;
-  st.(c) <- (st.(c) + st.(d)) land mask;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 12;
-  st.(a) <- (st.(a) + st.(b)) land mask;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 8;
-  st.(c) <- (st.(c) + st.(d)) land mask;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 7
+(* XOR the up-to-8 keystream bytes of the little-endian word pair
+   [lo], [hi] into [dst] at [pos], reading [src] there; [avail] is the
+   number of message bytes left from [pos] on (possibly <= 0). *)
+let xor_tail ~src ~dst pos avail lo hi =
+  for i = 0 to min avail 8 - 1 do
+    let ks = if i < 4 then lo lsr (8 * i) else hi lsr (8 * (i - 4)) in
+    Bytes.set_uint8 dst (pos + i) (Bytes.get_uint8 src (pos + i) lxor (ks land 0xFF))
+  done
+  [@@leak_ok
+    "trip count is the public message length left at this position; the \
+     keystream bytes never steer control flow"]
+
+let xor_pair ~src ~dst pos avail lo hi =
+  if avail >= 8 then
+    Bytes.set_int64_le dst pos
+      (Int64.logxor (Bytes.get_int64_le src pos)
+         (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)))
+  else xor_tail ~src ~dst pos avail lo hi
+  [@@leak_ok "branches on the public message length left at this position only"]
+
+(* dst.[i] <- src.[i] xor keystream.[i] over the first [Bytes.length dst]
+   bytes, block counter starting at [counter]; [src] may be [dst]. *)
+let xor_keystream ~key ~nonce ~counter ~src ~dst =
+  check_sizes key nonce;
+  let k0 = word key 0 and k1 = word key 4 and k2 = word key 8 and k3 = word key 12 in
+  let k4 = word key 16 and k5 = word key 20 and k6 = word key 24 and k7 = word key 28 in
+  let n0 = word nonce 0 and n1 = word nonce 4 and n2 = word nonce 8 in
+  let n = Bytes.length dst in
+  let off = ref 0 and ctr = ref counter in
+  while !off < n do
+    let c = !ctr land mask in
+    let x0 = ref 0x61707865 and x1 = ref 0x3320646e in
+    let x2 = ref 0x79622d32 and x3 = ref 0x6b206574 in
+    let x4 = ref k0 and x5 = ref k1 and x6 = ref k2 and x7 = ref k3 in
+    let x8 = ref k4 and x9 = ref k5 and x10 = ref k6 and x11 = ref k7 in
+    let x12 = ref c and x13 = ref n0 and x14 = ref n1 and x15 = ref n2 in
+    for _ = 1 to 10 do
+      (* column rounds: QR(0,4,8,12) QR(1,5,9,13) QR(2,6,10,14) QR(3,7,11,15) *)
+      x0 := (!x0 + !x4) land mask; x12 := rotl (!x12 lxor !x0) 16;
+      x8 := (!x8 + !x12) land mask; x4 := rotl (!x4 lxor !x8) 12;
+      x0 := (!x0 + !x4) land mask; x12 := rotl (!x12 lxor !x0) 8;
+      x8 := (!x8 + !x12) land mask; x4 := rotl (!x4 lxor !x8) 7;
+      x1 := (!x1 + !x5) land mask; x13 := rotl (!x13 lxor !x1) 16;
+      x9 := (!x9 + !x13) land mask; x5 := rotl (!x5 lxor !x9) 12;
+      x1 := (!x1 + !x5) land mask; x13 := rotl (!x13 lxor !x1) 8;
+      x9 := (!x9 + !x13) land mask; x5 := rotl (!x5 lxor !x9) 7;
+      x2 := (!x2 + !x6) land mask; x14 := rotl (!x14 lxor !x2) 16;
+      x10 := (!x10 + !x14) land mask; x6 := rotl (!x6 lxor !x10) 12;
+      x2 := (!x2 + !x6) land mask; x14 := rotl (!x14 lxor !x2) 8;
+      x10 := (!x10 + !x14) land mask; x6 := rotl (!x6 lxor !x10) 7;
+      x3 := (!x3 + !x7) land mask; x15 := rotl (!x15 lxor !x3) 16;
+      x11 := (!x11 + !x15) land mask; x7 := rotl (!x7 lxor !x11) 12;
+      x3 := (!x3 + !x7) land mask; x15 := rotl (!x15 lxor !x3) 8;
+      x11 := (!x11 + !x15) land mask; x7 := rotl (!x7 lxor !x11) 7;
+      (* diagonal rounds: QR(0,5,10,15) QR(1,6,11,12) QR(2,7,8,13) QR(3,4,9,14) *)
+      x0 := (!x0 + !x5) land mask; x15 := rotl (!x15 lxor !x0) 16;
+      x10 := (!x10 + !x15) land mask; x5 := rotl (!x5 lxor !x10) 12;
+      x0 := (!x0 + !x5) land mask; x15 := rotl (!x15 lxor !x0) 8;
+      x10 := (!x10 + !x15) land mask; x5 := rotl (!x5 lxor !x10) 7;
+      x1 := (!x1 + !x6) land mask; x12 := rotl (!x12 lxor !x1) 16;
+      x11 := (!x11 + !x12) land mask; x6 := rotl (!x6 lxor !x11) 12;
+      x1 := (!x1 + !x6) land mask; x12 := rotl (!x12 lxor !x1) 8;
+      x11 := (!x11 + !x12) land mask; x6 := rotl (!x6 lxor !x11) 7;
+      x2 := (!x2 + !x7) land mask; x13 := rotl (!x13 lxor !x2) 16;
+      x8 := (!x8 + !x13) land mask; x7 := rotl (!x7 lxor !x8) 12;
+      x2 := (!x2 + !x7) land mask; x13 := rotl (!x13 lxor !x2) 8;
+      x8 := (!x8 + !x13) land mask; x7 := rotl (!x7 lxor !x8) 7;
+      x3 := (!x3 + !x4) land mask; x14 := rotl (!x14 lxor !x3) 16;
+      x9 := (!x9 + !x14) land mask; x4 := rotl (!x4 lxor !x9) 12;
+      x3 := (!x3 + !x4) land mask; x14 := rotl (!x14 lxor !x3) 8;
+      x9 := (!x9 + !x14) land mask; x4 := rotl (!x4 lxor !x9) 7
+    done;
+    (* keystream word i = working word i + initial word i, XORed in
+       little-endian pairs: 8 message bytes per step *)
+    let o = !off in
+    let left = n - o in
+    let add a b = (a + b) land mask in
+    xor_pair ~src ~dst o left (add !x0 0x61707865) (add !x1 0x3320646e);
+    xor_pair ~src ~dst (o + 8) (left - 8) (add !x2 0x79622d32) (add !x3 0x6b206574);
+    xor_pair ~src ~dst (o + 16) (left - 16) (add !x4 k0) (add !x5 k1);
+    xor_pair ~src ~dst (o + 24) (left - 24) (add !x6 k2) (add !x7 k3);
+    xor_pair ~src ~dst (o + 32) (left - 32) (add !x8 k4) (add !x9 k5);
+    xor_pair ~src ~dst (o + 40) (left - 40) (add !x10 k6) (add !x11 k7);
+    xor_pair ~src ~dst (o + 48) (left - 48) (add !x12 c) (add !x13 n0);
+    xor_pair ~src ~dst (o + 56) (left - 56) (add !x14 n1) (add !x15 n2);
+    off := o + 64;
+    incr ctr
+  done
+  [@@leak_ok
+    "the block loop and the tail split depend only on the public message \
+     length; key, nonce and data words only feed the arithmetic"]
 
 let block ~key ~nonce ~counter =
-  if Bytes.length key <> 32 then invalid_arg "Chacha20: key must be 32 bytes";
-  if Bytes.length nonce <> 12 then invalid_arg "Chacha20: nonce must be 12 bytes";
-  let st = Array.make 16 0 in
-  st.(0) <- 0x61707865;
-  st.(1) <- 0x3320646e;
-  st.(2) <- 0x79622d32;
-  st.(3) <- 0x6b206574;
-  for i = 0 to 7 do
-    st.(4 + i) <- read_le32 key (4 * i)
-  done;
-  st.(12) <- counter land mask;
-  for i = 0 to 2 do
-    st.(13 + i) <- read_le32 nonce (4 * i)
-  done;
-  let working = Array.copy st in
-  for _ = 1 to 10 do
-    quarter_round working 0 4 8 12;
-    quarter_round working 1 5 9 13;
-    quarter_round working 2 6 10 14;
-    quarter_round working 3 7 11 15;
-    quarter_round working 0 5 10 15;
-    quarter_round working 1 6 11 12;
-    quarter_round working 2 7 8 13;
-    quarter_round working 3 4 9 14
-  done;
-  let out = Bytes.create 64 in
-  for i = 0 to 15 do
-    write_le32 out (4 * i) ((working.(i) + st.(i)) land mask)
-  done;
+  let out = Bytes.make 64 '\000' in
+  xor_keystream ~key ~nonce ~counter ~src:out ~dst:out;
   out
 
 let encrypt ~key ~nonce ?(counter = 0) data =
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  let blocks = (n + 63) / 64 in
-  for b = 0 to blocks - 1 do
-    let ks = block ~key ~nonce ~counter:(counter + b) in
-    let off = 64 * b in
-    let len = min 64 (n - off) in
-    for i = 0 to len - 1 do
-      Bytes.set out (off + i)
-        (Char.chr (Char.code (Bytes.get data (off + i)) lxor Char.code (Bytes.get ks i)))
-    done
-  done;
+  let out = Bytes.create (Bytes.length data) in
+  xor_keystream ~key ~nonce ~counter ~src:data ~dst:out;
   out
 
 let decrypt = encrypt
 
-let keystream ~key ~nonce n = encrypt ~key ~nonce (Bytes.make n '\000')
+let keystream ~key ~nonce n =
+  let out = Bytes.make n '\000' in
+  xor_keystream ~key ~nonce ~counter:0 ~src:out ~dst:out;
+  out

@@ -2,7 +2,13 @@
 
     Pages stored in the oblivious levels of the simulated PIR server are
     encrypted with ChaCha20 under per-level keys; re-encryption during
-    reshuffles uses a fresh nonce so ciphertexts are unlinkable. *)
+    reshuffles uses a fresh nonce so ciphertexts are unlinkable.
+
+    The kernel keeps a block's 16 state words in local integers, loads
+    the key and nonce words once per call and XORs the keystream into
+    the output 8 bytes at a time: a call allocates only the bytes it
+    returns.  Checked against the RFC 8439 vectors and a byte-at-a-time
+    reference in the test suite. *)
 
 val block : key:bytes -> nonce:bytes -> counter:int -> bytes
 (** The 64-byte keystream block for a 32-byte key, a 12-byte nonce and
@@ -10,10 +16,14 @@ val block : key:bytes -> nonce:bytes -> counter:int -> bytes
     @raise Invalid_argument on wrong key/nonce sizes. *)
 
 val encrypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
-(** XOR the keystream into the plaintext.  Encryption and decryption are
-    the same operation. *)
+(** XOR the keystream into the plaintext, block counter starting at
+    [counter] (default 0, taken modulo 2{^32}).  Encryption and
+    decryption are the same operation.
+    @raise Invalid_argument on wrong key/nonce sizes. *)
 
 val decrypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
 
 val keystream : key:bytes -> nonce:bytes -> int -> bytes
-(** First [n] keystream bytes, counter starting at 0 — handy as a PRG. *)
+(** First [n] keystream bytes, counter starting at 0 — the encryption of
+    [n] zero bytes, written without materializing them.  The pyramid
+    store fills dummy slots with it. *)

@@ -12,16 +12,27 @@ let normalize_key key =
 let xor_pad key byte =
   Bytes.map (fun c -> Char.chr (Char.code c lxor byte)) key
 
-let mac ~key data =
+(* The SHA-256 states after absorbing the one-block ipad and opad: the
+   per-key half of HMAC, computed once and copied per message. *)
+type keyed = { inner : Sha256.ctx; outer : Sha256.ctx }
+
+let keyed key =
   let key = normalize_key key in
-  let inner = Sha256.init () in
-  Sha256.feed inner (xor_pad key 0x36);
+  let absorb byte =
+    let ctx = Sha256.init () in
+    Sha256.feed ctx (xor_pad key byte);
+    ctx
+  in
+  { inner = absorb 0x36; outer = absorb 0x5C }
+
+let mac_keyed k data =
+  let inner = Sha256.copy k.inner in
   Sha256.feed inner data;
-  let inner_hash = Sha256.finalize inner in
-  let outer = Sha256.init () in
-  Sha256.feed outer (xor_pad key 0x5C);
-  Sha256.feed outer inner_hash;
+  let outer = Sha256.copy k.outer in
+  Sha256.feed outer (Sha256.finalize inner);
   Sha256.finalize outer
+
+let mac ~key data = mac_keyed (keyed key) data
 
 let mac_string ~key s = mac ~key (Bytes.of_string s)
 

@@ -1,6 +1,8 @@
-type t = { key : bytes }
+(* the derived key's HMAC pad states, prepared once: every call below
+   hashes one 16-byte message, two SHA-256 compressions *)
+type t = { key : Hmac.keyed }
 
-let create ~key ~label = { key = Hmac.derive ~key ~label }
+let create ~key ~label = { key = Hmac.keyed (Hmac.derive ~key ~label) }
 
 let mac_of_int t x salt =
   let buf = Bytes.create 16 in
@@ -8,7 +10,7 @@ let mac_of_int t x salt =
     Bytes.set buf i (Char.chr ((x lsr (8 * i)) land 0xFF));
     Bytes.set buf (8 + i) (Char.chr ((salt lsr (8 * i)) land 0xFF))
   done;
-  Hmac.mac ~key:t.key buf
+  Hmac.mac_keyed t.key buf
 
 let int_of_digest d off =
   let v = ref 0 in

@@ -1,15 +1,18 @@
 (** Keyed pseudo-random functions over integers.
 
     Thin, typed wrappers over HMAC-SHA-256 used by the oblivious store:
-    mapping logical page ids to level positions, deriving per-epoch
-    nonces, and hashing into Bloom filters. *)
+    the Feistel round functions that place items on level slots, and
+    the Bloom-filter probe positions.  Each call is the HMAC of one
+    16-byte message (input and a salt); since an instance keeps its
+    key's pad states ({!Hmac.mac_keyed}), a call costs two SHA-256
+    compressions. *)
 
 type t
 (** A keyed PRF instance. *)
 
 val create : key:bytes -> label:string -> t
 (** Instance keyed by [derive key label]; distinct labels are
-    independent PRFs. *)
+    independent PRFs.  The HMAC key is prepared here, once. *)
 
 val int : t -> int -> int
 (** [int t x] is a 62-bit non-negative pseudo-random value of [x]. *)

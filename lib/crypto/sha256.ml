@@ -32,31 +32,33 @@ let init () =
     total = 0;
     w = Array.make 64 0 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* For a 32-bit x, the low 32 bits of (x lor (x lsl 32)) lsr n are
+   x rotated right by n (n <= 30: no bit falls off the 63-bit int), so
+   one doubled word serves all three rotations of a Σ/σ function. *)
+let doubled x = x lor (x lsl 32)
 
 let compress ctx =
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get ctx.block (4 * i)) lsl 24)
-      lor (Char.code (Bytes.get ctx.block ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get ctx.block ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get ctx.block ((4 * i) + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be ctx.block (4 * i)) land mask
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let xx = doubled x and yy = doubled y in
+    let s0 = (((xx lsr 7) lxor (xx lsr 18)) land mask) lxor (x lsr 3) in
+    let s1 = (((yy lsr 17) lxor (yy lsr 19)) land mask) lxor (y lsr 10) in
     w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
   let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) in
   let d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5) in
   let g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let ee = doubled !e and aa = doubled !a in
+    let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
     let ch = (!e land !f) lxor (lnot !e land !g) in
     let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+    let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     let t2 = (s0 + maj) land mask in
     hh := !g;
     g := !f;
@@ -96,25 +98,29 @@ let feed ctx data =
 
 let feed_string ctx s = feed ctx (Bytes.of_string s)
 
+let copy ctx =
+  { h = Array.copy ctx.h;
+    block = Bytes.copy ctx.block;
+    fill = ctx.fill;
+    total = ctx.total;
+    w = Array.make 64 0 }
+
 let finalize ctx =
-  let bit_len = Int64.of_int (8 * ctx.total) in
-  (* padding: 0x80, zeros, 8-byte big-endian bit length *)
-  feed ctx (Bytes.make 1 '\x80');
-  let zeros = (64 + 56 - ctx.fill) mod 64 in
-  if zeros > 0 then feed ctx (Bytes.make zeros '\000');
-  let len = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set len i
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bit_len (8 * (7 - i))) land 0xFF))
-  done;
-  feed ctx len;
-  assert (ctx.fill = 0);
+  (* padding, written in place: 0x80, zeros, 8-byte big-endian bit
+     length — one more block when the length does not fit after 0x80 *)
+  let block = ctx.block in
+  Bytes.set block ctx.fill '\x80';
+  Bytes.fill block (ctx.fill + 1) (63 - ctx.fill) '\000';
+  if ctx.fill >= 56 then begin
+    compress ctx;
+    Bytes.fill block 0 56 '\000'
+  end;
+  Bytes.set_int64_be block 56 (Int64.of_int (8 * ctx.total));
+  compress ctx;
+  ctx.fill <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (ctx.h.(i) land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   out
   [@@leak_ok

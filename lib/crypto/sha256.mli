@@ -17,6 +17,11 @@ val feed : ctx -> bytes -> unit
 val feed_string : ctx -> string -> unit
 (** {!feed} for strings. *)
 
+val copy : ctx -> ctx
+(** An independent context in the same state: feeding or finalizing one
+    leaves the other untouched.  [Hmac.keyed] uses it to reuse its
+    ipad/opad midstates across messages. *)
+
 val finalize : ctx -> bytes
 (** 32-byte digest.  The context must not be reused afterwards. *)
 

@@ -98,12 +98,11 @@ let rebuild t level contents =
         Psp_crypto.Chacha20.encrypt ~key:enc_key ~nonce:(slot_nonce slot)
           (Hashtbl.find contents id))
     ids;
-  (* dummies and unused item slots hold encrypted zeros *)
+  (* dummies and unused item slots hold encrypted zeros: the keystream *)
   for slot = 0 to domain - 1 do
     if Bytes.length level.slots.(slot) = 0 then
       level.slots.(slot) <-
-        Psp_crypto.Chacha20.encrypt ~key:enc_key ~nonce:(slot_nonce slot)
-          (Bytes.make t.page_size '\000')
+        Psp_crypto.Chacha20.keystream ~key:enc_key ~nonce:(slot_nonce slot) t.page_size
   done;
   Psp_util.Dyn_array.push t.trace (Rebuild { level = level.depth; items = domain })
   [@@oblivious]

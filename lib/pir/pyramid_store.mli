@@ -90,7 +90,9 @@ val physical_trace : t -> physical_event list
     in order — what obliviousness tests compare across accesses. *)
 
 val clear_trace : t -> unit
-(** Forget the recorded events (the store's state is untouched). *)
+(** Forget the recorded events (the store's state is untouched).  A
+    [`Pyramid] [Server] calls it after every pass over a store it owns,
+    so the log never outgrows one pass. *)
 
 val bloom_false_positives : t -> int
 (** Diagnostic: dummy-vs-real slot mispredictions survived so far

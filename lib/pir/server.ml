@@ -72,6 +72,11 @@ let executed_slot_touches t =
 let executed_level_scans t =
   Hashtbl.fold (fun _ s acc -> acc + Pyramid_store.level_scans s) t.stores 0
 
+let retained_physical_events t =
+  Hashtbl.fold
+    (fun _ s acc -> acc + List.length (Pyramid_store.physical_trace s))
+    t.stores 0
+
 (* The hierarchy depth a batched pass probes per marginal member: the
    serving store's actual depth, or — in `Simulated mode, where no store
    is instantiated — the depth the default pyramid layout would have
@@ -258,8 +263,16 @@ module Session = struct
                     (fun (_, (page [@secret])) -> Psp_storage.Page_file.read f page)
                     requests
               | `Pyramid ->
-                  Pyramid_store.fetch_many (Hashtbl.find server.stores name)
-                    (Array.map (fun (_, (page [@secret])) -> page) requests))
+                  let store = Hashtbl.find server.stores name in
+                  let pages =
+                    Pyramid_store.fetch_many store
+                      (Array.map (fun (_, (page [@secret])) -> page) requests)
+                  in
+                  (* nothing reads a served store's event log, and it
+                     would otherwise grow by one event per slot touch for
+                     the life of the process *)
+                  Pyramid_store.clear_trace store;
+                  pages)
               [@leak_ok
                 "the merged pass's loop structure depends only on the public batch \
                  width and the access count; the secret page indices only select \

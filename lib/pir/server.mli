@@ -92,6 +92,13 @@ val executed_level_scans : t -> int
     creation, summed over files (0 in [`Simulated] mode).  The executed-side amortization: a
     width-k batch runs one scan per level per chunk instead of k. *)
 
+val retained_physical_events : t -> int
+(** Host-visible events the server's stores still hold in their
+    {!Pyramid_store.physical_trace}, summed over files.  Always 0
+    between passes: each {!Session.fetch_batch} clears its store's trace
+    when the pass is done, so a serving process keeps no growing event
+    log (the touch and scan counters above are unaffected). *)
+
 module Session : sig
   type server := t
   type t

@@ -89,14 +89,43 @@ let test_hmac_derive_labels () =
   Alcotest.(check bool) "independent" true (a <> b);
   Alcotest.(check bool) "deterministic" true (a = Hmac.derive ~key ~label:"a")
 
+(* The textbook construction, hashing the padded key for every message:
+   the reference the precomputed pad states are compared against. *)
+let reference_hmac key data =
+  let key = if Bytes.length key > 64 then Sha256.digest key else key in
+  let pad byte =
+    Bytes.init 64 (fun i ->
+        Char.chr ((if i < Bytes.length key then Char.code (Bytes.get key i) else 0) lxor byte))
+  in
+  let inner = Sha256.init () in
+  Sha256.feed inner (pad 0x36);
+  Sha256.feed inner data;
+  let outer = Sha256.init () in
+  Sha256.feed outer (pad 0x5C);
+  Sha256.feed outer (Sha256.finalize inner);
+  Sha256.finalize outer
+
+let hmac_keyed_equals_mac =
+  qtest ~count:200 "mac_keyed (keyed k) m = mac ~key:k m"
+    QCheck2.Gen.(
+      triple (string_size (int_range 0 150)) (string_size (int_range 0 300))
+        (string_size (int_range 0 300)))
+    (fun (k, m1, m2) ->
+      let key = Bytes.of_string k and m1 = Bytes.of_string m1 and m2 = Bytes.of_string m2 in
+      let kk = Hmac.keyed key in
+      (* one prepared key, two messages: using it must not change it *)
+      let t1 = Hmac.mac_keyed kk m1 and t2 = Hmac.mac_keyed kk m2 in
+      t1 = Hmac.mac ~key m1 && t1 = reference_hmac key m1 && t2 = reference_hmac key m2)
+
 (* ------------------------------------------------------------------ *)
-(* ChaCha20: RFC 8439 §2.4.2 test vector *)
+(* ChaCha20: the RFC 8439 test vectors *)
 
 let rfc8439_key = Bytes.init 32 Char.chr
 
 let rfc8439_nonce =
   Bytes.of_string "\x00\x00\x00\x00\x00\x00\x00\x4a\x00\x00\x00\x00"
 
+(* §2.4.2, the whole 114-byte ciphertext *)
 let test_chacha20_rfc8439 () =
   let plaintext =
     "Ladies and Gentlemen of the class of '99: If I could offer you \
@@ -106,12 +135,169 @@ let test_chacha20_rfc8439 () =
     Chacha20.encrypt ~key:rfc8439_key ~nonce:rfc8439_nonce ~counter:1
       (Bytes.of_string plaintext)
   in
-  Alcotest.(check string) "first 16 bytes"
-    "6e2e359a2568f98041ba0728dd0d6981"
-    (hex_of (Bytes.sub ciphertext 0 16));
-  Alcotest.(check string) "last 16 bytes"
-    "0bbf74a35be6b40b8eedf2785e42874d"
-    (hex_of (Bytes.sub ciphertext (Bytes.length ciphertext - 16) 16))
+  Alcotest.(check string) "§2.4.2 ciphertext"
+    ("6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+   ^ "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+   ^ "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+   ^ "5af90bbf74a35be6b40b8eedf2785e42874d")
+    (hex_of ciphertext)
+
+let zeros n = Bytes.make n '\000'
+
+let key_with i c =
+  let k = zeros 32 in
+  Bytes.set k i c;
+  k
+
+let nonce_two =
+  let n = zeros 12 in
+  Bytes.set n 11 '\002';
+  n
+
+(* §2.3.2 and Appendix A.1: keystream blocks *)
+let test_chacha20_block_vectors () =
+  let check name ~key ~nonce ~counter expected =
+    Alcotest.(check string) name expected (hex_of (Chacha20.block ~key ~nonce ~counter))
+  in
+  check "§2.3.2" ~key:rfc8439_key
+    ~nonce:(Bytes.of_string "\x00\x00\x00\x09\x00\x00\x00\x4a\x00\x00\x00\x00")
+    ~counter:1
+    ("10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+   ^ "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
+  check "A.1 #1" ~key:(zeros 32) ~nonce:(zeros 12) ~counter:0
+    ("76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+   ^ "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586");
+  check "A.1 #2" ~key:(zeros 32) ~nonce:(zeros 12) ~counter:1
+    ("9f07e7be5551387a98ba977c732d080dcb0f29a048e3656912c6533e32ee7aed"
+   ^ "29b721769ce64e43d57133b074d839d531ed1f28510afb45ace10a1f4b794d6f");
+  check "A.1 #3" ~key:(key_with 31 '\001') ~nonce:(zeros 12) ~counter:1
+    ("3aeb5224ecf849929b9d828db1ced4dd832025e8018b8160b82284f3c949aa5a"
+   ^ "8eca00bbb4a73bdad192b5c42f73f2fd4e273644c8b36125a64addeb006c13a0");
+  check "A.1 #4" ~key:(key_with 1 '\xff') ~nonce:(zeros 12) ~counter:2
+    ("72d54dfbf12ec44b362692df94137f328fea8da73990265ec1bbbea1ae9af0ca"
+   ^ "13b25aa26cb4a648cb9b9d1be65b2c0924a66c54d545ec1b7374f4872e99f096");
+  check "A.1 #5" ~key:(zeros 32) ~nonce:nonce_two ~counter:0
+    ("c2c64d378cd536374ae204b9ef933fcd1a8b2288b3dfa49672ab765b54ee27c7"
+   ^ "8a970e0e955c14f3a88e741b97c286f75f8fc299e8148362fa198a39531bed6d")
+
+(* Appendix A.2: encryption *)
+let test_chacha20_encrypt_vectors () =
+  let check name ~key ~nonce ~counter plaintext expected =
+    Alcotest.(check string) name expected
+      (hex_of (Chacha20.encrypt ~key ~nonce ~counter (Bytes.of_string plaintext)))
+  in
+  check "A.2 #1" ~key:(zeros 32) ~nonce:(zeros 12) ~counter:0 (String.make 64 '\000')
+    ("76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
+   ^ "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586");
+  check "A.2 #2" ~key:(key_with 31 '\001') ~nonce:nonce_two ~counter:1
+    ("Any submission to the IETF intended by the Contributor for publication as all \
+      or part of an IETF Internet-Draft or RFC and any statement made within the \
+      context of an IETF activity is considered an \"IETF Contribution\". Such \
+      statements include oral statements in IETF sessions, as well as written and \
+      electronic communications made at any time or place, which are addressed to")
+    ("a3fbf07df3fa2fde4f376ca23e82737041605d9f4f4f57bd8cff2c1d4b7955ec"
+   ^ "2a97948bd3722915c8f3d337f7d370050e9e96d647b7c39f56e031ca5eb6250d"
+   ^ "4042e02785ececfa4b4bb5e8ead0440e20b6e8db09d881a7c6132f420e527950"
+   ^ "42bdfa7773d8a9051447b3291ce1411c680465552aa6c405b7764d5e87bea85a"
+   ^ "d00f8449ed8f72d0d662ab052691ca66424bc86d2df80ea41f43abf937d3259d"
+   ^ "c4b2d0dfb48a6c9139ddd7f76966e928e635553ba76c5c879d7b35d49eb2e62b"
+   ^ "0871cdac638939e25e8a1e0ef9d5280fa8ca328b351c3c765989cbcf3daa8b6c"
+   ^ "cc3aaf9f3979c92b3720fc88dc95ed84a1be059c6499b9fda236e7e818b04b0b"
+   ^ "c39c1e876b193bfe5569753f88128cc08aaa9b63d1a16f80ef2554d7189c411f"
+   ^ "5869ca52c5b83fa36ff216b9c1d30062bebcfd2dc5bce0911934fda79a86f6e6"
+   ^ "98ced759c3ff9b6477338f3da4f9cd8514ea9982ccafb341b2384dd902f3d1ab"
+   ^ "7ac61dd29c6f21ba5b862f3730e37cfdc4fd806c22f221");
+  check "A.2 #3"
+    ~key:
+      (Bytes.of_string
+         "\x1c\x92\x40\xa5\xeb\x55\xd3\x8a\xf3\x33\x88\x86\x04\xf6\xb5\xf0\
+          \x47\x39\x17\xc1\x40\x2b\x80\x09\x9d\xca\x5c\xbc\x20\x70\x75\xc0")
+    ~nonce:nonce_two ~counter:42
+    "'Twas brillig, and the slithy toves\n\
+     Did gyre and gimble in the wabe:\n\
+     All mimsy were the borogoves,\n\
+     And the mome raths outgrabe."
+    ("62e6347f95ed87a45ffae7426f27a1df5fb69110044c0d73118effa95b01e5cf"
+   ^ "166d3df2d721caf9b21e5fb14c616871fd84c54f9d65b283196c7fe4f60553eb"
+   ^ "f39c6402c42234e32a356b3e764312a61a5532055716ead6962568f87d3f3f77"
+   ^ "04c6a8d1bcd1bf4d50d6154b6da731b187b58dfd728afa36757a797ac188d1")
+
+(* A byte-at-a-time transcription of RFC 8439 §2.1-2.4 — a 16-word
+   state array per block, one keystream byte per XOR — kept as the
+   reference the word-wise kernel is compared against. *)
+let reference_chacha20 ~key ~nonce ~counter data =
+  let mask = 0xFFFFFFFF in
+  let le32 b off =
+    Char.code (Bytes.get b off)
+    lor (Char.code (Bytes.get b (off + 1)) lsl 8)
+    lor (Char.code (Bytes.get b (off + 2)) lsl 16)
+    lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+  in
+  let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask in
+  let qr st a b c d =
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 16;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 12;
+    st.(a) <- (st.(a) + st.(b)) land mask;
+    st.(d) <- rotl (st.(d) lxor st.(a)) 8;
+    st.(c) <- (st.(c) + st.(d)) land mask;
+    st.(b) <- rotl (st.(b) lxor st.(c)) 7
+  in
+  let n = Bytes.length data in
+  let out = Bytes.copy data in
+  for block = 0 to ((n + 63) / 64) - 1 do
+    let st = Array.make 16 0 in
+    st.(0) <- 0x61707865;
+    st.(1) <- 0x3320646e;
+    st.(2) <- 0x79622d32;
+    st.(3) <- 0x6b206574;
+    for j = 0 to 7 do
+      st.(4 + j) <- le32 key (4 * j)
+    done;
+    st.(12) <- (counter + block) land mask;
+    for j = 0 to 2 do
+      st.(13 + j) <- le32 nonce (4 * j)
+    done;
+    let w = Array.copy st in
+    for _ = 1 to 10 do
+      qr w 0 4 8 12;
+      qr w 1 5 9 13;
+      qr w 2 6 10 14;
+      qr w 3 7 11 15;
+      qr w 0 5 10 15;
+      qr w 1 6 11 12;
+      qr w 2 7 8 13;
+      qr w 3 4 9 14
+    done;
+    for i = 0 to min 64 (n - (64 * block)) - 1 do
+      let ks = ((w.(i / 4) + st.(i / 4)) land mask) lsr (8 * (i mod 4)) land 0xFF in
+      let p = (64 * block) + i in
+      Bytes.set out p (Char.chr (Char.code (Bytes.get data p) lxor ks))
+    done
+  done;
+  out
+
+(* every length 0..300 (each tail size, each block count up to 5) under
+   random keys, nonces and counters — including counters at the 2^32
+   wrap — plus the keystream entry point.  A keystream prefix is the
+   keystream of the prefix, so one reference run covers all lengths. *)
+let chacha20_matches_reference =
+  qtest ~count:50 "chacha20 = byte-wise reference, lengths 0..300"
+    QCheck2.Gen.(
+      quad (string_size (return 32)) (string_size (return 12))
+        (oneof [ int_range 0 0xFFFFFFFF; int_range (0xFFFFFFFF - 4) 0xFFFFFFFF ])
+        (string_size (return 300)))
+    (fun (key, nonce, counter, data) ->
+      let key = Bytes.of_string key and nonce = Bytes.of_string nonce in
+      let data = Bytes.of_string data in
+      let expected = reference_chacha20 ~key ~nonce ~counter data in
+      let stream = reference_chacha20 ~key ~nonce ~counter:0 (zeros 300) in
+      List.for_all
+        (fun n ->
+          Chacha20.encrypt ~key ~nonce ~counter (Bytes.sub data 0 n) = Bytes.sub expected 0 n
+          && Chacha20.keystream ~key ~nonce n = Bytes.sub stream 0 n)
+        (List.init 301 Fun.id))
 
 let chacha20_roundtrip =
   qtest "chacha20 decrypt . encrypt = id" QCheck2.Gen.(string_size (int_range 0 300))
@@ -207,6 +393,17 @@ let test_feistel_domain_checks () =
   Alcotest.check_raises "out of domain" (Invalid_argument "Feistel: point out of domain")
     (fun () -> ignore (Feistel.forward p 10))
 
+(* Golden digests pin the PRF's consumers bit for bit: any change to the
+   HMAC/PRF path that moved one output would move the slot layout and
+   Bloom probes of every pyramid level. *)
+let digest_ints xs = hex_of (Sha256.digest_string (String.concat "," (List.map string_of_int xs)))
+
+let test_feistel_golden () =
+  let p = Feistel.create ~key:(Sha256.digest_string "golden-feistel") ~domain:1000 in
+  Alcotest.(check string) "to_array digest"
+    "626089afd9e139a38fd7e3356735938b045d2063a472af50907983c1905b5452"
+    (digest_ints (Array.to_list (Feistel.to_array p)))
+
 (* ------------------------------------------------------------------ *)
 (* Bloom filter *)
 
@@ -244,6 +441,16 @@ let test_bloom_clear () =
   Alcotest.(check int) "count reset" 0 (Bloom.count b);
   Alcotest.(check bool) "cleared" false (Bloom.mem b 1)
 
+let test_bloom_golden () =
+  let b =
+    Bloom.create ~key:(Sha256.digest_string "golden-bloom") ~label:"golden" ~bits:2048 ~hashes:7
+  in
+  let per_id = List.init 256 (fun x -> List.map string_of_int (Bloom.positions b x)) in
+  Alcotest.(check string) "positions of ids 0..255"
+    "60a0b717258cff8b8aadd18371311f6f2ec54639119f02d8c675396ba1cb0a76"
+    (hex_of
+       (Sha256.digest_string (String.concat ";" (List.map (String.concat ",") per_id))))
+
 let () =
   Alcotest.run "crypto"
     [ ( "sha256",
@@ -258,9 +465,13 @@ let () =
           Alcotest.test_case "rfc4231 case3" `Quick test_hmac_rfc4231_case3;
           Alcotest.test_case "rfc4231 long key" `Quick test_hmac_rfc4231_long_key;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
-          Alcotest.test_case "derive labels" `Quick test_hmac_derive_labels ] );
+          Alcotest.test_case "derive labels" `Quick test_hmac_derive_labels;
+          hmac_keyed_equals_mac ] );
       ( "chacha20",
         [ Alcotest.test_case "rfc8439 vector" `Quick test_chacha20_rfc8439;
+          Alcotest.test_case "rfc8439 block vectors" `Quick test_chacha20_block_vectors;
+          Alcotest.test_case "rfc8439 encryption vectors" `Quick test_chacha20_encrypt_vectors;
+          chacha20_matches_reference;
           chacha20_roundtrip;
           Alcotest.test_case "nonce separation" `Quick test_chacha20_nonce_separation;
           Alcotest.test_case "bad sizes" `Quick test_chacha20_bad_sizes ] );
@@ -274,8 +485,10 @@ let () =
         [ feistel_bijective;
           feistel_inverse;
           Alcotest.test_case "key sensitivity" `Quick test_feistel_key_sensitivity;
-          Alcotest.test_case "domain checks" `Quick test_feistel_domain_checks ] );
+          Alcotest.test_case "domain checks" `Quick test_feistel_domain_checks;
+          Alcotest.test_case "golden permutation" `Quick test_feistel_golden ] );
       ( "bloom",
         [ Alcotest.test_case "no false negatives" `Quick test_bloom_no_false_negatives;
           Alcotest.test_case "fp rate" `Slow test_bloom_fp_rate;
-          Alcotest.test_case "clear" `Quick test_bloom_clear ] ) ]
+          Alcotest.test_case "clear" `Quick test_bloom_clear;
+          Alcotest.test_case "golden positions" `Quick test_bloom_golden ] ) ]

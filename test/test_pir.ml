@@ -146,6 +146,28 @@ let test_pyramid_one_touch_per_level () =
   Alcotest.(check (list int)) "top-down order" (List.init (PS.level_count s) (fun i -> i + 1))
     slots
 
+(* The host-visible trace over a fixed key and access sequence, pinned
+   by digest: 40 reads and a width-9 merged pass cross 15 rebuilds, so
+   the Feistel slot layouts, Bloom probes and dummy draws of several
+   epochs per level all feed it. *)
+let test_pyramid_golden_trace () =
+  let s = PS.create ~key:(Psp_crypto.Sha256.digest_string "golden-pyramid")
+      (make_file ~pages:60 ~page_size:32 ()) in
+  for i = 0 to 39 do
+    ignore (PS.read s (i * 7 mod 60))
+  done;
+  ignore (PS.fetch_many s [| 3; 41; 3; 17; 59; 0; 41; 8; 3 |]);
+  let event = function
+    | PS.Slot { level; epoch; slot } -> Printf.sprintf "S%d.%d.%d" level epoch slot
+    | PS.Rebuild { level; items } -> Printf.sprintf "R%d.%d" level items
+  in
+  let trace = PS.physical_trace s in
+  Alcotest.(check int) "events" 113 (List.length trace);
+  Alcotest.(check string) "trace digest"
+    "649c42322d51b2381a9436344e82ba226fd4573d1a68c2001b3ac571f1a19902"
+    (Psp_crypto.Sha256.hex
+       (Psp_crypto.Sha256.digest_string (String.concat ";" (List.map event trace))))
+
 let test_pyramid_server_mode () =
   let f = make_file ~pages:20 ~page_size:64 () in
   let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
@@ -344,6 +366,21 @@ let test_server_oblivious_mode () =
   Alcotest.(check (float 1e-12)) "same comm time" sim.Session.comm_seconds
     obl.Session.comm_seconds
 
+(* a `Pyramid server keeps no host-visible event log across passes: its
+   stores' traces would otherwise grow by one event per slot touch for
+   the life of the process *)
+let test_server_pyramid_retains_no_events () =
+  let f = make_file ~pages:20 ~page_size:64 () in
+  let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
+  Alcotest.(check int) "none after create" 0 (Server.retained_physical_events server);
+  let s1 = Session.start server and s2 = Session.start server in
+  for i = 0 to 9 do
+    ignore (Session.fetch_batch ~file:"data" [| (s1, i); (s2, 19 - i) |]);
+    Alcotest.(check int) "none after a pass" 0 (Server.retained_physical_events server)
+  done;
+  Alcotest.(check bool) "the passes touched slots" true
+    (Server.executed_slot_touches server > 0)
+
 let test_server_file_too_large () =
   let cost = CM.with_max_file small_cost ~bytes:(64 * 4) in
   let f = make_file ~pages:100 ~page_size:64 () in
@@ -439,11 +476,14 @@ let () =
           Alcotest.test_case "pattern independent" `Quick test_pyramid_pattern_independent;
           Alcotest.test_case "no slot repeats" `Quick test_pyramid_no_slot_repeats;
           Alcotest.test_case "one touch per level" `Quick test_pyramid_one_touch_per_level;
+          Alcotest.test_case "golden trace" `Quick test_pyramid_golden_trace;
           Alcotest.test_case "server mode" `Quick test_pyramid_server_mode ] );
       ( "server",
         [ Alcotest.test_case "fetch accounting" `Quick test_server_fetch_accounting;
           Alcotest.test_case "trace hides pages" `Quick test_server_trace_hides_pages;
           Alcotest.test_case "oblivious mode" `Quick test_server_oblivious_mode;
+          Alcotest.test_case "pyramid retains no events" `Quick
+            test_server_pyramid_retains_no_events;
           Alcotest.test_case "file too large" `Quick test_server_file_too_large;
           Alcotest.test_case "duplicate names" `Quick test_server_duplicate_names;
           Alcotest.test_case "download" `Quick test_server_download;
