@@ -628,18 +628,22 @@ let replication env =
 
 (* ------------------------------------------------------------------ *)
 
-(* Multi-tenant serving: the scheduler-driven frontend (lib/serve) over
-   a CI and a PI database side by side, driven by a bursty arrival
-   process.  The adaptive policy is compared against fill-or-timeout
-   batchers at fixed widths 1, 4 and 16 on the same stream; the p95
-   column is the acceptance bar — adaptive must beat every fixed width,
-   because width 1 serializes each burst, width 4 strands a burst's
-   stragglers until the SLO timeout and width 16 rarely fills at all.
-   Latency here is the virtual-clock end-to-end figure: queueing wait
-   plus the whole batch's modeled service.  BENCH_serve.json captures
-   one run per policy. *)
-let serve env =
-  header_line "Multi-tenant serving: adaptive vs fixed batch width";
+(* Serving runs, shared by [serve] and [pipeline]: the scheduler-driven
+   frontend (lib/serve) over a CI and a PI database side by side, one
+   bursty arrival stream per tenant, replayed under each
+   [(label, width rule, depth)] config on fresh `Pyramid servers.
+   Latency is the virtual-clock end-to-end figure: queueing wait plus
+   the whole batch's modeled fetch and decode.  Each config records one
+   BENCH run labelled [label:<preset>]. *)
+type serving_run = {
+  sv_report : Psp_serve.Scheduler.report;
+  sv_sorted : float array;  (* latencies, ascending *)
+  sv_mean : float;
+  sv_correct : int;
+  sv_overlap : float;  (* the executor's decode/fetch overlap fraction *)
+}
+
+let serving env configs =
   let preset = P.Oldenburg in
   let g = graph env preset in
   let tenant_dbs =
@@ -648,7 +652,6 @@ let serve env =
   in
   List.iter (fun (_, db) -> check_feasible env db) tenant_dbs;
   let count = max 16 (env.queries / 5) in
-  let slo = 60.0 in
   let streams =
     List.mapi
       (fun idx (name, _) ->
@@ -659,14 +662,11 @@ let serve env =
             ~count ~seed:(env.seed + 13 + idx) ))
       tenant_dbs
   in
-  let policies =
-    [ ("adaptive", Psp_serve.Scheduler.Adaptive);
-      ("fixed-1", Psp_serve.Scheduler.Fixed 1);
-      ("fixed-4", Psp_serve.Scheduler.Fixed 4);
-      ("fixed-16", Psp_serve.Scheduler.Fixed 16) ]
-  in
-  let run_policy (label, policy) =
-    let cfg = { Psp_serve.Scheduler.min_width = 1; max_width = 16; slo; policy } in
+  let data_fetches, index_fetches = plan_fetches (snd (List.hd tenant_dbs)) in
+  let run (label, policy, depth) =
+    let cfg =
+      { Psp_serve.Scheduler.min_width = 1; max_width = 16; slo = 60.0; policy; depth }
+    in
     let tenants =
       List.map
         (fun (name, db) ->
@@ -678,6 +678,7 @@ let serve env =
     in
     let jobs = Psp_serve.Scheduler.mix streams in
     let report = Psp_serve.Scheduler.run cfg ~tenants ~jobs in
+    let overlap = Psp_obs.Obs.get (Psp_obs.Obs.gauge "pipeline.overlap_fraction") in
     let served = report.Psp_serve.Scheduler.served in
     let correct = ref 0 and retries = ref 0 in
     let recovery = ref 0.0 and unavailable = ref 0 in
@@ -711,10 +712,8 @@ let serve env =
             s + Psp_pir.Server.executed_level_scans tn.Psp_serve.Scheduler.server ))
         (0, 0) tenants
     in
-    let data_fetches, index_fetches = plan_fetches (snd (List.hd tenant_dbs)) in
     bench_runs :=
-      { r_label =
-          Printf.sprintf "serve-%s:%s" label (Psp_netgen.Presets.short_name preset);
+      { r_label = Printf.sprintf "%s:%s" label (Psp_netgen.Presets.short_name preset);
         r_samples = samples;
         r_fetches_per_query = data_fetches + index_fetches;
         r_retries = !retries;
@@ -725,39 +724,61 @@ let serve env =
         r_exec_touches = touches;
         r_level_scans = scans }
       :: !bench_runs;
-    (report, samples, !correct)
+    let sorted = Array.copy samples in
+    Array.sort compare sorted;
+    { sv_report = report;
+      sv_sorted = sorted;
+      sv_mean =
+        Array.fold_left ( +. ) 0.0 samples /. float_of_int (max 1 (Array.length samples));
+      sv_correct = !correct;
+      sv_overlap = overlap }
   in
-  let pct sorted q =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
+  List.map run configs
+
+let pct sorted q =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else
+    let rank = int_of_float (ceil (q *. float_of_int n)) in
+    sorted.(max 0 (min (n - 1) (rank - 1)))
+
+(* Multi-tenant serving: the adaptive width rule against fill-or-timeout
+   batchers at fixed widths 1, 4 and 16 on the same stream, all at
+   depth 1; the p95 column is the acceptance bar — adaptive must beat
+   every fixed width, because width 1 serializes each burst, width 4
+   strands a burst's stragglers until the SLO timeout and width 16
+   rarely fills at all.  BENCH_serve.json captures one run per policy. *)
+let serve env =
+  header_line "Multi-tenant serving: adaptive vs fixed batch width";
+  let policies =
+    [ ("adaptive", Psp_serve.Scheduler.Adaptive);
+      ("fixed-1", Psp_serve.Scheduler.Fixed 1);
+      ("fixed-4", Psp_serve.Scheduler.Fixed 4);
+      ("fixed-16", Psp_serve.Scheduler.Fixed 16) ]
+  in
+  let runs =
+    serving env (List.map (fun (label, policy) -> ("serve-" ^ label, policy, 1)) policies)
   in
   let rows =
-    List.map
-      (fun (label, policy) ->
-        let report, samples, correct = run_policy (label, policy) in
-        let sorted = Array.copy samples in
-        Array.sort compare sorted;
+    List.map2
+      (fun (label, _) r ->
         let widths =
           List.map
             (fun (b : Psp_serve.Scheduler.batch_record) ->
               b.Psp_serve.Scheduler.b_width)
-            report.Psp_serve.Scheduler.batches
+            r.sv_report.Psp_serve.Scheduler.batches
         in
-        let n = Array.length samples in
         [ label;
-          seconds (pct sorted 0.50);
-          seconds (pct sorted 0.95);
-          seconds (pct sorted 0.99);
+          seconds (pct r.sv_sorted 0.50);
+          seconds (pct r.sv_sorted 0.95);
+          seconds (pct r.sv_sorted 0.99);
           Printf.sprintf "%.1f"
             (float_of_int (List.fold_left ( + ) 0 widths)
             /. float_of_int (max 1 (List.length widths)));
           string_of_int (List.length widths);
-          Printf.sprintf "%.0f" report.Psp_serve.Scheduler.makespan;
-          Printf.sprintf "%d/%d" correct n ])
-      policies
+          Printf.sprintf "%.0f" r.sv_report.Psp_serve.Scheduler.makespan;
+          Printf.sprintf "%d/%d" r.sv_correct (Array.length r.sv_sorted) ])
+      policies runs
   in
   table
     ~columns:
@@ -767,152 +788,55 @@ let serve env =
 
 (* ------------------------------------------------------------------ *)
 
-(* Pipelined serving: the effects-based executor (lib/async) against
-   the synchronous schedule on the same stream.  Every configuration is
-   a Pipelined policy — depth 1 IS the synchronous schedule (one batch
-   fully fetches and decodes before the next fetch starts), so the
-   depth-1 row is the baseline and deeper rows show what overlapping a
-   batch's PIR pass with earlier batches' client-side decode tails
-   buys.  Batch composition is depth-independent by construction (the
-   scheduler forms batches on a formation clock that ignores the
-   depth), so the comparison is pure execution overlap: same batches,
-   same traces, same fetch sequence — test/test_pipeline.ml asserts
-   byte-equality; this experiment measures the wall-clock side.  The
-   acceptance bar (pinned in the tests): at width >= 4, depth >= 2 must
-   beat depth 1 on mean response.  BENCH_pipeline.json captures one run
-   per configuration. *)
+(* Pipelined serving: fill-or-timeout widths 4 and 8 at depths 1, 2
+   and 4 on the serve stream.  Depth 1 IS the synchronous schedule
+   (one batch fully fetches and decodes before the next fetch starts),
+   so the depth-1 row is the baseline — [w4 d1] equals [serve]'s
+   [fixed-4] row — and deeper rows show what overlapping a batch's PIR
+   pass with earlier batches' client-side decode tails buys.  Batch
+   composition is depth-independent by construction (the scheduler
+   forms batches on a formation clock that ignores the depth), so the
+   comparison is pure execution overlap: same batches, same traces,
+   same fetch sequence — test/test_pipeline.ml asserts byte-equality;
+   this experiment measures the timing side.  The acceptance bar
+   (pinned in the tests): at width >= 4, depth >= 2 must beat depth 1
+   on mean response.  BENCH_pipeline.json captures one run per
+   configuration. *)
 let pipeline env =
   header_line "Pipelined serving: decode/fetch overlap vs the synchronous schedule";
-  let preset = P.Oldenburg in
-  let g = graph env preset in
-  let tenant_dbs =
-    [ ("ci", DB.build_ci ~page_size:env.page_size g);
-      ("pi", DB.build_pi ~page_size:env.page_size g) ]
-  in
-  List.iter (fun (_, db) -> check_feasible env db) tenant_dbs;
-  let count = max 16 (env.queries / 5) in
-  let slo = 60.0 in
-  let streams =
-    List.mapi
-      (fun idx (name, _) ->
-        ( name,
-          Psp_netgen.Synthetic.random_queries g ~count ~seed:(env.seed + 1 + idx),
-          Psp_netgen.Workload.arrivals
-            (Psp_netgen.Workload.Bursts { period = 400.0; mean_size = 6 })
-            ~count ~seed:(env.seed + 13 + idx) ))
-      tenant_dbs
-  in
   let configs =
-    List.concat_map
-      (fun width ->
-        List.map (fun depth -> (width, depth)) [ 1; 2; 4 ])
-      [ 4; 8 ]
+    List.concat_map (fun width -> List.map (fun depth -> (width, depth)) [ 1; 2; 4 ]) [ 4; 8 ]
   in
-  let run_config (width, depth) =
-    let cfg =
-      { Psp_serve.Scheduler.min_width = 1;
-        max_width = 16;
-        slo;
-        policy = Psp_serve.Scheduler.Pipelined { width; depth } }
-    in
-    let tenants =
-      List.map
-        (fun (name, db) ->
-          { Psp_serve.Scheduler.name;
-            server =
-              Psp_pir.Server.create ~mode:`Pyramid ~cost:env.cost ~key (DB.files db);
-            graph = g })
-        tenant_dbs
-    in
-    let jobs = Psp_serve.Scheduler.mix streams in
-    let report = Psp_serve.Scheduler.run cfg ~tenants ~jobs in
-    let overlap_fraction = Psp_obs.Obs.get (Psp_obs.Obs.gauge "pipeline.overlap_fraction") in
-    let served = report.Psp_serve.Scheduler.served in
-    let correct = ref 0 and retries = ref 0 in
-    let recovery = ref 0.0 and unavailable = ref 0 in
-    Array.iter
-      (fun (s : Psp_serve.Scheduler.served) ->
-        let r = s.Psp_serve.Scheduler.result in
-        retries := !retries + r.Client.stats.Psp_pir.Server.Session.retries;
-        recovery :=
-          !recovery +. r.Client.stats.Psp_pir.Server.Session.recovery_seconds;
-        (match r.Client.status with
-        | Client.Unavailable _ -> incr unavailable
-        | _ -> ());
-        let j = s.Psp_serve.Scheduler.job in
-        let truth =
-          Psp_graph.Dijkstra.distance g j.Psp_serve.Queue.src j.Psp_serve.Queue.dst
-        in
-        match r.Client.path with
-        | Some (_, got) when Float.abs (got -. truth) <= 1e-3 *. Float.max 1.0 truth
-          ->
-            incr correct
-        | _ -> ())
-      served;
-    let samples =
-      Array.map (fun (s : Psp_serve.Scheduler.served) -> s.Psp_serve.Scheduler.latency)
-        served
-    in
-    let touches, scans =
-      List.fold_left
-        (fun (t, s) tn ->
-          ( t + Psp_pir.Server.executed_slot_touches tn.Psp_serve.Scheduler.server,
-            s + Psp_pir.Server.executed_level_scans tn.Psp_serve.Scheduler.server ))
-        (0, 0) tenants
-    in
-    let data_fetches, index_fetches = plan_fetches (snd (List.hd tenant_dbs)) in
-    bench_runs :=
-      { r_label =
-          Printf.sprintf "pipeline-w%d-d%d:%s" width depth
-            (Psp_netgen.Presets.short_name preset);
-        r_samples = samples;
-        r_fetches_per_query = data_fetches + index_fetches;
-        r_retries = !retries;
-        r_recovery_seconds = !recovery;
-        r_unavailable = !unavailable;
-        r_correct = !correct;
-        r_total = Array.length served;
-        r_exec_touches = touches;
-        r_level_scans = scans }
-      :: !bench_runs;
-    (report, samples, !correct, overlap_fraction)
-  in
-  let pct sorted q =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
-  in
-  let mean a =
-    if Array.length a = 0 then nan
-    else Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a)
+  let runs =
+    serving env
+      (List.map
+         (fun (width, depth) ->
+           ( Printf.sprintf "pipeline-w%d-d%d" width depth,
+             Psp_serve.Scheduler.Fixed width,
+             depth ))
+         configs)
   in
   let baseline_mean = Hashtbl.create 4 in
   let rows =
-    List.map
-      (fun (width, depth) ->
-        let report, samples, correct, overlap = run_config (width, depth) in
-        let sorted = Array.copy samples in
-        Array.sort compare sorted;
-        let m = mean samples in
+    List.map2
+      (fun (width, depth) r ->
+        let m = r.sv_mean in
         if depth = 1 then Hashtbl.replace baseline_mean width m;
         let speedup =
           match Hashtbl.find_opt baseline_mean width with
           | Some b when m > 0.0 -> Printf.sprintf "%.2fx" (b /. m)
           | _ -> "-"
         in
-        let n = Array.length samples in
         [ Printf.sprintf "w%d d%d" width depth;
-          seconds (pct sorted 0.50);
-          seconds (pct sorted 0.95);
+          seconds (pct r.sv_sorted 0.50);
+          seconds (pct r.sv_sorted 0.95);
           seconds m;
           speedup;
-          Printf.sprintf "%.0f%%" (100.0 *. overlap);
-          string_of_int (List.length report.Psp_serve.Scheduler.batches);
-          Printf.sprintf "%.0f" report.Psp_serve.Scheduler.makespan;
-          Printf.sprintf "%d/%d" correct n ])
-      configs
+          Printf.sprintf "%.0f%%" (100.0 *. r.sv_overlap);
+          string_of_int (List.length r.sv_report.Psp_serve.Scheduler.batches);
+          Printf.sprintf "%.0f" r.sv_report.Psp_serve.Scheduler.makespan;
+          Printf.sprintf "%d/%d" r.sv_correct (Array.length r.sv_sorted) ])
+      configs runs
   in
   table
     ~columns:

@@ -406,14 +406,12 @@ let serve_cmd =
              ~doc:"$(b,adaptive) or $(b,fixed:W) (fill-or-timeout at width W).")
   in
   let pipeline_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt int 1
          & info [ "pipeline" ] ~docv:"DEPTH"
-             ~doc:"Execute batches through the effects-based pipeline with up \
-                   to $(docv) batches in flight (fetch overlaps earlier \
-                   batches' decode).  Uses the fixed width of \
-                   $(b,--policy fixed:W), or $(b,--max-width) under the \
-                   adaptive policy.  0 (default) disables pipelining; 1 is \
-                   the synchronous schedule.")
+             ~doc:"Pipeline depth: up to $(docv) batches in flight, each \
+                   batch's fetch overlapping earlier batches' decode.  \
+                   Applies to either $(b,--policy).  1 (default) is the \
+                   synchronous schedule.")
   in
   let percentile sorted q =
     let n = Array.length sorted in
@@ -437,18 +435,7 @@ let serve_cmd =
               | _ -> failwith (Printf.sprintf "bad --policy %S: fixed:W needs W >= 1" p))
           | _ -> failwith (Printf.sprintf "unknown --policy %S" p))
     in
-    let policy =
-      if pipeline < 0 then failwith "--pipeline needs DEPTH >= 0"
-      else if pipeline = 0 then policy
-      else
-        let width =
-          match policy with
-          | Psp_serve.Scheduler.Fixed w -> w
-          | Psp_serve.Scheduler.Adaptive | Psp_serve.Scheduler.Pipelined _ ->
-              max_width
-        in
-        Psp_serve.Scheduler.Pipelined { width; depth = pipeline }
-    in
+    if pipeline < 1 then failwith "--pipeline needs DEPTH >= 1";
     let process =
       match Psp_netgen.Workload.arrival_of_string arrivals with
       | Ok p -> p
@@ -478,7 +465,9 @@ let serve_cmd =
         db.DB.scheme )
     in
     let built = List.mapi tenant_of schemes in
-    let cfg = { Psp_serve.Scheduler.min_width; max_width; slo; policy } in
+    let cfg =
+      { Psp_serve.Scheduler.min_width; max_width; slo; policy; depth = pipeline }
+    in
     arm_faults faults fault_seed;
     Obs.reset ();
     let jobs = Psp_serve.Scheduler.mix (List.map (fun (_, s, _) -> s) built) in
@@ -488,15 +477,14 @@ let serve_cmd =
         ~jobs
     in
     Psp_fault.Fault.reset ();
-    Printf.printf "served %d queries across %d tenants (%s policy, slo %.1fs)\n"
+    Printf.printf
+      "served %d queries across %d tenants (%s policy, depth %d, slo %.1fs)\n"
       (Array.length report.Psp_serve.Scheduler.served)
       (List.length built)
       (match policy with
       | Psp_serve.Scheduler.Adaptive -> "adaptive"
-      | Psp_serve.Scheduler.Fixed w -> Printf.sprintf "fixed:%d" w
-      | Psp_serve.Scheduler.Pipelined { width; depth } ->
-          Printf.sprintf "pipelined:%dx%d" width depth)
-      slo;
+      | Psp_serve.Scheduler.Fixed w -> Printf.sprintf "fixed:%d" w)
+      pipeline slo;
     let unavailable = ref 0 in
     List.iter
       (fun (tn, _, scheme) ->

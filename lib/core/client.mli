@@ -100,7 +100,8 @@ val query_batch :
     node of their regions.  Member [i]'s result — path, stats,
     per-member trace — matches what a width-1 batch would have
     produced; [client_seconds] reports the per-query share of the
-    batch's wall-clock.  The batch width is public.  [pad] (default
+    batch's own CPU time ([Sys.time]; time parked at the release point
+    while other batches run is excluded).  The batch width is public.  [pad] (default
     true) enforces the query plan with dummy retrievals; calibration
     passes disable it.  An empty array returns an empty array without
     contacting the server.

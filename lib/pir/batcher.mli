@@ -22,9 +22,9 @@
     width-1 query's trace.
 
     This module is deliberately the {e same-plan merge core} only.
-    Routing a mixed multi-tenant stream to per-plan batchers lives in
-    {!Dispatch}, and choosing {e when} and {e how wide} to dispatch
-    lives in the serving frontend ([Psp_serve.Scheduler]) — the split
+    Routing a mixed multi-tenant stream to per-plan batches, and
+    choosing {e when} and {e how wide} to dispatch them, lives in the
+    serving frontend ([Psp_serve.Scheduler]) — the split
     keeps the part with privacy obligations (this file) small and
     auditable. *)
 

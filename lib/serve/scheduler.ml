@@ -5,11 +5,17 @@ module Client = Psp_core.Client
 module Response_time = Psp_core.Response_time
 module Pipeline = Psp_async.Pipeline
 
-type policy = Adaptive | Fixed of int | Pipelined of { width : int; depth : int }
+type policy = Adaptive | Fixed of int
 
-type config = { min_width : int; max_width : int; slo : float; policy : policy }
+type config = {
+  min_width : int;
+  max_width : int;
+  slo : float;
+  policy : policy;
+  depth : int;
+}
 
-let default = { min_width = 1; max_width = 16; slo = 60.0; policy = Adaptive }
+let default = { min_width = 1; max_width = 16; slo = 60.0; policy = Adaptive; depth = 1 }
 
 type tenant = { name : string; server : Server.t; graph : Psp_graph.Graph.t }
 
@@ -53,11 +59,11 @@ type report = {
    against: it waits for [w] members or for its head to age out the
    SLO, whichever comes first. *)
 
-let decide_width cfg ~age ~depth ~ests =
+let decide_width cfg ~age ~queued ~ests =
   match cfg.policy with
-  | Fixed w | Pipelined { width = w; _ } -> max 1 (min w depth)
+  | Fixed w -> max 1 (min w queued)
   | Adaptive ->
-      let w = ref (max cfg.min_width (min cfg.max_width depth)) in
+      let w = ref (max cfg.min_width (min cfg.max_width queued)) in
       while !w > cfg.min_width && age +. ests.(!w) > cfg.slo do
         decr w
       done;
@@ -66,11 +72,20 @@ let decide_width cfg ~age ~depth ~ests =
 
 (* The instant a lane becomes due: an adaptive lane is due the moment
    it has a head (work-conserving), a fixed-width lane only when its
-   head times out (its depth trigger is checked separately). *)
+   head times out (its fill trigger is checked separately). *)
 let lane_deadline cfg ~head =
   match cfg.policy with
   | Adaptive -> head
-  | Fixed _ | Pipelined _ -> head +. cfg.slo
+  | Fixed _ -> head +. cfg.slo
+  [@@oblivious]
+
+(* The instant a batch was formed, as an online scheduler would have
+   formed it, and so the earliest its fetch may start at any depth: a
+   full batch the moment its last member arrived; any other batch only
+   once its lane fired — the head's deadline, or the end of the stream
+   ([ended], infinite while arrivals remain), whichever came first. *)
+let fetch_ready ~cap ~width ~last ~deadline ~ended =
+  if width >= cap then last else Float.max last (Float.min deadline ended)
   [@@oblivious]
 
 (* ------------------------------------------------------------------ *)
@@ -167,12 +182,9 @@ let run ?pad ?retry cfg ~tenants ~jobs =
   if cfg.max_width < cfg.min_width then
     invalid_arg "Scheduler.run: max_width must be >= min_width";
   if cfg.slo <= 0.0 then invalid_arg "Scheduler.run: slo must be positive";
+  if cfg.depth < 1 then invalid_arg "Scheduler.run: depth must be >= 1";
   (match cfg.policy with
   | Fixed w when w < 1 -> invalid_arg "Scheduler.run: fixed width must be >= 1"
-  | Pipelined { width; _ } when width < 1 ->
-      invalid_arg "Scheduler.run: pipelined width must be >= 1"
-  | Pipelined { depth; _ } when depth < 1 ->
-      invalid_arg "Scheduler.run: pipelined depth must be >= 1"
   | _ -> ());
   let lanes = Hashtbl.create 8 in
   List.iter
@@ -208,11 +220,7 @@ let run ?pad ?retry cfg ~tenants ~jobs =
       incr next
     done
   in
-  let cap =
-    match cfg.policy with
-    | Adaptive -> cfg.max_width
-    | Fixed w | Pipelined { width = w; _ } -> w
-  in
+  let cap = match cfg.policy with Adaptive -> cfg.max_width | Fixed w -> w in
   let deadline_of name =
     match Queue.head_arrival q name with
     | None -> infinity
@@ -222,40 +230,26 @@ let run ?pad ?retry cfg ~tenants ~jobs =
     let flush = !next >= n in
     Queue.depth q name >= cap || flush || !now +. eps >= deadline_of name
   in
-  (* The virtual clock advances by the modeled server-side service only
-     (PIR + communication + plaintext server work): the measured
-     client-side decode time is a property of the harness machine, and
-     letting it into the schedule would make dispatch instants
-     nondeterministic. *)
-  let service_of r =
-    let t = Response_time.of_result r in
-    t.Response_time.pir_seconds +. t.Response_time.comm_seconds
-    +. t.Response_time.server_cpu_seconds
-  in
-  (* Pipelined mode runs each batch as a Psp_async.Pipeline fiber and
-     keeps TWO timelines.  The {e formation} clock is [now], and it
-     advances by fetch + modeled decode per batch — the synchronous
-     schedule — so which jobs are queued when the next batch forms is
-     identical at every depth: batch composition, and with it every
-     member's trace and the server's fetch sequence, is
+  (* Every batch runs as a Psp_async.Pipeline fiber, and the scheduler
+     keeps TWO timelines.  The {e formation} clock is [now]: it advances
+     by the batch's modeled fetch + decode whatever the depth, so which
+     jobs are queued when the next batch forms — batch composition, and
+     with it every member's trace and the server's fetch sequence — is
      depth-independent by construction.  The {e execution} timeline
      lives in the executor: batch [i]'s fetch starts at
-     [max ready_i fetch_end_(i-1) completed_(i-depth)], which at depth 1
-     reproduces the formation clock exactly and at depth ≥ 2 overlaps
-     batch [i]'s fetch with earlier batches' decode tails.  Reported
-     latencies come from the execution timeline. *)
-  let pipe =
-    match cfg.policy with
-    | Pipelined { depth; _ } -> Some (Pipeline.create ~depth ())
-    | Adaptive | Fixed _ -> None
-  in
-  let pending = ref [] in
-  let dispatch_pipelined pipe name =
+     [max ready_i fetch_end_(i-1) completed_(i-depth)].  At depth 1
+     that reproduces the formation clock exactly (the synchronous
+     schedule); at depth >= 2 batch [i]'s fetch overlaps earlier
+     batches' decode tails.  Reported latencies come from the execution
+     timeline. *)
+  let pipe = Pipeline.create ~depth:cfg.depth () in
+  let submitted = ref [] in
+  let dispatch name =
     let st = lane name in
-    let depth = Queue.depth q name in
     let head = Option.value ~default:!now (Queue.head_arrival q name) in
+    let deadline = lane_deadline cfg ~head in
     let width =
-      decide_width cfg ~age:(Float.max 0.0 (!now -. head)) ~depth
+      decide_width cfg ~age:(Float.max 0.0 (!now -. head)) ~queued:(Queue.depth q name)
         ~ests:(ests_for st cfg)
     in
     let members = Queue.take q name ~max:width in
@@ -266,17 +260,14 @@ let run ?pad ?retry cfg ~tenants ~jobs =
       Pipeline.pacing ~decode_seconds:(fun ~bytes ->
           Cost_model.decode_seconds cost ~bytes)
     in
-    let dispatched = !now in
-    (* The execution timeline may start this batch's fetch as soon as
-       all its members have arrived and the pipeline admits it — the
-       formation instant [dispatched] only decided the membership.
-       (Composition is still future-blind: the members were chosen at
-       the formation clock's due instant; execution merely backdates
-       the fetch to when those members were available.) *)
     let ready =
-      Array.fold_left
-        (fun acc (j : Queue.job) -> Float.max acc j.Queue.arrival)
-        0.0 members
+      fetch_ready ~cap ~width:w
+        ~last:
+          (Array.fold_left
+             (fun acc (j : Queue.job) -> Float.max acc j.Queue.arrival)
+             0.0 members)
+        ~deadline
+        ~ended:(if !next >= n then ordered.(n - 1).Queue.arrival else infinity)
     in
     let job =
       Pipeline.submit pipe ~ready (fun () ->
@@ -285,6 +276,7 @@ let run ?pad ?retry cfg ~tenants ~jobs =
     in
     let fetch = Pipeline.fetch_seconds job in
     let decode = Pipeline.decode_seconds job in
+    let dispatched = !now in
     now := !now +. fetch +. decode;
     Obs.incr st.c_batches;
     Obs.set st.g_width (float_of_int w);
@@ -296,48 +288,7 @@ let run ?pad ?retry cfg ~tenants ~jobs =
         b_service = fetch +. decode }
       :: !batches;
     learn st ~width:w ~service:fetch;
-    pending := (st, job, members, w, dispatched) :: !pending
-  in
-  let dispatch name =
-    let st = lane name in
-    let depth = Queue.depth q name in
-    let head = Option.value ~default:!now (Queue.head_arrival q name) in
-    let width =
-      decide_width cfg ~age:(Float.max 0.0 (!now -. head)) ~depth
-        ~ests:(ests_for st cfg)
-    in
-    let members = Queue.take q name ~max:width in
-    let w = Array.length members in
-    let pairs = Array.map (fun (j : Queue.job) -> (j.Queue.src, j.Queue.dst)) members in
-    let results = Client.query_nodes_batch ?pad ?retry st.tn.server st.tn.graph pairs in
-    let service = Array.fold_left (fun acc r -> acc +. service_of r) 0.0 results in
-    let dispatched = !now in
-    now := !now +. service;
-    Obs.incr st.c_batches;
-    Obs.set st.g_width (float_of_int w);
-    Obs.observe st.h_width (float_of_int w);
-    batches :=
-      { b_tenant = name; b_width = w; b_dispatched = dispatched; b_service = service }
-      :: !batches;
-    learn st ~width:w ~service;
-    Array.iteri
-      (fun k (j : Queue.job) ->
-        let wait =
-          Cost_model.queueing_delay_seconds ~enqueued:j.Queue.arrival ~dispatched
-        in
-        let latency = !now -. j.Queue.arrival in
-        Obs.observe st.h_latency latency;
-        out.(j.Queue.index) <-
-          Some
-            { job = j;
-              result = results.(k);
-              response = Response_time.with_queue ~seconds:wait
-                  (Response_time.of_result results.(k));
-              latency;
-              width = w;
-              dispatched;
-              completed = !now })
-      members
+    submitted := (st, job, members, dispatched) :: !submitted
   in
   let rec loop () =
     ingest ();
@@ -362,9 +313,7 @@ let run ?pad ?retry cfg ~tenants ~jobs =
                 if h name < h best then name else best)
               (List.hd ripe) (List.tl ripe)
           in
-          (match pipe with
-          | Some p -> dispatch_pipelined p oldest
-          | None -> dispatch oldest);
+          dispatch oldest;
           loop ()
       | [] ->
           let horizon =
@@ -380,47 +329,40 @@ let run ?pad ?retry cfg ~tenants ~jobs =
     end
   in
   loop ();
-  (* Pipelined epilogue: force every parked tail (publishing the
-     executor's overlap telemetry), then fill the output slots from the
-     execution timeline.  The tails were already free of server-visible
-     work — the fibers released after their last fetch — so nothing
-     here changes what the server observed. *)
-  let makespan =
-    match pipe with
-    | None -> !now
-    | Some p ->
-        Pipeline.drain p;
-        List.iter
-          (fun (st, job, (members : Queue.job array), w, dispatched) ->
-            let results = Pipeline.await p job in
-            let completed = Pipeline.completed_at job in
-            let decode_share =
-              Pipeline.decode_seconds job /. float_of_int (max 1 w)
-            in
-            Array.iteri
-              (fun k (j : Queue.job) ->
-                let wait =
-                  Cost_model.queueing_delay_seconds ~enqueued:j.Queue.arrival
-                    ~dispatched
-                in
-                let latency = completed -. j.Queue.arrival in
-                Obs.observe st.h_latency latency;
-                out.(j.Queue.index) <-
-                  Some
-                    { job = j;
-                      result = results.(k);
-                      response =
-                        Response_time.with_decode ~seconds:decode_share
-                          (Response_time.with_queue ~seconds:wait
-                             (Response_time.of_result results.(k)));
-                      latency;
-                      width = w;
-                      dispatched;
-                      completed })
-              members)
-          (List.rev !pending);
-        Pipeline.makespan p
-  in
+  (* Force every parked tail (publishing the executor's overlap
+     telemetry), then fill the output slots from the execution
+     timeline.  The tails were already free of server-visible work —
+     the fibers released after their last fetch — so nothing here
+     changes what the server observed. *)
+  Pipeline.drain pipe;
+  List.iter
+    (fun (st, job, (members : Queue.job array), dispatched) ->
+      let results = Pipeline.await pipe job in
+      let completed = Pipeline.completed_at job in
+      let decode_share =
+        Pipeline.decode_seconds job /. float_of_int (Array.length members)
+      in
+      Array.iteri
+        (fun k (j : Queue.job) ->
+          let wait =
+            Cost_model.queueing_delay_seconds ~enqueued:j.Queue.arrival ~dispatched
+          in
+          let latency = completed -. j.Queue.arrival in
+          Obs.observe st.h_latency latency;
+          out.(j.Queue.index) <-
+            Some
+              { job = j;
+                result = results.(k);
+                response =
+                  Response_time.with_decode ~seconds:decode_share
+                    (Response_time.with_queue ~seconds:wait
+                       (Response_time.of_result results.(k)));
+                latency;
+                width = Array.length members;
+                dispatched;
+                completed })
+        members)
+    (List.rev !submitted);
   let served =
     Array.mapi
       (fun i s ->
@@ -432,4 +374,4 @@ let run ?pad ?retry cfg ~tenants ~jobs =
                                (indices must be unique and dense)" i))
       out
   in
-  { served; batches = List.rev !batches; makespan }
+  { served; batches = List.rev !batches; makespan = Pipeline.makespan pipe }

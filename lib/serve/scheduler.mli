@@ -24,6 +24,17 @@
     decision functions carry [[\@\@oblivious]] so psplint audits that
     they stay that way.
 
+    {b Execution.}  Every batch, under either width rule, runs as a
+    {!Psp_async.Pipeline} fiber paced by
+    {!Psp_pir.Cost_model.decode_seconds}; the virtual clock advances by
+    the batch's modeled fetch plus decode, a plan-fixed quantity, so
+    schedules are deterministic.  A fetch never starts before its batch
+    was formed: a full batch ([width] members) is ready when its last
+    member arrives, any other batch once its lane fired — the head's
+    SLO deadline under {!Fixed}, or the end of the stream if that came
+    first.  With that rule [depth = 1] is the synchronous schedule by
+    construction.
+
     {b What load leaks.}  Arrival times, batch widths and which tenant
     each batch serves are visible to the LBS by definition — it serves
     the requests.  Per Theorem 1 it learns nothing {e more}: each
@@ -33,34 +44,33 @@
 
 type policy =
   | Adaptive
-      (** work-conserving; width = clamp(min, max, depth), shrunk to
+      (** work-conserving; width = clamp(min, max, queued), shrunk to
           keep the head's estimated latency inside the SLO *)
   | Fixed of int
-      (** fill-or-timeout at width [w]: dispatch at depth ≥ w or when
-          the head has waited the SLO; the comparison baseline
-          benchmarked by [bench --experiment serve] *)
-  | Pipelined of { width : int; depth : int }
-      (** fill-or-timeout at [width] like {!Fixed}, but batches execute
-          through the {!Psp_async.Pipeline} effects executor with up to
-          [depth] batches in flight: batch [i]'s PIR pass overlaps
-          earlier batches' client-side decode tails.  Batch composition
-          is decided on a {e formation} clock that advances by fetch +
-          modeled decode per batch regardless of [depth], so every
-          member's trace and the server's fetch sequence are
-          byte-identical across depths — [depth = 1] {e is} the
-          synchronous schedule; only reported completion instants
-          change (test/test_pipeline.ml asserts both).  Benchmarked by
-          [bench --experiment pipeline]. *)
+      (** fill-or-timeout at width [w]: dispatch once [w] jobs are
+          queued or when the head has waited the SLO; the comparison
+          baseline benchmarked by [bench --experiment serve] *)
 
 type config = {
   min_width : int;
   max_width : int;
   slo : float;  (** target end-to-end latency bound, model seconds *)
-  policy : policy;
+  policy : policy;  (** the width rule *)
+  depth : int;
+      (** batches in flight in the {!Psp_async.Pipeline} executor every
+          batch runs through: batch [i]'s PIR pass may overlap earlier
+          batches' client-side decode tails.  Batch composition is
+          decided on a {e formation} clock that advances by fetch +
+          modeled decode per batch whatever the depth, so every
+          member's trace and the server's fetch sequence are
+          byte-identical across depths; only completion instants
+          change (test/test_pipeline.ml asserts both).  [1] is the
+          synchronous schedule; benchmarked by
+          [bench --experiment pipeline]. *)
 }
 
 val default : config
-(** width 1–16, 60 s SLO, adaptive. *)
+(** width 1–16, 60 s SLO, adaptive, depth 1. *)
 
 type tenant = {
   name : string;  (** the public tenant key, e.g. ["ci"] *)
@@ -73,13 +83,13 @@ type served = {
   result : Psp_core.Client.result;
   response : Psp_core.Response_time.t;
       (** the member's own cost share with [queue_seconds] set to its
-          dispatch wait (and, under {!Pipelined}, [decode_seconds] set
-          to its share of the batch's modeled decode) *)
+          dispatch wait and [decode_seconds] set to its share of the
+          batch's modeled decode *)
   latency : float;
-      (** completion minus arrival on the virtual clock: queueing wait
-          plus the whole batch's service (members complete together);
-          under {!Pipelined} the completion instant comes from the
-          execution timeline, so overlap shortens it *)
+      (** completion minus arrival: queueing wait plus the whole
+          batch's fetch and decode (members complete together).  The
+          completion instant comes from the execution timeline, so
+          overlap at depth >= 2 shortens it *)
   width : int;  (** width of the batch that served it *)
   dispatched : float;
   completed : float;

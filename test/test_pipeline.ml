@@ -1,5 +1,5 @@
 (* The effects-based pipelined executor (lib/async) and the scheduler's
-   Pipelined policy.  The load-bearing claims: (1) the executor's
+   depth, which every batch runs through.  The load-bearing claims: (1) the executor's
    modeled timeline follows the two-resource recurrence and degenerates
    to the synchronous schedule at depth 1; (2) pipelining changes ONLY
    wall-clock instants — per-member traces, answers, batch sequences
@@ -227,6 +227,28 @@ let test_response_time_decode () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative decode must be rejected")
 
+(* [client_seconds] charges the batch's own CPU time only: whatever
+   runs while the walk is parked at its release point (other batches'
+   fetch passes, in the pipeline) is not counted. *)
+let test_client_seconds_excludes_parked () =
+  let burn () =
+    let t0 = Sys.time () in
+    while Sys.time () -. t0 < 0.2 do
+      ignore (Sys.opaque_identity (Array.make 64 0))
+    done
+  in
+  let pacing = { Engine.sequential with Engine.on_release = burn } in
+  let db = List.assoc "ci" (Lazy.force databases) in
+  let pairs = Array.sub queries 0 4 in
+  let results = Client.query_nodes_batch ~pacing (server_of db) g pairs in
+  Array.iter
+    (fun (r : Client.result) ->
+      let busy = r.Client.client_seconds *. float_of_int (Array.length pairs) in
+      Alcotest.(check bool)
+        (Printf.sprintf "client_seconds x width = %.3fs < 0.2s parked" busy)
+        true (busy < 0.2))
+    results
+
 (* ------------------------------------------------------------------ *)
 (* Scheduler equivalence: pipelining changes instants, nothing else *)
 
@@ -242,7 +264,8 @@ let pipelined_cfg depth =
   { Scheduler.min_width = 1;
     max_width = 8;
     slo = 400.0;
-    policy = Scheduler.Pipelined { width = 4; depth } }
+    policy = Scheduler.Fixed 4;
+    depth }
 
 let run_at_depth ?off ~seed depth =
   (* force the lazy database builds before the telemetry snapshot, so
@@ -399,7 +422,8 @@ let latencies ~width ~depth =
     { Scheduler.min_width = 1;
       max_width = 16;
       slo = 400.0;
-      policy = Scheduler.Pipelined { width; depth } }
+      policy = Scheduler.Fixed width;
+      depth }
   in
   let report =
     Scheduler.run cfg
@@ -430,16 +454,46 @@ let test_pipelined_beats_sync () =
         (mean piped < mean sync))
     [ 4; 8 ]
 
+(* A fill-or-timeout lane cannot dispatch a partial batch before its
+   head's SLO deadline, so no depth may start that batch's fetch
+   earlier: the lone job at t = 0, with the next arrival far beyond the
+   deadline, waits the full SLO at every depth. *)
+let test_partial_batch_waits_for_timeout () =
+  let pairs = [| queries.(0); queries.(1) |] in
+  let jobs = Scheduler.mix [ ("ci", pairs, [| 0.0; 1000.0 |]) ] in
+  let db = List.assoc "ci" (Lazy.force databases) in
+  List.iter
+    (fun depth ->
+      let cfg =
+        { Scheduler.min_width = 1;
+          max_width = 8;
+          slo = 60.0;
+          policy = Scheduler.Fixed 4;
+          depth }
+      in
+      let report =
+        Scheduler.run cfg
+          ~tenants:[ { Scheduler.name = "ci"; server = server_of db; graph = g } ]
+          ~jobs
+      in
+      let lone = report.Scheduler.served.(0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "depth %d: lone job latency %.2fs >= slo" depth
+           lone.Scheduler.latency)
+        true
+        (lone.Scheduler.latency >= 60.0))
+    [ 1; 2; 4 ]
+
 let test_config_validation () =
   let jobs = mixed_jobs ~count:2 ~seed:7 () in
+  let base = pipelined_cfg 2 in
   List.iter
-    (fun policy ->
-      let cfg = { Scheduler.min_width = 1; max_width = 8; slo = 60.0; policy } in
+    (fun cfg ->
       match Scheduler.run cfg ~tenants:(tenants ()) ~jobs with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "invalid pipelined config must be rejected")
-    [ Scheduler.Pipelined { width = 0; depth = 2 };
-      Scheduler.Pipelined { width = 4; depth = 0 } ]
+      | _ -> Alcotest.fail "invalid scheduler config must be rejected")
+    [ { base with Scheduler.policy = Scheduler.Fixed 0 };
+      { base with Scheduler.depth = 0 } ]
 
 let () =
   Alcotest.run "pipeline"
@@ -453,7 +507,9 @@ let () =
       ( "model",
         [ Alcotest.test_case "decode and overlap estimates" `Quick test_cost_model_decode;
           Alcotest.test_case "response-time decode component" `Quick
-            test_response_time_decode ] );
+            test_response_time_decode;
+          Alcotest.test_case "client_seconds excludes parked time" `Quick
+            test_client_seconds_excludes_parked ] );
       ( "equivalence",
         [ Alcotest.test_case "traces/batches/shape across depths 1-2-4" `Slow
             test_depth_invariance;
@@ -461,6 +517,8 @@ let () =
             test_executed_work_depth_invariant;
           Alcotest.test_case "32-seed fault sweep across depths" `Slow
             test_fault_sweep_depth_invariant;
+          Alcotest.test_case "partial batch waits for its timeout" `Quick
+            test_partial_batch_waits_for_timeout;
           Alcotest.test_case "config validation" `Quick test_config_validation ] );
       ( "speedup",
         [ Alcotest.test_case "pipelined beats sync at width 4 and 8" `Slow

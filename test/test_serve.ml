@@ -52,7 +52,11 @@ let mixed_jobs ?(count = 6) ?(off = 0) ~seed () =
     [ ("ci", pairs count off, arrivals); ("pi", pairs count (off + 8), arrivals) ]
 
 let default_cfg =
-  { Scheduler.min_width = 1; max_width = 8; slo = 400.0; policy = Scheduler.Adaptive }
+  { Scheduler.min_width = 1;
+    max_width = 8;
+    slo = 400.0;
+    policy = Scheduler.Adaptive;
+    depth = 1 }
 
 (* ------------------------------------------------------------------ *)
 (* Queue mechanics *)
@@ -251,7 +255,7 @@ let percentile sorted q =
     sorted.(max 0 (min (n - 1) (rank - 1)))
 
 let p95_of_policy policy =
-  let cfg = { Scheduler.min_width = 1; max_width = 16; slo = 500.0; policy } in
+  let cfg = { Scheduler.min_width = 1; max_width = 16; slo = 500.0; policy; depth = 1 } in
   (* one bursty tenant: bursts of mean 6 every 2000 s *)
   let count = 24 in
   let pairs = Array.init count (fun i -> queries.(i mod Array.length queries)) in
@@ -308,24 +312,6 @@ let test_latency_decomposition () =
          s.Scheduler.completed <= report.Scheduler.makespan +. 1e-9)
        report.Scheduler.served)
 
-(* ------------------------------------------------------------------ *)
-(* Dispatch partition/scatter *)
-
-let test_partition_scatter () =
-  let items = [| ("a", 0); ("b", 1); ("a", 2); ("c", 3); ("b", 4) |] in
-  let groups = Psp_pir.Dispatch.partition fst items in
-  Alcotest.(check (list string)) "first-seen tenant order" [ "a"; "b"; "c" ]
-    (List.map (fun (g : _ Psp_pir.Dispatch.group) -> g.Psp_pir.Dispatch.tenant) groups);
-  let results =
-    List.map
-      (fun (grp : _ Psp_pir.Dispatch.group) ->
-        (grp, Array.map (fun (_, (_, v)) -> v * 10) grp.Psp_pir.Dispatch.members))
-      groups
-  in
-  Alcotest.(check (list int)) "scatter restores submission order"
-    [ 0; 10; 20; 30; 40 ]
-    (Array.to_list (Psp_pir.Dispatch.scatter ~none:(-1) results))
-
 let test_workload_arrivals () =
   let steady = Workload.arrivals (Workload.Steady { rate = 2.0 }) ~count:4 ~seed:1 in
   Alcotest.(check (list (float 1e-9))) "steady gaps" [ 0.0; 0.5; 1.0; 1.5 ]
@@ -355,7 +341,6 @@ let () =
   Alcotest.run "serve"
     [ ( "queue",
         [ Alcotest.test_case "per-tenant FIFO" `Quick test_queue_fifo;
-          Alcotest.test_case "partition/scatter" `Quick test_partition_scatter;
           Alcotest.test_case "arrival processes" `Quick test_workload_arrivals ] );
       ( "privacy",
         [ Alcotest.test_case "mixed = sequential traces" `Slow
