@@ -433,8 +433,7 @@ let batch env =
           let server =
             Psp_pir.Server.create ~mode:`Pyramid ~cost:env.cost ~key (DB.files db)
           in
-          let times = ref [] and correct = ref 0 in
-          let retries = ref 0 and recovery = ref 0.0 and unavailable = ref 0 in
+          let tl = tally g in
           let i = ref 0 in
           while !i < Array.length queries do
             let chunk = Array.sub queries !i (min w (Array.length queries - !i)) in
@@ -442,50 +441,23 @@ let batch env =
             if Psp_fault.Fault.active () then Psp_fault.Fault.rewind ();
             let rs = Client.query_nodes_batch server g chunk in
             Array.iteri
-              (fun k (r : Client.result) ->
-                let s, t = chunk.(k) in
-                times := Response_time.of_result r :: !times;
-                retries := !retries + r.Client.stats.Psp_pir.Server.Session.retries;
-                recovery :=
-                  !recovery +. r.Client.stats.Psp_pir.Server.Session.recovery_seconds;
-                (match r.Client.status with
-                | Client.Unavailable _ -> incr unavailable
-                | _ -> ());
-                let truth = Psp_graph.Dijkstra.distance g s t in
-                match r.Client.path with
-                | Some (_, got)
-                  when Float.abs (got -. truth) <= 1e-3 *. Float.max 1.0 truth ->
-                    incr correct
-                | _ -> ())
+              (fun k r ->
+                count tl ~latency:(Response_time.total (Response_time.of_result r))
+                  chunk.(k) r)
               rs;
             i := !i + Array.length chunk
           done;
-          let data_fetches, index_fetches = plan_fetches db in
-          let samples = Array.of_list (List.rev_map Response_time.total !times) in
-          let touches = Psp_pir.Server.executed_slot_touches server in
-          let scans = Psp_pir.Server.executed_level_scans server in
-          bench_runs :=
-            { r_label =
-                Printf.sprintf "%s-b%d:%s" name w
-                  (Psp_netgen.Presets.short_name preset);
-              r_samples = samples;
-              r_fetches_per_query = data_fetches + index_fetches;
-              r_retries = !retries;
-              r_recovery_seconds = !recovery;
-              r_unavailable = !unavailable;
-              r_correct = !correct;
-              r_total = Array.length queries;
-              r_exec_touches = touches;
-              r_level_scans = scans }
-            :: !bench_runs;
-          (samples, !correct, touches, scans)
+          record tl
+            ~label:
+              (Printf.sprintf "%s-b%d:%s" name w (Psp_netgen.Presets.short_name preset))
+            ~db ~servers:[ server ] ()
         in
         let base = ref nan in
         List.map
           (fun w ->
-            let samples, correct, touches, scans = serve w in
-            let n = Array.length samples in
-            let sum = Array.fold_left ( +. ) 0.0 samples in
+            let run = serve w in
+            let n = Array.length run.r_samples in
+            let sum = Array.fold_left ( +. ) 0.0 run.r_samples in
             let mean = sum /. float_of_int n in
             if w = 1 then base := mean;
             let per q = float_of_int q /. float_of_int n in
@@ -493,9 +465,9 @@ let batch env =
               seconds mean;
               Printf.sprintf "%.2fx" (!base /. mean);
               Printf.sprintf "%.0f" (3600.0 *. float_of_int n /. sum);
-              Printf.sprintf "%.0f" (per touches);
-              Printf.sprintf "%.1f" (per scans);
-              Printf.sprintf "%d/%d" correct n ])
+              Printf.sprintf "%.0f" (per run.r_exec_touches);
+              Printf.sprintf "%.1f" (per run.r_level_scans);
+              Printf.sprintf "%d/%d" run.r_correct n ])
           widths)
       entries
   in
@@ -541,83 +513,46 @@ let replication env =
       Psp_fault.Fault.arm ~seed:13 "pir.replica.latency"
         (Psp_fault.Fault.Probability (rate /. 2.0))
     end;
-    let times = ref [] and correct = ref 0 in
-    let served = ref 0 and retries = ref 0 in
-    let recovery = ref 0.0 and unavailable = ref 0 in
+    let tl = tally g in
     Array.iter
       (fun (s, t) ->
         match Client.query_nodes_replicated rset g s t with
         | rep ->
-            let r = rep.Client.results.(0) in
-            let rt = (Response_time.of_replicated rep).(0) in
-            times := rt :: !times;
-            retries :=
-              !retries + r.Client.stats.Psp_pir.Server.Session.retries
-              + rep.Client.failovers;
-            recovery :=
-              !recovery
-              +. r.Client.stats.Psp_pir.Server.Session.recovery_seconds
-              +. rep.Client.failover_seconds;
-            (match r.Client.status with
-            | Client.Served | Client.Degraded _ -> incr served
-            | _ -> incr unavailable);
-            let truth = Psp_graph.Dijkstra.distance g s t in
-            (match r.Client.path with
-            | Some (_, got)
-              when Float.abs (got -. truth) <= 1e-3 *. Float.max 1.0 truth ->
-                incr correct
-            | _ -> ())
+            count tl ~failovers:rep.Client.failovers
+              ~failover_seconds:rep.Client.failover_seconds
+              ~latency:(Response_time.total (Response_time.of_replicated rep).(0))
+              (s, t) rep.Client.results.(0)
         | exception Psp_pir.Replica_set.No_replica_available ->
             (* every breaker open: the query never ran.  Count the
                outage and let a timeout's worth of simulated time pass
                so cooldowns elapse and the set can heal. *)
-            incr unavailable;
+            count_outage tl;
             Psp_pir.Replica_set.advance rset
               (Psp_pir.Cost_model.timeout_seconds env.cost))
       queries;
     Psp_fault.Fault.reset ();
-    let data_fetches, index_fetches = plan_fetches db in
-    let samples = Array.of_list (List.rev_map Response_time.total !times) in
-    bench_runs :=
-      { r_label =
-          Printf.sprintf "%s-r%d-f%.3f:%s" db.DB.scheme replicas rate
-            (Psp_netgen.Presets.short_name preset);
-        r_samples = samples;
-        r_fetches_per_query = data_fetches + index_fetches;
-        r_retries = !retries;
-        r_recovery_seconds = !recovery;
-        r_unavailable = !unavailable;
-        r_correct = !correct;
-        r_total = Array.length queries;
-        r_exec_touches = 0;
-        r_level_scans = 0 }
-      :: !bench_runs;
-    (samples, !served, !correct, !retries)
+    record tl
+      ~label:
+        (Printf.sprintf "%s-r%d-f%.3f:%s" db.DB.scheme replicas rate
+           (Psp_netgen.Presets.short_name preset))
+      ~db ()
   in
   let rows =
     List.concat_map
       (fun replicas ->
         List.map
           (fun rate ->
-            let samples, served, correct, retries = serve replicas rate in
-            let n = Array.length queries in
-            let sorted = Array.copy samples in
+            let run = serve replicas rate in
+            let n = run.r_total in
+            let sorted = Array.copy run.r_samples in
             Array.sort compare sorted;
-            let p99 =
-              if Array.length sorted = 0 then nan
-              else
-                sorted.(max 0
-                          (min (Array.length sorted - 1)
-                             (int_of_float
-                                (ceil (0.99 *. float_of_int (Array.length sorted)))
-                             - 1)))
-            in
             [ string_of_int replicas;
               Printf.sprintf "%.3f" rate;
-              Printf.sprintf "%.1f%%" (100.0 *. float_of_int served /. float_of_int n);
-              seconds p99;
-              string_of_int retries;
-              Printf.sprintf "%d/%d" correct n ])
+              Printf.sprintf "%.1f%%"
+                (100.0 *. float_of_int (n - run.r_unavailable) /. float_of_int n);
+              seconds (percentile sorted 0.99);
+              string_of_int run.r_retries;
+              Printf.sprintf "%d/%d" run.r_correct n ])
           rates)
       replica_counts
   in
@@ -651,18 +586,18 @@ let serving env configs =
       ("pi", DB.build_pi ~page_size:env.page_size g) ]
   in
   List.iter (fun (_, db) -> check_feasible env db) tenant_dbs;
-  let count = max 16 (env.queries / 5) in
+  let per_tenant = max 16 (env.queries / 5) in
   let streams =
     List.mapi
       (fun idx (name, _) ->
         ( name,
-          Psp_netgen.Synthetic.random_queries g ~count ~seed:(env.seed + 1 + idx),
+          Psp_netgen.Synthetic.random_queries g ~count:per_tenant
+            ~seed:(env.seed + 1 + idx),
           Psp_netgen.Workload.arrivals
             (Psp_netgen.Workload.Bursts { period = 400.0; mean_size = 6 })
-            ~count ~seed:(env.seed + 13 + idx) ))
+            ~count:per_tenant ~seed:(env.seed + 13 + idx) ))
       tenant_dbs
   in
-  let data_fetches, index_fetches = plan_fetches (snd (List.hd tenant_dbs)) in
   let run (label, policy, depth) =
     let cfg =
       { Psp_serve.Scheduler.min_width = 1; max_width = 16; slo = 60.0; policy; depth }
@@ -679,68 +614,32 @@ let serving env configs =
     let jobs = Psp_serve.Scheduler.mix streams in
     let report = Psp_serve.Scheduler.run cfg ~tenants ~jobs in
     let overlap = Psp_obs.Obs.get (Psp_obs.Obs.gauge "pipeline.overlap_fraction") in
-    let served = report.Psp_serve.Scheduler.served in
-    let correct = ref 0 and retries = ref 0 in
-    let recovery = ref 0.0 and unavailable = ref 0 in
+    let tl = tally g in
     Array.iter
       (fun (s : Psp_serve.Scheduler.served) ->
-        let r = s.Psp_serve.Scheduler.result in
-        retries := !retries + r.Client.stats.Psp_pir.Server.Session.retries;
-        recovery :=
-          !recovery +. r.Client.stats.Psp_pir.Server.Session.recovery_seconds;
-        (match r.Client.status with
-        | Client.Unavailable _ -> incr unavailable
-        | _ -> ());
         let j = s.Psp_serve.Scheduler.job in
-        let truth =
-          Psp_graph.Dijkstra.distance g j.Psp_serve.Queue.src j.Psp_serve.Queue.dst
-        in
-        match r.Client.path with
-        | Some (_, got) when Float.abs (got -. truth) <= 1e-3 *. Float.max 1.0 truth
-          ->
-            incr correct
-        | _ -> ())
-      served;
-    let samples =
-      Array.map (fun (s : Psp_serve.Scheduler.served) -> s.Psp_serve.Scheduler.latency)
-        served
+        count tl ~latency:s.Psp_serve.Scheduler.latency
+          (j.Psp_serve.Queue.src, j.Psp_serve.Queue.dst)
+          s.Psp_serve.Scheduler.result)
+      report.Psp_serve.Scheduler.served;
+    let recorded =
+      record tl
+        ~label:(Printf.sprintf "%s:%s" label (Psp_netgen.Presets.short_name preset))
+        ~db:(snd (List.hd tenant_dbs))
+        ~servers:(List.map (fun tn -> tn.Psp_serve.Scheduler.server) tenants)
+        ()
     in
-    let touches, scans =
-      List.fold_left
-        (fun (t, s) tn ->
-          ( t + Psp_pir.Server.executed_slot_touches tn.Psp_serve.Scheduler.server,
-            s + Psp_pir.Server.executed_level_scans tn.Psp_serve.Scheduler.server ))
-        (0, 0) tenants
-    in
-    bench_runs :=
-      { r_label = Printf.sprintf "%s:%s" label (Psp_netgen.Presets.short_name preset);
-        r_samples = samples;
-        r_fetches_per_query = data_fetches + index_fetches;
-        r_retries = !retries;
-        r_recovery_seconds = !recovery;
-        r_unavailable = !unavailable;
-        r_correct = !correct;
-        r_total = Array.length served;
-        r_exec_touches = touches;
-        r_level_scans = scans }
-      :: !bench_runs;
+    let samples = recorded.r_samples in
     let sorted = Array.copy samples in
     Array.sort compare sorted;
     { sv_report = report;
       sv_sorted = sorted;
       sv_mean =
         Array.fold_left ( +. ) 0.0 samples /. float_of_int (max 1 (Array.length samples));
-      sv_correct = !correct;
+      sv_correct = recorded.r_correct;
       sv_overlap = overlap }
   in
   List.map run configs
-
-let pct sorted q =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
 
 (* Multi-tenant serving: the adaptive width rule against fill-or-timeout
    batchers at fixed widths 1, 4 and 16 on the same stream, all at
@@ -769,9 +668,9 @@ let serve env =
             r.sv_report.Psp_serve.Scheduler.batches
         in
         [ label;
-          seconds (pct r.sv_sorted 0.50);
-          seconds (pct r.sv_sorted 0.95);
-          seconds (pct r.sv_sorted 0.99);
+          seconds (percentile r.sv_sorted 0.50);
+          seconds (percentile r.sv_sorted 0.95);
+          seconds (percentile r.sv_sorted 0.99);
           Printf.sprintf "%.1f"
             (float_of_int (List.fold_left ( + ) 0 widths)
             /. float_of_int (max 1 (List.length widths)));
@@ -828,8 +727,8 @@ let pipeline env =
           | _ -> "-"
         in
         [ Printf.sprintf "w%d d%d" width depth;
-          seconds (pct r.sv_sorted 0.50);
-          seconds (pct r.sv_sorted 0.95);
+          seconds (percentile r.sv_sorted 0.50);
+          seconds (percentile r.sv_sorted 0.95);
           seconds m;
           speedup;
           Printf.sprintf "%.0f%%" (100.0 *. r.sv_overlap);

@@ -138,60 +138,105 @@ let plan_fetches db =
   | "HY" -> (get "combined", 0)
   | _ -> (get "data", get "index")
 
+(* One workload's tally, shared by every experiment that serves
+   queries: each answer is checked against the Dijkstra oracle on the
+   true graph, and retries, recovery time and unavailable results are
+   summed.  [record] files the tally as a bench run. *)
+type tally = {
+  oracle : G.t;
+  mutable latencies : float list;  (* per-query seconds, reversed *)
+  mutable total : int;
+  mutable correct : int;
+  mutable retries : int;
+  mutable recovery : float;
+  mutable unavailable : int;
+}
+
+let tally oracle =
+  { oracle; latencies = []; total = 0; correct = 0; retries = 0; recovery = 0.0;
+    unavailable = 0 }
+
+(* [failovers] and [failover_seconds] add a replicated query's
+   whole-plan replays to its retries and recovery. *)
+let count tl ?(failovers = 0) ?(failover_seconds = 0.0) ~latency (s, t)
+    (r : Client.result) =
+  let stats = r.Client.stats in
+  tl.latencies <- latency :: tl.latencies;
+  tl.total <- tl.total + 1;
+  tl.retries <- tl.retries + stats.Psp_pir.Server.Session.retries + failovers;
+  tl.recovery <-
+    tl.recovery +. stats.Psp_pir.Server.Session.recovery_seconds +. failover_seconds;
+  (match r.Client.status with
+  | Client.Unavailable _ -> tl.unavailable <- tl.unavailable + 1
+  | _ -> ());
+  let truth = Psp_graph.Dijkstra.distance tl.oracle s t in
+  match r.Client.path with
+  | Some (_, got) when Float.abs (got -. truth) <= 1e-3 *. Float.max 1.0 truth ->
+      tl.correct <- tl.correct + 1
+  | _ -> ()
+
+(* A query that never ran: unavailable, with no latency sample. *)
+let count_outage tl =
+  tl.total <- tl.total + 1;
+  tl.unavailable <- tl.unavailable + 1
+
+(* [servers] contribute their executed store work (none for replica
+   sets, whose stores are not sampled). *)
+let record tl ~label ~db ?(servers = []) () =
+  let data_fetches, index_fetches = plan_fetches db in
+  let sum f = List.fold_left (fun acc server -> acc + f server) 0 servers in
+  let run =
+    { r_label = label;
+      r_samples = Array.of_list (List.rev tl.latencies);
+      r_fetches_per_query = data_fetches + index_fetches;
+      r_retries = tl.retries;
+      r_recovery_seconds = tl.recovery;
+      r_unavailable = tl.unavailable;
+      r_correct = tl.correct;
+      r_total = tl.total;
+      r_exec_touches = sum Psp_pir.Server.executed_slot_touches;
+      r_level_scans = sum Psp_pir.Server.executed_level_scans }
+  in
+  bench_runs := run :: !bench_runs;
+  run
+
 (* Run the workload against a database and aggregate the paper's
-   metrics.  Correctness is checked against the Dijkstra oracle on the
-   true graph on every query. *)
+   metrics. *)
 let run env preset db =
   check_feasible env db;
   let g = graph env preset in
   let server = Psp_pir.Server.create ~cost:env.cost ~key (DB.files db) in
   let queries = workload env preset in
+  let tl = tally g in
   let times = ref [] in
-  let correct = ref 0 in
-  let retries = ref 0 and recovery = ref 0.0 and unavailable = ref 0 in
   Array.iter
     (fun (s, t) ->
       (* replay any armed fault schedule identically for every query, so
          workloads under injection stay trace-indistinguishable *)
       if Psp_fault.Fault.active () then Psp_fault.Fault.rewind ();
       let r = Client.query_nodes server g s t in
-      times := Response_time.of_result r :: !times;
-      retries := !retries + r.Client.stats.Psp_pir.Server.Session.retries;
-      recovery := !recovery +. r.Client.stats.Psp_pir.Server.Session.recovery_seconds;
-      (match r.Client.status with Client.Unavailable _ -> incr unavailable | _ -> ());
-      let truth = Psp_graph.Dijkstra.distance g s t in
-      match r.Client.path with
-      | Some (_, got) when Float.abs (got -. truth) <= 1e-3 *. Float.max 1.0 truth ->
-          incr correct
-      | _ -> ())
+      let time = Response_time.of_result r in
+      times := time :: !times;
+      count tl ~latency:(Response_time.total time) (s, t) r)
     queries;
+  (* `Simulated servers execute no store passes; the batch experiment's
+     `Pyramid runs fill these in. *)
+  ignore
+    (record tl
+       ~label:(Printf.sprintf "%s:%s" db.DB.scheme (Psp_netgen.Presets.short_name preset))
+       ~db ~servers:[ server ] ());
   let data_fetches, index_fetches = plan_fetches db in
-  bench_runs :=
-    { r_label =
-        Printf.sprintf "%s:%s" db.DB.scheme (Psp_netgen.Presets.short_name preset);
-      r_samples = Array.of_list (List.rev_map Response_time.total !times);
-      r_fetches_per_query = data_fetches + index_fetches;
-      r_retries = !retries;
-      r_recovery_seconds = !recovery;
-      r_unavailable = !unavailable;
-      r_correct = !correct;
-      r_total = Array.length queries;
-      (* `Simulated servers execute no store passes; the batch
-         experiment's `Pyramid runs fill these in. *)
-      r_exec_touches = Psp_pir.Server.executed_slot_touches server;
-      r_level_scans = Psp_pir.Server.executed_level_scans server }
-    :: !bench_runs;
   { time = Response_time.mean !times;
     space_bytes = DB.total_bytes db;
     data_fetches;
     index_fetches;
     data_pages = PF.page_count db.DB.data;
     index_pages = (match db.DB.index with Some f -> PF.page_count f | None -> 0);
-    correct = !correct;
-    total = Array.length queries;
-    retries = !retries;
-    recovery_seconds = !recovery;
-    unavailable = !unavailable }
+    correct = tl.correct;
+    total = tl.total;
+    retries = tl.retries;
+    recovery_seconds = tl.recovery;
+    unavailable = tl.unavailable }
 
 (* ------------------------------------------------------------------ *)
 (* Baseline tuning (§7.2): pick the parameter giving the best response
@@ -221,41 +266,33 @@ let quick_response env preset db =
   let s, t = (workload env preset).(0) in
   Response_time.total (Response_time.of_result (Client.query_nodes server g s t))
 
-let tuned_lm env preset =
-  match Hashtbl.find_opt tuned_cache ("LM", preset) with
+(* The sweep parameter with the best response time, cached per scheme
+   and network. *)
+let tuned env preset ~scheme ~build sweep =
+  match Hashtbl.find_opt tuned_cache (scheme, preset) with
   | Some db -> db
   | None ->
       let best =
         List.fold_left
-          (fun best anchors ->
-            let db = build_lm env preset ~anchors in
+          (fun best param ->
+            let db = build param in
             let t = quick_response env preset db in
             match best with
             | Some (_, bt) when bt <= t -> best
             | _ -> Some (db, t))
-          None lm_sweep
+          None sweep
       in
       let db = fst (Option.get best) in
-      Hashtbl.replace tuned_cache ("LM", preset) db;
+      Hashtbl.replace tuned_cache (scheme, preset) db;
       db
 
+let tuned_lm env preset =
+  tuned env preset ~scheme:"LM" lm_sweep ~build:(fun anchors ->
+      build_lm env preset ~anchors)
+
 let tuned_af env preset =
-  match Hashtbl.find_opt tuned_cache ("AF", preset) with
-  | Some db -> db
-  | None ->
-      let best =
-        List.fold_left
-          (fun best target_regions ->
-            let db = build_af env preset ~target_regions in
-            let t = quick_response env preset db in
-            match best with
-            | Some (_, bt) when bt <= t -> best
-            | _ -> Some (db, t))
-          None af_sweep
-      in
-      let db = fst (Option.get best) in
-      Hashtbl.replace tuned_cache ("AF", preset) db;
-      db
+  tuned env preset ~scheme:"AF" af_sweep ~build:(fun target_regions ->
+      build_af env preset ~target_regions)
 
 (* HY and PI* tuning (§7.5): smallest parameter whose index file stays
    within the (scaled) PIR size cap. *)

@@ -140,7 +140,7 @@ let query_batch ?(pad = true) ?(retry = default_retry)
                     in
                     (H.of_pages pages, Bytes.length pages.(0)))
               in
-              match Registry.find header.H.scheme with
+              match Registry.find header.H.scheme header.H.plan with
               | None -> `Unknown header.H.scheme
               | Some scheme ->
                   let ctx = { Engine.header; psize; pad } in

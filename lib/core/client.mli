@@ -39,7 +39,8 @@ type status =
           trace and the recovery cost that was incurred. *)
   | Unknown_scheme of { scheme : string }
       (** the header announced a scheme tag the {!Registry} does not
-          know; no oblivious round was begun.  This replaces a [Failure]
+          know, or a known tag with another scheme's plan; no oblivious
+          round was begun.  This replaces a [Failure]
           so callers can distinguish a version skew from a malformed
           database. *)
 

@@ -1,27 +1,11 @@
 module H = Psp_index.Header
 module E = Psp_index.Encoding
-module FB = Psp_index.Fi_builder
 
-(* Helpers shared by the scheme modules.  Everything here is
-   client-local arithmetic or decoding over already-fetched pages: no
+(* The region queue shared by the scheme modules.  Everything here is
+   client-local bookkeeping or decoding over already-fetched pages: no
    function issues a fetch, so these cannot change the server's view —
    they only compute which page index the engine puts into a fetch slot
    it was issuing anyway. *)
-
-let lookup_slot (header : H.t) ~psize ~rs:(rs [@secret]) ~rt:(rt [@secret]) =
-  let per_page = psize / E.lookup_entry_bytes in
-  let idx = (rs * header.H.region_count) + rt in
-  (idx / per_page, idx mod per_page * E.lookup_entry_bytes)
-  [@@oblivious]
-
-let decode_entry blob ~pos = E.decode_lookup_entry blob ~pos
-
-let window_start ~file_pages ~span ~page:(page [@secret]) =
-  max 0 (min page (file_pages - span))
-  [@@oblivious]
-
-let decode_fi (header : H.t) ~pages ~base_page ~offset =
-  FB.decode ~quantize:header.H.config.E.quantize ~pages ~base_page ~offset
 
 let decode_region_window (header : H.t) pages =
   let blob = Bytes.concat Bytes.empty pages in

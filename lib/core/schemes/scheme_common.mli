@@ -1,30 +1,8 @@
-(** Client-local helpers shared by the scheme modules.
+(** The region queue shared by the scheme modules.
 
     Nothing here issues a fetch: these functions compute which page index
     the engine puts into a fetch slot it was issuing anyway, or decode
     pages that were already retrieved. *)
-
-val lookup_slot :
-  Psp_index.Header.t -> psize:int -> rs:int -> rt:int -> int * int
-(** Lookup-file page and in-page byte position of the (rs, rt) entry. *)
-
-val decode_entry : bytes -> pos:int -> int * int * int
-(** Decoded lookup entry: (first index page, byte offset, page span). *)
-
-val window_start : file_pages:int -> span:int -> page:int -> int
-(** First page of a [span]-wide window around [page], clamped to the
-    file. *)
-
-val decode_fi :
-  Psp_index.Header.t ->
-  pages:bytes array ->
-  base_page:int ->
-  offset:int ->
-  Psp_index.Fi_builder.decoded
-(** Decode an FI record out of a fetched index window. *)
-
-val decode_region_window : Psp_index.Header.t -> bytes list -> Psp_index.Encoding.node_record list
-(** Decode one region's node records from its pages (in order). *)
 
 (** A queue of pending region fetches, spoon-fed to the engine one page
     per fetch slot. *)

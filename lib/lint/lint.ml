@@ -46,20 +46,27 @@ let analyze_cmt path =
 let is_cmt path =
   Filename.check_suffix path ".cmt" && not (Filename.check_suffix path ".cmti")
 
-(* Directories are walked recursively; explicit files must be .cmt. *)
-let rec collect path =
-  match Sys.is_directory path with
+(* Directories are walked recursively; explicit files must be .cmt.  A
+   top-level PATH that cannot be stat'ed is an error, but an entry under
+   a walked directory that vanishes (or dangles) before its stat is
+   skipped: the compiler writes temporary files into the very
+   directories a build-time lint run walks. *)
+let collect path =
+  let rec walk ~top path =
+    match
+      if Sys.is_directory path then
+        List.concat_map
+          (fun entry -> walk ~top:false (Filename.concat path entry))
+          (List.sort compare (Array.to_list (Sys.readdir path)))
+      else if is_cmt path then [ path ]
+      else []
+    with
+    | cmts -> cmts
+    | exception Sys_error _ when not top -> []
+  in
+  match walk ~top:true path with
+  | cmts -> Ok cmts
   | exception Sys_error e -> Error e
-  | true ->
-      let entries = Array.to_list (Sys.readdir path) in
-      List.fold_left
-        (fun acc entry ->
-          match (acc, collect (Filename.concat path entry)) with
-          | Error e, _ -> Error e
-          | Ok acc, Ok more -> Ok (acc @ more)
-          | Ok _, Error e -> Error e)
-        (Ok []) (List.sort compare entries)
-  | false -> if is_cmt path then Ok [ path ] else Ok []
 
 let run paths =
   List.fold_left

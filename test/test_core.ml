@@ -362,6 +362,20 @@ let test_error_paths () =
   (match Client.query_nodes server g 1 2 with
   | { Client.status = Client.Unknown_scheme { scheme = "??" }; path = None; _ } -> ()
   | _ -> Alcotest.fail "expected Unknown_scheme status on unknown scheme");
+  (* a known tag whose plan belongs to another scheme is just as unknown:
+     it must not be served under the other plan *)
+  List.iter
+    (fun (tag, plan) ->
+      let db = DB.with_plan (List.assoc tag (Lazy.force databases)) plan in
+      let server = Server.create ~cost ~key (DB.files db) in
+      match Client.query_nodes server g 1 2 with
+      | { Client.status = Client.Unknown_scheme { scheme }; path = None; _ } ->
+          Alcotest.(check string) "mismatched tag reported" tag scheme
+      | _ -> Alcotest.fail (tag ^ ": expected Unknown_scheme on a tag/plan mismatch"))
+    [ ("CI", QP.Pi { fi_span = 1 });
+      ("PI", QP.Pi_star { fi_span = 1; cluster = 1 });
+      ("HY", QP.Ci { fi_span = 1; m = 2 });
+      ("LM", QP.Af { pages_per_region = 1; max_regions = 4 }) ];
   (* malformed bundle directory *)
   (match Psp_index.Bundle.load ~dir:"/nonexistent-psp-dir" with
   | exception Invalid_argument _ -> ()
@@ -376,6 +390,129 @@ let test_trace_leak_detection () =
   match Privacy.indistinguishable [ t1; t2 ] with
   | Ok () -> Alcotest.fail "leak not detected"
   | Error _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* The secret page sequence, pinned.  Traces only record (round, file),
+   so a scheme could read different pages — or answer differently —
+   without any trace test noticing.  This reference walker drives a
+   registered scheme over the public step list and the overflow window
+   with no server in between: it reads pages straight from the page
+   files and digests every slot's (file, page) choice, the answer and
+   the consumed region count.  The digests were computed before the
+   look-up schemes shared one module and must never move. *)
+
+let reference_walk (db : DB.t) (s, t) =
+  let module H = Psp_index.Header in
+  let header = db.DB.header in
+  let plan = header.H.plan in
+  let (module S : Engine.SCHEME) =
+    match Registry.find header.H.scheme plan with
+    | Some scheme -> scheme
+    | None -> Alcotest.fail ("unregistered scheme " ^ header.H.scheme)
+  in
+  let file name = List.find (fun f -> PF.name f = name) (DB.files db) in
+  let sx, sy = G.coords db.DB.graph s and tx, ty = G.coords db.DB.graph t in
+  let q =
+    { Engine.rs = H.locate header ~x:sx ~y:sy;
+      rt = H.locate header ~x:tx ~y:ty;
+      sx;
+      sy;
+      tx;
+      ty }
+  in
+  let st = S.init { Engine.header; psize = PF.page_size db.DB.header_file; pad = true } q in
+  let seq = Buffer.create 256 in
+  let round = ref 1 and tail_pages = ref 0 in
+  let slot name =
+    match S.next_page st ~file:name with
+    | None ->
+        Buffer.add_string seq (name ^ ":-;");
+        false
+    | Some p ->
+        Buffer.add_string seq (Printf.sprintf "%s:%d;" name p);
+        (* an index page of the combined file read in round 4 is the
+           tail of a long HY record *)
+        if name = "combined" && !round = 4 && p < header.H.data_offset then
+          incr tail_pages;
+        S.deliver st ~file:name (PF.read (file name) p);
+        true
+  in
+  List.iter
+    (function
+      | QP.Next_round -> incr round
+      | QP.Fetch_window { file; count } ->
+          for _ = 1 to count do
+            ignore (slot file)
+          done
+      | QP.Decode_barrier { label } -> S.barrier st ~label)
+    (QP.steps plan ~pages_per_region:header.H.pages_per_region);
+  (match QP.overflow plan with
+  | None -> ()
+  | Some { QP.file; window; per_round } ->
+      let continue_ = ref (not (S.exhausted st)) in
+      while !continue_ do
+        if per_round then incr round;
+        let any = ref false in
+        for _ = 1 to window do
+          if slot file then any := true
+        done;
+        continue_ := !any && not (S.exhausted st)
+      done);
+  let path, regions = S.answer st in
+  (match path with
+  | None -> Buffer.add_string seq "none"
+  | Some (nodes, cost) ->
+      List.iter (fun v -> Buffer.add_string seq (string_of_int v ^ ",")) nodes;
+      Buffer.add_string seq (Printf.sprintf "%h" cost));
+  Buffer.add_string seq (Printf.sprintf "|%d\n" regions);
+  (Buffer.contents seq, !tail_pages > 0)
+
+let pinned_page_sequences =
+  [ ("CI", "708ac082d8aae5a438a152e6d71416af");
+    ("PI", "f1da9e1679d5d943aa44e383b79fe388");
+    ("HY", "12969ab90a2ef78c3ae55ee1d4ec1bed");
+    ("PI*", "14b0d506e80f6c903b6098a9e75ea605");
+    ("HY threshold 1", "9de2640943f4d7d2efc559051c6b1bf3");
+    ("PI* cluster 3", "266fe9102230f819c73bb56afe2169ba");
+    ("small CI", "9d9bd1c914f2bd8cada957e41b3b3c0e");
+    ("small PI", "02e492a3d665185958154060eb0117fc");
+    ("small HY threshold 0", "adbdcf31ef6f8793ef2b763bcdd0a6c0");
+    ("small PI* cluster 2", "a7fe810dc4dccba548c517944831582b") ]
+
+let test_page_sequence_pinned () =
+  let small = network ~nodes:220 ~seed:91 () in
+  let small_queries = Psp_netgen.Synthetic.random_queries small ~count:50 ~seed:12 in
+  let dbs =
+    List.map
+      (fun name -> (name, List.assoc name (Lazy.force databases), queries))
+      [ "CI"; "PI"; "HY"; "PI*" ]
+    @ [ ("HY threshold 1", DB.build_hy ~threshold:1 ~page_size g, queries);
+        ("PI* cluster 3", DB.build_pi_star ~cluster:3 ~page_size g, queries);
+        ("small CI", DB.build_ci ~page_size:256 small, small_queries);
+        ("small PI", DB.build_pi ~page_size:256 small, small_queries);
+        ("small HY threshold 0", DB.build_hy ~threshold:0 ~page_size:256 small,
+         small_queries);
+        ("small PI* cluster 2", DB.build_pi_star ~cluster:2 ~page_size:256 small,
+         small_queries) ]
+  in
+  let long_walks = ref 0 in
+  List.iter
+    (fun (name, db, qs) ->
+      let walks = Array.map (reference_walk db) qs in
+      Array.iter (fun (_, long) -> if long && name = "HY" then incr long_walks) walks;
+      let digest =
+        Digest.to_hex
+          (Digest.string (String.concat "" (Array.to_list (Array.map fst walks))))
+      in
+      Alcotest.(check string)
+        (name ^ " page sequence")
+        (List.assoc name pinned_page_sequences)
+        digest)
+    dbs;
+  (* the threshold-5 HY database must exercise the long-record tail *)
+  Alcotest.(check bool)
+    (Printf.sprintf "HY long-record walks: %d" !long_walks)
+    true (!long_walks > 0)
 
 (* The whole pipeline as one property: over random road networks and any
    scheme, every query is exact and every trace is plan-shaped. *)
@@ -456,4 +593,6 @@ let () =
         [ Alcotest.test_case "bundle roundtrip" `Quick test_bundle_roundtrip ] );
       ( "checker",
         [ Alcotest.test_case "detects leaks" `Quick test_trace_leak_detection;
-          Alcotest.test_case "error paths" `Quick test_error_paths ] ) ]
+          Alcotest.test_case "error paths" `Quick test_error_paths ] );
+      ( "page sequence",
+        [ Alcotest.test_case "pinned digests" `Quick test_page_sequence_pinned ] ) ]

@@ -186,6 +186,32 @@ let test_exit_codes () =
   Alcotest.(check int) "unreadable -> 2" 2
     (Lint.exit_code (Lint.analyze_cmt "fixtures/no_such_file.cmt"))
 
+(* A directory entry that vanishes or dangles between [readdir] and its
+   stat is skipped — the compiler writes temporary files into the
+   directories a build-time lint run walks — while a missing top-level
+   PATH is still bad input. *)
+let test_walk_skips_vanished_entries () =
+  let dir = Filename.temp_file "psplint_walk" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let cmt = Filename.concat dir "m.cmt" and link = Filename.concat dir "dangling" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ cmt; link ];
+      Sys.rmdir dir)
+    (fun () ->
+      Out_channel.with_open_bin cmt (fun oc ->
+          Out_channel.output_string oc
+            (In_channel.with_open_bin (fixture_cmt "fx_good") In_channel.input_all));
+      Unix.symlink (Filename.concat dir "gone") link;
+      let run paths = Lint.main ~root:"." ~paths ~quiet:true ~audit:false () in
+      let r = Lint.run_program ~root:"." [ dir ] in
+      Alcotest.(check (list string)) "no read errors" [] r.errors;
+      Alcotest.(check int) "the .cmt is still analyzed" 1 r.modules;
+      Alcotest.(check int) "dangling entry skipped -> 0" 0 (run [ dir ]);
+      Alcotest.(check int) "missing top-level PATH -> 2" 2
+        (run [ Filename.concat dir "no_such_dir" ]))
+
 (* ------------------------------------------------------------------ *)
 (* Whole-program: cross-module flows, discovery gaps *)
 
@@ -405,7 +431,9 @@ let () =
           Alcotest.test_case "bad loop" `Quick (check_fixture "fx_bad_loop");
           Alcotest.test_case "regression: fetch message" `Quick
             (check_fixture "fx_regression_audit");
-          Alcotest.test_case "exit codes" `Quick test_exit_codes ] );
+          Alcotest.test_case "exit codes" `Quick test_exit_codes;
+          Alcotest.test_case "vanished entries skipped" `Quick
+            test_walk_skips_vanished_entries ] );
       ( "interproc",
         [ Alcotest.test_case "good is clean whole-program" `Quick
             test_good_whole_program;
