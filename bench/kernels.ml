@@ -32,8 +32,10 @@ let tests env =
   let chacha_key = Psp_crypto.Sha256.digest_string "bench" in
   let nonce = Bytes.make 12 'n' in
   (* the per-slot PRF consumers of a pyramid rebuild and probe: one
-     HMAC of a 16-byte message, a 4-round Feistel point (plus cycle
-     walking), and a Bloom membership test over a loaded filter *)
+     HMAC of a 16-byte message, a 4-round Feistel point (table lookups
+     plus cycle walking), and a Bloom membership test over a loaded
+     filter; building the Feistel round tables is paid once per level
+     epoch *)
   let prf = Psp_crypto.Prf.create ~key:chacha_key ~label:"bench" in
   let perm = Psp_crypto.Feistel.create ~key:chacha_key ~domain:1000 in
   let bloom =
@@ -60,6 +62,8 @@ let tests env =
         ignore (Psp_crypto.Chacha20.encrypt ~key:chacha_key ~nonce blob)));
     Test.make ~name:"hmac prf 16B" (Staged.stage (fun () ->
         ignore (Psp_crypto.Prf.int prf 12345)));
+    Test.make ~name:"feistel create d=1000" (Staged.stage (fun () ->
+        ignore (Psp_crypto.Feistel.create ~key:chacha_key ~domain:1000)));
     Test.make ~name:"feistel forward" (Staged.stage (fun () ->
         ignore (Psp_crypto.Feistel.forward perm 617)));
     Test.make ~name:"bloom mem" (Staged.stage (fun () -> ignore (Psp_crypto.Bloom.mem bloom 77)));

@@ -25,11 +25,23 @@ let sized_for ~key ~label ~expected ~fp_rate =
 let positions t x =
   Prf.indices t.prf x ~count:t.hashes ~modulus:(Psp_util.Bitset.capacity t.cells)
 
+(* add and mem walk the probe positions one at a time instead of
+   building the list: no allocation per element *)
+let position t x i = Prf.index t.prf x i ~modulus:(Psp_util.Bitset.capacity t.cells)
+
 let add t x =
-  List.iter (Psp_util.Bitset.set t.cells) (positions t x);
+  for i = 0 to t.hashes - 1 do
+    Psp_util.Bitset.set t.cells (position t x i)
+  done;
   t.inserted <- t.inserted + 1
 
-let mem t x = List.for_all (Psp_util.Bitset.mem t.cells) (positions t x)
+(* every probe is computed, hit or miss *)
+let mem t x =
+  let hit = ref true in
+  for i = 0 to t.hashes - 1 do
+    hit := Psp_util.Bitset.mem t.cells (position t x i) && !hit
+  done;
+  !hit
 let count t = t.inserted
 let bits t = Psp_util.Bitset.capacity t.cells
 

@@ -4,11 +4,14 @@
     encrypted with ChaCha20 under per-level keys; re-encryption during
     reshuffles uses a fresh nonce so ciphertexts are unlinkable.
 
-    The kernel keeps a block's 16 state words in local integers, loads
-    the key and nonce words once per call and XORs the keystream into
-    the output 8 bytes at a time: a call allocates only the bytes it
-    returns.  Checked against the RFC 8439 vectors and a byte-at-a-time
-    reference in the test suite. *)
+    The kernel keeps a block's 16 state words in local unboxed int64s,
+    each held in the top 32 bits so that additions wrap mod 2{^32} with
+    no mask and a rotation needs one.  It loads the key
+    and nonce words once per call and XORs the keystream into the
+    output 8 bytes at a time: a call allocates only the bytes it
+    returns, and the [_into] variants allocate nothing.  Checked against
+    the RFC 8439 vectors and a byte-at-a-time reference in the test
+    suite. *)
 
 val block : key:bytes -> nonce:bytes -> counter:int -> bytes
 (** The 64-byte keystream block for a 32-byte key, a 12-byte nonce and
@@ -23,7 +26,18 @@ val encrypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
 
 val decrypt : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> bytes
 
+val encrypt_into : key:bytes -> nonce:bytes -> ?counter:int -> src:bytes -> bytes -> unit
+(** [encrypt_into ~key ~nonce ?counter ~src dst] writes
+    [encrypt ~key ~nonce ?counter src] into [dst] without allocating;
+    [src] may be [dst] (in-place encryption).
+    @raise Invalid_argument on wrong key/nonce sizes or when [src] and
+    [dst] differ in length. *)
+
 val keystream : key:bytes -> nonce:bytes -> int -> bytes
 (** First [n] keystream bytes, counter starting at 0 — the encryption of
-    [n] zero bytes, written without materializing them.  The pyramid
-    store fills dummy slots with it. *)
+    [n] zero bytes, written without materializing them. *)
+
+val keystream_into : key:bytes -> nonce:bytes -> bytes -> unit
+(** Overwrite the whole buffer with the first [Bytes.length] keystream
+    bytes, counter starting at 0 — {!keystream} into an existing buffer.
+    The pyramid store rewrites its dummy and unused slots with it. *)

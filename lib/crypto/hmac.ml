@@ -25,29 +25,47 @@ let keyed key =
   in
   { inner = absorb 0x36; outer = absorb 0x5C }
 
+(* the working state of one message: a context the midstates are
+   copied into, and the inner digest *)
+type scratch = { ctx : Sha256.ctx; inner_digest : bytes }
+
+let scratch () = { ctx = Sha256.init (); inner_digest = Bytes.create 32 }
+let start k s = Sha256.copy_into ~src:k.inner ~dst:s.ctx
+let feed s data = Sha256.feed s.ctx data
+
+let finish_into k s dst =
+  Sha256.finalize_into s.ctx s.inner_digest;
+  Sha256.copy_into ~src:k.outer ~dst:s.ctx;
+  Sha256.feed s.ctx s.inner_digest;
+  Sha256.finalize_into s.ctx dst
+
+let mac_keyed_into k s data dst =
+  start k s;
+  feed s data;
+  finish_into k s dst
+
 let mac_keyed k data =
-  let inner = Sha256.copy k.inner in
-  Sha256.feed inner data;
-  let outer = Sha256.copy k.outer in
-  Sha256.feed outer (Sha256.finalize inner);
-  Sha256.finalize outer
+  let out = Bytes.create 32 in
+  mac_keyed_into k (scratch ()) data out;
+  out
 
 let mac ~key data = mac_keyed (keyed key) data
 
 let mac_string ~key s = mac ~key (Bytes.of_string s)
 
-let verify ~key data ~tag =
-  let expected = mac ~key data in
-  if Bytes.length expected <> Bytes.length tag then false
+let equal a b =
+  if Bytes.length a <> Bytes.length b then false
   else begin
     let diff = ref 0 in
-    for i = 0 to Bytes.length expected - 1 do
-      diff := !diff lor (Char.code (Bytes.get expected i) lxor Char.code (Bytes.get tag i))
+    for i = 0 to Bytes.length a - 1 do
+      diff := !diff lor (Char.code (Bytes.get a i) lxor Char.code (Bytes.get b i))
     done;
     !diff = 0
   end
   [@@leak_ok
     "length check then a constant-time fold over fixed-size tags; the \
      accept/reject outcome is the protocol's public result"]
+
+let verify ~key data ~tag = equal (mac ~key data) tag
 
 let derive ~key ~label = mac_string ~key ("psp-derive:" ^ label)

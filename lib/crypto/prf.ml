@@ -1,39 +1,49 @@
-(* the derived key's HMAC pad states, prepared once: every call below
-   hashes one 16-byte message, two SHA-256 compressions *)
-type t = { key : Hmac.keyed }
+(* the derived key's HMAC pad states, prepared once, and the scratch a
+   call works in: every call below hashes one 16-byte message (two
+   SHA-256 compressions) and allocates nothing *)
+type t = { key : Hmac.keyed; scratch : Hmac.scratch; msg : bytes; digest : bytes }
 
-let create ~key ~label = { key = Hmac.keyed (Hmac.derive ~key ~label) }
+let create ~key ~label =
+  { key = Hmac.keyed (Hmac.derive ~key ~label);
+    scratch = Hmac.scratch ();
+    msg = Bytes.create 16;
+    digest = Bytes.create 32 }
 
+(* the message is x and salt as 8 little-endian bytes each, of their
+   63-bit patterns (the top bit of each 64-bit field is 0); the tag lands
+   in t.digest *)
 let mac_of_int t x salt =
-  let buf = Bytes.create 16 in
-  for i = 0 to 7 do
-    Bytes.set buf i (Char.chr ((x lsr (8 * i)) land 0xFF));
-    Bytes.set buf (8 + i) (Char.chr ((salt lsr (8 * i)) land 0xFF))
-  done;
-  Hmac.mac_keyed t.key buf
+  Bytes.set_int64_le t.msg 0 (Int64.logand (Int64.of_int x) Int64.max_int);
+  Bytes.set_int64_le t.msg 8 (Int64.logand (Int64.of_int salt) Int64.max_int);
+  Hmac.mac_keyed_into t.key t.scratch t.msg t.digest
 
-let int_of_digest d off =
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := !v lor (Char.code (Bytes.get d (off + i)) lsl (8 * i))
-  done;
-  !v land max_int
+(* the low 62 bits of the first 8 digest bytes, little-endian *)
+let digest_int t = Int64.to_int (Bytes.get_int64_le t.digest 0) land max_int
 
-let int t x = int_of_digest (mac_of_int t x 0) 0
+let int t x =
+  mac_of_int t x 0;
+  digest_int t
 
 let int_mod t x m =
   if m <= 0 then invalid_arg "Prf.int_mod: modulus must be positive";
   int t x mod m
 
 let bytes t x n =
-  let out = Buffer.create n in
+  let out = Bytes.create n in
   let block = ref 0 in
-  while Buffer.length out < n do
-    Buffer.add_bytes out (mac_of_int t x !block);
+  while 32 * !block < n do
+    mac_of_int t x !block;
+    let off = 32 * !block in
+    Bytes.blit t.digest 0 out off (min 32 (n - off));
     incr block
   done;
-  Bytes.sub (Buffer.to_bytes out) 0 n
+  out
+
+let index t x i ~modulus =
+  if modulus <= 0 then invalid_arg "Prf.index: modulus must be positive";
+  mac_of_int t x (i + 1);
+  digest_int t mod modulus
 
 let indices t x ~count ~modulus =
   if modulus <= 0 then invalid_arg "Prf.indices: modulus must be positive";
-  List.init count (fun i -> int_of_digest (mac_of_int t x (i + 1)) 0 mod modulus)
+  List.init count (fun i -> index t x i ~modulus)

@@ -98,14 +98,15 @@ let feed ctx data =
 
 let feed_string ctx s = feed ctx (Bytes.of_string s)
 
-let copy ctx =
-  { h = Array.copy ctx.h;
-    block = Bytes.copy ctx.block;
-    fill = ctx.fill;
-    total = ctx.total;
-    w = Array.make 64 0 }
+(* only the filled prefix of the block is state; the schedule is scratch *)
+let copy_into ~src ~dst =
+  Array.blit src.h 0 dst.h 0 8;
+  Bytes.blit src.block 0 dst.block 0 src.fill;
+  dst.fill <- src.fill;
+  dst.total <- src.total
 
-let finalize ctx =
+let finalize_into ctx out =
+  if Bytes.length out < 32 then invalid_arg "Sha256.finalize_into: need 32 bytes";
   (* padding, written in place: 0x80, zeros, 8-byte big-endian bit
      length — one more block when the length does not fit after 0x80 *)
   let block = ctx.block in
@@ -118,14 +119,17 @@ let finalize ctx =
   Bytes.set_int64_be block 56 (Int64.of_int (8 * ctx.total));
   compress ctx;
   ctx.fill <- 0;
-  let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
-  done;
-  out
+  done
   [@@leak_ok
     "padding arithmetic depends only on the fed length, never on content; the \
-     32-byte output buffer is fixed-size"]
+     output is a fixed 32 bytes"]
+
+let finalize ctx =
+  let out = Bytes.create 32 in
+  finalize_into ctx out;
+  out
 
 let digest data =
   let ctx = init () in

@@ -17,13 +17,20 @@ val feed : ctx -> bytes -> unit
 val feed_string : ctx -> string -> unit
 (** {!feed} for strings. *)
 
-val copy : ctx -> ctx
-(** An independent context in the same state: feeding or finalizing one
-    leaves the other untouched.  [Hmac.keyed] uses it to reuse its
-    ipad/opad midstates across messages. *)
+val copy_into : src:ctx -> dst:ctx -> unit
+(** Put [dst] in [src]'s state without allocating: feeding or
+    finalizing either one afterwards leaves the other untouched.  HMAC
+    copies its precomputed ipad/opad midstates into a scratch context
+    this way for every message. *)
 
 val finalize : ctx -> bytes
-(** 32-byte digest.  The context must not be reused afterwards. *)
+(** 32-byte digest.  The context must not be reused afterwards, except
+    as the [dst] of {!copy_into}. *)
+
+val finalize_into : ctx -> bytes -> unit
+(** {!finalize}, writing the digest into the first 32 bytes of the
+    buffer instead of a fresh one.
+    @raise Invalid_argument if the buffer is shorter than 32 bytes. *)
 
 val digest : bytes -> bytes
 (** One-shot hash. *)

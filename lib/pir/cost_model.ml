@@ -51,6 +51,17 @@ let pyramid_levels ~cache_capacity ~file_pages =
   in
   depth_for 1
 
+let pyramid_level ~cache_capacity ~file_pages ~depth =
+  let deepest = pyramid_levels ~cache_capacity ~file_pages in
+  if depth < 1 || depth > deepest then invalid_arg "Cost_model.pyramid_level: depth out of range";
+  let c = cache_capacity in
+  (* the deepest level must absorb the initial n pages on top of the
+     usual merge traffic; a level's dummies cover the c*4^(j-1) queries
+     between its rebuilds, plus c of slack *)
+  let merge = c * (1 lsl (2 * depth)) in
+  let cap = if depth = deepest then file_pages + merge else merge in
+  (cap, (c * (1 lsl (2 * (depth - 1)))) + c)
+
 (* The physical basis of the batch amortization: a merged pass serves
    each request beyond the first with exactly one extra slot touch per
    hierarchy level, so a width-k batch executes (k-1) * levels marginal

@@ -52,6 +52,16 @@ val pyramid_levels : cache_capacity:int -> file_pages:int -> int
     @raise Invalid_argument when [cache_capacity < 1] or
     [file_pages < 1]. *)
 
+val pyramid_level : cache_capacity:int -> file_pages:int -> depth:int -> int * int
+(** [(cap, dummies)] of level [depth] (from 1) of that store: it holds up
+    to [cap = c · 4{^depth}] items ([file_pages] more at the deepest
+    level, which takes the initial load) in [cap + dummies] slots, with
+    [dummies = c · 4{^depth-1} + c] covering the reads between two of its
+    rebuilds.  [cap + dummies] is the domain of the level's Feistel
+    permutation.
+    @raise Invalid_argument as {!pyramid_levels}, or when [depth] is not
+    in [[1, pyramid_levels]]. *)
+
 val batch_probe_touches : levels:int -> batch:int -> int
 (** [(batch - 1) · levels] — the marginal physical slot touches a merged
     width-[batch] pass executes beyond the first member's full pass (one

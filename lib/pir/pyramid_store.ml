@@ -23,7 +23,8 @@ let m_level_scans = Obs.counter "oram.pyramid.level_scans"
 
 (* Level j holds at most [cap] items in [cap + dummies] encrypted slots
    scattered by a per-epoch Feistel permutation; a keyed Bloom filter
-   answers membership inside the SCP. *)
+   answers membership inside the SCP.  The slot buffers are allocated
+   once: every rebuild rewrites each of them in place. *)
 type level = {
   depth : int;
   cap : int;     (* item capacity *)
@@ -31,7 +32,8 @@ type level = {
   mutable epoch : int;
   mutable assign : (int, int) Hashtbl.t; (* logical id -> slot *)
   mutable contents : (int, bytes) Hashtbl.t; (* logical id -> plaintext *)
-  mutable slots : bytes array;
+  slots : bytes array; (* cap + dummies buffers of page_size bytes *)
+  mutable enc_key : bytes; (* the epoch's slot encryption key *)
   mutable perm : Psp_crypto.Feistel.t;
   mutable bloom : Psp_crypto.Bloom.t;
   mutable dummy_cursor : int;
@@ -39,7 +41,6 @@ type level = {
 
 type t = {
   master_key : bytes;
-  page_size : int;
   n : int;
   cache_capacity : int;
   mutable cache : (int * bytes) list; (* newest first; may hold duplicates *)
@@ -50,59 +51,57 @@ type t = {
   mutable slot_touches : int; (* physical slots touched (trace Slot events) *)
   mutable scans : int; (* merged level scans executed (sweeps per level per chunk) *)
   trace : physical_event Psp_util.Dyn_array.t;
+  nonce : bytes; (* scratch: the 12-byte nonce of the slot in hand *)
 }
 
 let level_key t level =
   Psp_crypto.Hmac.derive ~key:t.master_key
     ~label:(Printf.sprintf "level-%d-epoch-%d" level.depth level.epoch)
 
-let slot_nonce slot =
-  let nonce = Bytes.make 12 '\000' in
-  for i = 0 to 7 do
-    Bytes.set nonce i (Char.chr ((slot lsr (8 * i)) land 0xFF))
-  done;
-  nonce
+(* a slot's nonce is its index as 8 little-endian bytes, then 4 zeros *)
+let set_nonce t slot = Bytes.set_int64_le t.nonce 0 (Int64.of_int slot)
 
 (* (Re)build a level from plaintext contents under fresh per-epoch keys:
-   items land on permuted slots, the Bloom filter is re-keyed, every
-   slot (incl. dummies) is re-encrypted. *)
+   items land on permuted slots, the Bloom filter is re-keyed, and every
+   slot is rewritten in place under the new key.  Point i of the
+   permutation takes the i-th item (sorted ids); past the items — unused
+   item slots and dummies alike — slots hold encrypted zeros, the
+   keystream.  No slot is skipped or left lazy. *)
 let rebuild t level contents =
   Obs.incr m_rebuilds;
   level.epoch <- level.epoch + 1;
   let key = level_key t level in
   let perm_key = Psp_crypto.Hmac.derive ~key ~label:"perm" in
-  let enc_key = Psp_crypto.Hmac.derive ~key ~label:"enc" in
-  let domain = level.cap + level.dummies in
+  level.enc_key <- Psp_crypto.Hmac.derive ~key ~label:"enc";
+  let domain = Array.length level.slots in
   level.perm <- Psp_crypto.Feistel.create ~key:perm_key ~domain;
   level.bloom <-
     Psp_crypto.Bloom.sized_for ~key ~label:"membership" ~expected:(max 8 level.cap)
       ~fp_rate:0.01;
   level.assign <- Hashtbl.create (max 8 (Hashtbl.length contents));
   level.contents <- contents;
-  level.slots <- Array.make domain Bytes.empty;
   level.dummy_cursor <- 0;
   (* deterministic item order: sorted logical ids *)
-  let ids = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) contents []) in
+  let ids =
+    Array.of_list (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) contents []))
+  in
   (* the message names the level and its public capacity only: the live
      item count reflects which pages were accessed this epoch *)
-  if List.length ids > level.cap then
+  if Array.length ids > level.cap then
     invalid_arg
       (Printf.sprintf "Pyramid_store: level %d overflow (cap %d exceeded)" level.depth
          level.cap);
-  List.iteri
-    (fun index id ->
-      let slot = Psp_crypto.Feistel.forward level.perm index in
+  for i = 0 to domain - 1 do
+    let slot = Psp_crypto.Feistel.forward level.perm i in
+    set_nonce t slot;
+    if i < Array.length ids then begin
+      let id = ids.(i) in
       Hashtbl.replace level.assign id slot;
       Psp_crypto.Bloom.add level.bloom id;
-      level.slots.(slot) <-
-        Psp_crypto.Chacha20.encrypt ~key:enc_key ~nonce:(slot_nonce slot)
-          (Hashtbl.find contents id))
-    ids;
-  (* dummies and unused item slots hold encrypted zeros: the keystream *)
-  for slot = 0 to domain - 1 do
-    if Bytes.length level.slots.(slot) = 0 then
-      level.slots.(slot) <-
-        Psp_crypto.Chacha20.keystream ~key:enc_key ~nonce:(slot_nonce slot) t.page_size
+      Psp_crypto.Chacha20.encrypt_into ~key:level.enc_key ~nonce:t.nonce
+        ~src:(Hashtbl.find contents id) level.slots.(slot)
+    end
+    else Psp_crypto.Chacha20.keystream_into ~key:level.enc_key ~nonce:t.nonce level.slots.(slot)
   done;
   Psp_util.Dyn_array.push t.trace (Rebuild { level = level.depth; items = domain })
   [@@oblivious]
@@ -118,22 +117,17 @@ let create ?(cache_capacity = default_cache_capacity) ~key file =
      formula lives in Cost_model so the simulated batch cost and this
      layout can never drift apart. *)
   let deepest = Cost_model.pyramid_levels ~cache_capacity:c ~file_pages:n in
+  let page_size = Psp_storage.Page_file.page_size file in
   let make_level depth =
-    (* the deepest level must absorb the initial n pages on top of the
-       usual merge traffic *)
-    let cap =
-      if depth = deepest then n + (c * (1 lsl (2 * depth)))
-      else c * (1 lsl (2 * depth))
-    in
-    (* rebuild cadence of level j is c*4^(j-1) queries *)
-    let dummies = (c * (1 lsl (2 * (depth - 1)))) + c in
+    let cap, dummies = Cost_model.pyramid_level ~cache_capacity:c ~file_pages:n ~depth in
     { depth;
       cap;
       dummies;
       epoch = 0;
       assign = Hashtbl.create 8;
       contents = Hashtbl.create 8;
-      slots = [||];
+      slots = Array.init (cap + dummies) (fun _ -> Bytes.create page_size);
+      enc_key = Bytes.empty;
       perm = Psp_crypto.Feistel.create ~key ~domain:1;
       bloom = Psp_crypto.Bloom.create ~key ~label:"init" ~bits:8 ~hashes:1;
       dummy_cursor = 0 }
@@ -142,7 +136,6 @@ let create ?(cache_capacity = default_cache_capacity) ~key file =
     { master_key =
         Psp_crypto.Hmac.derive ~key
           ~label:("pyramid:" ^ Psp_storage.Page_file.name file);
-      page_size = Psp_storage.Page_file.page_size file;
       n;
       cache_capacity = c;
       cache = [];
@@ -152,7 +145,8 @@ let create ?(cache_capacity = default_cache_capacity) ~key file =
       fp = 0;
       slot_touches = 0;
       scans = 0;
-      trace = Psp_util.Dyn_array.create () }
+      trace = Psp_util.Dyn_array.create ();
+      nonce = Bytes.make 12 '\000' }
   in
   (* initial load: everything lives in the deepest level *)
   let all = Hashtbl.create n in
@@ -321,18 +315,17 @@ let fetch_many t ids =
        (fun l level ->
          t.scans <- t.scans + 1;
          Obs.incr m_level_scans;
-         let enc_key =
-           lazy (Psp_crypto.Hmac.derive ~key:(level_key t level) ~label:"enc")
-         in
          for m = 0 to chunk - 1 do
            let slot = plans.(m).(l) in
            t.slot_touches <- t.slot_touches + 1;
            Psp_util.Dyn_array.push t.trace
              (Slot { level = level.depth; epoch = level.epoch; slot });
            (if real.(m) = l then
-              results.(base + m) <-
-                Psp_crypto.Chacha20.decrypt ~key:(Lazy.force enc_key)
-                  ~nonce:(slot_nonce slot) level.slots.(slot))
+              results.(base + m) <- begin
+                set_nonce t slot;
+                Psp_crypto.Chacha20.decrypt ~key:level.enc_key ~nonce:t.nonce
+                  level.slots.(slot)
+              end)
            [@leak_ok
              "the slot touch the host observes happens either way; only the \
               client-side decryption of the already-planned slot is skipped for \
@@ -379,6 +372,18 @@ let read t (id [@secret]) =
     "a width-1 merged pass: fetch_many's loop structure depends only on the public \
      batch width (here 1) and the access count, never on the page index"]
   [@@oblivious]
+
+(* what the host stores: per level, its epoch and every slot's bytes *)
+let host_digest t =
+  let ctx = Psp_crypto.Sha256.init () in
+  let epoch = Bytes.create 8 in
+  Array.iter
+    (fun level ->
+      Bytes.set_int64_le epoch 0 (Int64.of_int level.epoch);
+      Psp_crypto.Sha256.feed ctx epoch;
+      Array.iter (Psp_crypto.Sha256.feed ctx) level.slots)
+    t.levels;
+  Psp_crypto.Sha256.finalize ctx
 
 let physical_trace t = Psp_util.Dyn_array.to_list t.trace
 let clear_trace t = Psp_util.Dyn_array.clear t.trace

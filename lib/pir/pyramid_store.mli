@@ -22,6 +22,16 @@
     distinct within a level's epoch, and rebuilds at a fixed cadence —
     nothing else.
 
+    Storage: each level's slot buffers ([cap + dummies] pages, fixed by
+    {!Cost_model.pyramid_level}) are allocated once, at {!create}, and
+    reused across epochs.  Every rebuild rewrites every one of them in
+    place under the new epoch's key — items encrypted, all other slots
+    (unused item slots and dummies) filled with the keystream — so no
+    slot is skipped, kept lazily or left holding an earlier epoch's
+    ciphertext ({!host_digest} pins this).  The epoch's encryption key
+    is derived once per rebuild and kept with the level for the reads
+    that follow.
+
     This is the server's one oblivious store ([`Pyramid] mode).  The
     {!Cost_model} charges the paper's amortized O(log² N) per access;
     the executed per-probe touch count is one slot per level. *)
@@ -84,6 +94,13 @@ val level_scans : t -> int
     one level's epoch, each serving a whole chunk's probes.  A width-k
     batch runs [level_count] scans per flush-cadence chunk instead of
     [k · level_count] — the executed-side amortization. *)
+
+val host_digest : t -> bytes
+(** SHA-256 over what the host stores: for each level, shallow to deep,
+    its epoch (8 bytes, little-endian) and then every slot's ciphertext
+    in slot order.  Read-only; tests pin it so that a rebuild which
+    leaves an earlier epoch's bytes in any slot is caught, not only one
+    that moves a slot touch. *)
 
 val physical_trace : t -> physical_event list
 (** Host-visible events since creation (or the last {!clear_trace}),

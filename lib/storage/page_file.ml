@@ -19,6 +19,15 @@ type t = {
       (* the derived auth key the tags were computed under, so resealing
          with the same master key is a no-op while a different key (e.g.
          a scratch calibration server) recomputes *)
+  mutable verifier : verifier option; (* see [verifier] below *)
+}
+
+and verifier = {
+  master : bytes;
+  keyed : Psp_crypto.Hmac.keyed;
+  scratch : Psp_crypto.Hmac.scratch;
+  number : bytes; (* the u32 page number that starts a tag message *)
+  tag : bytes;
 }
 
 type error = Corrupt of { path : string; reason : string }
@@ -35,7 +44,8 @@ let create ~name ~page_size =
     lengths = Psp_util.Dyn_array.create ();
     crcs = Psp_util.Dyn_array.create ();
     tags = None;
-    seal_key = None }
+    seal_key = None;
+    verifier = None }
 
 let name t = t.name
 let page_size t = t.page_size
@@ -110,24 +120,44 @@ let tag_size = 32
 let auth_key ~key name =
   Psp_crypto.Hmac.derive ~key ~label:("page-auth:" ^ name)
 
-let tag_message (no [@secret]) page =
-  (* fixed-width page number: the message length must not vary with the
-     (secret) index *)
-  let w = Psp_util.Byte_io.Writer.create ~capacity:(4 + Bytes.length page) () in
-  Psp_util.Byte_io.Writer.u32 w no;
-  Psp_util.Byte_io.Writer.bytes w page;
-  Psp_util.Byte_io.Writer.contents w
+(* The derived key depends only on the master key and the file name, so
+   it is derived once per master key, not once per page: a file keeps
+   the last master key it was sealed or checked under, with that key's
+   HMAC midstates and the scratch a tag is computed in. *)
+let verifier t ~key =
+  match t.verifier with
+  | Some v when Bytes.equal v.master key -> v
+  | _ ->
+      let v =
+        { master = Bytes.copy key;
+          keyed = Psp_crypto.Hmac.keyed (auth_key ~key t.name);
+          scratch = Psp_crypto.Hmac.scratch ();
+          number = Bytes.create 4;
+          tag = Bytes.create tag_size }
+      in
+      t.verifier <- Some v;
+      v
+
+(* The tag of page [no] into [v.tag]: the HMAC of the u32 page number
+   (fixed width: the message length must not vary with the secret
+   index) followed by the page, both fed straight into the midstate. *)
+let tag_into v (no [@secret]) page =
+  Bytes.set_int32_le v.number 0 (Int32.of_int no);
+  Psp_crypto.Hmac.start v.keyed v.scratch;
+  Psp_crypto.Hmac.feed v.scratch v.number;
+  Psp_crypto.Hmac.feed v.scratch page;
+  Psp_crypto.Hmac.finish_into v.keyed v.scratch v.tag
   [@@oblivious]
 
 let seal t ~key =
   let k = auth_key ~key t.name in
   let already = match t.seal_key with Some k0 -> Bytes.equal k0 k | None -> false in
   if not already then begin
+    let v = verifier t ~key in
     let tags = Psp_util.Dyn_array.create () in
     for no = 0 to page_count t - 1 do
-      Psp_util.Dyn_array.push tags
-        (Psp_crypto.Hmac.mac ~key:k
-           (tag_message no (Psp_util.Dyn_array.get t.pages no)))
+      tag_into v no (Psp_util.Dyn_array.get t.pages no);
+      Psp_util.Dyn_array.push tags (Bytes.copy v.tag)
     done;
     t.tags <- Some tags;
     t.seal_key <- Some k
@@ -149,9 +179,12 @@ let authenticate t ~key (no [@secret]) page =
      with {!verify_page} *)
   Bytes.length page = t.page_size
   && sealed t
-  && Psp_crypto.Hmac.verify
-       ~key:(auth_key ~key t.name)
-       (tag_message no page) ~tag:(page_tag t no)
+  && begin
+    let expected = page_tag t no in
+    let v = verifier t ~key in
+    tag_into v no page;
+    Psp_crypto.Hmac.equal v.tag expected
+  end
   [@@oblivious]
 
 let utilization t =

@@ -117,6 +117,32 @@ let hmac_keyed_equals_mac =
       let t1 = Hmac.mac_keyed kk m1 and t2 = Hmac.mac_keyed kk m2 in
       t1 = Hmac.mac ~key m1 && t1 = reference_hmac key m1 && t2 = reference_hmac key m2)
 
+(* the allocation-free entry points: one scratch reused across two keys
+   and messages, each message fed in two parts split at a random point *)
+let hmac_into_equals_reference =
+  qtest ~count:200 "start/feed/finish_into = textbook HMAC"
+    QCheck2.Gen.(
+      quad (string_size (int_range 0 150)) (string_size (int_range 0 150))
+        (string_size (int_range 0 300)) (int_range 0 300))
+    (fun (k1, k2, m, cut) ->
+      let k1 = Bytes.of_string k1 and k2 = Bytes.of_string k2 and m = Bytes.of_string m in
+      let cut = min cut (Bytes.length m) in
+      let s = Hmac.scratch () and dst = Bytes.create 40 in
+      let streamed k =
+        Hmac.start k s;
+        Hmac.feed s (Bytes.sub m 0 cut);
+        Hmac.feed s (Bytes.sub m cut (Bytes.length m - cut));
+        Hmac.finish_into k s dst;
+        Bytes.sub dst 0 32
+      in
+      let kk1 = Hmac.keyed k1 and kk2 = Hmac.keyed k2 in
+      let a = streamed kk1 in
+      Hmac.mac_keyed_into kk2 s m dst;
+      let b = Bytes.sub dst 0 32 in
+      a = reference_hmac k1 m && b = reference_hmac k2 m && streamed kk1 = a
+      && Hmac.equal a (reference_hmac k1 m)
+      && not (Hmac.equal a (Bytes.sub a 0 31)))
+
 (* ------------------------------------------------------------------ *)
 (* ChaCha20: the RFC 8439 test vectors *)
 
@@ -295,9 +321,26 @@ let chacha20_matches_reference =
       let stream = reference_chacha20 ~key ~nonce ~counter:0 (zeros 300) in
       List.for_all
         (fun n ->
-          Chacha20.encrypt ~key ~nonce ~counter (Bytes.sub data 0 n) = Bytes.sub expected 0 n
-          && Chacha20.keystream ~key ~nonce n = Bytes.sub stream 0 n)
+          let want = Bytes.sub expected 0 n in
+          (* the [_into] entry points: into a buffer holding stale bytes,
+             and in place (src == dst) *)
+          let into = Bytes.make n '\xA5' in
+          Chacha20.encrypt_into ~key ~nonce ~counter ~src:(Bytes.sub data 0 n) into;
+          let inplace = Bytes.sub data 0 n in
+          Chacha20.encrypt_into ~key ~nonce ~counter ~src:inplace inplace;
+          let ks = Bytes.make n '\x5A' in
+          Chacha20.keystream_into ~key ~nonce ks;
+          Chacha20.encrypt ~key ~nonce ~counter (Bytes.sub data 0 n) = want
+          && into = want && inplace = want
+          && Chacha20.keystream ~key ~nonce n = Bytes.sub stream 0 n
+          && ks = Bytes.sub stream 0 n)
         (List.init 301 Fun.id))
+
+let test_chacha20_into_length_mismatch () =
+  let key = Sha256.digest_string "k" and nonce = Bytes.make 12 'n' in
+  Alcotest.check_raises "src/dst lengths"
+    (Invalid_argument "Chacha20.encrypt_into: src and dst lengths differ") (fun () ->
+      Chacha20.encrypt_into ~key ~nonce ~src:(Bytes.make 10 'x') (Bytes.make 11 'x'))
 
 let chacha20_roundtrip =
   qtest "chacha20 decrypt . encrypt = id" QCheck2.Gen.(string_size (int_range 0 300))
@@ -358,8 +401,96 @@ let test_prf_indices () =
   List.iter (fun i -> Alcotest.(check bool) "range" true (i >= 0 && i < 97)) idx;
   Alcotest.(check (list int)) "deterministic" idx (Prf.indices f 123 ~count:5 ~modulus:97)
 
+(* The PRF spelled out on the textbook HMAC: the instance key is
+   derive(key, label) = HMAC(key, "psp-derive:" ^ label), and a call
+   hashes x and a salt as 8 little-endian bytes each of their 63-bit
+   patterns, keeping the low 62 bits of the tag's first 8 bytes
+   (little-endian).  Salt 0 is [Prf.int]; salt i + 1 is probe i. *)
+let reference_prf ~key ~label =
+  let k = reference_hmac key (Bytes.of_string ("psp-derive:" ^ label)) in
+  fun x salt ->
+    let msg = Bytes.create 16 in
+    for i = 0 to 7 do
+      Bytes.set msg i (Char.chr ((x lsr (8 * i)) land 0xFF));
+      Bytes.set msg (8 + i) (Char.chr ((salt lsr (8 * i)) land 0xFF))
+    done;
+    let d = reference_hmac k msg in
+    let v = ref 0 in
+    for i = 0 to 7 do
+      v := !v lor (Char.code (Bytes.get d i) lsl (8 * i))
+    done;
+    !v land max_int
+
+(* two instances that share nothing, called interleaved: each call must
+   equal the reference whatever the other instance's scratch holds *)
+let prf_matches_reference =
+  qtest ~count:100 "prf int/indices = textbook HMAC, two instances interleaved"
+    QCheck2.Gen.(
+      quad (string_size (int_range 0 80)) (pair (string_size (int_range 0 12)) (string_size (int_range 0 12)))
+        (list_size (int_range 1 8) int) (int_range 1 5000))
+    (fun (key, (la, lb), xs, modulus) ->
+      let key = Bytes.of_string key in
+      let lb = lb ^ "/b" in
+      let a = Prf.create ~key ~label:la and b = Prf.create ~key ~label:lb in
+      let ra = reference_prf ~key ~label:la and rb = reference_prf ~key ~label:lb in
+      List.for_all
+        (fun x ->
+          let ia = Prf.int a x in
+          let idx_b = Prf.indices b x ~count:4 ~modulus in
+          let ib = Prf.int b x in
+          let idx_a = Prf.indices a x ~count:3 ~modulus in
+          ia = ra x 0 && ib = rb x 0
+          && idx_a = List.init 3 (fun i -> ra x (i + 1) mod modulus)
+          && idx_b = List.init 4 (fun i -> rb x (i + 1) mod modulus)
+          && Prf.index a x 2 ~modulus = List.nth idx_a 2)
+        xs)
+
 (* ------------------------------------------------------------------ *)
 (* Feistel small-domain PRP *)
+
+(* The permutation without round tables: four PRF calls per pass of the
+   network, as before tabulation. *)
+let reference_feistel ~key ~domain =
+  let rec bits_for n acc = if n <= 1 then acc else bits_for ((n + 1) / 2) (acc + 1) in
+  let width = max 2 (bits_for domain 0) in
+  let h = (width + 1) / 2 in
+  let mask = (1 lsl h) - 1 in
+  let f = Array.init 4 (fun i -> Prf.create ~key ~label:(Printf.sprintf "feistel-round-%d" i)) in
+  let once_fwd x =
+    let l = ref ((x lsr h) land mask) and r = ref (x land mask) in
+    for i = 0 to 3 do
+      let l' = !r and r' = !l lxor (Prf.int f.(i) !r land mask) in
+      l := l';
+      r := r'
+    done;
+    (!l lsl h) lor !r
+  in
+  let once_bwd x =
+    let l = ref ((x lsr h) land mask) and r = ref (x land mask) in
+    for i = 3 downto 0 do
+      let l' = !r lxor (Prf.int f.(i) !l land mask) and r' = !l in
+      l := l';
+      r := r'
+    done;
+    (!l lsl h) lor !r
+  in
+  let rec walk step y =
+    let y = step y in
+    if y < domain then y else walk step y
+  in
+  (walk once_fwd, walk once_bwd, 4 lsl h)
+
+let feistel_matches_reference =
+  qtest ~count:30 "feistel tables = per-round PRF walk, domains 1..5000"
+    QCheck2.Gen.(pair (int_range 1 5000) (string_size (return 32)))
+    (fun (domain, key) ->
+      let key = Bytes.of_string key in
+      let p = Feistel.create ~key ~domain in
+      let fwd, bwd, words = reference_feistel ~key ~domain in
+      (* up to 200 points spread over the domain, both directions *)
+      let points = List.init (min domain 200) (fun i -> i * domain / min domain 200) in
+      Feistel.table_words p = words
+      && List.for_all (fun x -> Feistel.forward p x = fwd x && Feistel.backward p x = bwd x) points)
 
 let feistel_bijective =
   qtest ~count:50 "feistel is a bijection on [0,n)" QCheck2.Gen.(int_range 1 500)
@@ -466,7 +597,8 @@ let () =
           Alcotest.test_case "rfc4231 long key" `Quick test_hmac_rfc4231_long_key;
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "derive labels" `Quick test_hmac_derive_labels;
-          hmac_keyed_equals_mac ] );
+          hmac_keyed_equals_mac;
+          hmac_into_equals_reference ] );
       ( "chacha20",
         [ Alcotest.test_case "rfc8439 vector" `Quick test_chacha20_rfc8439;
           Alcotest.test_case "rfc8439 block vectors" `Quick test_chacha20_block_vectors;
@@ -474,16 +606,19 @@ let () =
           chacha20_matches_reference;
           chacha20_roundtrip;
           Alcotest.test_case "nonce separation" `Quick test_chacha20_nonce_separation;
-          Alcotest.test_case "bad sizes" `Quick test_chacha20_bad_sizes ] );
+          Alcotest.test_case "bad sizes" `Quick test_chacha20_bad_sizes;
+          Alcotest.test_case "into length mismatch" `Quick test_chacha20_into_length_mismatch ] );
       ( "prf",
         [ Alcotest.test_case "deterministic" `Quick test_prf_deterministic;
           Alcotest.test_case "label separation" `Quick test_prf_label_separation;
           prf_int_mod_range;
           Alcotest.test_case "bytes length" `Quick test_prf_bytes_length;
-          Alcotest.test_case "indices" `Quick test_prf_indices ] );
+          Alcotest.test_case "indices" `Quick test_prf_indices;
+          prf_matches_reference ] );
       ( "feistel",
         [ feistel_bijective;
           feistel_inverse;
+          feistel_matches_reference;
           Alcotest.test_case "key sensitivity" `Quick test_feistel_key_sensitivity;
           Alcotest.test_case "domain checks" `Quick test_feistel_domain_checks;
           Alcotest.test_case "golden permutation" `Quick test_feistel_golden ] );

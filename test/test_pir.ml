@@ -60,6 +60,29 @@ let test_scp_memory_needed () =
   let need = CM.scp_memory_needed c ~file_pages:10_000 in
   Alcotest.(check int) "c*sqrt(N) pages" (10 * 100 * 4096) need
 
+(* The SCP holds each level's Feistel round tables (O(sqrt domain)
+   words).  Over the largest file the paper's SCP supports, the tables of
+   every level together — the deepest level's domain is the largest —
+   must fit the c*sqrt(N) memory the cost model budgets for that file. *)
+let test_feistel_tables_fit_scp () =
+  let c = CM.ibm4764 in
+  let file_pages = CM.max_file_bytes c / c.CM.page_size in
+  let cache_capacity = Psp_pir.Pyramid_store.default_cache_capacity in
+  let levels = CM.pyramid_levels ~cache_capacity ~file_pages in
+  let words depth =
+    let cap, dummies = CM.pyramid_level ~cache_capacity ~file_pages ~depth in
+    Psp_crypto.Feistel.table_words (Psp_crypto.Feistel.create ~key ~domain:(cap + dummies))
+  in
+  let deepest = words levels in
+  let total = List.fold_left ( + ) 0 (List.init levels (fun i -> words (i + 1))) in
+  let budget = CM.scp_memory_needed c ~file_pages in
+  Alcotest.(check int) "deepest level: 64 KB of tables" (64 * 1024) (8 * deepest);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d table bytes over %d levels within the %d-byte budget" (8 * total)
+       levels budget)
+    true
+    (8 * total <= budget)
+
 let test_with_max_file () =
   let c = CM.with_max_file CM.ibm4764 ~bytes:10_000_000 in
   let limit = CM.max_file_bytes c in
@@ -166,7 +189,29 @@ let test_pyramid_golden_trace () =
   Alcotest.(check string) "trace digest"
     "649c42322d51b2381a9436344e82ba226fd4573d1a68c2001b3ac571f1a19902"
     (Psp_crypto.Sha256.hex
-       (Psp_crypto.Sha256.digest_string (String.concat ";" (List.map event trace))))
+       (Psp_crypto.Sha256.digest_string (String.concat ";" (List.map event trace))));
+  Alcotest.(check string) "host bytes after the sequence"
+    "cf991cfd5182b14725397e0a790c06e40a34497aa4fc864baeefafcae083a46d"
+    (Psp_crypto.Sha256.hex (PS.host_digest s))
+
+(* The bytes the host stores, pinned after creation and after every
+   flush of a 60-page store: every slot of every rebuilt level must be
+   rewritten under its epoch's key, so an item or dummy left over from
+   an earlier epoch changes a digest even when no slot touch moves. *)
+let test_pyramid_golden_host_bytes () =
+  let s = PS.create ~key:(Psp_crypto.Sha256.digest_string "golden-pyramid")
+      (make_file ~pages:60 ~page_size:32 ()) in
+  let snapshots = ref [ Psp_crypto.Sha256.hex (PS.host_digest s) ] in
+  for i = 0 to 67 do
+    ignore (PS.read s (i * 11 mod 60));
+    if (i + 1) mod PS.cache_capacity s = 0 then
+      snapshots := Psp_crypto.Sha256.hex (PS.host_digest s) :: !snapshots
+  done;
+  Alcotest.(check int) "snapshots" 18 (List.length !snapshots);
+  Alcotest.(check string) "host bytes after every flush"
+    "c764e1af2b9f5db28bda158124b44bff3836c5eb6ccaf885db00ddf477abc4a9"
+    (Psp_crypto.Sha256.hex
+       (Psp_crypto.Sha256.digest_string (String.concat ";" (List.rev !snapshots))))
 
 let test_pyramid_server_mode () =
   let f = make_file ~pages:20 ~page_size:64 () in
@@ -458,6 +503,7 @@ let () =
           Alcotest.test_case "monotone" `Quick test_pir_monotone;
           Alcotest.test_case "2.5GB cap" `Quick test_max_file_2_5gb;
           Alcotest.test_case "scp memory" `Quick test_scp_memory_needed;
+          Alcotest.test_case "feistel tables fit scp" `Quick test_feistel_tables_fit_scp;
           Alcotest.test_case "with_max_file" `Quick test_with_max_file;
           Alcotest.test_case "transfer" `Quick test_transfer_time ] );
       ( "oblivious_store",
@@ -477,6 +523,7 @@ let () =
           Alcotest.test_case "no slot repeats" `Quick test_pyramid_no_slot_repeats;
           Alcotest.test_case "one touch per level" `Quick test_pyramid_one_touch_per_level;
           Alcotest.test_case "golden trace" `Quick test_pyramid_golden_trace;
+          Alcotest.test_case "golden host bytes" `Quick test_pyramid_golden_host_bytes;
           Alcotest.test_case "server mode" `Quick test_pyramid_server_mode ] );
       ( "server",
         [ Alcotest.test_case "fetch accounting" `Quick test_server_fetch_accounting;

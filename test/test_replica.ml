@@ -84,6 +84,9 @@ let test_seal_and_authenticate () =
     (PF.authenticate f ~key no forged);
   Alcotest.(check bool) "wrong key rejected" false
     (PF.authenticate f ~key:(Psp_crypto.Sha256.digest_string "other") no page);
+  (* the derived-key state is cached per master key: switching back must
+     not reuse the other key's *)
+  Alcotest.(check bool) "right key accepted again" true (PF.authenticate f ~key no page);
   (* resealing under the same key keeps the tags; appending drops them *)
   let tag = PF.page_tag f no in
   PF.seal f ~key;
