@@ -68,7 +68,11 @@ type state = {
 let init ctx (q [@secret]) =
   let header = ctx.Engine.header in
   let p = params header.H.plan in
-  let store = Store.create () in
+  (* room for every page the plan files at about 24 bytes a node (a plain
+     record, or an endpoint an edge triple brings in), so the store's
+     tables rarely grow mid-query *)
+  let pages = (p.budget * header.H.pages_per_region) + if p.subgraphs then p.span else 0 in
+  let store = Store.create ~nodes:(pages * ctx.Engine.psize / 24) () in
   { ctx;
     q;
     p;

@@ -58,9 +58,7 @@ let rq_deliver (q [@secret]) blob =
   | Some (region, sent, got) ->
       let got = blob :: got in
       if List.length got >= q.rq_pages then begin
-        List.iter
-          (Store.add_record q.rq_store region)
-          (decode_region_window q.rq_header (List.rev got));
+        Store.add_region q.rq_store region (decode_region_window q.rq_header (List.rev got));
         q.rq_current <- None
       end
       else q.rq_current <- Some (region, sent, got))

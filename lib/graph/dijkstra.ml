@@ -28,17 +28,19 @@ let run g ~source ~stop ~allowed =
           incr settled;
           if stop u then finished := true
           else
-            Graph.iter_out g u (fun e ->
-                let v = e.Graph.dst in
-                if allowed v then begin
-                  let nd = d +. e.Graph.weight in
-                  if nd < dist.(v) then begin
-                    dist.(v) <- nd;
-                    parent.(v) <- u;
-                    parent_edge.(v) <- e.Graph.id;
-                    Psp_util.Min_heap.push heap ~priority:nd v
-                  end
-                end)
+            (* the CSR row directly: no edge record or closure per relaxation *)
+            for e = Graph.out_start g u to Graph.out_start g (u + 1) - 1 do
+              let v = Graph.edge_dst g e in
+              if allowed v then begin
+                let nd = d +. Graph.edge_weight g e in
+                if nd < dist.(v) then begin
+                  dist.(v) <- nd;
+                  parent.(v) <- u;
+                  parent_edge.(v) <- e;
+                  Psp_util.Min_heap.push heap ~priority:nd v
+                end
+              end
+            done
         end
   done;
   ({ dist; parent; parent_edge; settled = !settled }, done_)

@@ -108,6 +108,10 @@ let iter_out t v f =
     f { src = v; dst = t.g_dst.(e); weight = t.g_w.(e); id = e }
   done
 
+let out_start t v = t.row.(v)
+let edge_dst t e = t.g_dst.(e)
+let edge_weight t e = t.g_w.(e)
+
 let fold_out t v f init =
   let acc = ref init in
   iter_out t v (fun e -> acc := f !acc e);

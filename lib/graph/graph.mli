@@ -50,6 +50,15 @@ val iter_out : t -> int -> (edge -> unit) -> unit
 
 val fold_out : t -> int -> ('acc -> edge -> 'acc) -> 'acc -> 'acc
 
+val out_start : t -> int -> int
+(** [v]'s out-edges are the edge ids [out_start t v] to
+    [out_start t (v + 1) - 1], in {!iter_out} order.  With {!edge_dst}
+    and {!edge_weight} this walks a row without allocating; [v] is
+    checked only by the array access ([0 <= v <= node_count t]). *)
+
+val edge_dst : t -> int -> int
+val edge_weight : t -> int -> float
+
 val iter_in : t -> int -> (edge -> unit) -> unit
 (** Iterate incoming edges (reverse adjacency is built lazily and
     cached; edge ids refer to the forward edge). *)

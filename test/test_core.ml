@@ -398,8 +398,9 @@ let test_trace_leak_detection () =
    registered scheme over the public step list and the overflow window
    with no server in between: it reads pages straight from the page
    files and digests every slot's (file, page) choice, the answer and
-   the consumed region count.  The digests were computed before the
-   look-up schemes shared one module and must never move. *)
+   the consumed region count.  The look-up digests were computed before
+   those schemes shared one module, the LM and AF digests before the
+   client store moved to dense local ids; none may ever move. *)
 
 let reference_walk (db : DB.t) (s, t) =
   let module H = Psp_index.Header in
@@ -477,7 +478,11 @@ let pinned_page_sequences =
     ("small CI", "9d9bd1c914f2bd8cada957e41b3b3c0e");
     ("small PI", "02e492a3d665185958154060eb0117fc");
     ("small HY threshold 0", "adbdcf31ef6f8793ef2b763bcdd0a6c0");
-    ("small PI* cluster 2", "a7fe810dc4dccba548c517944831582b") ]
+    ("small PI* cluster 2", "a7fe810dc4dccba548c517944831582b");
+    ("LM", "3f69ea222cb6517ace2417b202582885");
+    ("AF", "6f942e3e82213b27e2d2c6b8ffa409af");
+    ("small LM", "2b5a860340c305cea48d5812fa0a3ad5");
+    ("small AF", "47288a0cb64dfab25b2f899b8909d073") ]
 
 let test_page_sequence_pinned () =
   let small = network ~nodes:220 ~seed:91 () in
@@ -485,7 +490,7 @@ let test_page_sequence_pinned () =
   let dbs =
     List.map
       (fun name -> (name, List.assoc name (Lazy.force databases), queries))
-      [ "CI"; "PI"; "HY"; "PI*" ]
+      [ "CI"; "PI"; "HY"; "PI*"; "LM"; "AF" ]
     @ [ ("HY threshold 1", DB.build_hy ~threshold:1 ~page_size g, queries);
         ("PI* cluster 3", DB.build_pi_star ~cluster:3 ~page_size g, queries);
         ("small CI", DB.build_ci ~page_size:256 small, small_queries);
@@ -493,7 +498,17 @@ let test_page_sequence_pinned () =
         ("small HY threshold 0", DB.build_hy ~threshold:0 ~page_size:256 small,
          small_queries);
         ("small PI* cluster 2", DB.build_pi_star ~cluster:2 ~page_size:256 small,
-         small_queries) ]
+         small_queries);
+        ( "small LM",
+          Calibrate.lm
+            (fst (DB.build_lm ~anchors:4 ~seed:2 ~page_size:256 small))
+            ~queries:small_queries,
+          small_queries );
+        ( "small AF",
+          Calibrate.af
+            (fst (DB.build_af ~target_regions:14 ~page_size:256 small))
+            ~queries:small_queries,
+          small_queries ) ]
   in
   let long_walks = ref 0 in
   List.iter
@@ -554,6 +569,247 @@ let e2e_property =
              exact && shaped)
            qs))
 
+(* ------------------------------------------------------------------ *)
+(* The client store against its predecessor.  [Ref_store] is the
+   Hashtbl-keyed store the flat, local-id store replaced, kept verbatim
+   as the reference: on random networks split into random regions,
+   delivered in random order with duplicates and interleaved subgraph
+   triples, both stores must snap to the same node and return the same
+   path with a bit-identical cost. *)
+
+module Ref_store = struct
+  module E = Psp_index.Encoding
+
+  type t = {
+    records : (int, E.node_record) Hashtbl.t;
+    adj : (int, (int * float) Psp_util.Dyn_array.t) Hashtbl.t;
+    by_region : (int, E.node_record list) Hashtbl.t;
+  }
+
+  let create () =
+    { records = Hashtbl.create 256; adj = Hashtbl.create 256; by_region = Hashtbl.create 8 }
+
+  let adj_of store v =
+    match Hashtbl.find_opt store.adj v with
+    | Some a -> a
+    | None ->
+        let a = Psp_util.Dyn_array.create () in
+        Hashtbl.replace store.adj v a;
+        a
+
+  let record store v = Hashtbl.find_opt store.records v
+  let has_record store v = Hashtbl.mem store.records v
+
+  let add_record store region (r : E.node_record) =
+    if not (Hashtbl.mem store.records r.E.id) then begin
+      Hashtbl.replace store.records r.E.id r;
+      Hashtbl.replace store.by_region region
+        (r :: Option.value ~default:[] (Hashtbl.find_opt store.by_region region));
+      let a = adj_of store r.E.id in
+      List.iter (fun e -> Psp_util.Dyn_array.push a (e.E.target, e.E.weight)) r.E.adj
+    end
+
+  let add_triple store (t : E.edge_triple) =
+    Psp_util.Dyn_array.push (adj_of store t.E.e_src) (t.E.e_dst, t.E.e_weight)
+
+  let snap store region ~x ~y =
+    match Hashtbl.find_opt store.by_region region with
+    | None | Some [] -> failwith "Client: located region holds no nodes"
+    | Some records ->
+        let best = ref (List.hd records) and best_d = ref infinity in
+        List.iter
+          (fun (r : E.node_record) ->
+            let dx = r.E.x -. x and dy = r.E.y -. y in
+            let d = (dx *. dx) +. (dy *. dy) in
+            if d < !best_d then begin
+              best := r;
+              best_d := d
+            end)
+          records;
+        !best.E.id
+
+  let dijkstra store ~source ~target =
+    if source = target then Some ([ source ], 0.0)
+    else begin
+      let dist = Hashtbl.create 256 and parent = Hashtbl.create 256 in
+      let closed = Hashtbl.create 256 in
+      let heap = Psp_util.Min_heap.create () in
+      Hashtbl.replace dist source 0.0;
+      Psp_util.Min_heap.push heap ~priority:0.0 source;
+      let found = ref false in
+      while (not !found) && not (Psp_util.Min_heap.is_empty heap) do
+        match Psp_util.Min_heap.pop heap with
+        | None -> ()
+        | Some (d, u) ->
+            if not (Hashtbl.mem closed u) then begin
+              Hashtbl.replace closed u ();
+              if u = target then found := true
+              else
+                match Hashtbl.find_opt store.adj u with
+                | None -> ()
+                | Some edges ->
+                    Psp_util.Dyn_array.iter
+                      (fun (v, w) ->
+                        let nd = d +. w in
+                        let better =
+                          match Hashtbl.find_opt dist v with
+                          | Some old -> nd < old
+                          | None -> true
+                        in
+                        if better then begin
+                          Hashtbl.replace dist v nd;
+                          Hashtbl.replace parent v u;
+                          Psp_util.Min_heap.push heap ~priority:nd v
+                        end)
+                      edges
+            end
+      done;
+      if not !found then None
+      else begin
+        let rec build v acc =
+          match Hashtbl.find_opt parent v with
+          | None -> v :: acc
+          | Some p -> build p (v :: acc)
+        in
+        Some (build target [], Hashtbl.find dist target)
+      end
+    end
+end
+
+type store_case = {
+  coords : (int * int) array;  (* per node; small grid, so snaps tie *)
+  region_of : int array;
+  edges : (int * int * int) list;  (* src, dst, weight in 1..3: ties, exact sums *)
+  ops : [ `Region of int | `Triple of int ] list;  (* deliveries, in order *)
+}
+
+(* Sparse, scattered global ids exercise the id table's probing. *)
+let case_gid i = (i * 7919) + 104_729
+
+let store_case_gen =
+  QCheck2.Gen.(
+    let* n = int_range 1 24 in
+    let* k = int_range 1 5 in
+    let* coords = array_size (return n) (pair (int_bound 4) (int_bound 4)) in
+    let* region_of = array_size (return n) (int_bound (k - 1)) in
+    let* edges =
+      list_size (int_bound (3 * n)) (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_range 1 3))
+    in
+    let m = List.length edges in
+    let op =
+      if m = 0 then map (fun r -> `Region r) (int_bound (k - 1))
+      else
+        frequency
+          [ (3, map (fun r -> `Region r) (int_bound (k - 1)));
+            (1, map (fun e -> `Triple e) (int_bound (m - 1))) ]
+    in
+    let* ops = list_size (int_bound (3 * k)) op in
+    (* half the cases end with every region delivered, in random order *)
+    let* complete = bool in
+    let* all = shuffle_l (List.init k (fun r -> `Region r)) in
+    return { coords; region_of; edges; ops = (if complete then ops @ all else ops) })
+
+let print_store_case c =
+  Printf.sprintf "coords=[%s] regions=[%s] edges=[%s] ops=[%s]"
+    (String.concat ";" (Array.to_list (Array.map (fun (x, y) -> Printf.sprintf "%d,%d" x y) c.coords)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.region_of)))
+    (String.concat ";" (List.map (fun (u, v, w) -> Printf.sprintf "%d>%d:%d" u v w) c.edges))
+    (String.concat ";"
+       (List.map (function `Region r -> Printf.sprintf "R%d" r | `Triple e -> Printf.sprintf "T%d" e)
+          c.ops))
+
+let store_matches_reference c =
+  let module E = Psp_index.Encoding in
+  let n = Array.length c.coords in
+  let edges = Array.of_list c.edges in
+  let record i =
+    let x, y = c.coords.(i) in
+    { E.id = case_gid i;
+      x = float_of_int x;
+      y = float_of_int y;
+      adj =
+        List.filter_map
+          (fun (u, v, w) ->
+            if u = i then
+              Some { E.target = case_gid v; weight = float_of_int w; target_region = -1; flags = None }
+            else None)
+          c.edges;
+      landmark = None }
+  in
+  let region r = List.filter (fun i -> c.region_of.(i) = r) (List.init n Fun.id) in
+  let st = Store.create ~nodes:4 () and rf = Ref_store.create () in
+  List.iter
+    (function
+      | `Region r ->
+          let records = List.map record (region r) in
+          Store.add_region st r records;
+          List.iter (Ref_store.add_record rf r) records
+      | `Triple e ->
+          let u, v, w = edges.(e) in
+          let t = { E.e_src = case_gid u; e_dst = case_gid v; e_weight = float_of_int w } in
+          Store.add_triple st t;
+          Ref_store.add_triple rf t)
+    c.ops;
+  let same_answer a b =
+    match (a, b) with
+    | None, None -> true
+    | Some (p, d), Some (q, e) -> p = q && Float.equal d e
+    | _ -> false
+  in
+  let ids = case_gid n :: List.init n case_gid in
+  let records_agree =
+    List.for_all
+      (fun v -> Store.record st v = Ref_store.record rf v && Store.has_record st v = Ref_store.has_record rf v)
+      ids
+  in
+  let snaps_agree =
+    let k = Array.fold_left max 0 c.region_of + 1 in
+    List.for_all
+      (fun r ->
+        List.for_all
+          (fun (x, y) ->
+            let snap f = match f r ~x ~y with v -> Some v | exception Failure _ -> None in
+            snap (Store.snap st) = snap (Ref_store.snap rf))
+          ((2.5, 1.5) :: Array.to_list (Array.map (fun (x, y) -> (float_of_int x, float_of_int y)) c.coords)))
+      (List.init k Fun.id)
+  in
+  let answers_agree =
+    List.for_all
+      (fun s ->
+        List.for_all
+          (fun t ->
+            same_answer (Store.dijkstra st ~source:s ~target:t) (Ref_store.dijkstra rf ~source:s ~target:t))
+          ids)
+      ids
+  in
+  (* with every region filed, the store holds the whole network (triples
+     only duplicate its edges), so costs are the network's *)
+  let delivered r = List.mem (`Region r) c.ops in
+  let oracle_agrees =
+    (not (Array.for_all delivered c.region_of))
+    ||
+    let b = G.Builder.create () in
+    Array.iter (fun (x, y) -> ignore (G.Builder.add_node b ~x:(float_of_int x) ~y:(float_of_int y))) c.coords;
+    List.iter (fun (u, v, w) -> G.Builder.add_edge b u v (float_of_int w)) c.edges;
+    let g = G.Builder.freeze b in
+    List.for_all
+      (fun s ->
+        List.for_all
+          (fun t ->
+            let truth = Psp_graph.Dijkstra.distance g s t in
+            match Store.dijkstra st ~source:(case_gid s) ~target:(case_gid t) with
+            | None -> truth = infinity
+            | Some (_, d) -> Float.equal d truth)
+          (List.init n Fun.id))
+      (List.init n Fun.id)
+  in
+  records_agree && snaps_agree && answers_agree && oracle_agrees
+
+let store_reference_property =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"flat store = Hashtbl reference" ~print:print_store_case
+       store_case_gen store_matches_reference)
+
 let scheme_cases =
   List.concat_map
     (fun name ->
@@ -595,4 +851,5 @@ let () =
         [ Alcotest.test_case "detects leaks" `Quick test_trace_leak_detection;
           Alcotest.test_case "error paths" `Quick test_error_paths ] );
       ( "page sequence",
-        [ Alcotest.test_case "pinned digests" `Quick test_page_sequence_pinned ] ) ]
+        [ Alcotest.test_case "pinned digests" `Quick test_page_sequence_pinned ] );
+      ("store", [ store_reference_property ]) ]

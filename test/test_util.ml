@@ -256,6 +256,48 @@ let test_stats_empty () =
   Alcotest.check_raises "min_max empty" (Invalid_argument "Stats.min_max: empty") (fun () ->
       ignore (Stats.min_max [||]))
 
+(* ------------------------------------------------------------------ *)
+(* Crc32 *)
+
+(* The byte-at-a-time loop the slice-by-8 tables replaced. *)
+let crc32_bytewise crc buf ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get buf i)) land 0xFF) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32_vectors () =
+  Alcotest.(check int) "empty" 0 (Crc32.string "");
+  Alcotest.(check int) "check value" 0xCBF43926 (Crc32.string "123456789");
+  Alcotest.(check int) "fox" 0x414FA339
+    (Crc32.string "The quick brown fox jumps over the lazy dog");
+  Alcotest.check_raises "slice out of range"
+    (Invalid_argument "Crc32.update: slice out of range") (fun () ->
+      ignore (Crc32.sub (Bytes.create 4) ~pos:2 ~len:3))
+
+let crc32_matches_bytewise =
+  qtest ~count:500 "crc32 slice-by-8 = byte-wise"
+    QCheck2.Gen.(
+      let* s = string_size (int_bound 300) in
+      let n = String.length s in
+      let* pos = int_bound n in
+      let* len = int_bound (n - pos) in
+      let* seed = int_bound 0xFFFFFFFF in
+      return (s, pos, len, seed))
+    (fun (s, pos, len, seed) ->
+      let b = Bytes.of_string s in
+      Crc32.update seed b ~pos ~len = crc32_bytewise seed b ~pos ~len
+      && Crc32.sub b ~pos ~len = crc32_bytewise 0 b ~pos ~len)
+
 let () =
   Alcotest.run "util"
     [ ( "rng",
@@ -288,6 +330,8 @@ let () =
           varint_roundtrip;
           Alcotest.test_case "underflow" `Quick test_byte_io_underflow;
           Alcotest.test_case "negative varint" `Quick test_byte_io_negative_varint ] );
+      ( "crc32",
+        [ Alcotest.test_case "vectors" `Quick test_crc32_vectors; crc32_matches_bytewise ] );
       ( "stats",
         [ Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "histogram" `Quick test_stats_histogram;
