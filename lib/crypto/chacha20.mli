@@ -1,17 +1,16 @@
-(** ChaCha20 stream cipher (RFC 8439), pure OCaml.
+(** ChaCha20 stream cipher (RFC 8439).
 
     Pages stored in the oblivious levels of the simulated PIR server are
     encrypted with ChaCha20 under per-level keys; re-encryption during
     reshuffles uses a fresh nonce so ciphertexts are unlinkable.
 
-    The kernel keeps a block's 16 state words in local unboxed int64s,
-    each held in the top 32 bits so that additions wrap mod 2{^32} with
-    no mask and a rotation needs one.  It loads the key
-    and nonce words once per call and XORs the keystream into the
-    output 8 bytes at a time: a call allocates only the bytes it
-    returns, and the [_into] variants allocate nothing.  Checked against
-    the RFC 8439 vectors and a byte-at-a-time reference in the test
-    suite. *)
+    The block function is C ([chacha20_stubs.c]): one portable 4-lane
+    vector core that computes four consecutive blocks per pass, with
+    fixed trip counts on the public length and no key- or data-dependent
+    branch or table index.  Sizes are checked here before the call.  A
+    call allocates only the bytes it returns, and the [_into] variants
+    allocate nothing.  Checked against the RFC 8439 vectors and a
+    byte-at-a-time reference in the test suite. *)
 
 val block : key:bytes -> nonce:bytes -> counter:int -> bytes
 (** The 64-byte keystream block for a 32-byte key, a 12-byte nonce and
@@ -39,5 +38,7 @@ val keystream : key:bytes -> nonce:bytes -> int -> bytes
 
 val keystream_into : key:bytes -> nonce:bytes -> bytes -> unit
 (** Overwrite the whole buffer with the first [Bytes.length] keystream
-    bytes, counter starting at 0 — {!keystream} into an existing buffer.
-    The pyramid store rewrites its dummy and unused slots with it. *)
+    bytes, counter starting at 0 — {!keystream} into an existing buffer,
+    written directly rather than XORed into zeros.  The pyramid store
+    rewrites its dummy and unused slots with it.
+    @raise Invalid_argument on wrong key/nonce sizes. *)

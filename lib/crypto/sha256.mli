@@ -1,9 +1,13 @@
-(** SHA-256 (FIPS 180-4), pure OCaml.
+(** SHA-256 (FIPS 180-4).
 
     The hash underlying every keyed primitive in the simulated secure
-    co-processor: HMAC, the PRF, the Feistel round functions and Bloom
-    filter indexing.  Verified against the FIPS test vectors in the test
-    suite. *)
+    co-processor: HMAC, the PRF, the Feistel round functions, Bloom
+    filter indexing and page authentication.  The compression function
+    is C ([sha256_stubs.c]): scalar, 64 fixed rounds, no data-dependent
+    branch, its only table indexed by the round number.  Padding and
+    buffering stay here; {!feed} compresses whole blocks straight from
+    the caller's buffer.  Verified against the FIPS test vectors and the
+    retired OCaml implementation in the test suite. *)
 
 type ctx
 (** Streaming hash context. *)
@@ -12,7 +16,8 @@ val init : unit -> ctx
 (** A fresh context. *)
 
 val feed : ctx -> bytes -> unit
-(** Absorb a chunk; chunks may arrive at any granularity. *)
+(** Absorb a chunk; chunks may arrive at any granularity.  Only a
+    partial block is copied into the context. *)
 
 val feed_string : ctx -> string -> unit
 (** {!feed} for strings. *)

@@ -73,8 +73,16 @@ type fn = {
   fn_calls : (string * Location.t) list; (* alias-expanded callee names *)
 }
 
+type ext = {
+  ext_name : string; (* canonical fq name *)
+  ext_prim : string; (* the native symbol (or %-primitive) it binds *)
+  ext_attrs : Parsetree.attributes;
+  ext_loc : Location.t;
+}
+
 type t = {
   fns : fn SMap.t ref;
+  exts : ext list ref; (* newest first *)
   redirects : string SMap.t ref; (* canonical module ↦ canonical functor path *)
   mods : string list ref; (* canonical names of loaded modules *)
   abbrevs : Types.type_expr SMap.t ref; (* canonical type name ↦ manifest *)
@@ -82,10 +90,12 @@ type t = {
 
 let create () =
   { fns = ref SMap.empty;
+    exts = ref [];
     redirects = ref SMap.empty;
     mods = ref [];
     abbrevs = ref SMap.empty }
 let fns t = List.map snd (SMap.bindings !(t.fns))
+let externals t = List.rev !(t.exts)
 let modules t = List.rev !(t.mods)
 let find t name = SMap.find_opt name !(t.fns)
 
@@ -184,6 +194,18 @@ let add_abbrev t ~prefix (td : Typedtree.type_declaration) =
       if not (SMap.mem fq !(t.abbrevs)) then
         t.abbrevs := SMap.add fq cty.ctyp_type !(t.abbrevs)
 
+(* [external] declarations have no body to index: they are recorded
+   for the foreign-primitive rule, and a call into one resolves to
+   nothing (an unknown callee with no summary). *)
+let add_external t ~prefix (vd : Typedtree.value_description) =
+  let name = Ident.name vd.val_id in
+  t.exts :=
+    { ext_name = (if prefix = "" then name else prefix ^ "." ^ name);
+      ext_prim = (match List.rev vd.val_prim with p :: _ -> p | [] -> "");
+      ext_attrs = vd.val_attributes;
+      ext_loc = vd.val_loc }
+    :: !(t.exts)
+
 let rec index_items t ~prefix ~aliases items =
   let aliases = ref aliases in
   List.iter
@@ -191,6 +213,7 @@ let rec index_items t ~prefix ~aliases items =
       match item.str_desc with
       | Tstr_value (_, vbs) -> List.iter (add_fn t ~prefix ~aliases:!aliases) vbs
       | Tstr_type (_, decls) -> List.iter (add_abbrev t ~prefix) decls
+      | Tstr_primitive vd -> add_external t ~prefix vd
       | Tstr_module mb -> index_module t ~prefix ~aliases mb
       | Tstr_recmodule mbs -> List.iter (index_module t ~prefix ~aliases) mbs
       | Tstr_include { incl_mod; _ } -> (

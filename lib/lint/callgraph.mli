@@ -16,6 +16,14 @@ type fn = {
   fn_calls : (string * Location.t) list;  (** alias-expanded callee names *)
 }
 
+type ext = {
+  ext_name : string;  (** canonical fq name of the [external] *)
+  ext_prim : string;  (** the native symbol (or [%]-primitive) it binds *)
+  ext_attrs : Parsetree.attributes;
+  ext_loc : Location.t;
+}
+(** An [external] declaration: foreign code with no typedtree body. *)
+
 type t
 
 val create : unit -> t
@@ -25,6 +33,11 @@ val add_structure : t -> modname:string -> Typedtree.structure -> unit
     [cmt_modname] (e.g. ["Psp_core__Engine"]). *)
 
 val fns : t -> fn list
+
+val externals : t -> ext list
+(** Every [external] in the loaded structures, in load order.  A call
+    into one does not resolve: it has no body, hence no summary. *)
+
 val modules : t -> string list
 (** Canonical names of the loaded modules, in load order. *)
 

@@ -9,6 +9,7 @@ type rule =
   | Secret_compare
   | Missing_justification
   | Unanalyzed_module
+  | Foreign_primitive
   | Baseline_drift
 
 let rule_slug = function
@@ -22,12 +23,13 @@ let rule_slug = function
   | Secret_compare -> "secret-compare"
   | Missing_justification -> "missing-justification"
   | Unanalyzed_module -> "unanalyzed-module"
+  | Foreign_primitive -> "foreign-primitive"
   | Baseline_drift -> "baseline-drift"
 
 let all_rules =
   [ Secret_branch; Secret_length; Effectful_call; Secret_exception; Secret_telemetry;
     Secret_alloc; Secret_loop; Secret_compare; Missing_justification;
-    Unanalyzed_module; Baseline_drift ]
+    Unanalyzed_module; Foreign_primitive; Baseline_drift ]
 
 let rule_help = function
   | Secret_branch -> "if/match/while guard or for bound steered by secret-derived data"
@@ -48,6 +50,9 @@ let rule_help = function
   | Unanalyzed_module ->
       "module reachable from an [@@oblivious] entrypoint was not part of the \
        analyzed surface"
+  | Foreign_primitive ->
+      "external (foreign code the analysis cannot see) declared without a \
+       [@@leak_ok] justification"
   | Baseline_drift ->
       "justified-site count diverged from the checked-in lint baseline"
 

@@ -21,6 +21,10 @@ type rule =
   | Unanalyzed_module
       (** a module reachable from an [\@\@oblivious] entrypoint was never
           loaded into the whole-program analysis surface *)
+  | Foreign_primitive
+      (** an [external] in the whole-program surface without a
+          [\@\@leak_ok] justification: its foreign code is invisible to
+          the analysis, so every call into it would pass as clean *)
   | Baseline_drift
       (** justified-site counts no longer match [lint-baseline.json] *)
 

@@ -15,20 +15,24 @@
      Reachability is then checked: a call from the oblivious surface
      into a project-namespace module that was never loaded is an
      [unanalyzed-module] finding, which is what lets the build rules
-     glob directories instead of hand-listing modules. *)
+     glob directories instead of hand-listing modules.  Every [external]
+     in the surface must carry a justified [@@leak_ok]
+     ([foreign-primitive]); each one gets an audit record in [foreign]. *)
 
 type report = {
   findings : Finding.t list;
-  audits : Finding.audit list;
+  audits : Finding.audit list; (* one per [@@oblivious] binding *)
+  foreign : Finding.audit list; (* one per [external], whole-program only *)
   errors : string list; (* unreadable inputs *)
   modules : int; (* implementations analyzed *)
 }
 
-let empty = { findings = []; audits = []; errors = []; modules = 0 }
+let empty = { findings = []; audits = []; foreign = []; errors = []; modules = 0 }
 
 let merge a b =
   { findings = a.findings @ b.findings;
     audits = a.audits @ b.audits;
+    foreign = a.foreign @ b.foreign;
     errors = a.errors @ b.errors;
     modules = a.modules + b.modules }
 
@@ -181,29 +185,36 @@ let run_program ~root paths =
         else (fs, aus))
       ([], []) (Callgraph.fns graph)
   in
-  let findings = findings @ reachability_findings graph in
-  { findings; audits; errors; modules }
+  let foreign_findings, foreign =
+    List.split (List.map Taint.analyze_external (Callgraph.externals graph))
+  in
+  let findings = findings @ List.concat foreign_findings @ reachability_findings graph in
+  { findings; audits; foreign; errors; modules }
 
 (* ------------------------------------------------------------------ *)
 (* CLI entry shared by bin/psplint and `pspc lint` *)
 
 let print_report ~quiet ~audit r =
+  let table title audits =
+    Printf.printf "%s audited: %d\n" title (List.length audits);
+    List.iter (fun a -> Format.printf "  %a@." Finding.pp_audit a) (List.sort compare audits)
+  in
   if audit then begin
-    Printf.printf "oblivious functions audited: %d\n" (List.length r.audits);
-    List.iter
-      (fun a -> Format.printf "  %a@." Finding.pp_audit a)
-      (List.sort compare r.audits)
+    table "oblivious functions" r.audits;
+    table "externals" r.foreign
   end;
   if not quiet then
     List.iter
       (fun f -> Format.printf "%a@." Finding.pp f)
       (List.sort Finding.compare r.findings);
   List.iter (fun e -> Printf.eprintf "psplint: error: %s\n" e) r.errors;
-  let justified = List.fold_left (fun acc a -> acc + a.Finding.justified) 0 r.audits in
+  let justified =
+    List.fold_left (fun acc a -> acc + a.Finding.justified) 0 (r.audits @ r.foreign)
+  in
   Printf.printf
-    "psplint: %d module(s), %d oblivious function(s), %d justified leak site(s), %d \
-     finding(s)\n"
-    r.modules (List.length r.audits) justified
+    "psplint: %d module(s), %d oblivious function(s), %d external(s), %d justified leak \
+     site(s), %d finding(s)\n"
+    r.modules (List.length r.audits) (List.length r.foreign) justified
     (List.length r.findings)
 
 let exit_code r =
@@ -219,9 +230,10 @@ let main ?root ?sarif ?baseline ?write_baseline ~paths ~quiet ~audit () =
     let r =
       match root with Some root -> run_program ~root paths | None -> run paths
     in
+    let audits = r.audits @ r.foreign in
     (match write_baseline with
     | Some file ->
-        Baseline.write file r.findings r.audits;
+        Baseline.write file r.findings audits;
         Printf.printf "psplint: baseline written to %s (%d finding(s), %d audited \
                        function(s))\n"
           file (List.length r.findings) (List.length r.audits)
@@ -233,7 +245,7 @@ let main ?root ?sarif ?baseline ?write_baseline ~paths ~quiet ~audit () =
           match Baseline.load file with
           | Error e -> ({ r with errors = r.errors @ [ e ] }, 0)
           | Ok b ->
-              let applied = Baseline.apply b ~baseline_file:file r.findings r.audits in
+              let applied = Baseline.apply b ~baseline_file:file r.findings audits in
               ( { r with findings = applied.Baseline.kept @ applied.Baseline.drift },
                 applied.Baseline.suppressed ))
     in

@@ -2,7 +2,10 @@
 
 type report = {
   findings : Finding.t list;
-  audits : Finding.audit list;
+  audits : Finding.audit list;  (** one per [\@\@oblivious] binding *)
+  foreign : Finding.audit list;
+      (** one per [external] in the surface (whole-program mode only):
+          [justified = 1] when it carries a justified [\@\@leak_ok] *)
   errors : string list;
   modules : int;
 }
@@ -21,7 +24,9 @@ val run_program : root:string -> string list -> report
     into one call graph, compute interprocedural summaries to a
     fixpoint, analyze each [\@\@oblivious] entrypoint with cross-module
     chains, and flag project modules reachable from the oblivious
-    surface that were never loaded ([unanalyzed-module]). *)
+    surface that were never loaded ([unanalyzed-module]).  Every
+    [external] must carry a justified [\@\@leak_ok]
+    ([foreign-primitive]). *)
 
 val print_report : quiet:bool -> audit:bool -> report -> unit
 val exit_code : report -> int

@@ -1071,3 +1071,35 @@ let analyze_structure ?env (str : Typedtree.structure) =
 let analyze_fn ~env (fn : Callgraph.fn) =
   analyze_binding ~env ~prefix:fn.Callgraph.fn_prefix ~func:fn.Callgraph.fn_name
     ~aliases:fn.Callgraph.fn_aliases fn.Callgraph.fn_binding
+
+(* Whole-program mode: an [external] runs foreign code that no typedtree
+   describes, and a call into it is an unknown callee with a clean
+   summary.  The declaration is therefore the audit point: it must carry
+   [@@leak_ok "reason"] saying why that code is oblivious.  A justified
+   one counts as one justified site under the external's name. *)
+let analyze_external (ex : Callgraph.ext) =
+  let p = ex.ext_loc.loc_start in
+  let audit ~justified =
+    { Finding.a_file = p.pos_fname;
+      a_line = p.pos_lnum;
+      a_func = ex.ext_name;
+      secrets = [];
+      justified;
+      flagged = 1 - justified }
+  in
+  let finding rule loc message = Finding.of_location ~rule ~func:ex.ext_name ~message loc in
+  let unjustified =
+    finding Finding.Foreign_primitive ex.ext_loc
+      (Printf.sprintf
+         "external binds foreign code %S that the analysis cannot see; state why \
+          it is oblivious with [@@leak_ok \"reason\"]"
+         ex.ext_prim)
+  in
+  match leak_ok ex.ext_attrs with
+  | `Justified -> ([], audit ~justified:1)
+  | `Absent -> ([ unjustified ], audit ~justified:0)
+  | `Unjustified loc ->
+      ( [ finding Finding.Missing_justification loc
+            "[@leak_ok] requires a non-empty justification string";
+          unjustified ],
+        audit ~justified:0 )

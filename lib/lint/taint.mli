@@ -73,6 +73,12 @@ val analyze_fn : env:env -> Callgraph.fn -> Finding.t list * Finding.audit
 (** Whole-program mode: analyze one indexed function under its fully
     qualified name with an interprocedural environment. *)
 
+val analyze_external : Callgraph.ext -> Finding.t list * Finding.audit
+(** Whole-program [foreign-primitive] rule: an [external] without a
+    justified [\@\@leak_ok] is a finding (an empty reason is also a
+    [missing-justification]); a justified one is one justified site in
+    its audit record. *)
+
 (** {2 Callee classification — exposed for unit tests} *)
 
 val normalize : (string * string) list -> string -> string

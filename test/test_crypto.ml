@@ -144,6 +144,206 @@ let hmac_into_equals_reference =
       && not (Hmac.equal a (Bytes.sub a 0 31)))
 
 (* ------------------------------------------------------------------ *)
+(* SHA-256 and HMAC: the C compression against the retired OCaml one *)
+
+(* The pure-OCaml SHA-256 the library ran before its compression moved
+   to C, kept verbatim as the reference the C core is compared against. *)
+module Ref_sha256 = struct
+  let mask = 0xFFFFFFFF
+
+  let k =
+    [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+       0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+       0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+       0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+       0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+       0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+       0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+       0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+       0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+       0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+       0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+  type ctx = {
+    h : int array; (* 8 state words *)
+    block : bytes; (* 64-byte input block being filled *)
+    mutable fill : int;
+    mutable total : int; (* total message bytes fed *)
+    w : int array; (* 64-entry message schedule scratch *)
+  }
+
+  let init () =
+    { h =
+        [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+           0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+      block = Bytes.create 64;
+      fill = 0;
+      total = 0;
+      w = Array.make 64 0 }
+
+  (* For a 32-bit x, the low 32 bits of (x lor (x lsl 32)) lsr n are
+     x rotated right by n (n <= 30: no bit falls off the 63-bit int), so
+     one doubled word serves all three rotations of a Σ/σ function. *)
+  let doubled x = x lor (x lsl 32)
+
+  let compress ctx =
+    let w = ctx.w in
+    for i = 0 to 15 do
+      w.(i) <- Int32.to_int (Bytes.get_int32_be ctx.block (4 * i)) land mask
+    done;
+    for i = 16 to 63 do
+      let x = w.(i - 15) and y = w.(i - 2) in
+      let xx = doubled x and yy = doubled y in
+      let s0 = (((xx lsr 7) lxor (xx lsr 18)) land mask) lxor (x lsr 3) in
+      let s1 = (((yy lsr 17) lxor (yy lsr 19)) land mask) lxor (y lsr 10) in
+      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    done;
+    let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2) in
+    let d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5) in
+    let g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
+    for i = 0 to 63 do
+      let ee = doubled !e and aa = doubled !a in
+      let s1 = ((ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25)) land mask in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
+      let s0 = ((aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22)) land mask in
+      let maj = (!a land !b) lor (!c land (!a lor !b)) in
+      let t2 = (s0 + maj) land mask in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + t1) land mask;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (t1 + t2) land mask
+    done;
+    ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
+    ctx.h.(1) <- (ctx.h.(1) + !b) land mask;
+    ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
+    ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
+    ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
+    ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
+    ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
+    ctx.h.(7) <- (ctx.h.(7) + !hh) land mask
+
+  let feed ctx data =
+    let n = Bytes.length data in
+    ctx.total <- ctx.total + n;
+    let pos = ref 0 in
+    while !pos < n do
+      let take = min (64 - ctx.fill) (n - !pos) in
+      Bytes.blit data !pos ctx.block ctx.fill take;
+      ctx.fill <- ctx.fill + take;
+      pos := !pos + take;
+      if ctx.fill = 64 then begin
+        compress ctx;
+        ctx.fill <- 0
+      end
+    done
+
+  let finalize_into ctx out =
+    if Bytes.length out < 32 then invalid_arg "Sha256.finalize_into: need 32 bytes";
+    (* padding, written in place: 0x80, zeros, 8-byte big-endian bit
+       length — one more block when the length does not fit after 0x80 *)
+    let block = ctx.block in
+    Bytes.set block ctx.fill '\x80';
+    Bytes.fill block (ctx.fill + 1) (63 - ctx.fill) '\000';
+    if ctx.fill >= 56 then begin
+      compress ctx;
+      Bytes.fill block 0 56 '\000'
+    end;
+    Bytes.set_int64_be block 56 (Int64.of_int (8 * ctx.total));
+    compress ctx;
+    ctx.fill <- 0;
+    for i = 0 to 7 do
+      Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
+    done
+
+  let finalize ctx =
+    let out = Bytes.create 32 in
+    finalize_into ctx out;
+    out
+
+  let digest data =
+    let ctx = init () in
+    feed ctx data;
+    finalize ctx
+
+end
+
+(* [data] cut into consecutive chunks of the given sizes, the last
+   chunk taking whatever is left *)
+let chunks data sizes =
+  let n = Bytes.length data in
+  let rec go pos = function
+    | [] -> [ Bytes.sub data pos (n - pos) ]
+    | k :: rest ->
+        let k = min k (n - pos) in
+        Bytes.sub data pos k :: go (pos + k) rest
+  in
+  go 0 sizes
+
+(* chunk sizes below and above the block size, so whole blocks are
+   compressed straight from the caller's buffer at every alignment *)
+let sha256_matches_reference =
+  qtest ~count:200 "sha256 = OCaml reference, lengths 0..5000 in random chunks"
+    QCheck2.Gen.(
+      pair (string_size (int_range 0 5000))
+        (list_size (int_range 0 12) (oneof [ int_range 0 70; int_range 0 700 ])))
+    (fun (s, sizes) ->
+      let data = Bytes.of_string s in
+      let ctx = Sha256.init () in
+      List.iter (Sha256.feed ctx) (chunks data sizes);
+      let want = Ref_sha256.digest data in
+      Sha256.finalize ctx = want && Sha256.digest data = want)
+
+(* The shape [Page_file.tag_into] feeds: a midstate copied into a
+   scratch context holding stale state, a 4-byte page number, then a
+   4,096-byte page.  The midstate must survive for the next message. *)
+let sha256_page_shape =
+  qtest ~count:100 "sha256 midstate + 4-byte number + 4096-byte page = reference"
+    QCheck2.Gen.(
+      triple
+        (oneof [ return 64; int_range 0 200 ])
+        (int_range 0 0x3FFFFFFF) (string_size (return 4096)))
+    (fun (plen, no, page) ->
+      let prefix = Bytes.init plen (fun i -> Char.chr (i land 0xFF)) in
+      let page = Bytes.of_string page in
+      let number = Bytes.create 4 in
+      Bytes.set_int32_le number 0 (Int32.of_int no);
+      let mid = Sha256.init () in
+      Sha256.feed mid prefix;
+      let scratch = Sha256.init () in
+      Sha256.feed scratch (Bytes.make 100 'x');
+      let tag msg =
+        Sha256.copy_into ~src:mid ~dst:scratch;
+        List.iter (Sha256.feed scratch) msg;
+        Sha256.finalize scratch
+      in
+      let t1 = tag [ number; page ] in
+      let t2 = tag [ page ] in
+      t1 = Ref_sha256.digest (Bytes.concat Bytes.empty [ prefix; number; page ])
+      && t2 = Ref_sha256.digest (Bytes.cat prefix page))
+
+(* textbook HMAC over the reference hash *)
+let ref_hmac key data =
+  let key = if Bytes.length key > 64 then Ref_sha256.digest key else key in
+  let pad byte =
+    Bytes.init 64 (fun i ->
+        Char.chr ((if i < Bytes.length key then Char.code (Bytes.get key i) else 0) lxor byte))
+  in
+  Ref_sha256.digest
+    (Bytes.cat (pad 0x5C) (Ref_sha256.digest (Bytes.cat (pad 0x36) data)))
+
+let hmac_matches_reference =
+  qtest ~count:200 "hmac = HMAC over the OCaml reference, random keys"
+    QCheck2.Gen.(pair (string_size (int_range 0 200)) (string_size (int_range 0 5000)))
+    (fun (k, m) ->
+      let key = Bytes.of_string k and m = Bytes.of_string m in
+      Hmac.mac ~key m = ref_hmac key m)
+
+(* ------------------------------------------------------------------ *)
 (* ChaCha20: the RFC 8439 test vectors *)
 
 let rfc8439_key = Bytes.init 32 Char.chr
@@ -304,37 +504,48 @@ let reference_chacha20 ~key ~nonce ~counter data =
   done;
   out
 
-(* every length 0..300 (each tail size, each block count up to 5) under
-   random keys, nonces and counters — including counters at the 2^32
-   wrap — plus the keystream entry point.  A keystream prefix is the
-   keystream of the prefix, so one reference run covers all lengths. *)
+(* Every length 0..300 (each tail size, each block count up to 5) plus
+   a random sample up to 4,200 (whole 4-block passes with every tail,
+   and 4 KB pages) under random keys, nonces and counters.  Counters
+   just below 2^32 put the wrap inside a 4-lane pass, at each lane.
+   [_into] runs both into a separate buffer holding stale bytes and in
+   place (src == dst); the keystream entry points are checked too.  A
+   keystream prefix is the keystream of the prefix, so one reference
+   run covers all lengths. *)
 let chacha20_matches_reference =
-  qtest ~count:50 "chacha20 = byte-wise reference, lengths 0..300"
+  let max_len = 4200 in
+  qtest ~count:50 "chacha20 = byte-wise reference, lengths 0..4200"
     QCheck2.Gen.(
       quad (string_size (return 32)) (string_size (return 12))
-        (oneof [ int_range 0 0xFFFFFFFF; int_range (0xFFFFFFFF - 4) 0xFFFFFFFF ])
-        (string_size (return 300)))
-    (fun (key, nonce, counter, data) ->
+        (oneof
+           [ int_range 0 0xFFFFFFFF;
+             int_range (0xFFFFFFFF - 4) 0xFFFFFFFF;
+             int_range (0xFFFFFFFF - 70) 0xFFFFFFFF ])
+        (pair (string_size (return max_len)) (list_size (return 24) (int_range 301 max_len))))
+    (fun (key, nonce, counter, (data, sampled)) ->
       let key = Bytes.of_string key and nonce = Bytes.of_string nonce in
       let data = Bytes.of_string data in
       let expected = reference_chacha20 ~key ~nonce ~counter data in
-      let stream = reference_chacha20 ~key ~nonce ~counter:0 (zeros 300) in
-      List.for_all
-        (fun n ->
-          let want = Bytes.sub expected 0 n in
-          (* the [_into] entry points: into a buffer holding stale bytes,
-             and in place (src == dst) *)
-          let into = Bytes.make n '\xA5' in
-          Chacha20.encrypt_into ~key ~nonce ~counter ~src:(Bytes.sub data 0 n) into;
-          let inplace = Bytes.sub data 0 n in
-          Chacha20.encrypt_into ~key ~nonce ~counter ~src:inplace inplace;
-          let ks = Bytes.make n '\x5A' in
-          Chacha20.keystream_into ~key ~nonce ks;
-          Chacha20.encrypt ~key ~nonce ~counter (Bytes.sub data 0 n) = want
-          && into = want && inplace = want
-          && Chacha20.keystream ~key ~nonce n = Bytes.sub stream 0 n
-          && ks = Bytes.sub stream 0 n)
-        (List.init 301 Fun.id))
+      let stream = reference_chacha20 ~key ~nonce ~counter:0 (zeros max_len) in
+      let lengths =
+        List.init 301 Fun.id @ [ 511; 512; 513; 4095; 4096; 4097; max_len ] @ sampled
+      in
+      Chacha20.block ~key ~nonce ~counter
+      = reference_chacha20 ~key ~nonce ~counter (zeros 64)
+      && List.for_all
+           (fun n ->
+             let want = Bytes.sub expected 0 n in
+             let into = Bytes.make n '\xA5' in
+             Chacha20.encrypt_into ~key ~nonce ~counter ~src:(Bytes.sub data 0 n) into;
+             let inplace = Bytes.sub data 0 n in
+             Chacha20.encrypt_into ~key ~nonce ~counter ~src:inplace inplace;
+             let ks = Bytes.make n '\x5A' in
+             Chacha20.keystream_into ~key ~nonce ks;
+             Chacha20.encrypt ~key ~nonce ~counter (Bytes.sub data 0 n) = want
+             && into = want && inplace = want
+             && Chacha20.keystream ~key ~nonce n = Bytes.sub stream 0 n
+             && ks = Bytes.sub stream 0 n)
+           lengths)
 
 let test_chacha20_into_length_mismatch () =
   let key = Sha256.digest_string "k" and nonce = Bytes.make 12 'n' in
@@ -589,7 +800,9 @@ let () =
           Alcotest.test_case "abc" `Quick test_sha256_abc;
           Alcotest.test_case "448 bits" `Quick test_sha256_448bits;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
-          Alcotest.test_case "streaming" `Quick test_sha256_streaming_equals_oneshot ] );
+          Alcotest.test_case "streaming" `Quick test_sha256_streaming_equals_oneshot;
+          sha256_matches_reference;
+          sha256_page_shape ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case1" `Quick test_hmac_rfc4231_case1;
           Alcotest.test_case "rfc4231 case2" `Quick test_hmac_rfc4231_case2;
@@ -598,7 +811,8 @@ let () =
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "derive labels" `Quick test_hmac_derive_labels;
           hmac_keyed_equals_mac;
-          hmac_into_equals_reference ] );
+          hmac_into_equals_reference;
+          hmac_matches_reference ] );
       ( "chacha20",
         [ Alcotest.test_case "rfc8439 vector" `Quick test_chacha20_rfc8439;
           Alcotest.test_case "rfc8439 block vectors" `Quick test_chacha20_block_vectors;

@@ -278,6 +278,32 @@ let test_unanalyzed_module () =
          && contains f.message "Psp_lint_fixtures.Fx_interproc_helper")
        r.findings)
 
+(* Externals are audited in whole-program mode: one without a justified
+   [@@leak_ok] (no attribute, or an empty reason) is a finding at its
+   declaration, and a justified one is a justified site in its audit
+   record.  Per-module mode does not look at them. *)
+let test_foreign_primitive () =
+  let r = Lint.run_program ~root:"." (interproc_cmts [ "fx_bad_foreign" ]) in
+  Alcotest.(check (list string)) "no read errors" [] r.errors;
+  Alcotest.(check (list finding_pair))
+    "findings match EXPECT markers"
+    (sorted (expectations (fixture_src "fx_bad_foreign")))
+    (sorted (found_pairs r));
+  let audit name =
+    let func = "Psp_lint_fixtures.Fx_bad_foreign." ^ name in
+    match List.find_opt (fun (a : Finding.audit) -> a.a_func = func) r.foreign with
+    | Some a -> (a.justified, a.flagged)
+    | None -> Alcotest.failf "no audit record for %s" func
+  in
+  let counts = Alcotest.(pair int int) in
+  Alcotest.(check int) "one audit per external" 3 (List.length r.foreign);
+  Alcotest.(check counts) "justified external" (1, 0) (audit "justified_blit");
+  Alcotest.(check counts) "unjustified external" (0, 1) (audit "unchecked_blit");
+  Alcotest.(check counts) "empty reason" (0, 1) (audit "empty_reason");
+  let per_module = Lint.analyze_cmt (fixture_cmt "fx_bad_foreign") in
+  Alcotest.(check (list finding_pair)) "per-module mode skips externals" []
+    (found_pairs per_module)
+
 (* ------------------------------------------------------------------ *)
 (* Baseline: fingerprint suppression and the drift ratchet *)
 
@@ -440,7 +466,8 @@ let () =
           Alcotest.test_case "cross-module chain" `Quick test_interproc_chain;
           Alcotest.test_case "per-module is blind" `Quick
             test_interproc_per_module_blind;
-          Alcotest.test_case "unanalyzed module" `Quick test_unanalyzed_module ] );
+          Alcotest.test_case "unanalyzed module" `Quick test_unanalyzed_module;
+          Alcotest.test_case "foreign primitive" `Quick test_foreign_primitive ] );
       ( "baseline",
         [ Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "drift ratchet" `Quick test_baseline_drift ] );
