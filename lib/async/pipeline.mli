@@ -16,12 +16,12 @@
     {2 What the pipeline changes — and what it provably cannot}
 
     Only wall-clock timing.  The fiber suspends strictly {e after} the
-    engine has issued every server-visible operation of its walk (the
-    overflow loop included), so the server observes the same fetch
-    sequence, in the same order, as under synchronous execution; a fixed
-    fault schedule therefore lands on the same retrievals of the same
-    batches at every depth.  The tail that runs "late" is client-local:
-    solve, result assembly, statistics.  Scheduling decisions here read
+    engine has issued every server-visible operation of its walk, so
+    the server observes the same fetch sequence, in the same order, as
+    under synchronous execution; a fixed fault schedule therefore lands
+    on the same retrievals of the same batches at every depth.  The tail
+    that runs "late" is client-local: solve, result assembly,
+    statistics.  Scheduling decisions here read
     only public signals — arrival times, plan-determined accounted
     seconds, plan-fixed decode byte volumes — never query content
     (docs/ENGINE.md, "Suspendable walks").

@@ -78,6 +78,25 @@ let unavailable_result stats client_seconds ~point ~attempts =
     regions_fetched = 0;
     status = Unavailable { point; attempts } }
 
+let plan_exceeded = "plan.exceeded"
+
+(* [None] is an LM/AF member the plan could not finish.  Whether a member
+   finished depends on the query, so both records are built and counted
+   before the one selection that reads it. *)
+let member_result ~client_seconds stats (answer [@secret]) =
+  let path, regions_fetched = Option.value answer ~default:(None, 0) in
+  let status = status_of_stats stats in
+  let served = { path; stats; client_seconds; regions_fetched; status } in
+  let exceeded =
+    { served with status = Unavailable { point = plan_exceeded; attempts = 0 } }
+  in
+  match
+    (answer [@leak_ok "client-local, after every session closed: picks a built record"])
+  with
+  | Some _ -> served
+  | None -> exceeded
+  [@@oblivious]
+
 let unknown_result stats client_seconds ~scheme =
   Obs.incr m_unknown;
   { path = None;
@@ -108,7 +127,7 @@ let busy_seconds clock = Sys.time () -. clock.started -. clock.parked
    each fetch slot becoming one merged oblivious-store pass (Batcher).
    A single query is the width-1 batch. *)
 
-let query_batch ?(pad = true) ?(retry = default_retry)
+let query_batch ?(retry = default_retry)
     ?(pacing = Engine.sequential) server (queries : endpoints array) =
   (let width = Array.length queries in
    if width = 0 then [||]
@@ -143,7 +162,7 @@ let query_batch ?(pad = true) ?(retry = default_retry)
               match Registry.find header.H.scheme header.H.plan with
               | None -> `Unknown header.H.scheme
               | Some scheme ->
-                  let ctx = { Engine.header; psize; pad } in
+                  let ctx = { Engine.header; psize } in
                   let qs = Array.map (locate header) queries in
                   `Answers (Engine.run_batch ~pacing scheme batcher ~policy:retry ctx qs)
             with
@@ -167,15 +186,7 @@ let query_batch ?(pad = true) ?(retry = default_retry)
          in
          Obs.observe m_query_seconds client_seconds;
          (match outcome with
-         | Ok (`Answers answers) ->
-             Array.mapi
-               (fun i (path, regions_fetched) ->
-                 { path;
-                   stats = stats.(i);
-                   client_seconds;
-                   regions_fetched;
-                   status = status_of_stats stats.(i) })
-               answers
+         | Ok (`Answers answers) -> Array.map2 (member_result ~client_seconds) stats answers
          | Ok (`Unknown scheme) ->
              Array.map (fun s -> unknown_result s client_seconds ~scheme) stats
          | Error (`Gave_up (point, attempts)) ->
@@ -241,7 +252,11 @@ let stats_seconds (s : Session.stats) =
 let replicated_run ?max_failovers rset run =
   let max_failovers = Option.value max_failovers ~default:(3 * RS.width rset) in
   let cost = Psp_pir.Server.cost (RS.server rset 0) in
-  let is_unavailable r = match r.status with Unavailable _ -> true | _ -> false in
+  (* a plan overrun is the query's own: replaying it would show other replicas which
+     query overran *)
+  let gave_up r =
+    match r.status with Unavailable { point; _ } -> point <> plan_exceeded | _ -> false
+  in
   let rec go ~failovers ~fo_seconds ~abandoned ~last =
     let finished ~replica results =
       { results;
@@ -275,7 +290,7 @@ let replicated_run ?max_failovers rset run =
           match run (RS.server rset i) with
           | results ->
               Array.iter (fun r -> RS.advance rset (stats_seconds r.stats)) results;
-              if Array.length results > 0 && Array.for_all is_unavailable results then begin
+              if Array.length results > 0 && Array.for_all gave_up results then begin
                 (* retry exhaustion is a failed exchange too: shun the
                    replica and replay the whole plan elsewhere *)
                 RS.record_failure rset i;
@@ -302,8 +317,8 @@ let replicated_run ?max_failovers rset run =
   in
   go ~failovers:0 ~fo_seconds:0.0 ~abandoned:[] ~last:None
 
-let query_batch_replicated ?pad ?retry ?max_failovers rset (queries : endpoints array) =
-  replicated_run ?max_failovers rset (fun server -> query_batch ?pad ?retry server queries)
+let query_batch_replicated ?retry ?max_failovers rset (queries : endpoints array) =
+  replicated_run ?max_failovers rset (fun server -> query_batch ?retry server queries)
   [@@oblivious]
 
 (* ------------------------------------------------------------------ *)
@@ -321,14 +336,14 @@ let endpoints_of_nodes g (pairs [@secret]) =
      plan executions regardless; the endpoints inside stay secret"])
   [@@oblivious]
 
-let query_nodes ?pad ?retry server g (s [@secret]) (t [@secret]) =
-  (query_batch ?pad ?retry server (endpoints_of_nodes g [| (s, t) |])).(0)
+let query_nodes ?retry server g (s [@secret]) (t [@secret]) =
+  (query_batch ?retry server (endpoints_of_nodes g [| (s, t) |])).(0)
   [@@oblivious]
 
-let query_nodes_batch ?pad ?retry ?pacing server g (pairs [@secret]) =
-  query_batch ?pad ?retry ?pacing server (endpoints_of_nodes g pairs)
+let query_nodes_batch ?retry ?pacing server g (pairs [@secret]) =
+  query_batch ?retry ?pacing server (endpoints_of_nodes g pairs)
   [@@oblivious]
 
-let query_nodes_replicated ?pad ?retry ?max_failovers rset g (s [@secret]) (t [@secret]) =
-  query_batch_replicated ?pad ?retry ?max_failovers rset (endpoints_of_nodes g [| (s, t) |])
+let query_nodes_replicated ?retry ?max_failovers rset g (s [@secret]) (t [@secret]) =
+  query_batch_replicated ?retry ?max_failovers rset (endpoints_of_nodes g [| (s, t) |])
   [@@oblivious]

@@ -34,9 +34,9 @@ type status =
       (** the answer is correct, but recovery from transient faults or
           corrupt pages cost [retries] extra retrievals *)
   | Unavailable of { point : string; attempts : int }
-      (** the retry budget ran out at failpoint [point]; no answer.
-          This replaces an exception so callers always get the partial
-          trace and the recovery cost that was incurred. *)
+      (** the retry budget ran out at failpoint [point], or [point] is
+          {!plan_exceeded}; no answer.  This replaces an exception so
+          callers always get the trace and the recovery cost incurred. *)
   | Unknown_scheme of { scheme : string }
       (** the header announced a scheme tag the {!Registry} does not
           know, or a known tag with another scheme's plan; no oblivious
@@ -53,9 +53,15 @@ type result = {
   regions_fetched : int;
       (** region-page budget the query consumed, in region units (for
           LM/AF this counts the rs = rt dummy slot too — it is what plan
-          calibration must budget for) *)
+          calibration must budget for); 0 when [Unavailable] *)
   status : status;
 }
+
+val plan_exceeded : string
+(** The [point] of an [Unavailable { attempts = 0 }] LM/AF query whose
+    search outgrew the plan.  It walked the padded plan like any other
+    (a conforming trace; its batch is unaffected), and being
+    query-dependent it moves no {!Psp_obs.Obs} counter of its own. *)
 
 type endpoints = { sx : float; sy : float; tx : float; ty : float }
 (** One query's raw coordinates, for {!query_batch}. *)
@@ -86,7 +92,6 @@ exception Replica_failed of {
     serve through a {!Psp_pir.Replica_set}. *)
 
 val query_batch :
-  ?pad:bool ->
   ?retry:retry_policy ->
   ?pacing:Engine.pacing ->
   Psp_pir.Server.t ->
@@ -102,9 +107,10 @@ val query_batch :
     per-member trace — matches what a width-1 batch would have
     produced; [client_seconds] reports the per-query share of the
     batch's own CPU time ([Sys.time]; time parked at the release point
-    while other batches run is excluded).  The batch width is public.  [pad] (default
-    true) enforces the query plan with dummy retrievals; calibration
-    passes disable it.  An empty array returns an empty array without
+    while other batches run is excluded).  The batch width is public.
+    Every member walks exactly the public plan, padded with dummy
+    retrievals; a member whose search needs more is [Unavailable] at
+    {!plan_exceeded}.  An empty array returns an empty array without
     contacting the server.
 
     Transient faults and checksum failures raised by the server are
@@ -121,8 +127,8 @@ val query_batch :
     the call at the engine's release point through it.  It changes
     nothing about what the server observes.
     @raise Replica_failed on a replica-level failure (see above);
-    Failure on a malformed database or a plan the query cannot fit
-    into. *)
+    Failure on a malformed database, or a CI/PI/HY record that names more
+    regions than the plan budgets (a database fault, not a query's). *)
 
 (** {1 Replicated serving}
 
@@ -158,7 +164,6 @@ type replicated = {
 }
 
 val query_batch_replicated :
-  ?pad:bool ->
   ?retry:retry_policy ->
   ?max_failovers:int ->
   Psp_pir.Replica_set.t ->
@@ -168,7 +173,9 @@ val query_batch_replicated :
     failing over (whole-plan replay) on {!Replica_failed} or retry
     exhaustion until a replica serves, breakers admit no replica, or
     [max_failovers] (default [3 × width]) is exceeded — then the last
-    attempt's [Unavailable] results are returned.  Any replica-level
+    attempt's [Unavailable] results are returned.  A {!plan_exceeded}
+    result never fails over: a replay would show another replica which
+    query overran.  Any replica-level
     fault is batch-granular, so the whole batch replays together and
     members stay mutually trace-identical on every replica.  Simulated
     time (attempt costs plus failover backoff) drives the breakers'
@@ -177,11 +184,10 @@ val query_batch_replicated :
     breaker is already open before the first attempt. *)
 
 val query_nodes :
-  ?pad:bool -> ?retry:retry_policy -> Psp_pir.Server.t -> Psp_graph.Graph.t -> int -> int -> result
+  ?retry:retry_policy -> Psp_pir.Server.t -> Psp_graph.Graph.t -> int -> int -> result
 (** A width-1 {!query_batch} over one node-id pair. *)
 
 val query_nodes_batch :
-  ?pad:bool ->
   ?retry:retry_policy ->
   ?pacing:Engine.pacing ->
   Psp_pir.Server.t ->
@@ -191,7 +197,6 @@ val query_nodes_batch :
 (** {!query_batch} over node-id pairs ({!endpoints_of_nodes}). *)
 
 val query_nodes_replicated :
-  ?pad:bool ->
   ?retry:retry_policy ->
   ?max_failovers:int ->
   Psp_pir.Replica_set.t ->

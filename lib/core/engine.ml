@@ -9,7 +9,7 @@ type retry_policy = { max_attempts : int; base_backoff : float }
 
 let default_retry = { max_attempts = 4; base_backoff = 0.1 }
 
-type ctx = { header : H.t; psize : int; pad : bool }
+type ctx = { header : H.t; psize : int }
 
 type query = { rs : int; rt : int; sx : float; sy : float; tx : float; ty : float }
 
@@ -88,9 +88,8 @@ let with_retry ~policy ~on_retry op =
    client-local solve — so the next batch's PIR pass can start while
    this batch decodes.  Everything reported is public: the accounted
    server seconds are plan-determined aggregates, and the decode byte
-   count is plan-fixed (slot count x page size, overflow excluded) by
-   construction.  The default is inert, so sequential callers pay
-   nothing. *)
+   count is plan-fixed (slot count x page size) by construction.  The
+   default is inert, so sequential callers pay nothing. *)
 
 type pacing = {
   on_server : seconds:float -> unit;
@@ -107,9 +106,7 @@ let sequential =
     on_release = (fun () -> ()) }
 
 (* Plan-fixed fetch slots per member: the sum of the public step list's
-   window counts.  Overflow fetches are deliberately excluded — their
-   count is query-dependent (the documented access-pattern cost of the
-   unpadded/overflow modes), so pricing them would leak. *)
+   window counts — every fetch the walk issues. *)
 let plan_slots ctx =
   List.fold_left
     (fun acc step ->
@@ -127,87 +124,47 @@ let plan_slots ctx =
    lockstep sessions; a single query is a width-1 batcher.  The page
    array's length is the batch width; it rides down through
    Batcher.fetch into the oblivious store's merged pass, which serves
-   the whole batch with one level scan per level per chunk. *)
+   the whole batch with one level scan per level per chunk.  The walk
+   issues every step and nothing else: a member whose search outgrows
+   the plan is reported by run_batch, never fed an extra fetch. *)
 
 let walk (type s) (module S : SCHEME with type state = s) batcher ~policy ctx
     (states : s array) =
-  let all_exhausted () =
-    Array.for_all S.exhausted states
-    [@leak_ok
-      "consulted only to stop rounds that would be pure padding when padding is \
-       disabled (calibration) or the plan has overflowed — both documented \
-       access-pattern costs of the unpadded/incremental modes"]
-  in
   (* One fetch slot: ask every member which page it wants; a member
      without a real need gets a dummy retrieval of page 0.  The slot is
-     issued iff padding demands it or some member has a real request, and
-     the whole merged fetch retries as a unit so members stay in
-     lockstep.  Returns whether any member had a real request. *)
-  let slot ~pad_slot ~file =
+     always issued, and the whole merged fetch retries as a unit so
+     members stay in lockstep. *)
+  let slot ~file =
     let (wants [@secret]) = Array.map (fun st -> S.next_page st ~file) states in
-    let any_real =
-      (Array.exists Option.is_some wants
-      [@leak_ok
-        "trip count is the member count (the public batch size); which members \
-         carry a real request stays inside the option payloads"])
-    in
-    (if pad_slot || any_real then begin
-       let (pages [@secret]) = Array.map (Option.value ~default:0) wants in
-       let blobs =
-         with_retry ~policy ~on_retry:(Batcher.note_retry batcher) (fun () ->
-             Batcher.fetch batcher ~file ~pages)
-       in
-       Array.iteri
-         (fun i blob ->
-           match wants.(i) with
-           | Some _ -> S.deliver states.(i) ~file blob
-           | None -> ())
-         blobs
-     end)
+    (let (pages [@secret]) = Array.map (Option.value ~default:0) wants in
+     let blobs =
+       with_retry ~policy ~on_retry:(Batcher.note_retry batcher) (fun () ->
+           Batcher.fetch batcher ~file ~pages)
+     in
+     Array.iteri
+       (fun i blob ->
+         match wants.(i) with
+         | Some _ -> S.deliver states.(i) ~file blob
+         | None -> ())
+       blobs)
     [@leak_ok
-      "with padding on, the slot is issued unconditionally — the branch is \
-       constant-true and the fetch count is the public plan's; page indices are \
-       hidden by the PIR layer, and delivery is client-local"];
-    any_real
+      "the slot is issued whatever the members want, so the fetch count is the \
+       public plan's; trip counts are the member count (the public batch size), \
+       page indices are hidden by the PIR layer, and delivery is client-local"]
   in
   List.iter
     (fun step ->
       match step with
-      | QP.Next_round ->
-          (if ctx.pad || not (all_exhausted ()) then Batcher.next_round batcher)
-          [@leak_ok
-            "with padding on, every plan round runs — the branch is constant-true; \
-             unpadded (calibration) runs already forgo the plan's shape"]
+      | QP.Next_round -> Batcher.next_round batcher
       | QP.Fetch_window { file; count } ->
           Obs.with_span ("window:" ^ file) (fun () ->
               for _ = 1 to count do
-                ignore (slot ~pad_slot:ctx.pad ~file)
+                slot ~file
               done)
       | QP.Decode_barrier { label } ->
           Obs.with_span label (fun () ->
               Array.iter (fun st -> S.barrier st ~label) states))
-    (QP.steps ctx.header.H.plan ~pages_per_region:ctx.header.H.pages_per_region);
-  (* Overflow: a query that out-grows a mis-calibrated plan keeps
-     fetching (HY long records, LM/AF searches) instead of failing — the
-     trace deviation is the access-pattern cost those schemes accept,
-     and Calibrate exists to make this loop unreachable.  No spans here:
-     a span call count that depends on the query would break the
-     constant-shape telemetry policy. *)
-  (match QP.overflow ctx.header.H.plan with
-  | None -> ()
-  | Some { QP.file; window; per_round } ->
-      let continue_ = ref (not (all_exhausted ())) in
-      while !continue_ do
-        if per_round then Batcher.next_round batcher;
-        let any = ref false in
-        for _ = 1 to window do
-          if slot ~pad_slot:false ~file then any := true
-        done;
-        continue_ := !any && not (all_exhausted ())
-      done)
-  [@leak_ok
-    "overflow fetches beyond the public plan are LM/AF/HY's documented \
-     access-pattern cost; the loop stops as soon as no member needs real data"]
+    (QP.steps ctx.header.H.plan ~pages_per_region:ctx.header.H.pages_per_region)
   [@@oblivious]
 
 let run_batch ?(pacing = sequential) (module S : SCHEME) batcher ~policy ctx queries =
@@ -222,10 +179,9 @@ let run_batch ?(pacing = sequential) (module S : SCHEME) batcher ~policy ctx que
   (* Phase reports are unconditional — every walk reports exactly once,
      including walks aborted by retry exhaustion or replica failure, so
      an execution scheduler's accounting never depends on the outcome.
-     The release point sits after the last server-visible operation
-     (the overflow loop included): a suspended fiber has nothing left
-     to say to the server, so resuming it later cannot reorder the
-     server-visible schedule. *)
+     The release point sits after the last server-visible operation: a
+     suspended fiber has nothing left to say to the server, so resuming
+     it later cannot reorder the server-visible schedule. *)
   (match walk (module S) batcher ~policy ctx states with
   | () -> pacing.on_server ~seconds:(accounted ())
   | exception e ->
@@ -233,5 +189,16 @@ let run_batch ?(pacing = sequential) (module S : SCHEME) batcher ~policy ctx que
       raise e);
   pacing.on_decode ~bytes:(Array.length queries * plan_slots ctx * ctx.psize);
   pacing.on_release ();
-  Obs.with_span "solve" (fun () -> Array.map S.answer states)
+  (* Each member is asked once whether the plan finished its search; one
+     that still wants a page fails closed with no answer.  Its trace is
+     the plan's like every other member's. *)
+  Obs.with_span "solve" (fun () ->
+      Array.map
+        (fun st ->
+          (if S.exhausted st then Some (S.answer st) else None)
+          [@leak_ok
+            "client-local, after the last server-visible operation: every member \
+             walked the same padded plan, so the server observes nothing of which \
+             members finished"])
+        states)
   [@@oblivious]

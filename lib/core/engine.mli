@@ -4,16 +4,16 @@
     the plan — not the scheme — owns the retrieval loop here: the engine
     walks {!Psp_index.Query_plan.steps} and fills every fetch slot with
     the page a {!SCHEME} asks for, or a dummy retrieval when the scheme
-    needs nothing (padding).  Retry with deterministic backoff,
-    telemetry spans at plan-fixed positions, and trace conformance (the
-    walker issues exactly the step list that
+    needs nothing (padding), and nothing past it.  Retry with
+    deterministic backoff, telemetry spans at plan-fixed positions, and
+    trace conformance (the walker issues exactly the step list that
     {!Privacy.expected_trace} folds over) all live here, once.
 
     Schemes are passive: [next_page] picks which page index fills the
     slot the engine was issuing anyway, [deliver] consumes the payload,
     [barrier] runs plan-fixed client-local decode points, and [answer]
     solves over the accumulated {!Store}.  Nothing a scheme does can
-    change how many fetches the server observes while padding is on. *)
+    change how many fetches the server observes. *)
 
 type retry_policy = {
   max_attempts : int;  (** total tries per retrieval, first one included *)
@@ -27,7 +27,6 @@ val default_retry : retry_policy
 type ctx = {
   header : Psp_index.Header.t;
   psize : int;  (** page size in bytes, from the downloaded header *)
-  pad : bool;  (** false only in calibration runs *)
 }
 
 type query = { rs : int; rt : int; sx : float; sy : float; tx : float; ty : float }
@@ -54,8 +53,9 @@ module type SCHEME = sig
   (** A plan-fixed client-local decode point (no fetches). *)
 
   val exhausted : state -> bool
-  (** No further real fetches needed — consulted to stop unpadded
-      (calibration) walks and the overflow loop. *)
+  (** No further real fetches needed.  Asked once per member after the
+      walk; it may finish client-local work but never fetches.  [false]
+      fails the member closed. *)
 
   val answer : state -> answer
 end
@@ -88,9 +88,9 @@ val with_retry :
 (** {2 Pacing: phase reports for pipelined execution}
 
     The walk has two phases with different resources: a {e server}
-    phase (every PIR round, the overflow loop included) bounded by the
-    serial SCP, and a {e client tail} (trailing decode plus the solve
-    over the accumulated store) that only burns handheld CPU.  A
+    phase (every PIR round) bounded by the serial SCP, and a {e client
+    tail} (trailing decode plus the solve over the accumulated store)
+    that only burns handheld CPU.  A
     {!pacing} record lets an execution scheduler see the boundary: the
     engine reports the accounted server seconds and the plan-fixed
     decode byte volume, then calls [on_release] {e after} the last
@@ -103,8 +103,7 @@ val with_retry :
 
     Everything reported is public: accounted seconds are
     plan-determined cost aggregates, and the byte count is the public
-    step list's slot count times the page size (overflow fetches are
-    deliberately excluded — their count is query-dependent).  Reports
+    step list's slot count times the page size.  Reports
     fire exactly once per walk, on aborted walks too, so a scheduler's
     accounting never depends on the outcome. *)
 
@@ -130,9 +129,11 @@ val run_batch :
   policy:retry_policy ->
   ctx ->
   query array ->
-  answer array
+  answer option array
 (** The walker's one entry point: walk the plan once for N same-plan
-    queries in lockstep (a single query is N = 1).  Each fetch slot
+    queries in lockstep (a single query is N = 1).  A member the plan
+    could not finish ([exhausted]) gets [None]; it walked the same plan.
+    Each fetch slot
     becomes one merged {!Psp_pir.Batcher.fetch} pass, and a retry
     re-issues every member's identical request so members stay mutually
     trace-identical.  The batch width flows through the batcher into the

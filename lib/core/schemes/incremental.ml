@@ -1,5 +1,4 @@
 module H = Psp_index.Header
-module QP = Psp_index.Query_plan
 module E = Psp_index.Encoding
 module Sc = Scheme_common
 
@@ -54,7 +53,6 @@ end) : Engine.SCHEME = struct
     ctx : Engine.ctx;
     q : Engine.query;
     store : Store.t;
-    budget_regions : int;
     rq : Sc.region_queue;
     fetched : (int, unit) Hashtbl.t;
     dist : (int, float) Hashtbl.t;
@@ -74,13 +72,7 @@ end) : Engine.SCHEME = struct
   }
 
   let init ctx (q [@secret]) =
-    (let budget_regions =
-       match ctx.Engine.header.H.plan with
-       | QP.Lm { total_data_pages } -> total_data_pages
-       | QP.Af { max_regions; _ } -> max_regions
-       | _ -> failwith "Client: LM/AF database with wrong plan"
-     in
-     let store = Store.create () in
+    (let store = Store.create () in
      let rq =
        Sc.region_queue ctx.Engine.header store
          ~pages_per_region:ctx.Engine.header.H.pages_per_region
@@ -97,7 +89,6 @@ end) : Engine.SCHEME = struct
      { ctx;
        q;
        store;
-       budget_regions;
        rq;
        fetched;
        dist = Hashtbl.create 1024;
@@ -116,8 +107,8 @@ end) : Engine.SCHEME = struct
        found = false })
     [@leak_ok
       "balanced setup: both arms consume exactly one region window in round 2, \
-       and the consumed counter charges the dummy window against the budget just \
-       as calibration expects"]
+       and the consumed counter charges the dummy window against the plan's \
+       budget"]
     [@@oblivious]
 
   (* A frontier node in a not-yet-fetched region has no ALT vector, but
@@ -144,8 +135,7 @@ end) : Engine.SCHEME = struct
            | _ -> 0.0))
     [@leak_ok
       "heuristic evaluation is client-local arithmetic; it only steers which \
-       region the search pulls next, the incremental schemes' accepted \
-       access-pattern cost"]
+       page fills the next plan-fixed slot"]
     [@@oblivious]
 
   let relax (st [@secret]) u (record [@secret]) =
@@ -183,8 +173,8 @@ end) : Engine.SCHEME = struct
          end)
        record.E.adj)
     [@leak_ok
-      "edge relaxation is client-local; it only steers which region the search \
-       pulls next, the incremental schemes' accepted access-pattern cost"]
+      "edge relaxation is client-local; it only steers which page fills the \
+       next plan-fixed slot"]
     [@@oblivious]
 
   (* Advance the search until it needs a region's first page (returned),
@@ -241,9 +231,9 @@ end) : Engine.SCHEME = struct
               end
         end)
     [@leak_ok
-      "the best-first search order is secret-dependent by design in LM/AF; every \
-       server-visible fetch it triggers fills a slot the engine counts against — \
-       and pads up to — the public page budget before the query returns"]
+      "client-local search, run only inside a slot the engine issues anyway: it \
+       picks which page fills that plan-fixed slot, and a search that outgrows \
+       the plan fails closed instead of fetching more"]
     [@@oblivious]
 
   let next_page (st [@secret]) ~file =
@@ -254,7 +244,7 @@ end) : Engine.SCHEME = struct
          if (not st.setup_done) || st.search_done then None else advance st)
     [@leak_ok
       "slot bookkeeping: an idle queue before setup or after termination yields \
-       dummy retrievals, never skipped slots (with padding)"]
+       a dummy retrieval; every slot is plan-fixed"]
     [@@oblivious]
 
   let deliver (st [@secret]) ~file blob =
@@ -289,11 +279,14 @@ end) : Engine.SCHEME = struct
        is issued here"]
     [@@oblivious]
 
+  (* Finished iff one more slot would stay idle.  The last region may land in
+     the plan's final slot, leaving the search a client-local step from its
+     end: asking takes that step and fetches nothing. *)
   let exhausted (st [@secret]) =
-    (st.setup_done && st.search_done && Sc.rq_idle st.rq)
+    (st.setup_done && Option.is_none (next_page st ~file:"data"))
     [@leak_ok
-      "consulted by the engine's exhaustion check, whose gating is justified at \
-       the engine's sites"]
+      "asked once, after the walk's last server-visible operation; the search step \
+       it may take is client-local"]
     [@@oblivious]
 
   let answer (st [@secret]) =
@@ -310,11 +303,8 @@ end) : Engine.SCHEME = struct
      in
      (* report the region budget consumed rather than the distinct-region
         count: the rs = rt dummy window counts against the plan, and
-        calibration must budget for it; with padding the engine topped the
-        session up to the public budget *)
-     ( path,
-       if st.ctx.Engine.pad then max st.consumed st.budget_regions
-       else st.consumed ))
+        calibration must budget for it *)
+     (path, st.consumed))
     [@leak_ok "path reconstruction is client-local; no fetch is issued after it"]
     [@@oblivious]
 end

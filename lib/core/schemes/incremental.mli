@@ -2,9 +2,9 @@
 
     A best-first search suspended inside [next_page]: each plan round
     grants one region's worth of data-page slots, and the search pulls
-    the region of the next frontier node it pops — the deliberate
-    access-pattern trade these schemes make (DESIGN.md).  Padding still
-    tops the session up to the public page budget. *)
+    the region of the next frontier node it pops.  Every slot is
+    plan-fixed: the engine pads the ones the search leaves idle, and a
+    search that needs more regions than the budget fails closed. *)
 
 val alt_heuristic :
   Psp_index.Encoding.node_record -> Psp_index.Encoding.node_record -> float

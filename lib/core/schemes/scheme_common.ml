@@ -49,7 +49,7 @@ let rq_next (q [@secret]) =
           Some q.rq_header.H.region_first_page.(region)))
   [@leak_ok
     "queue bookkeeping only picks which page index fills a plan-fixed fetch slot; \
-     an empty queue yields a dummy retrieval, never a skipped one (with padding)"]
+     an empty queue yields a dummy retrieval, never a skipped one"]
   [@@oblivious]
 
 let rq_deliver (q [@secret]) blob =
@@ -70,6 +70,6 @@ let rq_deliver (q [@secret]) blob =
 let rq_idle (q [@secret]) =
   (q.rq_current = None && q.rq_queue = [])
   [@leak_ok
-    "consulted by the engine's exhaustion check, whose gating is itself justified at \
-     the engine's sites"]
+    "consulted by the schemes' exhaustion checks, which the engine asks once after \
+     the walk's last server-visible operation"]
   [@@oblivious]

@@ -379,7 +379,7 @@ let build_lm ~anchors ~seed ~page_size g =
   let data = PF.create ~name:"data" ~page_size in
   write_regions data ~pages_per_region:1
     (region_blobs config g partition ~region_of:partition.K.assignment ~landmark ());
-  (* provisional plan: reading the entire data file; calibration tightens it *)
+  (* the whole data file; calibration may tighten it *)
   let plan = Query_plan.Lm { total_data_pages = PF.page_count data } in
   let header, header_file =
     make_header ~scheme:"LM" ~g ~partition ~pages_per_region:1 ~plan ~config ~index_pages:0

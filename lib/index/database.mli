@@ -8,10 +8,10 @@
     file precisely so the adversary cannot tell which kind of record
     answered a query (§6).
 
-    LM and AF databases are built with a provisional plan whose page
-    budget must be calibrated against a query workload (the paper
-    derives it from exhaustive execution; see
-    [Psp_core.Lm.calibrate] / [Psp_core.Af.calibrate]). *)
+    LM and AF databases are built with a plan that budgets the whole
+    data file.  [Psp_core.Calibrate] may tighten it to a query
+    workload's maximum (the paper derives the budget from exhaustive
+    execution); a query that outgrows its plan fails closed. *)
 
 type stats = {
   m : int;                 (** CI/HY: max |S_{i,j}| before replacement *)
@@ -86,9 +86,9 @@ val build_pi_star :
 val build_lm :
   anchors:int -> seed:int -> page_size:int -> Psp_graph.Graph.t ->
   t * Psp_graph.Landmark.t
-(** Landmark baseline (§4); plan requires calibration. *)
+(** Landmark baseline (§4); the plan budgets the whole data file. *)
 
 val build_af :
   target_regions:int -> page_size:int -> Psp_graph.Graph.t ->
   t * Psp_graph.Arcflag.t
-(** Arc-flag baseline (§4); plan requires calibration. *)
+(** Arc-flag baseline (§4); the plan budgets every region. *)

@@ -14,8 +14,6 @@ type step =
   | Fetch_window of { file : string; count : int }
   | Decode_barrier of { label : string }
 
-type overflow = { file : string; window : int; per_round : bool }
-
 (* The plan is public by construction: everything below may depend only
    on the published scheme parameters, never on a query. *)
 
@@ -71,20 +69,6 @@ let steps t ~pages_per_region =
       :: window "data" (2 * pages_per_region)
       :: barrier "setup"
       :: repeat (max_regions - 2) [ Next_round; window "data" pages_per_region ])
-  [@@oblivious]
-
-(* LM/AF (and HY's long subgraph records) may legitimately out-grow a
-   mis-calibrated plan; the walker then keeps fetching past the step list
-   instead of failing the query — the trace deviation is exactly the
-   access-pattern cost those schemes accept, and Calibrate exists to make
-   it unreachable.  CI and PI bound their needs by construction and fail
-   closed instead. *)
-let overflow = function
-  | Ci _ | Pi _ | Pi_star _ -> None
-  | Hy _ -> Some { file = "combined"; window = 1; per_round = false }
-  | Lm _ -> Some { file = "data"; window = 1; per_round = true }
-  | Af { pages_per_region; _ } ->
-      Some { file = "data"; window = pages_per_region; per_round = true }
   [@@oblivious]
 
 let pir_fetches = function

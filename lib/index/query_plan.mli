@@ -4,7 +4,8 @@
     the number of rounds, which files are touched in each round and how
     many pages are fetched from each — the invariant that makes all
     queries indistinguishable (Theorem 1).  Clients pad their real needs
-    with dummy retrievals up to the plan.
+    with dummy retrievals up to the plan and never fetch past it: a query
+    that needs more than the plan fails closed.
 
     Per scheme:
     - CI: header; 1 page F_l; [fi_span] pages F_i; [m] + 2 pages F_d.
@@ -16,7 +17,10 @@
     - LM: header; then data pages one region per round (two in the first
       data round), [total_data_pages] in total.
     - AF: like LM but regions span [pages_per_region] pages each;
-      [max_regions] regions fetched in total. *)
+      [max_regions] regions fetched in total.
+
+    A freshly built LM/AF plan budgets the whole data file;
+    {!Psp_core.Calibrate} may tighten it to a workload's maximum. *)
 
 type t =
   | Ci of { fi_span : int; m : int }
@@ -36,23 +40,12 @@ type step =
           server-visible effects, present so the execution engine can
           place its telemetry spans at plan-fixed positions *)
 
-type overflow = { file : string; window : int; per_round : bool }
-(** How a scheme keeps fetching when a query out-grows a mis-calibrated
-    plan: windows of [window] pages against [file], advancing the round
-    before each window iff [per_round]. *)
-
 val steps : t -> pages_per_region:int -> step list
 (** The plan's operational form — the exact per-round fetch-slot sequence
     a conforming execution must produce (the header download of round 1
     is implicit).  {!Psp_core.Privacy.expected_trace} and the execution
     engine both consume this list, making it the single source of truth
     for Theorem 1's public query plan. *)
-
-val overflow : t -> overflow option
-(** [None] for the schemes that bound their needs by construction — CI
-    and both PI variants fail closed instead; [Some _] for HY/LM/AF, whose
-    queries may exceed a mis-calibrated plan at the documented
-    access-pattern cost. *)
 
 val pir_fetches : t -> (string * int) list
 (** Expected total private page fetches per file name (files named

@@ -326,6 +326,8 @@ type state = {
   mutable justified : int;
   mutable flagged : int;
   mutable secrets : SSet.t; (* all seeds seen in this binding *)
+  mutable metric : Finding.frame list option;
+      (* chain to the first metric update this binding performs *)
   aliases : (string * string) list;
   abbrevs : (string * Types.type_expr) list; (* file-local type manifests *)
   func : string; (* display name of the binding under analysis *)
@@ -387,6 +389,11 @@ let record st ~emit ~suppressed ?(chain = []) ?(taint = SSet.empty) ~short rule 
           h_chain = chain }
         :: st.hits
     end
+
+(* A metric update reached from this binding, whatever controls it: an
+   ambient secret-telemetry sink, flagged only under a caller's secret control. *)
+let note_metric st ~emit ~suppressed chain =
+  if emit && (not suppressed) && st.metric = None then st.metric <- Some chain
 
 (* Root identifier of an lvalue-ish expression: strips field projections
    so that `t.shelter` mutations taint `t`. *)
@@ -463,6 +470,10 @@ let optional_default_select (scrut : Typedtree.expression)
     | _ -> false
   in
   generated_ident && List.length cases = 2 && List.for_all option_case cases
+
+(* A justified scrutinee licenses the selection alone: the arms are still
+   analyzed, under secret control. *)
+let justified_guard (e : Typedtree.expression) = leak_ok e.exp_attributes = `Justified
 
 (* [eval st ~emit ~suppressed ~ct e] returns the secret sources the value
    of [e] may derive from.  [ct] is the control taint: sources steering
@@ -598,6 +609,9 @@ let rec eval st ~emit ~suppressed ~ct (e : Typedtree.expression) =
           | _ -> ());
           (match telemetry name with
           | Some payload_idxs ->
+              note_metric st ~emit ~suppressed
+                [ Finding.frame_of_location ~func:st.func ~note:("call to " ^ name)
+                    e.exp_loc ];
               let payload =
                 List.fold_left
                   (fun acc i -> SSet.union acc (nth_taint i))
@@ -646,7 +660,17 @@ let rec eval st ~emit ~suppressed ~ct (e : Typedtree.expression) =
               List.iter
                 (fun sk ->
                   let chain = call_frame ("calls " ^ sum.sum_name) :: sk.sk_chain in
-                  if sk.sk_param < 0 then
+                  if sk.sk_param < 0 && sk.sk_rule = Finding.Secret_telemetry then begin
+                    note_metric st ~emit ~suppressed chain;
+                    if not (SSet.is_empty ct) then
+                      record st ~emit ~suppressed ~chain ~taint:ct ~short:sk.sk_short
+                        sk.sk_rule e.exp_loc
+                        (Printf.sprintf
+                           "call to %s updates a metric under secret-dependent \
+                            control flow: %s"
+                           sum.sum_name (describe ct))
+                  end
+                  else if sk.sk_param < 0 then
                     record st ~emit ~suppressed ~chain ~short:sk.sk_short sk.sk_rule
                       e.exp_loc
                       (Printf.sprintf
@@ -695,7 +719,8 @@ let rec eval st ~emit ~suppressed ~ct (e : Typedtree.expression) =
         && (not (trivial_match cases))
         && not default_select
       then
-        record st ~emit ~suppressed ~taint:t ~short:"match scrutinee"
+        record st ~emit ~suppressed:(suppressed || justified_guard scrut) ~taint:t
+          ~short:"match scrutinee"
           Finding.Secret_branch e.exp_loc
           (Printf.sprintf "match scrutinee depends on secrets: %s" (describe t));
       (* A default-select's arm choice is call-site syntax, so the arms
@@ -834,6 +859,7 @@ let new_state ?(env = empty_env) ?(prefix = "") ?(abbrevs = []) ~aliases ~func (
     justified = 0;
     flagged = 0;
     secrets = SSet.empty;
+    metric = None;
     aliases;
     abbrevs;
     func;
@@ -957,6 +983,10 @@ let summarize ~env (fn : Callgraph.fn) =
               push { sk_param = i; sk_rule = h.h_rule; sk_short = h.h_short; sk_chain = chain })
             params)
     (List.rev st.hits);
+  Option.iter
+    (fun sk_chain ->
+      push { sk_param = -1; sk_rule = Secret_telemetry; sk_short = "metric update"; sk_chain })
+    st.metric;
   let mutations =
     List.filter_map
       (fun (i, ids) ->

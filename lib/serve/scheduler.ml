@@ -177,7 +177,7 @@ let mix streams =
 
 let eps = 1e-9
 
-let run ?pad ?retry cfg ~tenants ~jobs =
+let run ?retry cfg ~tenants ~jobs =
   if cfg.min_width < 1 then invalid_arg "Scheduler.run: min_width must be >= 1";
   if cfg.max_width < cfg.min_width then
     invalid_arg "Scheduler.run: max_width must be >= min_width";
@@ -271,7 +271,7 @@ let run ?pad ?retry cfg ~tenants ~jobs =
     in
     let job =
       Pipeline.submit pipe ~ready (fun () ->
-          Client.query_nodes_batch ?pad ?retry ~pacing st.tn.server st.tn.graph
+          Client.query_nodes_batch ?retry ~pacing st.tn.server st.tn.graph
             pairs)
     in
     let fetch = Pipeline.fetch_seconds job in

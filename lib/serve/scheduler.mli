@@ -115,7 +115,6 @@ val mix : (string * (int * int) array * float array) list -> Queue.job array
     differ. *)
 
 val run :
-  ?pad:bool ->
   ?retry:Psp_core.Client.retry_policy ->
   config ->
   tenants:tenant list ->
@@ -126,6 +125,6 @@ val run :
     ([serve.<name>.batches]) and histograms ([serve.<name>.width],
     [serve.<name>.latency]) are recorded through {!Psp_obs.Obs} under
     the constant-shape policy — all derived from the public schedule.
-    [pad]/[retry] pass through to {!Psp_core.Client.query_nodes_batch}.
+    [retry] passes through to {!Psp_core.Client.query_nodes_batch}.
     @raise Invalid_argument on an invalid config, an unknown or
     duplicate tenant, or job indices that are not dense and unique. *)

@@ -395,12 +395,14 @@ let test_trace_leak_detection () =
 (* The secret page sequence, pinned.  Traces only record (round, file),
    so a scheme could read different pages — or answer differently —
    without any trace test noticing.  This reference walker drives a
-   registered scheme over the public step list and the overflow window
-   with no server in between: it reads pages straight from the page
-   files and digests every slot's (file, page) choice, the answer and
-   the consumed region count.  The look-up digests were computed before
-   those schemes shared one module, the LM and AF digests before the
-   client store moved to dense local ids; none may ever move. *)
+   registered scheme over the public step list with no server in
+   between: it reads pages straight from the page files and digests
+   every slot's (file, page) choice, the answer and the consumed region
+   count — or, like the engine, "exceeded" for a scheme that the plan
+   left unfinished.  The look-up digests were computed before those
+   schemes shared one module, the LM and AF slot choices and answers
+   before the client store moved to dense local ids; the LM and AF
+   digests also pin each search's consumed region count. *)
 
 let reference_walk (db : DB.t) (s, t) =
   let module H = Psp_index.Header in
@@ -421,51 +423,38 @@ let reference_walk (db : DB.t) (s, t) =
       tx;
       ty }
   in
-  let st = S.init { Engine.header; psize = PF.page_size db.DB.header_file; pad = true } q in
+  let st = S.init { Engine.header; psize = PF.page_size db.DB.header_file } q in
   let seq = Buffer.create 256 in
   let round = ref 1 and tail_pages = ref 0 in
   let slot name =
     match S.next_page st ~file:name with
-    | None ->
-        Buffer.add_string seq (name ^ ":-;");
-        false
+    | None -> Buffer.add_string seq (name ^ ":-;")
     | Some p ->
         Buffer.add_string seq (Printf.sprintf "%s:%d;" name p);
         (* an index page of the combined file read in round 4 is the
            tail of a long HY record *)
         if name = "combined" && !round = 4 && p < header.H.data_offset then
           incr tail_pages;
-        S.deliver st ~file:name (PF.read (file name) p);
-        true
+        S.deliver st ~file:name (PF.read (file name) p)
   in
   List.iter
     (function
       | QP.Next_round -> incr round
       | QP.Fetch_window { file; count } ->
           for _ = 1 to count do
-            ignore (slot file)
+            slot file
           done
       | QP.Decode_barrier { label } -> S.barrier st ~label)
     (QP.steps plan ~pages_per_region:header.H.pages_per_region);
-  (match QP.overflow plan with
-  | None -> ()
-  | Some { QP.file; window; per_round } ->
-      let continue_ = ref (not (S.exhausted st)) in
-      while !continue_ do
-        if per_round then incr round;
-        let any = ref false in
-        for _ = 1 to window do
-          if slot file then any := true
-        done;
-        continue_ := !any && not (S.exhausted st)
-      done);
-  let path, regions = S.answer st in
-  (match path with
-  | None -> Buffer.add_string seq "none"
-  | Some (nodes, cost) ->
-      List.iter (fun v -> Buffer.add_string seq (string_of_int v ^ ",")) nodes;
-      Buffer.add_string seq (Printf.sprintf "%h" cost));
-  Buffer.add_string seq (Printf.sprintf "|%d\n" regions);
+  (if not (S.exhausted st) then Buffer.add_string seq "exceeded\n"
+   else
+     let path, regions = S.answer st in
+     (match path with
+     | None -> Buffer.add_string seq "none"
+     | Some (nodes, cost) ->
+         List.iter (fun v -> Buffer.add_string seq (string_of_int v ^ ",")) nodes;
+         Buffer.add_string seq (Printf.sprintf "%h" cost));
+     Buffer.add_string seq (Printf.sprintf "|%d\n" regions));
   (Buffer.contents seq, !tail_pages > 0)
 
 let pinned_page_sequences =
@@ -479,10 +468,10 @@ let pinned_page_sequences =
     ("small PI", "02e492a3d665185958154060eb0117fc");
     ("small HY threshold 0", "adbdcf31ef6f8793ef2b763bcdd0a6c0");
     ("small PI* cluster 2", "a7fe810dc4dccba548c517944831582b");
-    ("LM", "3f69ea222cb6517ace2417b202582885");
-    ("AF", "6f942e3e82213b27e2d2c6b8ffa409af");
-    ("small LM", "2b5a860340c305cea48d5812fa0a3ad5");
-    ("small AF", "47288a0cb64dfab25b2f899b8909d073") ]
+    ("LM", "bf4e02d92ec6d2a40b48e8183314fa83");
+    ("AF", "827893d422a016bc2f5aedc20382df63");
+    ("small LM", "0687d1bf50245d91703656f7b82263ea");
+    ("small AF", "e5faf9d334b6dd943c82ee4ba78f0ced") ]
 
 let test_page_sequence_pinned () =
   let small = network ~nodes:220 ~seed:91 () in
@@ -528,6 +517,131 @@ let test_page_sequence_pinned () =
   Alcotest.(check bool)
     (Printf.sprintf "HY long-record walks: %d" !long_walks)
     true (!long_walks > 0)
+
+(* ------------------------------------------------------------------ *)
+(* One plan, no overflow.  A calibrated LM/AF plan is the maximum over
+   its workload, so a fresh query may need more.  It must still walk
+   exactly the plan (Theorem 1) and fail closed instead of fetching
+   more; every other query stays exact. *)
+
+let fresh_queries = Psp_netgen.Synthetic.random_queries g ~count:500 ~seed:99
+
+let is_exceeded (r : Client.result) =
+  match r.Client.status with
+  | Client.Unavailable { point; attempts = 0 } -> point = Client.plan_exceeded
+  | _ -> false
+
+let exact (s, t) (r : Client.result) =
+  match r.Client.path with
+  | Some (_, got) -> close_cost got (Psp_graph.Dijkstra.distance g s t)
+  | None -> false
+
+let check_plan_shaped name db traces =
+  let traces = Array.to_list traces in
+  let header_pages = PF.page_count db.DB.header_file in
+  List.iter
+    (fun trace ->
+      match Privacy.conforms db.DB.header ~header_pages trace with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (Printf.sprintf "%s: %s" name e))
+    traces;
+  match Privacy.indistinguishable traces with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Printf.sprintf "%s: %s" name e)
+
+let test_out_of_calibration name () =
+  let db = List.assoc name (Lazy.force databases) in
+  let server = Server.create ~cost ~key (DB.files db) in
+  let results = Array.map (fun (s, t) -> Client.query_nodes server g s t) fresh_queries in
+  check_plan_shaped name db
+    (Array.map (fun (r : Client.result) -> r.Client.stats.Session.trace) results);
+  let overruns = ref 0 in
+  Array.iteri
+    (fun i r ->
+      if is_exceeded r then begin
+        incr overruns;
+        Alcotest.(check bool) "an overrun has no path" true (r.Client.path = None)
+      end
+      else
+        let s, t = fresh_queries.(i) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %d->%d exact" name s t)
+          true (exact (s, t) r))
+    results;
+  (* the calibrated LM plan is tight enough that fresh queries outgrow it *)
+  if name = "LM" then
+    Alcotest.(check bool) (Printf.sprintf "LM overruns: %d" !overruns) true (!overruns > 0)
+
+let test_overrun_in_batch () =
+  let db = List.assoc "LM" (Lazy.force databases) in
+  let server = Server.create ~cost ~key (DB.files db) in
+  let overrun =
+    match
+      List.find_opt
+        (fun (s, t) -> is_exceeded (Client.query_nodes server g s t))
+        (Array.to_list fresh_queries)
+    with
+    | Some pair -> pair
+    | None -> Alcotest.fail "no LM query outgrows the calibrated plan"
+  in
+  (* the calibration workload fits the plan by construction *)
+  let pairs = [| queries.(0); queries.(1); overrun; queries.(2) |] in
+  let results = Client.query_nodes_batch server g pairs in
+  check_plan_shaped "LM batch" db
+    (Array.map (fun (r : Client.result) -> r.Client.stats.Session.trace) results);
+  Array.iteri
+    (fun i r ->
+      if i = 2 then Alcotest.(check bool) "member 2 overruns" true (is_exceeded r)
+      else
+        Alcotest.(check bool) (Printf.sprintf "member %d exact" i) true (exact pairs.(i) r))
+    results
+
+(* HY's round4 is the worst case over every region pair
+   (Database.build_hy), so no HY query can outgrow its plan: walk one
+   query per ordered (Rs, Rt) pair, at threshold 0 and at the CLI's
+   default threshold. *)
+let test_hy_fits_every_region_pair () =
+  let small = network ~nodes:220 ~seed:91 () in
+  let p = DB.prepare ~page_size:256 small in
+  List.iter
+    (fun (name, db) ->
+      let part = db.DB.partition in
+      let regions = part.Psp_partition.Kdtree.region_count in
+      let node r = (Psp_partition.Kdtree.nodes_of_region part r).(0) in
+      for rs = 0 to regions - 1 do
+        for rt = 0 to regions - 1 do
+          let walk, _ = reference_walk db (node rs, node rt) in
+          if String.ends_with ~suffix:"exceeded\n" walk then
+            Alcotest.fail
+              (Printf.sprintf "HY %s: regions %d -> %d outgrow the plan" name rs rt)
+        done
+      done)
+    [ ("threshold 0", DB.build_hy ~prepared:p ~threshold:0 ~page_size:256 small);
+      ( "default threshold",
+        DB.build_hy ~prepared:p
+          ~threshold:(max 1 (DB.prepared_max_cardinality p / 3))
+          ~page_size:256 small ) ]
+
+(* Calibration starts from the whole-file plan, so its result does not
+   depend on the plan it is given: re-calibrating changes nothing, and a
+   plan tightened on a smaller workload does not cap a larger one. *)
+let test_calibrate_idempotent () =
+  let plan db = db.DB.header.Psp_index.Header.plan in
+  let lm, _ = DB.build_lm ~anchors:4 ~seed:2 ~page_size g in
+  let af, _ = DB.build_af ~target_regions:14 ~page_size g in
+  List.iter
+    (fun (name, calibrate, db) ->
+      let once = calibrate db ~queries in
+      let check what db' =
+        Alcotest.(check bool)
+          (Format.asprintf "%s %s: %a = %a" name what QP.pp (plan once) QP.pp (plan db'))
+          true
+          (plan once = plan db')
+      in
+      check "twice" (calibrate once ~queries);
+      check "from a tighter plan"
+        (calibrate (calibrate db ~queries:(Array.sub queries 0 3)) ~queries))
+    [ ("LM", Calibrate.lm, lm); ("AF", Calibrate.af, af) ]
 
 (* The whole pipeline as one property: over random road networks and any
    scheme, every query is exact and every trace is plan-shaped. *)
@@ -841,7 +955,14 @@ let () =
           Alcotest.test_case "cost grows" `Quick test_obf_cost_grows_with_set_size ] );
       ( "calibration",
         [ Alcotest.test_case "tightens LM plan" `Quick test_calibration_tightens_lm_plan;
-          Alcotest.test_case "baselines fetch more" `Quick test_baselines_fetch_more_than_ci ] );
+          Alcotest.test_case "baselines fetch more" `Quick test_baselines_fetch_more_than_ci;
+          Alcotest.test_case "idempotent" `Quick test_calibrate_idempotent ] );
+      ( "one plan",
+        [ Alcotest.test_case "LM out of calibration" `Slow (test_out_of_calibration "LM");
+          Alcotest.test_case "AF out of calibration" `Slow (test_out_of_calibration "AF");
+          Alcotest.test_case "overrun in a batch" `Quick test_overrun_in_batch;
+          Alcotest.test_case "HY fits every region pair" `Quick
+            test_hy_fits_every_region_pair ] );
       ( "approximation",
         [ Alcotest.test_case "bounded deviation" `Slow test_approximate_schemes;
           Alcotest.test_case "grid properties" `Quick test_quantize_grid ] );

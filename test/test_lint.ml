@@ -304,6 +304,21 @@ let test_foreign_primitive () =
   Alcotest.(check (list finding_pair)) "per-module mode skips externals" []
     (found_pairs per_module)
 
+(* A helper's metric update is charged to a caller that reaches it under
+   secret control, and a scrutinee-level [@leak_ok] justifies only the
+   selection: whole-program mode, where summaries carry the update. *)
+let test_metric_call () =
+  let r =
+    Lint.run_program ~root:"."
+      ("../lib/obs/.psp_obs.objs/byte/psp_obs__Obs.cmt"
+      :: interproc_cmts [ "fx_bad_metric_call" ])
+  in
+  Alcotest.(check (list string)) "no read errors" [] r.errors;
+  Alcotest.(check (list finding_pair))
+    "findings match EXPECT markers"
+    (sorted (expectations (fixture_src "fx_bad_metric_call")))
+    (sorted (found_pairs r))
+
 (* ------------------------------------------------------------------ *)
 (* Baseline: fingerprint suppression and the drift ratchet *)
 
@@ -467,7 +482,8 @@ let () =
           Alcotest.test_case "per-module is blind" `Quick
             test_interproc_per_module_blind;
           Alcotest.test_case "unanalyzed module" `Quick test_unanalyzed_module;
-          Alcotest.test_case "foreign primitive" `Quick test_foreign_primitive ] );
+          Alcotest.test_case "foreign primitive" `Quick test_foreign_primitive;
+          Alcotest.test_case "metric update in a callee" `Quick test_metric_call ] );
       ( "baseline",
         [ Alcotest.test_case "roundtrip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "drift ratchet" `Quick test_baseline_drift ] );

@@ -278,6 +278,39 @@ let test_retry_exhaustion_fails_over () =
         | _ -> false);
       Alcotest.(check bool) "every replica was tried" true (rep.Client.failovers >= 2))
 
+(* An LM query that outgrows its calibrated plan fails closed, and that
+   is the query's own outcome, not a failed exchange: replaying it on
+   another replica would show that replica which query overran. *)
+let test_overrun_no_failover () =
+  let lm, _ = DB.build_lm ~anchors:3 ~seed:2 ~page_size g in
+  let lm = Calibrate.lm lm ~queries:(Array.sub queries 0 3) in
+  let exceeded (r : Client.result) =
+    match r.Client.status with
+    | Client.Unavailable { point; attempts = 0 } -> point = Client.plan_exceeded
+    | _ -> false
+  in
+  let probe = Server.create ~cost ~key (DB.files lm) in
+  let s, t =
+    match
+      List.find_opt
+        (fun (s, t) -> exceeded (Client.query_nodes probe g s t))
+        (Array.to_list (Psp_netgen.Synthetic.random_queries g ~count:200 ~seed:8))
+    with
+    | Some pair -> pair
+    | None -> Alcotest.fail "no LM query outgrows the calibrated plan"
+  in
+  let set = RS.create ~mode:`Pyramid ~cost ~key ~replicas:3 (DB.files lm) in
+  let rep = Client.query_nodes_replicated set g s t in
+  Alcotest.(check bool) "plan exceeded" true (exceeded rep.Client.results.(0));
+  Alcotest.(check int) "no failover" 0 rep.Client.failovers;
+  Alcotest.(check int) "nothing abandoned" 0 (List.length rep.Client.abandoned);
+  for i = 0 to RS.width set - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d touched iff it served" i)
+      (i = rep.Client.replica)
+      (Server.executed_slot_touches (RS.server set i) > 0)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* The acceptance invariant: per-replica trace equality *)
 
@@ -459,7 +492,9 @@ let () =
           Alcotest.test_case "all replicas down" `Quick
             test_all_replicas_down_unavailable;
           Alcotest.test_case "retry exhaustion fails over" `Quick
-            test_retry_exhaustion_fails_over ] );
+            test_retry_exhaustion_fails_over;
+          Alcotest.test_case "plan overrun does not fail over" `Quick
+            test_overrun_no_failover ] );
       ( "header",
         [ Alcotest.test_case "tamper survived via failover" `Quick
             test_header_tamper_survived;
