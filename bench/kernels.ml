@@ -33,18 +33,11 @@ let tests env =
   let chacha_key = Psp_crypto.Sha256.digest_string "bench" in
   let nonce = Bytes.make 12 'n' in
   (* the per-slot PRF consumers of a pyramid rebuild and probe: one
-     HMAC of a 16-byte message, a 4-round Feistel point (table lookups
-     plus cycle walking), and a Bloom membership test over a loaded
-     filter; building the Feistel round tables is paid once per level
-     epoch *)
+     HMAC of a 16-byte message and a 4-round Feistel point (table
+     lookups plus cycle walking); building the Feistel round tables is
+     paid once per level epoch *)
   let prf = Psp_crypto.Prf.create ~key:chacha_key ~label:"bench" in
   let perm = Psp_crypto.Feistel.create ~key:chacha_key ~domain:1000 in
-  let bloom =
-    Psp_crypto.Bloom.sized_for ~key:chacha_key ~label:"bench" ~expected:256 ~fp_rate:0.01
-  in
-  for x = 0 to 255 do
-    Psp_crypto.Bloom.add bloom x
-  done;
   let region_blob region =
     Psp_index.Encoding.encode_region Psp_index.Encoding.plain_config g
       (Psp_partition.Kdtree.nodes_of_region db.DB.partition region)
@@ -70,16 +63,25 @@ let tests env =
     Test.make ~name:"astar euclid p2p" (Staged.stage (fun () ->
         let s, t = pick () in
         ignore (Psp_graph.Astar.search_euclidean g ~source:s ~target:t)));
+    (* the dispatched cores (SHA-NI, AVX2 where the CPU has them) beside
+       the portable ones every other machine runs *)
     Test.make ~name:"sha256 4KB" (Staged.stage (fun () -> ignore (Psp_crypto.Sha256.digest blob)));
+    Test.make ~name:"sha256 4KB portable" (Staged.stage (fun () ->
+        let ctx = Psp_crypto.Sha256.Portable.init () in
+        Psp_crypto.Sha256.feed ctx blob;
+        ignore (Psp_crypto.Sha256.finalize ctx)));
     Test.make ~name:"chacha20 4KB" (Staged.stage (fun () ->
         ignore (Psp_crypto.Chacha20.encrypt ~key:chacha_key ~nonce blob)));
+    Test.make ~name:"chacha20 4KB portable" (Staged.stage (fun () ->
+        (* allocating its output, like the encrypt row above *)
+        let out = Bytes.create 4096 in
+        Psp_crypto.Chacha20.Portable.encrypt_into ~key:chacha_key ~nonce ~src:blob out));
     Test.make ~name:"hmac prf 16B" (Staged.stage (fun () ->
         ignore (Psp_crypto.Prf.int prf 12345)));
     Test.make ~name:"feistel create d=1000" (Staged.stage (fun () ->
         ignore (Psp_crypto.Feistel.create ~key:chacha_key ~domain:1000)));
     Test.make ~name:"feistel forward" (Staged.stage (fun () ->
         ignore (Psp_crypto.Feistel.forward perm 617)));
-    Test.make ~name:"bloom mem" (Staged.stage (fun () -> ignore (Psp_crypto.Bloom.mem bloom 77)));
     Test.make_indexed ~name:"pyramid fetch_many w" ~fmt:"%s%d" ~args:[ 1; 4; 16 ]
       (fun width ->
         let ids = ids width in

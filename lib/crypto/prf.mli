@@ -1,12 +1,12 @@
 (** Keyed pseudo-random functions over integers.
 
-    Thin, typed wrappers over HMAC-SHA-256 used by the oblivious store:
-    the Feistel round functions that place items on level slots, and
-    the Bloom-filter probe positions.  Each call is the HMAC of one
-    16-byte message (input and a salt); since an instance keeps its
-    key's pad states ({!Hmac.keyed}), a call costs two SHA-256
-    compressions.  It writes into scratch buffers the instance owns
-    ({!Hmac.mac_keyed_into}), so {!int} and {!index} allocate nothing. *)
+    A thin, typed wrapper over HMAC-SHA-256 used by the oblivious store
+    for the Feistel round functions that place items on level slots.
+    Each call is the HMAC of one 16-byte message (the input and a zero
+    salt); since an instance keeps its key's pad states
+    ({!Hmac.keyed}), a call costs two SHA-256 compressions.  It writes
+    into scratch buffers the instance owns ({!Hmac.mac_keyed_into}), so
+    {!int} allocates nothing. *)
 
 type t
 (** A keyed PRF instance.  It carries mutable scratch state: calls on
@@ -21,20 +21,3 @@ val create : key:bytes -> label:string -> t
 
 val int : t -> int -> int
 (** [int t x] is a 62-bit non-negative pseudo-random value of [x]. *)
-
-val int_mod : t -> int -> int -> int
-(** [int_mod t x m] is uniform-ish in [[0,m)].
-    @raise Invalid_argument if [m <= 0]. *)
-
-val bytes : t -> int -> int -> bytes
-(** [bytes t x n] is an [n]-byte pseudo-random string for input [x]. *)
-
-val index : t -> int -> int -> modulus:int -> int
-(** [index t x i ~modulus] is element [i] (from 0) of
-    [indices t x ~count ~modulus] for any [count > i], computed alone
-    and without allocating.
-    @raise Invalid_argument if [modulus <= 0]. *)
-
-val indices : t -> int -> count:int -> modulus:int -> int list
-(** [count] independent values in [[0,modulus)] for input [x] —
-    the Bloom-filter probe positions for element [x]. *)

@@ -6,10 +6,9 @@ type physical_event =
 
 (* Telemetry: a pyramid read touches exactly one slot per level, and the
    flush/rebuild cadence is a public function of the query count — both
-   safe to count.  The Bloom false-positive counter [fp] is the textbook
-   counter-example: it depends on which pages were requested, so it is
-   test-visible only (bloom_false_positives) and must never be exported
-   through lib/obs (see docs/OBSERVABILITY.md). *)
+   safe to count.  Where a page was found (SCP cache, an earlier chunk
+   member, or which level) depends on which pages were requested, so no
+   counter may follow that decision (see docs/OBSERVABILITY.md). *)
 let m_slot_reads = Obs.counter "oram.pyramid.slot_reads"
 let m_rebuilds = Obs.counter "oram.pyramid.rebuilds"
 let m_flushes = Obs.counter "oram.pyramid.flushes"
@@ -22,9 +21,9 @@ let m_flushes = Obs.counter "oram.pyramid.flushes"
 let m_level_scans = Obs.counter "oram.pyramid.level_scans"
 
 (* Level j holds at most [cap] items in [cap + dummies] encrypted slots
-   scattered by a per-epoch Feistel permutation; a keyed Bloom filter
-   answers membership inside the SCP.  The slot buffers are allocated
-   once: every rebuild rewrites each of them in place. *)
+   scattered by a per-epoch Feistel permutation; the [assign] table, in
+   SCP memory, answers membership.  The slot buffers are allocated once:
+   every rebuild rewrites each of them in place. *)
 type level = {
   depth : int;
   cap : int;     (* item capacity *)
@@ -35,7 +34,6 @@ type level = {
   slots : bytes array; (* cap + dummies buffers of page_size bytes *)
   mutable enc_key : bytes; (* the epoch's slot encryption key *)
   mutable perm : Psp_crypto.Feistel.t;
-  mutable bloom : Psp_crypto.Bloom.t;
   mutable dummy_cursor : int;
 }
 
@@ -47,7 +45,6 @@ type t = {
   levels : level array; (* shallow (index 0 = level 1) to deep *)
   mutable queries : int;
   mutable flushes : int;
-  mutable fp : int;
   mutable slot_touches : int; (* physical slots touched (trace Slot events) *)
   mutable scans : int; (* merged level scans executed (sweeps per level per chunk) *)
   trace : physical_event Psp_util.Dyn_array.t;
@@ -62,8 +59,7 @@ let level_key t level =
 let set_nonce t slot = Bytes.set_int64_le t.nonce 0 (Int64.of_int slot)
 
 (* (Re)build a level from plaintext contents under fresh per-epoch keys:
-   items land on permuted slots, the Bloom filter is re-keyed, and every
-   slot is rewritten in place under the new key.  Point i of the
+   items land on permuted slots, and every slot is rewritten in place under the new key.  Point i of the
    permutation takes the i-th item (sorted ids); past the items — unused
    item slots and dummies alike — slots hold encrypted zeros, the
    keystream.  No slot is skipped or left lazy. *)
@@ -75,9 +71,6 @@ let rebuild t level contents =
   level.enc_key <- Psp_crypto.Hmac.derive ~key ~label:"enc";
   let domain = Array.length level.slots in
   level.perm <- Psp_crypto.Feistel.create ~key:perm_key ~domain;
-  level.bloom <-
-    Psp_crypto.Bloom.sized_for ~key ~label:"membership" ~expected:(max 8 level.cap)
-      ~fp_rate:0.01;
   level.assign <- Hashtbl.create (max 8 (Hashtbl.length contents));
   level.contents <- contents;
   level.dummy_cursor <- 0;
@@ -97,7 +90,6 @@ let rebuild t level contents =
     if i < Array.length ids then begin
       let id = ids.(i) in
       Hashtbl.replace level.assign id slot;
-      Psp_crypto.Bloom.add level.bloom id;
       Psp_crypto.Chacha20.encrypt_into ~key:level.enc_key ~nonce:t.nonce
         ~src:(Hashtbl.find contents id) level.slots.(slot)
     end
@@ -129,7 +121,6 @@ let create ?(cache_capacity = default_cache_capacity) ~key file =
       slots = Array.init (cap + dummies) (fun _ -> Bytes.create page_size);
       enc_key = Bytes.empty;
       perm = Psp_crypto.Feistel.create ~key ~domain:1;
-      bloom = Psp_crypto.Bloom.create ~key ~label:"init" ~bits:8 ~hashes:1;
       dummy_cursor = 0 }
   in
   let t =
@@ -142,7 +133,6 @@ let create ?(cache_capacity = default_cache_capacity) ~key file =
       levels = Array.init deepest (fun i -> make_level (i + 1));
       queries = 0;
       flushes = 0;
-      fp = 0;
       slot_touches = 0;
       scans = 0;
       trace = Psp_util.Dyn_array.create ();
@@ -213,7 +203,7 @@ type source = From_cache | From_member of int | From_level
    sequential sweep per level over the planned slots, in member order.
    Hence each member's slot touches are byte-identical to the sequential
    execution's, while the host serves k probes of a level with a single
-   scan of its epoch (one Bloom consultation round, one key schedule). *)
+   scan of its epoch (one key schedule). *)
 (* The array itself is not marked secret — its length (the batch width)
    is public, and the loop structure below depends only on it and on the
    access count; the page indices inside are marked [@secret] where they
@@ -285,18 +275,13 @@ let fetch_many t ids =
       (Array.iteri
          (fun l level ->
            if !found then plans.(m).(l) <- plan_dummy level
-           else if Psp_crypto.Bloom.mem level.bloom id then
-             if Hashtbl.mem level.assign id then begin
-               found := true;
-               real.(m) <- l;
-               plans.(m).(l) <- Hashtbl.find level.assign id
-             end
-             else begin
-               (* Bloom false positive: covered by a dummy touch *)
-               t.fp <- t.fp + 1;
-               plans.(m).(l) <- plan_dummy level
-             end
-           else plans.(m).(l) <- plan_dummy level)
+           else
+             match Hashtbl.find_opt level.assign id with
+             | Some slot ->
+                 found := true;
+                 real.(m) <- l;
+                 plans.(m).(l) <- slot
+             | None -> plans.(m).(l) <- plan_dummy level)
          t.levels)
       [@leak_ok
         "every level reserves exactly one slot per member — the real slot on the \
@@ -387,6 +372,5 @@ let host_digest t =
 
 let physical_trace t = Psp_util.Dyn_array.to_list t.trace
 let clear_trace t = Psp_util.Dyn_array.clear t.trace
-let bloom_false_positives t = t.fp
 let slot_touches t = t.slot_touches
 let level_scans t = t.scans

@@ -4,15 +4,18 @@
 
     Layout: a small cache lives in SCP memory; below it, level i holds
     up to 4^i items in an array of encrypted slots scattered by a keyed
-    Feistel permutation, together with a keyed Bloom filter over the
-    items' per-epoch tags.  A lookup walks the pyramid top-down and
+    Feistel permutation.  A lookup walks the pyramid top-down and
     touches exactly one physical slot per level:
 
     - if the item was already found higher up (or is cached), a fresh
       dummy slot of the level is read;
-    - otherwise the SCP consults the level's Bloom filter (in SCP
-      memory: invisible to the host) and reads either the item's slot or
-      a dummy on a false/true membership answer.
+    - otherwise the SCP looks the item up in the level's slot
+      assignment (in SCP memory: invisible to the host) and reads the
+      item's slot if the level holds it, a fresh dummy if not.
+
+    Williams–Sion (CCS 2008) answer this test with an encrypted
+    per-level filter kept on the host; here the assignment already sits
+    in SCP memory, so the lookup needs no filter.
 
     The item then moves into the cache; when the cache fills, levels
     0..i are merged into level i+1 under fresh keys (a rebuild, visible
@@ -71,8 +74,8 @@ val read : t -> int -> bytes
 val fetch_many : t -> int array -> bytes array
 (** Serve a width-k batch of logical page reads as merged level scans:
     per flush-cadence chunk, one sequential sweep over each level's
-    epoch touches every member's slot (one Bloom consultation round and
-    one key schedule per level instead of k).  Dummy slots are drawn
+    epoch touches every member's slot (one key schedule per level
+    instead of k).  Dummy slots are drawn
     per member in member order, so each member's slot-touch subsequence
     of {!physical_trace} is byte-identical to the k sequential {!read}s'
     — the host additionally learns only the batch width, which it
@@ -111,7 +114,3 @@ val clear_trace : t -> unit
     [`Pyramid] [Server] calls it after every pass over a store it owns,
     so the log never outgrows one pass. *)
 
-val bloom_false_positives : t -> int
-(** Diagnostic: dummy-vs-real slot mispredictions survived so far
-    (they are handled obliviously; the count just shows the Bloom
-    filters are real). *)

@@ -284,6 +284,16 @@ let chunks data sizes =
   in
   go 0 sizes
 
+(* the digest of [pieces] fed in order on a context from [init] *)
+let digest_on init pieces =
+  let ctx = init () in
+  List.iter (Sha256.feed ctx) pieces;
+  Sha256.finalize ctx
+
+(* both cores: the dispatched one (SHA-NI where the CPU has it) and the
+   portable one, which every machine runs *)
+let sha256_inits = [ Sha256.init; Sha256.Portable.init ]
+
 (* chunk sizes below and above the block size, so whole blocks are
    compressed straight from the caller's buffer at every alignment *)
 let sha256_matches_reference =
@@ -293,10 +303,25 @@ let sha256_matches_reference =
         (list_size (int_range 0 12) (oneof [ int_range 0 70; int_range 0 700 ])))
     (fun (s, sizes) ->
       let data = Bytes.of_string s in
-      let ctx = Sha256.init () in
-      List.iter (Sha256.feed ctx) (chunks data sizes);
       let want = Ref_sha256.digest data in
-      Sha256.finalize ctx = want && Sha256.digest data = want)
+      Sha256.digest data = want
+      && List.for_all (fun init -> digest_on init (chunks data sizes) = want) sha256_inits)
+
+(* one feed of 1..130 whole blocks, after a prefix that leaves the
+   context at any fill and before a tail, so a multi-block call starts
+   from every alignment of the caller's buffer *)
+let sha256_multi_block =
+  qtest ~count:300 "sha256 multi-block feeds of 1..130 blocks, both cores = reference"
+    QCheck2.Gen.(
+      triple (int_range 0 130) (int_range 1 130) (pair (int_range 0 70) (int_range 0 3)))
+    (fun (plen, nblocks, (tlen, shift)) ->
+      let pattern n seed = Bytes.init n (fun i -> Char.chr ((i * 31 + seed) land 0xFF)) in
+      let prefix = pattern plen 1 and tail = pattern tlen 2 in
+      (* the blocks sit at offset [shift] of a larger buffer *)
+      let buf = pattern (shift + (64 * nblocks)) 3 in
+      let blocks = Bytes.sub buf shift (64 * nblocks) in
+      let want = Ref_sha256.digest (Bytes.concat Bytes.empty [ prefix; blocks; tail ]) in
+      List.for_all (fun init -> digest_on init [ prefix; blocks; tail ] = want) sha256_inits)
 
 (* The shape [Page_file.tag_into] feeds: a midstate copied into a
    scratch context holding stale state, a 4-byte page number, then a
@@ -312,19 +337,22 @@ let sha256_page_shape =
       let page = Bytes.of_string page in
       let number = Bytes.create 4 in
       Bytes.set_int32_le number 0 (Int32.of_int no);
-      let mid = Sha256.init () in
-      Sha256.feed mid prefix;
-      let scratch = Sha256.init () in
-      Sha256.feed scratch (Bytes.make 100 'x');
-      let tag msg =
-        Sha256.copy_into ~src:mid ~dst:scratch;
-        List.iter (Sha256.feed scratch) msg;
-        Sha256.finalize scratch
-      in
-      let t1 = tag [ number; page ] in
-      let t2 = tag [ page ] in
-      t1 = Ref_sha256.digest (Bytes.concat Bytes.empty [ prefix; number; page ])
-      && t2 = Ref_sha256.digest (Bytes.cat prefix page))
+      List.for_all
+        (fun init ->
+          let mid = init () in
+          Sha256.feed mid prefix;
+          let scratch = init () in
+          Sha256.feed scratch (Bytes.make 100 'x');
+          let tag msg =
+            Sha256.copy_into ~src:mid ~dst:scratch;
+            List.iter (Sha256.feed scratch) msg;
+            Sha256.finalize scratch
+          in
+          let t1 = tag [ number; page ] in
+          let t2 = tag [ page ] in
+          t1 = Ref_sha256.digest (Bytes.concat Bytes.empty [ prefix; number; page ])
+          && t2 = Ref_sha256.digest (Bytes.cat prefix page))
+        sha256_inits)
 
 (* textbook HMAC over the reference hash *)
 let ref_hmac key data =
@@ -547,6 +575,53 @@ let chacha20_matches_reference =
              && ks = Bytes.sub stream 0 n)
            lengths)
 
+(* Both cores against the reference: every length 0..1,100 (each tail
+   of the 4-block core, each block count up to 17) and the lengths
+   around one, two, eight and sixteen 8-block passes, at every counter
+   2^32-9 .. 2^32-1 — so the counter wrap lands in each lane of an
+   8-block pass, and in the pass after it — and at counter 0.  The XOR
+   entry points run into a separate buffer holding stale bytes and in
+   place; the keystream entry points write a stale buffer. *)
+module type Chacha_core = sig
+  val encrypt_into : key:bytes -> nonce:bytes -> ?counter:int -> src:bytes -> bytes -> unit
+  val keystream_into : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> unit
+end
+
+let test_chacha20_both_cores () =
+  let rng = Random.State.make [| 8193 |] in
+  let rand_bytes n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let max_len = 8193 in
+  let lengths =
+    List.init 1101 Fun.id
+    @ [ 511; 512; 513; 1023; 1024; 1025; 4095; 4096; 4097; 8191; 8192; 8193 ]
+  in
+  let cores =
+    [ ("dispatched", (module Chacha20 : Chacha_core)); ("portable", (module Chacha20.Portable)) ]
+  in
+  List.iter
+    (fun counter ->
+      let key = rand_bytes 32 and nonce = rand_bytes 12 and data = rand_bytes max_len in
+      let expected = reference_chacha20 ~key ~nonce ~counter data in
+      let stream = reference_chacha20 ~key ~nonce ~counter (zeros max_len) in
+      List.iter
+        (fun (name, (module C : Chacha_core)) ->
+          List.iter
+            (fun n ->
+              let what kind = Printf.sprintf "%s %s, counter %d, length %d" name kind counter n in
+              let want = Bytes.sub expected 0 n in
+              let into = Bytes.make n '\xA5' in
+              C.encrypt_into ~key ~nonce ~counter ~src:(Bytes.sub data 0 n) into;
+              let inplace = Bytes.sub data 0 n in
+              C.encrypt_into ~key ~nonce ~counter ~src:inplace inplace;
+              let ks = Bytes.make n '\x5A' in
+              C.keystream_into ~key ~nonce ~counter ks;
+              if into <> want then Alcotest.fail (what "into");
+              if inplace <> want then Alcotest.fail (what "in place");
+              if ks <> Bytes.sub stream 0 n then Alcotest.fail (what "keystream"))
+            lengths)
+        cores)
+    (0 :: List.init 9 (fun i -> 0xFFFFFFFF - 8 + i))
+
 let test_chacha20_into_length_mismatch () =
   let key = Sha256.digest_string "k" and nonce = Bytes.make 12 'n' in
   Alcotest.check_raises "src/dst lengths"
@@ -592,38 +667,17 @@ let test_prf_label_separation () =
   done;
   Alcotest.(check bool) "labels separate" true (!differ > 60)
 
-let prf_int_mod_range =
-  qtest "prf int_mod in range" QCheck2.Gen.(pair small_nat (int_range 1 1000))
-    (fun (x, m) ->
-      let f = Prf.create ~key:(Sha256.digest_string "k") ~label:"r" in
-      let v = Prf.int_mod f x m in
-      v >= 0 && v < m)
-
-let test_prf_bytes_length () =
-  let f = Prf.create ~key:(Sha256.digest_string "k") ~label:"b" in
-  List.iter
-    (fun n -> Alcotest.(check int) "length" n (Bytes.length (Prf.bytes f 7 n)))
-    [ 1; 31; 32; 33; 100 ]
-
-let test_prf_indices () =
-  let f = Prf.create ~key:(Sha256.digest_string "k") ~label:"i" in
-  let idx = Prf.indices f 123 ~count:5 ~modulus:97 in
-  Alcotest.(check int) "count" 5 (List.length idx);
-  List.iter (fun i -> Alcotest.(check bool) "range" true (i >= 0 && i < 97)) idx;
-  Alcotest.(check (list int)) "deterministic" idx (Prf.indices f 123 ~count:5 ~modulus:97)
-
 (* The PRF spelled out on the textbook HMAC: the instance key is
    derive(key, label) = HMAC(key, "psp-derive:" ^ label), and a call
-   hashes x and a salt as 8 little-endian bytes each of their 63-bit
-   patterns, keeping the low 62 bits of the tag's first 8 bytes
-   (little-endian).  Salt 0 is [Prf.int]; salt i + 1 is probe i. *)
+   hashes x as 8 little-endian bytes of its 63-bit pattern followed by
+   8 zero bytes, keeping the low 62 bits of the tag's first 8 bytes
+   (little-endian). *)
 let reference_prf ~key ~label =
   let k = reference_hmac key (Bytes.of_string ("psp-derive:" ^ label)) in
-  fun x salt ->
-    let msg = Bytes.create 16 in
+  fun x ->
+    let msg = Bytes.make 16 '\000' in
     for i = 0 to 7 do
-      Bytes.set msg i (Char.chr ((x lsr (8 * i)) land 0xFF));
-      Bytes.set msg (8 + i) (Char.chr ((salt lsr (8 * i)) land 0xFF))
+      Bytes.set msg i (Char.chr ((x lsr (8 * i)) land 0xFF))
     done;
     let d = reference_hmac k msg in
     let v = ref 0 in
@@ -635,11 +689,11 @@ let reference_prf ~key ~label =
 (* two instances that share nothing, called interleaved: each call must
    equal the reference whatever the other instance's scratch holds *)
 let prf_matches_reference =
-  qtest ~count:100 "prf int/indices = textbook HMAC, two instances interleaved"
+  qtest ~count:100 "prf int = textbook HMAC, interleaved"
     QCheck2.Gen.(
-      quad (string_size (int_range 0 80)) (pair (string_size (int_range 0 12)) (string_size (int_range 0 12)))
-        (list_size (int_range 1 8) int) (int_range 1 5000))
-    (fun (key, (la, lb), xs, modulus) ->
+      triple (string_size (int_range 0 80)) (pair (string_size (int_range 0 12)) (string_size (int_range 0 12)))
+        (list_size (int_range 1 8) int))
+    (fun (key, (la, lb), xs) ->
       let key = Bytes.of_string key in
       let lb = lb ^ "/b" in
       let a = Prf.create ~key ~label:la and b = Prf.create ~key ~label:lb in
@@ -647,13 +701,9 @@ let prf_matches_reference =
       List.for_all
         (fun x ->
           let ia = Prf.int a x in
-          let idx_b = Prf.indices b x ~count:4 ~modulus in
           let ib = Prf.int b x in
-          let idx_a = Prf.indices a x ~count:3 ~modulus in
-          ia = ra x 0 && ib = rb x 0
-          && idx_a = List.init 3 (fun i -> ra x (i + 1) mod modulus)
-          && idx_b = List.init 4 (fun i -> rb x (i + 1) mod modulus)
-          && Prf.index a x 2 ~modulus = List.nth idx_a 2)
+          let ia' = Prf.int a (x lxor 1) in
+          ia = ra x && ib = rb x && ia' = ra (x lxor 1))
         xs)
 
 (* ------------------------------------------------------------------ *)
@@ -736,8 +786,8 @@ let test_feistel_domain_checks () =
     (fun () -> ignore (Feistel.forward p 10))
 
 (* Golden digests pin the PRF's consumers bit for bit: any change to the
-   HMAC/PRF path that moved one output would move the slot layout and
-   Bloom probes of every pyramid level. *)
+   HMAC/PRF path that moved one output would move the slot layout of
+   every pyramid level. *)
 let digest_ints xs = hex_of (Sha256.digest_string (String.concat "," (List.map string_of_int xs)))
 
 let test_feistel_golden () =
@@ -746,54 +796,10 @@ let test_feistel_golden () =
     "626089afd9e139a38fd7e3356735938b045d2063a472af50907983c1905b5452"
     (digest_ints (Array.to_list (Feistel.to_array p)))
 
-(* ------------------------------------------------------------------ *)
-(* Bloom filter *)
-
-let test_bloom_no_false_negatives () =
-  let key = Sha256.digest_string "bloom" in
-  let b = Bloom.sized_for ~key ~label:"t" ~expected:500 ~fp_rate:0.01 in
-  for x = 0 to 499 do
-    Bloom.add b (x * 7)
-  done;
-  for x = 0 to 499 do
-    Alcotest.(check bool) "member found" true (Bloom.mem b (x * 7))
-  done;
-  Alcotest.(check int) "count" 500 (Bloom.count b)
-
-let test_bloom_fp_rate () =
-  let key = Sha256.digest_string "bloom2" in
-  let b = Bloom.sized_for ~key ~label:"fp" ~expected:1000 ~fp_rate:0.01 in
-  for x = 0 to 999 do
-    Bloom.add b x
-  done;
-  let fp = ref 0 in
-  let probes = 10_000 in
-  for x = 1_000_000 to 1_000_000 + probes - 1 do
-    if Bloom.mem b x then incr fp
-  done;
-  let rate = float_of_int !fp /. float_of_int probes in
-  Alcotest.(check bool) (Printf.sprintf "fp rate %.4f < 0.03" rate) true (rate < 0.03);
-  Alcotest.(check bool) "estimate sane" true (Bloom.fp_estimate b < 0.03)
-
-let test_bloom_clear () =
-  let key = Sha256.digest_string "bloom3" in
-  let b = Bloom.create ~key ~label:"c" ~bits:128 ~hashes:3 in
-  Bloom.add b 1;
-  Bloom.clear b;
-  Alcotest.(check int) "count reset" 0 (Bloom.count b);
-  Alcotest.(check bool) "cleared" false (Bloom.mem b 1)
-
-let test_bloom_golden () =
-  let b =
-    Bloom.create ~key:(Sha256.digest_string "golden-bloom") ~label:"golden" ~bits:2048 ~hashes:7
-  in
-  let per_id = List.init 256 (fun x -> List.map string_of_int (Bloom.positions b x)) in
-  Alcotest.(check string) "positions of ids 0..255"
-    "60a0b717258cff8b8aadd18371311f6f2ec54639119f02d8c675396ba1cb0a76"
-    (hex_of
-       (Sha256.digest_string (String.concat ";" (List.map (String.concat ",") per_id))))
-
 let () =
+  (* in the log of every run, so a machine without SHA-NI or AVX2 (whose
+     dispatched cores are the portable ones) shows up *)
+  Printf.printf "crypto cores: sha256 %s, chacha20 %s\n%!" Sha256.core Chacha20.core;
   Alcotest.run "crypto"
     [ ( "sha256",
         [ Alcotest.test_case "empty" `Quick test_sha256_empty;
@@ -802,6 +808,7 @@ let () =
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "streaming" `Quick test_sha256_streaming_equals_oneshot;
           sha256_matches_reference;
+          sha256_multi_block;
           sha256_page_shape ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case1" `Quick test_hmac_rfc4231_case1;
@@ -818,6 +825,8 @@ let () =
           Alcotest.test_case "rfc8439 block vectors" `Quick test_chacha20_block_vectors;
           Alcotest.test_case "rfc8439 encryption vectors" `Quick test_chacha20_encrypt_vectors;
           chacha20_matches_reference;
+          Alcotest.test_case "dispatched = portable = reference, lengths 0..8193" `Quick
+            test_chacha20_both_cores;
           chacha20_roundtrip;
           Alcotest.test_case "nonce separation" `Quick test_chacha20_nonce_separation;
           Alcotest.test_case "bad sizes" `Quick test_chacha20_bad_sizes;
@@ -825,9 +834,6 @@ let () =
       ( "prf",
         [ Alcotest.test_case "deterministic" `Quick test_prf_deterministic;
           Alcotest.test_case "label separation" `Quick test_prf_label_separation;
-          prf_int_mod_range;
-          Alcotest.test_case "bytes length" `Quick test_prf_bytes_length;
-          Alcotest.test_case "indices" `Quick test_prf_indices;
           prf_matches_reference ] );
       ( "feistel",
         [ feistel_bijective;
@@ -835,9 +841,4 @@ let () =
           feistel_matches_reference;
           Alcotest.test_case "key sensitivity" `Quick test_feistel_key_sensitivity;
           Alcotest.test_case "domain checks" `Quick test_feistel_domain_checks;
-          Alcotest.test_case "golden permutation" `Quick test_feistel_golden ] );
-      ( "bloom",
-        [ Alcotest.test_case "no false negatives" `Quick test_bloom_no_false_negatives;
-          Alcotest.test_case "fp rate" `Slow test_bloom_fp_rate;
-          Alcotest.test_case "clear" `Quick test_bloom_clear;
-          Alcotest.test_case "golden positions" `Quick test_bloom_golden ] ) ]
+          Alcotest.test_case "golden permutation" `Quick test_feistel_golden ] ) ]

@@ -315,8 +315,8 @@ let g =
       height = 1000.0;
       seed = 23 }
 
-let shape_of_query db (s, t) =
-  let server = Server.create ~cost ~key (DB.files db) in
+let shape_of_query mode db (s, t) =
+  let server = Server.create ~mode ~cost ~key (DB.files db) in
   Obs.reset ();
   let r = Client.query_nodes server g s t in
   ignore r.Client.path;
@@ -326,14 +326,21 @@ let test_constant_shape () =
   let queries = Psp_netgen.Synthetic.random_queries g ~count:2 ~seed:7 in
   let q1 = queries.(0) and q2 = queries.(1) in
   Alcotest.(check bool) "distinct queries" true (q1 <> q2);
+  (* the executed pyramid store too: its planning walk decides where
+     each page comes from (cache, chunk member or level), and no counter
+     may follow that decision *)
   List.iter
     (fun (name, db) ->
-      let s1 = shape_of_query db q1 and s2 = shape_of_query db q2 in
-      Alcotest.(check bool)
-        (name ^ ": shape is non-trivial")
-        true
-        (String.length s1 > 0);
-      Alcotest.(check string) (name ^ ": shapes byte-identical") s1 s2)
+      List.iter
+        (fun (mode_name, mode) ->
+          let name = name ^ " " ^ mode_name in
+          let s1 = shape_of_query mode db q1 and s2 = shape_of_query mode db q2 in
+          Alcotest.(check bool)
+            (name ^ ": shape is non-trivial")
+            true
+            (String.length s1 > 0);
+          Alcotest.(check string) (name ^ ": shapes byte-identical") s1 s2)
+        [ ("simulated", `Simulated); ("pyramid", `Pyramid) ])
     [ ("CI", DB.build_ci ~page_size g);
       ("PI", DB.build_pi ~page_size g);
       ("HY", DB.build_hy ~threshold:5 ~page_size g) ]

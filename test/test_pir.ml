@@ -171,8 +171,8 @@ let test_pyramid_one_touch_per_level () =
 
 (* The host-visible trace over a fixed key and access sequence, pinned
    by digest: 40 reads and a width-9 merged pass cross 15 rebuilds, so
-   the Feistel slot layouts, Bloom probes and dummy draws of several
-   epochs per level all feed it. *)
+   the Feistel slot layouts, membership tests and dummy draws of
+   several epochs per level all feed it. *)
 let test_pyramid_golden_trace () =
   let s = PS.create ~key:(Psp_crypto.Sha256.digest_string "golden-pyramid")
       (make_file ~pages:60 ~page_size:32 ()) in
