@@ -1,6 +1,7 @@
 module H = Psp_index.Header
 module E = Psp_index.Encoding
 module Sc = Scheme_common
+module Heap = Psp_util.Min_heap
 
 (* LM and AF (§4): incremental region fetching.  The search is a
    best-first walk that pulls a region the first time it pops a node
@@ -8,16 +9,14 @@ module Sc = Scheme_common
    plan-fixed slots (one region's worth of data pages per round) drive
    it forward without the scheme ever issuing a fetch itself. *)
 
-let alt_heuristic (v : E.node_record) (t : E.node_record) =
-  match (v.E.landmark, t.E.landmark) with
-  | Some (to_v, from_v), Some (to_t, from_t) ->
-      let bound = ref 0.0 in
-      for a = 0 to Array.length to_v - 1 do
-        bound := Float.max !bound (to_v.(a) -. to_t.(a));
-        bound := Float.max !bound (from_t.(a) -. from_v.(a))
-      done;
-      Float.max !bound 0.0
-  | _ -> 0.0
+(* The ALT lower bound from v's landmark vectors to t's. *)
+let alt_heuristic ~to_v ~from_v ~to_t ~from_t =
+  let bound = ref 0.0 in
+  for a = 0 to Array.length to_v - 1 do
+    bound := Float.max !bound (to_v.(a) -. to_t.(a));
+    bound := Float.max !bound (from_t.(a) -. from_v.(a))
+  done;
+  Float.max !bound 0.0
 
 (* Leaf bounding rectangles of the header's KD-tree; the root box is
    unbounded, so sides may be infinite. *)
@@ -59,12 +58,20 @@ end) : Engine.SCHEME = struct
     parent : (int, int) Hashtbl.t;
     closed : (int, unit) Hashtbl.t;
     region_of_frontier : (int, int) Hashtbl.t;
-    heap : Psp_util.Min_heap.t;
+    heap : Heap.t;
     mutable consumed : int;  (* region units, dummy slots included *)
     mutable rects : (float * float * float * float) array option;
     mutable s_id : int;
     mutable t_id : int;
-    mutable t_record : E.node_record option;
+    (* the destination's record, read once at setup, and scratch for the
+       landmark vectors of the node being bounded *)
+    mutable t_known : bool;
+    mutable t_x : float;
+    mutable t_y : float;
+    t_to : float array;
+    t_from : float array;
+    v_to : float array;
+    v_from : float array;
     mutable pending_node : int option;  (* re-queued when its region lands *)
     mutable setup_done : bool;
     mutable search_done : bool;
@@ -72,7 +79,8 @@ end) : Engine.SCHEME = struct
   }
 
   let init ctx (q [@secret]) =
-    (let store = Store.create () in
+    (let store = Store.acquire () in
+     let anchors = ctx.Engine.header.H.config.E.landmark_anchors in
      let rq =
        Sc.region_queue ctx.Engine.header store
          ~pages_per_region:ctx.Engine.header.H.pages_per_region
@@ -95,12 +103,18 @@ end) : Engine.SCHEME = struct
        parent = Hashtbl.create 1024;
        closed = Hashtbl.create 1024;
        region_of_frontier = Hashtbl.create 64;
-       heap = Psp_util.Min_heap.create ();
+       heap = Heap.create ();
        consumed = 2;
        rects = None;
        s_id = -1;
        t_id = -1;
-       t_record = None;
+       t_known = false;
+       t_x = 0.0;
+       t_y = 0.0;
+       t_to = Array.make anchors 0.0;
+       t_from = Array.make anchors 0.0;
+       v_to = Array.make anchors 0.0;
+       v_from = Array.make anchors 0.0;
        pending_node = None;
        setup_done = false;
        search_done = false;
@@ -115,63 +129,54 @@ end) : Engine.SCHEME = struct
      its region's rectangle (public, from the header) gives an admissible
      stand-in: heuristic_scale times the rectangle's distance to the
      destination.  Without this, distant regions look free and get
-     fetched eagerly. *)
+     fetched eagerly.  A fetched node gets its ALT bound. *)
   let h (st [@secret]) (v [@secret]) =
     (if not C.use_alt then 0.0
+     else if not st.t_known then failwith "Client: heuristic consulted before setup"
+     else if Store.has_record st.store v then begin
+       Store.landmarks st.store v ~to_anchor:st.v_to ~from_anchor:st.v_from;
+       alt_heuristic ~to_v:st.v_to ~from_v:st.v_from ~to_t:st.t_to ~from_t:st.t_from
+     end
      else
-       let t_record =
-         match st.t_record with
-         | Some r -> r
-         | None -> failwith "Client: heuristic consulted before setup"
-       in
-       match Store.record st.store v with
-       | Some r -> alt_heuristic r t_record
-       | None -> (
-           (* unfetched: bound by its region's rectangle *)
-           match (st.rects, Hashtbl.find_opt st.region_of_frontier v) with
-           | Some rects, Some region ->
-               st.ctx.Engine.header.H.heuristic_scale
-               *. rect_distance rects.(region) ~x:t_record.E.x ~y:t_record.E.y
-           | _ -> 0.0))
+       match (st.rects, Hashtbl.find_opt st.region_of_frontier v) with
+       | Some rects, Some region ->
+           st.ctx.Engine.header.H.heuristic_scale
+           *. rect_distance rects.(region) ~x:st.t_x ~y:st.t_y
+       | _ -> 0.0)
     [@leak_ok
       "heuristic evaluation is client-local arithmetic; it only steers which \
        page fills the next plan-fixed slot"]
     [@@oblivious]
 
-  let relax (st [@secret]) u (record [@secret]) =
+  let relax (st [@secret]) u =
     (let du = Hashtbl.find st.dist u in
-     List.iter
-       (fun (e : E.adj) ->
+     Store.iter_out st.store u ~flag:st.q.Engine.rt
+       (fun ~target ~weight ~target_region ~flagged ->
          let usable =
-           (not C.use_flags)
-           ||
-           match e.E.flags with
-           | Some flags -> Psp_util.Bitset.mem flags st.q.Engine.rt
-           | None -> failwith "Client: AF database lacks arc-flags"
+           if not C.use_flags then true
+           else if Store.has_flags st.store then flagged
+           else failwith "Client: AF database lacks arc-flags"
          in
          if usable then begin
-           let nd = du +. e.E.weight in
+           let nd = du +. weight in
            let better =
-             match Hashtbl.find_opt st.dist e.E.target with
+             match Hashtbl.find_opt st.dist target with
              | Some old -> nd < old
              | None -> true
            in
            if better then begin
-             Hashtbl.replace st.dist e.E.target nd;
-             Hashtbl.replace st.parent e.E.target u;
+             Hashtbl.replace st.dist target nd;
+             Hashtbl.replace st.parent target u;
              (* the mixed (rect / ALT) heuristic is admissible but not
                 consistent, so a strict improvement must reopen an
                 already-closed node; with reopening, stopping at t's
                 first pop stays exact *)
-             Hashtbl.remove st.closed e.E.target;
-             if e.E.target_region >= 0 then
-               Hashtbl.replace st.region_of_frontier e.E.target e.E.target_region;
-             Psp_util.Min_heap.push st.heap
-               ~priority:(nd +. h st e.E.target)
-               e.E.target
+             Hashtbl.remove st.closed target;
+             if target_region >= 0 then
+               Hashtbl.replace st.region_of_frontier target target_region;
+             Heap.push st.heap ~priority:(nd +. h st target) target
            end
-         end)
-       record.E.adj)
+         end))
     [@leak_ok
       "edge relaxation is client-local; it only steers which page fills the \
        next plan-fixed slot"]
@@ -180,56 +185,55 @@ end) : Engine.SCHEME = struct
   (* Advance the search until it needs a region's first page (returned),
      terminates, or runs dry. *)
   let rec advance (st [@secret]) =
-    (match Psp_util.Min_heap.pop st.heap with
-    | None ->
-        st.search_done <- true;
-        None
-    | Some (key, u) ->
-        if Hashtbl.mem st.closed u then advance st
-        else begin
-          match Store.record st.store u with
-          | None -> (
-              (* node lives in a region we have not fetched yet *)
-              let region =
-                match Hashtbl.find_opt st.region_of_frontier u with
-                | Some r -> r
-                | None -> failwith "Client: frontier node with unknown region"
-              in
-              if Hashtbl.mem st.fetched region then begin
-                Psp_util.Min_heap.push st.heap
-                  ~priority:(Hashtbl.find st.dist u +. h st u)
-                  u;
-                advance st
-              end
-              else begin
-                Hashtbl.replace st.fetched region ();
-                st.consumed <- st.consumed + 1;
-                st.pending_node <- Some u;
-                Sc.rq_push st.rq region;
-                match Sc.rq_next st.rq with
-                | Some page -> Some page
-                | None -> failwith "Client: region queue yielded no page"
-              end)
-          | Some _ when key +. 1e-12 < Hashtbl.find st.dist u +. h st u ->
-              (* the node was queued before its region (and heuristic) was
-                 known: its key understates g + h, and closing it now could
-                 be premature — re-queue at the proper key *)
-              Psp_util.Min_heap.push st.heap
-                ~priority:(Hashtbl.find st.dist u +. h st u)
-                u;
-              advance st
-          | Some record ->
-              Hashtbl.replace st.closed u ();
-              if u = st.t_id then begin
-                st.found <- true;
-                st.search_done <- true;
-                None
-              end
-              else begin
-                relax st u record;
-                advance st
-              end
-        end)
+    (if Heap.is_empty st.heap then begin
+       st.search_done <- true;
+       None
+     end
+     else begin
+       let key = Heap.min_priority st.heap in
+       let u = Heap.pop_min st.heap in
+       if Hashtbl.mem st.closed u then advance st
+       else if not (Store.has_record st.store u) then begin
+         (* node lives in a region we have not fetched yet *)
+         let region =
+           match Hashtbl.find_opt st.region_of_frontier u with
+           | Some r -> r
+           | None -> failwith "Client: frontier node with unknown region"
+         in
+         if Hashtbl.mem st.fetched region then begin
+           Heap.push st.heap ~priority:(Hashtbl.find st.dist u +. h st u) u;
+           advance st
+         end
+         else begin
+           Hashtbl.replace st.fetched region ();
+           st.consumed <- st.consumed + 1;
+           st.pending_node <- Some u;
+           Sc.rq_push st.rq region;
+           match Sc.rq_next st.rq with
+           | Some page -> Some page
+           | None -> failwith "Client: region queue yielded no page"
+         end
+       end
+       else if key +. 1e-12 < Hashtbl.find st.dist u +. h st u then begin
+         (* the node was queued before its region (and heuristic) was
+            known: its key understates g + h, and closing it now could
+            be premature — re-queue at the proper key *)
+         Heap.push st.heap ~priority:(Hashtbl.find st.dist u +. h st u) u;
+         advance st
+       end
+       else begin
+         Hashtbl.replace st.closed u ();
+         if u = st.t_id then begin
+           st.found <- true;
+           st.search_done <- true;
+           None
+         end
+         else begin
+           relax st u;
+           advance st
+         end
+       end
+     end)
     [@leak_ok
       "client-local search, run only inside a slot the engine issues anyway: it \
        picks which page fills that plan-fixed slot, and a search that outgrows \
@@ -254,9 +258,7 @@ end) : Engine.SCHEME = struct
      | Some u when Sc.rq_idle st.rq ->
          (* the region the search was waiting on is fully landed *)
          st.pending_node <- None;
-         Psp_util.Min_heap.push st.heap
-           ~priority:(Hashtbl.find st.dist u +. h st u)
-           u
+         Heap.push st.heap ~priority:(Hashtbl.find st.dist u +. h st u) u
      | _ -> ())
     [@leak_ok "delivery is client-local; the fetch already happened"]
     [@@oblivious]
@@ -268,10 +270,13 @@ end) : Engine.SCHEME = struct
           Store.snap st.store st.q.Engine.rs ~x:st.q.Engine.sx ~y:st.q.Engine.sy;
         st.t_id <-
           Store.snap st.store st.q.Engine.rt ~x:st.q.Engine.tx ~y:st.q.Engine.ty;
-        st.t_record <- Store.record st.store st.t_id;
+        st.t_x <- Store.x st.store st.t_id;
+        st.t_y <- Store.y st.store st.t_id;
+        Store.landmarks st.store st.t_id ~to_anchor:st.t_to ~from_anchor:st.t_from;
+        st.t_known <- true;
         if C.use_alt then st.rects <- Some (region_rects st.ctx.Engine.header);
         Hashtbl.replace st.dist st.s_id 0.0;
-        Psp_util.Min_heap.push st.heap ~priority:(h st st.s_id) st.s_id;
+        Heap.push st.heap ~priority:(h st st.s_id) st.s_id;
         st.setup_done <- true
     | _ -> ())
     [@leak_ok
@@ -301,6 +306,8 @@ end) : Engine.SCHEME = struct
          Some (build st.t_id [], Hashtbl.find st.dist st.t_id)
        end
      in
+     (* the path is built: the store goes back to this domain's free list *)
+     Store.release st.store;
      (* report the region budget consumed rather than the distinct-region
         count: the rs = rt dummy window counts against the plan, and
         calibration must budget for it *)

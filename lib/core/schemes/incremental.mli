@@ -7,9 +7,9 @@
     search that needs more regions than the budget fails closed. *)
 
 val alt_heuristic :
-  Psp_index.Encoding.node_record -> Psp_index.Encoding.node_record -> float
-(** ALT (landmark) lower bound between two nodes; 0 when either side
-    lacks landmark vectors. *)
+  to_v:float array -> from_v:float array -> to_t:float array -> from_t:float array -> float
+(** ALT (landmark) lower bound from node v to node t, given each one's
+    to-anchor and from-anchor distance vectors; 0 without anchors. *)
 
 val region_rects :
   Psp_index.Header.t -> (float * float * float * float) array

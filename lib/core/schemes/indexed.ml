@@ -68,11 +68,7 @@ type state = {
 let init ctx (q [@secret]) =
   let header = ctx.Engine.header in
   let p = params header.H.plan in
-  (* room for every page the plan files at about 24 bytes a node (a plain
-     record, or an endpoint an edge triple brings in), so the store's
-     tables rarely grow mid-query *)
-  let pages = (p.budget * header.H.pages_per_region) + if p.subgraphs then p.span else 0 in
-  let store = Store.create ~nodes:(pages * ctx.Engine.psize / 24) () in
+  let store = Store.acquire () in
   { ctx;
     q;
     p;
@@ -133,7 +129,7 @@ let decode_record (st [@secret]) =
    with
    | FB.Regions r when p.region_sets && st.tail = 0 ->
        let to_fetch =
-         List.sort_uniq compare (q.Engine.rs :: q.Engine.rt :: Array.to_list r)
+         List.sort_uniq Int.compare (q.Engine.rs :: q.Engine.rt :: Array.to_list r)
        in
        let n = List.length to_fetch in
        if n > p.budget then failwith "Client: fetch set exceeds the query plan budget";
@@ -208,5 +204,8 @@ let answer (st [@secret]) =
      this trip count"]);
   let s = Store.snap st.store st.q.Engine.rs ~x:st.q.Engine.sx ~y:st.q.Engine.sy
   and t = Store.snap st.store st.q.Engine.rt ~x:st.q.Engine.tx ~y:st.q.Engine.ty in
-  (Store.dijkstra st.store ~source:s ~target:t, st.regions)
+  let path = Store.dijkstra st.store ~source:s ~target:t in
+  (* the path is built: the store goes back to this domain's free list *)
+  Store.release st.store;
+  (path, st.regions)
   [@@oblivious]

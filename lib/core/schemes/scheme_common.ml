@@ -1,5 +1,4 @@
 module H = Psp_index.Header
-module E = Psp_index.Encoding
 
 (* The region queue shared by the scheme modules.  Everything here is
    client-local bookkeeping or decoding over already-fetched pages: no
@@ -7,15 +6,12 @@ module E = Psp_index.Encoding
    they only compute which page index the engine puts into a fetch slot
    it was issuing anyway. *)
 
-let decode_region_window (header : H.t) pages =
-  let blob = Bytes.concat Bytes.empty pages in
-  E.decode_region header.H.config blob
-
 (* ------------------------------------------------------------------ *)
 (* A queue of pending region fetches, spoon-fed to the engine one page
    per slot: [rq_next] hands out the next page of the in-flight region
    (or starts the next queued one), [rq_deliver] collects the pages and
-   files the decoded records into the store once the region completes. *)
+   files the region's records into the store once the region completes,
+   straight from its bytes. *)
 
 type region_queue = {
   rq_header : H.t;
@@ -58,7 +54,8 @@ let rq_deliver (q [@secret]) blob =
   | Some (region, sent, got) ->
       let got = blob :: got in
       if List.length got >= q.rq_pages then begin
-        Store.add_region q.rq_store region (decode_region_window q.rq_header (List.rev got));
+        Store.add_region q.rq_store q.rq_header.H.config region
+          (Bytes.concat Bytes.empty (List.rev got));
         q.rq_current <- None
       end
       else q.rq_current <- Some (region, sent, got))

@@ -10,25 +10,22 @@ let flag_backward_tree g flags ~b ~region =
   let heap = Psp_util.Min_heap.create () in
   dist.(b) <- 0.0;
   Psp_util.Min_heap.push heap ~priority:0.0 b;
-  let rec drain () =
-    match Psp_util.Min_heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if not closed.(u) then begin
-          closed.(u) <- true;
-          if tree_edge.(u) >= 0 then Psp_util.Bitset.set flags.(tree_edge.(u)) region;
-          Graph.iter_in g u (fun e ->
-              let v = e.Graph.src in
-              let nd = d +. e.Graph.weight in
-              if nd < dist.(v) then begin
-                dist.(v) <- nd;
-                tree_edge.(v) <- e.Graph.id;
-                Psp_util.Min_heap.push heap ~priority:nd v
-              end)
-        end;
-        drain ()
-  in
-  drain ()
+  while not (Psp_util.Min_heap.is_empty heap) do
+    let d = Psp_util.Min_heap.min_priority heap in
+    let u = Psp_util.Min_heap.pop_min heap in
+    if not closed.(u) then begin
+      closed.(u) <- true;
+      if tree_edge.(u) >= 0 then Psp_util.Bitset.set flags.(tree_edge.(u)) region;
+      Graph.iter_in g u (fun e ->
+          let v = e.Graph.src in
+          let nd = d +. e.Graph.weight in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            tree_edge.(v) <- e.Graph.id;
+            Psp_util.Min_heap.push heap ~priority:nd v
+          end)
+    end
+  done
 
 let compute g ~region_of ~region_count =
   let n = Graph.node_count g in
@@ -78,27 +75,26 @@ let query t g ~region_of ~source ~target =
   let settled = ref 0 and relaxed = ref 0 in
   let found = ref false in
   while (not !found) && not (Psp_util.Min_heap.is_empty heap) do
-    match Psp_util.Min_heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if not closed.(u) then begin
-          closed.(u) <- true;
-          incr settled;
-          if u = target then found := true
-          else
-            Graph.iter_out g u (fun e ->
-                if Psp_util.Bitset.mem t.flags.(e.Graph.id) dest_region then begin
-                  let v = e.Graph.dst in
-                  let nd = d +. e.Graph.weight in
-                  if nd < dist.(v) then begin
-                    incr relaxed;
-                    dist.(v) <- nd;
-                    parent.(v) <- u;
-                    parent_edge.(v) <- e.Graph.id;
-                    Psp_util.Min_heap.push heap ~priority:nd v
-                  end
-                end)
-        end
+    let d = Psp_util.Min_heap.min_priority heap in
+    let u = Psp_util.Min_heap.pop_min heap in
+    if not closed.(u) then begin
+      closed.(u) <- true;
+      incr settled;
+      if u = target then found := true
+      else
+        Graph.iter_out g u (fun e ->
+            if Psp_util.Bitset.mem t.flags.(e.Graph.id) dest_region then begin
+              let v = e.Graph.dst in
+              let nd = d +. e.Graph.weight in
+              if nd < dist.(v) then begin
+                incr relaxed;
+                dist.(v) <- nd;
+                parent.(v) <- u;
+                parent_edge.(v) <- e.Graph.id;
+                Psp_util.Min_heap.push heap ~priority:nd v
+              end
+            end)
+    end
   done;
   let path =
     if source = target then Some (Path.trivial source)

@@ -14,26 +14,24 @@ let run g ~heuristic ~source ~target ~on_settle =
   let settled = ref 0 and relaxed = ref 0 in
   let found = ref false in
   while (not !found) && not (Psp_util.Min_heap.is_empty heap) do
-    match Psp_util.Min_heap.pop heap with
-    | None -> ()
-    | Some (_, u) ->
-        if not closed.(u) then begin
-          closed.(u) <- true;
-          incr settled;
-          on_settle u;
-          if u = target then found := true
-          else
-            Graph.iter_out g u (fun e ->
-                let v = e.Graph.dst in
-                let nd = dist.(u) +. e.Graph.weight in
-                if nd < dist.(v) then begin
-                  incr relaxed;
-                  dist.(v) <- nd;
-                  parent.(v) <- u;
-                  parent_edge.(v) <- e.Graph.id;
-                  Psp_util.Min_heap.push heap ~priority:(nd +. heuristic v) v
-                end)
-        end
+    let u = Psp_util.Min_heap.pop_min heap in
+    if not closed.(u) then begin
+      closed.(u) <- true;
+      incr settled;
+      on_settle u;
+      if u = target then found := true
+      else
+        Graph.iter_out g u (fun e ->
+            let v = e.Graph.dst in
+            let nd = dist.(u) +. e.Graph.weight in
+            if nd < dist.(v) then begin
+              incr relaxed;
+              dist.(v) <- nd;
+              parent.(v) <- u;
+              parent_edge.(v) <- e.Graph.id;
+              Psp_util.Min_heap.push heap ~priority:(nd +. heuristic v) v
+            end)
+    end
   done;
   let path =
     if source = target then Some (Path.trivial source)

@@ -39,28 +39,30 @@ let search g ~source ~target =
       end
     in
     let step side iterate =
-      match Psp_util.Min_heap.pop side.heap with
-      | None -> ()
-      | Some (d, u) ->
-          if not side.closed.(u) then begin
-            side.closed.(u) <- true;
-            incr settled;
-            iterate u (fun (other, edge_id, w) ->
-                let nd = d +. w in
-                if nd < side.dist.(other) then begin
-                  side.dist.(other) <- nd;
-                  side.parent.(other) <- u;
-                  side.parent_edge.(other) <- edge_id;
-                  Psp_util.Min_heap.push side.heap ~priority:nd other
-                end;
-                try_meet other);
-            try_meet u
-          end
+      if not (Psp_util.Min_heap.is_empty side.heap) then begin
+        let d = Psp_util.Min_heap.min_priority side.heap in
+        let u = Psp_util.Min_heap.pop_min side.heap in
+        if not side.closed.(u) then begin
+          side.closed.(u) <- true;
+          incr settled;
+          iterate u (fun (other, edge_id, w) ->
+              let nd = d +. w in
+              if nd < side.dist.(other) then begin
+                side.dist.(other) <- nd;
+                side.parent.(other) <- u;
+                side.parent_edge.(other) <- edge_id;
+                Psp_util.Min_heap.push side.heap ~priority:nd other
+              end;
+              try_meet other);
+          try_meet u
+        end
+      end
     in
     let fwd_iter u f = Graph.iter_out g u (fun e -> f (e.Graph.dst, e.Graph.id, e.Graph.weight)) in
     let bwd_iter u f = Graph.iter_in g u (fun e -> f (e.Graph.src, e.Graph.id, e.Graph.weight)) in
     let top side =
-      match Psp_util.Min_heap.peek side.heap with None -> infinity | Some (p, _) -> p
+      if Psp_util.Min_heap.is_empty side.heap then infinity
+      else Psp_util.Min_heap.min_priority side.heap
     in
     let continue () =
       top fwd +. top bwd < !best

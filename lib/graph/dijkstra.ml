@@ -20,28 +20,27 @@ let run g ~source ~stop ~allowed =
   let settled = ref 0 in
   let finished = ref false in
   while (not !finished) && not (Psp_util.Min_heap.is_empty heap) do
-    match Psp_util.Min_heap.pop heap with
-    | None -> finished := true
-    | Some (d, u) ->
-        if not done_.(u) then begin
-          done_.(u) <- true;
-          incr settled;
-          if stop u then finished := true
-          else
-            (* the CSR row directly: no edge record or closure per relaxation *)
-            for e = Graph.out_start g u to Graph.out_start g (u + 1) - 1 do
-              let v = Graph.edge_dst g e in
-              if allowed v then begin
-                let nd = d +. Graph.edge_weight g e in
-                if nd < dist.(v) then begin
-                  dist.(v) <- nd;
-                  parent.(v) <- u;
-                  parent_edge.(v) <- e;
-                  Psp_util.Min_heap.push heap ~priority:nd v
-                end
-              end
-            done
-        end
+    let d = Psp_util.Min_heap.min_priority heap in
+    let u = Psp_util.Min_heap.pop_min heap in
+    if not done_.(u) then begin
+      done_.(u) <- true;
+      incr settled;
+      if stop u then finished := true
+      else
+        (* the CSR row directly: no edge record or closure per relaxation *)
+        for e = Graph.out_start g u to Graph.out_start g (u + 1) - 1 do
+          let v = Graph.edge_dst g e in
+          if allowed v then begin
+            let nd = d +. Graph.edge_weight g e in
+            if nd < dist.(v) then begin
+              dist.(v) <- nd;
+              parent.(v) <- u;
+              parent_edge.(v) <- e;
+              Psp_util.Min_heap.push heap ~priority:nd v
+            end
+          end
+        done
+    end
   done;
   ({ dist; parent; parent_edge; settled = !settled }, done_)
 

@@ -49,7 +49,7 @@ let read_f32 r =
   (* sign-extend back into an Int32 *)
   Int32.float_of_bits (Int32.of_int bits)
 
-let flag_bytes bits = (bits + 7) / 8
+let flag_bytes = Psp_util.Bitset.bytes_for
 
 let weight_bytes config w =
   if config.quantize <= 0.0 then 4
@@ -58,10 +58,6 @@ let weight_bytes config w =
 let write_weight config w v =
   if config.quantize <= 0.0 then f32 w v
   else W.varint w (grid_index ~epsilon:config.quantize v)
-
-let read_weight config r =
-  if config.quantize <= 0.0 then read_f32 r
-  else grid_value ~epsilon:config.quantize (R.varint r)
 
 let node_bytes config g v =
   let base = Psp_util.Byte_io.varint_size v + 8 (* two f32 coords *) + 1 in
@@ -105,43 +101,104 @@ let encode_region config g ?region_of ?landmark ?flags nodes =
   Array.iter (fun v -> encode_node config g ?region_of ?landmark ?flags w v) nodes;
   W.contents w
 
-let decode_node config r =
-  let id = R.varint r in
-  let x = read_f32 r in
-  let y = read_f32 r in
-  let landmark =
-    if config.landmark_anchors = 0 then None
+(* The one reader of region blobs.  A cursor over the blob reads each
+   field in place: floats straight from their four bytes, no
+   intermediate records.  Every read is bounds-checked and a short blob
+   raises [Byte_io.Reader.Underflow], like every other decoder. *)
+
+type cursor = { buf : bytes; mutable at : int }
+
+let take c n =
+  let p = c.at in
+  if p > Bytes.length c.buf - n then raise R.Underflow;
+  c.at <- p + n;
+  p
+
+let c_u8 c = Char.code (Bytes.unsafe_get c.buf (take c 1))
+let c_u16 c = Bytes.get_uint16_le c.buf (take c 2)
+let c_f32 c = Int32.float_of_bits (Bytes.get_int32_le c.buf (take c 4))
+
+(* LEB128, as [Byte_io.Reader.varint] *)
+let rec c_varint_from c shift acc =
+  let b = c_u8 c in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 = 0 then acc else c_varint_from c (shift + 7) acc
+
+let c_varint c = c_varint_from c 0 0
+
+let c_weight config c =
+  if config.quantize <= 0.0 then c_f32 c
+  else grid_value ~epsilon:config.quantize (c_varint c)
+
+(* The fewest bytes a node record or an edge entry can take, so a count
+   is checked against what is left before anything runs that many times. *)
+let min_node_bytes config = 1 + 8 + (8 * config.landmark_anchors) + 1
+
+let min_edge_bytes config =
+  1
+  + (if config.quantize <= 0.0 then 4 else 1)
+  + (if config.with_region_ids then 2 else 0)
+  + flag_bytes config.flag_bits
+
+let check_count c what count ~each =
+  if count < 0 || count > (Bytes.length c.buf - c.at) / each then
+    invalid_arg ("Encoding.fold_region: " ^ what ^ " exceeds the blob")
+
+let fold_region config blob ~node ~edge init =
+  let c = { buf = blob; at = 0 } in
+  let count = c_varint c in
+  check_count c "node count" count ~each:(min_node_bytes config);
+  let anchors = config.landmark_anchors and fbytes = flag_bytes config.flag_bits in
+  let to_anchor = Array.make anchors 0.0 and from_anchor = Array.make anchors 0.0 in
+  let flags = Bytes.create fbytes in
+  let rec edges acc k =
+    if k = 0 then acc
     else begin
-      let to_a = Array.make config.landmark_anchors 0.0 in
-      let from_a = Array.make config.landmark_anchors 0.0 in
-      for a = 0 to config.landmark_anchors - 1 do
-        to_a.(a) <- read_f32 r;
-        from_a.(a) <- read_f32 r
-      done;
-      Some (to_a, from_a)
+      let target = c_varint c in
+      let weight = c_weight config c in
+      let target_region = if config.with_region_ids then c_u16 c else -1 in
+      if fbytes > 0 then Bytes.blit c.buf (take c fbytes) flags 0 fbytes;
+      edges (edge acc ~target ~weight ~target_region ~flags) (k - 1)
     end
   in
-  let degree = R.varint r in
-  let adj =
-    List.init degree (fun _ ->
-        let target = R.varint r in
-        let weight = read_weight config r in
-        let target_region = if config.with_region_ids then R.u16 r else -1 in
-        let flags =
-          if config.flag_bits = 0 then None
-          else
-            Some
-              (Psp_util.Bitset.of_bytes config.flag_bits
-                 (R.bytes r (flag_bytes config.flag_bits)))
-        in
-        { target; weight; target_region; flags })
+  let rec nodes acc k =
+    if k = 0 then acc
+    else begin
+      let id = c_varint c in
+      let x = c_f32 c in
+      let y = c_f32 c in
+      for a = 0 to anchors - 1 do
+        to_anchor.(a) <- c_f32 c;
+        from_anchor.(a) <- c_f32 c
+      done;
+      let degree = c_varint c in
+      check_count c "degree" degree ~each:(min_edge_bytes config);
+      let acc = node acc ~id ~x ~y ~to_anchor ~from_anchor ~degree in
+      nodes (edges acc degree) (k - 1)
+    end
   in
-  { id; x; y; adj; landmark }
+  nodes init count
 
+(* The reference decoder: records built from the same fold.  Within the
+   accumulator the head record's adjacency is in reverse. *)
 let decode_region config blob =
-  let r = R.of_bytes blob in
-  let count = R.varint r in
-  List.init count (fun _ -> decode_node config r)
+  fold_region config blob
+    ~node:(fun acc ~id ~x ~y ~to_anchor ~from_anchor ~degree:_ ->
+      let landmark =
+        if config.landmark_anchors = 0 then None
+        else Some (Array.copy to_anchor, Array.copy from_anchor)
+      in
+      { id; x; y; adj = []; landmark } :: acc)
+    ~edge:(fun acc ~target ~weight ~target_region ~flags ->
+      let flags =
+        if config.flag_bits = 0 then None
+        else Some (Psp_util.Bitset.of_bytes config.flag_bits flags)
+      in
+      match acc with
+      | r :: rest -> { r with adj = { target; weight; target_region; flags } :: r.adj } :: rest
+      | [] -> invalid_arg "Encoding.decode_region: edge before any node")
+    []
+  |> List.rev_map (fun r -> { r with adj = List.rev r.adj })
 
 let lookup_entry_bytes = 10
 
@@ -172,7 +229,14 @@ let encode_region_ids w ids =
       prev := id)
     ids
 
+(* A count is checked against the bytes left before anything is sized by
+   it: an element takes at least one byte, a triple at least three. *)
+let check_elements r ~count ~each =
+  if count < 0 || count > R.remaining r / each then
+    invalid_arg "Encoding: element count exceeds the record"
+
 let decode_region_ids r ~count =
+  check_elements r ~count ~each:1;
   let prev = ref 0 in
   Array.init count (fun _ ->
       let id = !prev + R.varint r in
@@ -191,6 +255,7 @@ let encode_edge_triples ?(quantize = 0.0) w triples =
     triples
 
 let decode_edge_triples ?(quantize = 0.0) r ~count =
+  check_elements r ~count ~each:(if quantize <= 0.0 then 6 else 3);
   Array.init count (fun _ ->
       let e_src = R.varint r in
       let e_dst = R.varint r in

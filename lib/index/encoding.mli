@@ -64,9 +64,43 @@ val encode_region :
   bytes
 (** Encode the node records of a region's members. *)
 
+val fold_region :
+  config ->
+  bytes ->
+  node:
+    ('a ->
+    id:int ->
+    x:float ->
+    y:float ->
+    to_anchor:float array ->
+    from_anchor:float array ->
+    degree:int ->
+    'a) ->
+  edge:('a -> target:int -> weight:float -> target_region:int -> flags:bytes -> 'a) ->
+  'a ->
+  'a
+(** The one reader of a region blob (or of concatenated region pages;
+    bytes past the last record are ignored).  Records are visited in
+    encoded order: [node] once per record, then [edge] once per entry of
+    its adjacency list, in encoded order, threading an accumulator.
+    Nothing is allocated per record.
+
+    [to_anchor] and [from_anchor] hold the record's landmark vectors
+    ([landmark_anchors] long, empty without landmarks); [target_region]
+    is -1 unless the config stores region ids; [flags] holds the edge's
+    arc-flag bit-vector as {!Psp_util.Bitset.to_bytes} bytes (empty
+    without flags).  All three are scratch buffers, overwritten by the
+    next record or edge: copy what must outlive the call.
+
+    Every count and degree is checked against the bytes left before the
+    fold runs that many steps.
+    @raise Invalid_argument on a count or degree the blob cannot hold.
+    @raise Psp_util.Byte_io.Reader.Underflow on a blob cut short. *)
+
 val decode_region : config -> bytes -> node_record list
-(** Client-side decoding of a region blob (or concatenated region
-    pages trimmed to payload length). *)
+(** The records of a region blob, built by {!fold_region}.  The client
+    files regions through the fold directly; this is the reference its
+    tests and kernels compare against. *)
 
 (** {2 Look-up entries (F_l)} *)
 
@@ -83,6 +117,7 @@ val encode_region_ids : Psp_util.Byte_io.Writer.t -> int array -> unit
 (** Sorted region ids as varint deltas. *)
 
 val decode_region_ids : Psp_util.Byte_io.Reader.t -> count:int -> int array
+(** @raise Invalid_argument when [count] exceeds the bytes left. *)
 
 type edge_triple = { e_src : int; e_dst : int; e_weight : float }
 
@@ -91,5 +126,6 @@ val encode_edge_triples :
 
 val decode_edge_triples :
   ?quantize:float -> Psp_util.Byte_io.Reader.t -> count:int -> edge_triple array
+(** @raise Invalid_argument when [count] exceeds the bytes left. *)
 
 val triple_of_edge : Psp_graph.Graph.t -> int -> edge_triple

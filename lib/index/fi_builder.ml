@@ -54,7 +54,7 @@ let sort_dedup a =
   Array.iteri (fun i v -> if i = 0 || v <> a.(i - 1) then Psp_util.Dyn_array.push out v) a;
   Psp_util.Dyn_array.to_array out
 
-let inter a b =
+let inter (a : int array) (b : int array) =
   let out = Psp_util.Dyn_array.create () in
   let i = ref 0 and j = ref 0 in
   while !i < Array.length a && !j < Array.length b do
@@ -69,7 +69,7 @@ let inter a b =
   done;
   Psp_util.Dyn_array.to_array out
 
-let diff a b =
+let diff (a : int array) (b : int array) =
   let out = Psp_util.Dyn_array.create () in
   let i = ref 0 and j = ref 0 in
   while !i < Array.length a do
@@ -85,7 +85,39 @@ let diff a b =
   done;
   Psp_util.Dyn_array.to_array out
 
-let union a b = sort_dedup (Array.append a b)
+(* Merge-union of two ascending, duplicate-free arrays: the same array
+   [sort_dedup (Array.append a b)] gives, in linear time. *)
+let union (a : int array) (b : int array) =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let rec go i j k =
+    if i < na && j < nb then begin
+      let x = a.(i) and y = b.(j) in
+      if x < y then begin
+        out.(k) <- x;
+        go (i + 1) j (k + 1)
+      end
+      else if y < x then begin
+        out.(k) <- y;
+        go i (j + 1) (k + 1)
+      end
+      else begin
+        out.(k) <- x;
+        go (i + 1) (j + 1) (k + 1)
+      end
+    end
+    else if i < na then begin
+      out.(k) <- a.(i);
+      go (i + 1) j (k + 1)
+    end
+    else if j < nb then begin
+      out.(k) <- b.(j);
+      go i (j + 1) (k + 1)
+    end
+    else k
+  in
+  let k = go 0 0 0 in
+  if k = na + nb then out else Array.sub out 0 k
 
 let no_ref = 0xFFFFFFFF
 
@@ -286,34 +318,56 @@ type decoded =
   | Regions of int array
   | Edges of Encoding.edge_triple array
 
+(* One record of a reference chain, as parsed. *)
+type link =
+  | Set_link of int array * int array  (* inclusions, exclusions *)
+  | Sub_link of Encoding.edge_triple array
+
+(* Walk the chain once, outermost record first, then combine from the
+   deepest record outwards.  A record references an earlier one, and
+   all offsets share the window base, so a pointer must point strictly
+   backwards: that bounds the walk and rejects every cycle, a record
+   referencing itself included.  A builder chain has at most
+   [max_chain_depth + 1] records. *)
 let decode ~quantize ~pages ~base_page ~offset =
+  if Array.length pages = 0 then invalid_arg "Fi_builder.decode: no pages";
   let blob = Bytes.concat Bytes.empty (Array.to_list pages) in
-  let base =
-    if Array.length pages = 0 then invalid_arg "Fi_builder.decode: no pages"
-    else base_page * Bytes.length pages.(0)
-  in
-  let rec parse offset =
+  let base = base_page * Bytes.length pages.(0) in
+  let rec walk offset ~kind ~depth links =
+    if depth > max_chain_depth then
+      invalid_arg "Fi_builder.decode: reference chain too deep";
     let r = R.of_bytes ~pos:(base + offset) blob in
-    let kind = R.u8 r in
+    let k = R.u8 r in
+    (match (kind, k) with
+    | Some 0, 1 -> invalid_arg "Fi_builder.decode: region record references a subgraph"
+    | Some 1, 0 -> invalid_arg "Fi_builder.decode: subgraph record references a region set"
+    | _ -> ());
     let pointer = R.u32 r in
     let incl_count = R.varint r in
-    match kind with
-    | 0 ->
-        let incl = Encoding.decode_region_ids r ~count:incl_count in
-        let excl_count = R.varint r in
-        let excl = Encoding.decode_region_ids r ~count:excl_count in
-        let resolved = if pointer = no_ref then [||] else expect_regions (parse pointer) in
-        Regions (diff (union resolved incl) excl)
-    | 1 ->
-        let incl = Encoding.decode_edge_triples ~quantize r ~count:incl_count in
-        let resolved = if pointer = no_ref then [||] else expect_edges (parse pointer) in
-        Edges (Array.append resolved incl)
-    | k -> invalid_arg (Printf.sprintf "Fi_builder.decode: bad record kind %d" k)
-  and expect_regions = function
-    | Regions r -> r
-    | Edges _ -> invalid_arg "Fi_builder.decode: region record references a subgraph"
-  and expect_edges = function
-    | Edges e -> e
-    | Regions _ -> invalid_arg "Fi_builder.decode: subgraph record references a region set"
+    let link =
+      match k with
+      | 0 ->
+          let incl = Encoding.decode_region_ids r ~count:incl_count in
+          let excl_count = R.varint r in
+          Set_link (incl, Encoding.decode_region_ids r ~count:excl_count)
+      | 1 -> Sub_link (Encoding.decode_edge_triples ~quantize r ~count:incl_count)
+      | k -> invalid_arg (Printf.sprintf "Fi_builder.decode: bad record kind %d" k)
+    in
+    if pointer = no_ref then link :: links
+    else if pointer >= offset then
+      invalid_arg "Fi_builder.decode: reference does not point backwards"
+    else walk pointer ~kind:(Some k) ~depth:(depth + 1) (link :: links)
   in
-  parse offset
+  (* deepest record first *)
+  match walk offset ~kind:None ~depth:0 [] with
+  | Sub_link _ :: _ as links ->
+      Edges
+        (Array.concat
+           (List.map (function Sub_link e -> e | Set_link _ -> [||]) links))
+  | links ->
+      Regions
+        (List.fold_left
+           (fun resolved -> function
+             | Set_link (incl, excl) -> diff (union resolved incl) excl
+             | Sub_link _ -> resolved)
+           [||] links)

@@ -68,6 +68,10 @@ val flush_to : t -> Psp_storage.Page_file.t -> unit
 
 (** {2 Client-side record decoding} *)
 
+val max_chain_depth : int
+(** The most delta links the builder stacks on a plain record: a chain
+    holds at most [max_chain_depth + 1] records. *)
+
 type decoded =
   | Regions of int array                 (** inflated region-id fetch set *)
   | Edges of Encoding.edge_triple array  (** subgraph edge list (may repeat) *)
@@ -77,4 +81,11 @@ val decode :
 (** Decode a record from a fetched page window.  [base_page] is the
     index *within the window* of the record's base page; [offset] the
     record's byte offset from that base (it may exceed one page).
-    Reference chains resolve against the same base. *)
+    Reference chains resolve against the same base, in one walk over
+    the pointers and one linear combination from the deepest record
+    outwards.
+    @raise Invalid_argument on a chain longer than [max_chain_depth + 1]
+    records, a pointer that does not point strictly backwards (so every
+    cycle), mixed record kinds, a bad kind or an element count the
+    record cannot hold.
+    @raise Psp_util.Byte_io.Reader.Underflow on a record cut short. *)

@@ -60,7 +60,8 @@ let of_list n items =
   List.iter (set t) items;
   t
 
-let byte_size t = (t.n + 7) / 8
+let bytes_for n = (n + 7) / 8
+let byte_size t = bytes_for t.n
 
 let to_bytes t =
   let b = Bytes.make (byte_size t) '\000' in
@@ -71,9 +72,11 @@ let to_bytes t =
     t;
   b
 
+let mem_bytes b ~pos i = Char.code (Bytes.get b (pos + (i / 8))) land (1 lsl (i mod 8)) <> 0
+
 let of_bytes n b =
   let t = create n in
   for i = 0 to n - 1 do
-    if Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0 then set t i
+    if mem_bytes b ~pos:0 i then set t i
   done;
   t

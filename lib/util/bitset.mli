@@ -54,8 +54,15 @@ val of_list : int -> int list -> t
 val byte_size : t -> int
 (** Serialized size in bytes: ceil(capacity/8). *)
 
+val bytes_for : int -> int
+(** [bytes_for n] is the serialized size of a set of capacity [n]. *)
+
 val to_bytes : t -> bytes
 (** Little-endian bit-packed encoding, [byte_size t] bytes long. *)
 
 val of_bytes : int -> bytes -> t
 (** [of_bytes n b] decodes a set of capacity [n] from [to_bytes] output. *)
+
+val mem_bytes : bytes -> pos:int -> int -> bool
+(** [mem_bytes b ~pos i] is [i]'s membership in the [to_bytes] output
+    stored at [pos] in [b], read in place without decoding the set. *)

@@ -52,20 +52,21 @@ let push t ~priority payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let p = t.prio.(0) and d = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.prio.(0) <- t.prio.(t.size);
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some (p, d)
-  end
+let min_priority t =
+  if t.size = 0 then invalid_arg "Min_heap.min_priority: empty heap";
+  t.prio.(0)
+  [@@inline]
 
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.data.(0))
+let pop_min t =
+  if t.size = 0 then invalid_arg "Min_heap.pop_min: empty heap";
+  let d = t.data.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.prio.(0) <- t.prio.(t.size);
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end;
+  d
 let clear t = t.size <- 0
 
 let of_list entries =
@@ -75,6 +76,9 @@ let of_list entries =
 
 let to_sorted_list t =
   let rec drain acc =
-    match pop t with None -> List.rev acc | Some entry -> drain (entry :: acc)
+    if t.size = 0 then List.rev acc
+    else
+      let p = min_priority t in
+      drain ((p, pop_min t) :: acc)
   in
   drain []

@@ -19,11 +19,15 @@ val is_empty : t -> bool
 val push : t -> priority:float -> int -> unit
 (** Insert a payload with the given priority. *)
 
-val pop : t -> (float * int) option
-(** Remove and return the minimum-priority entry, or [None] if empty. *)
+val min_priority : t -> float
+(** Priority of the minimum entry, which stays queued.
+    @raise Invalid_argument if the heap is empty. *)
 
-val peek : t -> (float * int) option
-(** Minimum entry without removing it. *)
+val pop_min : t -> int
+(** Remove the minimum entry and return its payload; read its priority
+    first with {!min_priority}.  Neither call allocates, so a search
+    loop pops without an option, a tuple or a boxed float.
+    @raise Invalid_argument if the heap is empty. *)
 
 val clear : t -> unit
 (** Empty the heap, retaining its backing store. *)

@@ -685,18 +685,22 @@ let e2e_property =
 
 (* ------------------------------------------------------------------ *)
 (* The client store against its predecessor.  [Ref_store] is the
-   Hashtbl-keyed store the flat, local-id store replaced, kept verbatim
-   as the reference: on random networks split into random regions,
-   delivered in random order with duplicates and interleaved subgraph
-   triples, both stores must snap to the same node and return the same
-   path with a bit-identical cost. *)
+   Hashtbl-keyed store the flat, local-id store replaced, kept as the
+   reference and fed the records [Encoding.decode_region] builds, while
+   [Store] files the same bytes through [Encoding.fold_region].  On
+   random networks split into random regions, under the plain,
+   quantized, LM and AF region configs, delivered in random order with
+   duplicates and interleaved subgraph triples, both must hold the same
+   records and adjacency, snap to the same node and return the same
+   path with a bit-identical cost — in a fresh store and in one reused
+   from the free list after a larger filing. *)
 
 module Ref_store = struct
   module E = Psp_index.Encoding
 
   type t = {
     records : (int, E.node_record) Hashtbl.t;
-    adj : (int, (int * float) Psp_util.Dyn_array.t) Hashtbl.t;
+    adj : (int, E.adj Psp_util.Dyn_array.t) Hashtbl.t;
     by_region : (int, E.node_record list) Hashtbl.t;
   }
 
@@ -712,19 +716,23 @@ module Ref_store = struct
         a
 
   let record store v = Hashtbl.find_opt store.records v
-  let has_record store v = Hashtbl.mem store.records v
+
+  let out store v =
+    match Hashtbl.find_opt store.adj v with
+    | None -> []
+    | Some a -> Array.to_list (Psp_util.Dyn_array.to_array a)
 
   let add_record store region (r : E.node_record) =
     if not (Hashtbl.mem store.records r.E.id) then begin
       Hashtbl.replace store.records r.E.id r;
       Hashtbl.replace store.by_region region
         (r :: Option.value ~default:[] (Hashtbl.find_opt store.by_region region));
-      let a = adj_of store r.E.id in
-      List.iter (fun e -> Psp_util.Dyn_array.push a (e.E.target, e.E.weight)) r.E.adj
+      List.iter (Psp_util.Dyn_array.push (adj_of store r.E.id)) r.E.adj
     end
 
   let add_triple store (t : E.edge_triple) =
-    Psp_util.Dyn_array.push (adj_of store t.E.e_src) (t.E.e_dst, t.E.e_weight)
+    Psp_util.Dyn_array.push (adj_of store t.E.e_src)
+      { E.target = t.E.e_dst; weight = t.E.e_weight; target_region = -1; flags = None }
 
   let snap store region ~x ~y =
     match Hashtbl.find_opt store.by_region region with
@@ -752,31 +760,28 @@ module Ref_store = struct
       Psp_util.Min_heap.push heap ~priority:0.0 source;
       let found = ref false in
       while (not !found) && not (Psp_util.Min_heap.is_empty heap) do
-        match Psp_util.Min_heap.pop heap with
-        | None -> ()
-        | Some (d, u) ->
-            if not (Hashtbl.mem closed u) then begin
-              Hashtbl.replace closed u ();
-              if u = target then found := true
-              else
-                match Hashtbl.find_opt store.adj u with
-                | None -> ()
-                | Some edges ->
-                    Psp_util.Dyn_array.iter
-                      (fun (v, w) ->
-                        let nd = d +. w in
-                        let better =
-                          match Hashtbl.find_opt dist v with
-                          | Some old -> nd < old
-                          | None -> true
-                        in
-                        if better then begin
-                          Hashtbl.replace dist v nd;
-                          Hashtbl.replace parent v u;
-                          Psp_util.Min_heap.push heap ~priority:nd v
-                        end)
-                      edges
-            end
+        let d = Psp_util.Min_heap.min_priority heap in
+        let u = Psp_util.Min_heap.pop_min heap in
+        if not (Hashtbl.mem closed u) then begin
+          Hashtbl.replace closed u ();
+          if u = target then found := true
+          else
+            List.iter
+              (fun (e : E.adj) ->
+                let v = e.E.target in
+                let nd = d +. e.E.weight in
+                let better =
+                  match Hashtbl.find_opt dist v with
+                  | Some old -> nd < old
+                  | None -> true
+                in
+                if better then begin
+                  Hashtbl.replace dist v nd;
+                  Hashtbl.replace parent v u;
+                  Psp_util.Min_heap.push heap ~priority:nd v
+                end)
+              (out store u)
+        end
       done;
       if not !found then None
       else begin
@@ -791,17 +796,30 @@ module Ref_store = struct
 end
 
 type store_case = {
+  config : int;  (* 0 plain, 1 quantized, 2 LM, 3 AF *)
+  flag_bits : int;  (* AF only *)
   coords : (int * int) array;  (* per node; small grid, so snaps tie *)
   region_of : int array;
   edges : (int * int * int) list;  (* src, dst, weight in 1..3: ties, exact sums *)
   ops : [ `Region of int | `Triple of int ] list;  (* deliveries, in order *)
 }
 
-(* Sparse, scattered global ids exercise the id table's probing. *)
-let case_gid i = (i * 7919) + 104_729
+let region_config c =
+  let module E = Psp_index.Encoding in
+  match c.config with
+  | 0 -> E.plain_config
+  | 1 -> { E.plain_config with E.quantize = 0.05 }
+  | 2 -> { E.plain_config with E.with_region_ids = true; landmark_anchors = 2 }
+  | _ -> { E.plain_config with E.with_region_ids = true; flag_bits = c.flag_bits }
+
+(* Sparse global ids exercise the id table's probing; the network the
+   regions are encoded from pads the gaps with isolated nodes. *)
+let case_gid i = (i * 13) + 5
 
 let store_case_gen =
   QCheck2.Gen.(
+    let* config = int_bound 3 in
+    let* flag_bits = int_range 1 20 in
     let* n = int_range 1 24 in
     let* k = int_range 1 5 in
     let* coords = array_size (return n) (pair (int_bound 4) (int_bound 4)) in
@@ -821,10 +839,12 @@ let store_case_gen =
     (* half the cases end with every region delivered, in random order *)
     let* complete = bool in
     let* all = shuffle_l (List.init k (fun r -> `Region r)) in
-    return { coords; region_of; edges; ops = (if complete then ops @ all else ops) })
+    return
+      { config; flag_bits; coords; region_of; edges; ops = (if complete then ops @ all else ops) })
 
 let print_store_case c =
-  Printf.sprintf "coords=[%s] regions=[%s] edges=[%s] ops=[%s]"
+  Printf.sprintf "config=%d flag_bits=%d coords=[%s] regions=[%s] edges=[%s] ops=[%s]" c.config
+    c.flag_bits
     (String.concat ";" (Array.to_list (Array.map (fun (x, y) -> Printf.sprintf "%d,%d" x y) c.coords)))
     (String.concat ";" (Array.to_list (Array.map string_of_int c.region_of)))
     (String.concat ";" (List.map (fun (u, v, w) -> Printf.sprintf "%d>%d:%d" u v w) c.edges))
@@ -832,49 +852,101 @@ let print_store_case c =
        (List.map (function `Region r -> Printf.sprintf "R%d" r | `Triple e -> Printf.sprintf "T%d" e)
           c.ops))
 
-let store_matches_reference c =
+(* The case's regions as encoded blobs, under its config. *)
+let case_blobs c config =
   let module E = Psp_index.Encoding in
   let n = Array.length c.coords in
-  let edges = Array.of_list c.edges in
-  let record i =
-    let x, y = c.coords.(i) in
-    { E.id = case_gid i;
-      x = float_of_int x;
-      y = float_of_int y;
-      adj =
-        List.filter_map
-          (fun (u, v, w) ->
-            if u = i then
-              Some { E.target = case_gid v; weight = float_of_int w; target_region = -1; flags = None }
-            else None)
-          c.edges;
-      landmark = None }
+  let member j = j mod 13 = 5 && j / 13 < n in
+  let b = G.Builder.create () in
+  for j = 0 to case_gid n do
+    let x, y = if member j then c.coords.(j / 13) else (0, 0) in
+    ignore (G.Builder.add_node b ~x:(float_of_int x) ~y:(float_of_int y))
+  done;
+  List.iter (fun (u, v, w) -> G.Builder.add_edge b (case_gid u) (case_gid v) (float_of_int w)) c.edges;
+  let net = G.Builder.freeze b in
+  let region_of = Array.init (G.node_count net) (fun j -> if member j then c.region_of.(j / 13) else 0) in
+  let landmark =
+    if config.E.landmark_anchors = 0 then None
+    else Some (Psp_graph.Landmark.select_farthest net ~count:config.E.landmark_anchors ~seed:3)
   in
-  let region r = List.filter (fun i -> c.region_of.(i) = r) (List.init n Fun.id) in
-  let st = Store.create ~nodes:4 () and rf = Ref_store.create () in
-  List.iter
-    (function
-      | `Region r ->
-          let records = List.map record (region r) in
-          Store.add_region st r records;
-          List.iter (Ref_store.add_record rf r) records
-      | `Triple e ->
-          let u, v, w = edges.(e) in
-          let t = { E.e_src = case_gid u; e_dst = case_gid v; e_weight = float_of_int w } in
-          Store.add_triple st t;
-          Ref_store.add_triple rf t)
-    c.ops;
+  let flags =
+    if config.E.flag_bits = 0 then None
+    else
+      Some
+        (fun e ->
+          Psp_util.Bitset.of_list config.E.flag_bits
+            [ e mod config.E.flag_bits; ((7 * e) + c.flag_bits) mod config.E.flag_bits ])
+  in
+  fun r ->
+    E.encode_region config net ~region_of ?landmark ?flags
+      (Array.of_list (List.map case_gid (List.filter (fun i -> c.region_of.(i) = r) (List.init n Fun.id))))
+
+(* A whole network filed under another config, then solved: the store
+   the free list hands out next has grown tables and stale entries. *)
+let dirty_region =
+  lazy (Psp_index.Encoding.encode_region Psp_index.Encoding.plain_config g (Array.init (G.node_count g) Fun.id))
+
+let reused_store () =
+  let d = Store.acquire () in
+  Store.add_region d Psp_index.Encoding.plain_config 0 (Lazy.force dirty_region);
+  ignore (Store.dijkstra d ~source:0 ~target:(G.node_count g - 1));
+  Store.release d;
+  let st = Store.acquire () in
+  if st != d then Alcotest.fail "the free list did not hand back the released store";
+  st
+
+let store_agrees c (config : Psp_index.Encoding.config) st rf =
+  let module E = Psp_index.Encoding in
+  let n = Array.length c.coords in
+  let ids = case_gid n :: List.init n case_gid in
+  let floats_equal a b = Array.length a = Array.length b && Array.for_all2 Float.equal a b in
+  let records_agree =
+    List.for_all
+      (fun v ->
+        match Ref_store.record rf v with
+        | None -> not (Store.has_record st v)
+        | Some r ->
+            Store.has_record st v
+            && Float.equal (Store.x st v) r.E.x
+            && Float.equal (Store.y st v) r.E.y
+            &&
+            match r.E.landmark with
+            | None -> config.E.landmark_anchors = 0
+            | Some (to_a, from_a) ->
+                let a = config.E.landmark_anchors in
+                let t = Array.make a nan and f = Array.make a nan in
+                Store.landmarks st v ~to_anchor:t ~from_anchor:f;
+                floats_equal t to_a && floats_equal f from_a)
+      ids
+  in
+  let filed_any = List.exists (function `Region _ -> true | `Triple _ -> false) c.ops in
+  let flags_agree = Store.has_flags st = (filed_any && config.E.flag_bits > 0) in
+  let adjacency_agrees =
+    List.for_all
+      (fun v ->
+        List.for_all
+          (fun flag ->
+            let got = ref [] in
+            Store.iter_out st v ~flag (fun ~target ~weight ~target_region ~flagged ->
+                got := (target, weight, target_region, flagged) :: !got);
+            let want =
+              List.map
+                (fun (e : E.adj) ->
+                  ( e.E.target,
+                    e.E.weight,
+                    e.E.target_region,
+                    match e.E.flags with Some b -> Psp_util.Bitset.mem b flag | None -> false ))
+                (Ref_store.out rf v)
+            in
+            List.rev !got = want)
+          (List.init (max 1 config.E.flag_bits) Fun.id))
+      ids
+  in
   let same_answer a b =
     match (a, b) with
     | None, None -> true
     | Some (p, d), Some (q, e) -> p = q && Float.equal d e
     | _ -> false
-  in
-  let ids = case_gid n :: List.init n case_gid in
-  let records_agree =
-    List.for_all
-      (fun v -> Store.record st v = Ref_store.record rf v && Store.has_record st v = Ref_store.has_record rf v)
-      ids
   in
   let snaps_agree =
     let k = Array.fold_left max 0 c.region_of + 1 in
@@ -897,14 +969,17 @@ let store_matches_reference c =
       ids
   in
   (* with every region filed, the store holds the whole network (triples
-     only duplicate its edges), so costs are the network's *)
+     only duplicate its edges), so costs are the network's: exact sums
+     of integer weights, or of grid weights up to rounding *)
   let delivered r = List.mem (`Region r) c.ops in
   let oracle_agrees =
     (not (Array.for_all delivered c.region_of))
     ||
     let b = G.Builder.create () in
     Array.iter (fun (x, y) -> ignore (G.Builder.add_node b ~x:(float_of_int x) ~y:(float_of_int y))) c.coords;
-    List.iter (fun (u, v, w) -> G.Builder.add_edge b u v (float_of_int w)) c.edges;
+    List.iter
+      (fun (u, v, w) -> G.Builder.add_edge b u v (E.quantize_up ~epsilon:config.E.quantize (float_of_int w)))
+      c.edges;
     let g = G.Builder.freeze b in
     List.for_all
       (fun s ->
@@ -913,16 +988,102 @@ let store_matches_reference c =
             let truth = Psp_graph.Dijkstra.distance g s t in
             match Store.dijkstra st ~source:(case_gid s) ~target:(case_gid t) with
             | None -> truth = infinity
-            | Some (_, d) -> Float.equal d truth)
+            | Some (_, d) ->
+                if config.E.quantize = 0.0 then Float.equal d truth
+                else Float.abs (d -. truth) <= 1e-9 *. truth)
           (List.init n Fun.id))
       (List.init n Fun.id)
   in
-  records_agree && snaps_agree && answers_agree && oracle_agrees
+  records_agree && flags_agree && adjacency_agrees && snaps_agree && answers_agree && oracle_agrees
+
+let store_matches_reference c =
+  let module E = Psp_index.Encoding in
+  let config = region_config c in
+  let blob = case_blobs c config in
+  let edges = Array.of_list c.edges in
+  let fresh = Store.create () and reused = reused_store () and rf = Ref_store.create () in
+  let stores = [ fresh; reused ] in
+  List.iter
+    (function
+      | `Region r ->
+          let bytes = blob r in
+          List.iter (fun st -> Store.add_region st config r bytes) stores;
+          List.iter (Ref_store.add_record rf r) (E.decode_region config bytes)
+      | `Triple e ->
+          let u, v, w = edges.(e) in
+          let t =
+            { E.e_src = case_gid u;
+              e_dst = case_gid v;
+              e_weight = E.quantize_up ~epsilon:config.E.quantize (float_of_int w) }
+          in
+          List.iter (fun st -> Store.add_triple st t) stores;
+          Ref_store.add_triple rf t)
+    c.ops;
+  let agree = List.for_all (fun st -> store_agrees c config st rf) stores in
+  Store.release reused;
+  agree
 
 let store_reference_property =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:500 ~name:"flat store = Hashtbl reference" ~print:print_store_case
        store_case_gen store_matches_reference)
+
+(* Store reuse end to end.  One domain runs queries A, B, A at widths 1
+   and 8, then walks aborted mid-plan by an injected fault (their
+   stores are never handed back), then A, B, A again; every answer must
+   equal the one computed in a fresh domain, whose free list is empty
+   as in a new process. *)
+let test_arena_reuse () =
+  let module Fault = Psp_fault.Fault in
+  List.iter
+    (fun name ->
+      let db = List.assoc name (Lazy.force databases) in
+      let server = Server.create ~cost ~key (DB.files db) in
+      let a = queries.(0) and b = queries.(1) in
+      let fresh (s, t) =
+        Domain.join (Domain.spawn (fun () -> (Client.query_nodes server g s t).Client.path))
+      in
+      let want_a = fresh a and want_b = fresh b in
+      let check what want (r : Client.result) =
+        match (want, r.Client.path) with
+        | Some (p, d), Some (q, e) when p = q && Float.equal d e -> ()
+        | None, None -> ()
+        | _ -> Alcotest.failf "%s %s: answer differs from a fresh domain's" name what
+      in
+      let batch = [| a; b; a; b; a; a; b; a |] in
+      let round tag =
+        List.iteri
+          (fun i ((s, t), want) ->
+            check (Printf.sprintf "%s w1 #%d" tag i) want (Client.query_nodes server g s t))
+          [ (a, want_a); (b, want_b); (a, want_a) ];
+        Array.iteri
+          (fun i r ->
+            check (Printf.sprintf "%s w8 #%d" tag i) (if batch.(i) == a then want_a else want_b) r)
+          (Client.query_nodes_batch server g batch)
+      in
+      round "warm";
+      (* abort a third, half and all but one of the way through the plan *)
+      Fault.arm "pir.fetch.transient" Fault.Never;
+      (let s, t = a in
+       ignore (Client.query_nodes server g s t));
+      let fetches = Fault.hits "pir.fetch.transient" in
+      List.iter
+        (fun up ->
+          Fault.reset ();
+          Fault.arm "pir.fetch.transient" (Fault.Flapping { up; down = 1000 });
+          let s, t = a in
+          let aborted (r : Client.result) =
+            match r.Client.status with Client.Unavailable _ -> true | _ -> false
+          in
+          if not (aborted (Client.query_nodes server g s t)) then
+            Alcotest.failf "%s: the width-1 walk was not aborted" name;
+          Fault.rewind ();
+          if not (Array.for_all aborted (Client.query_nodes_batch server g batch)) then
+            Alcotest.failf "%s: the width-8 walk was not aborted" name)
+        [ fetches / 3; fetches / 2; fetches - 1 ];
+      Fault.reset ();
+      round "after aborts")
+    [ "CI"; "PI"; "HY"; "LM"; "AF" ]
 
 let scheme_cases =
   List.concat_map
@@ -973,4 +1134,6 @@ let () =
           Alcotest.test_case "error paths" `Quick test_error_paths ] );
       ( "page sequence",
         [ Alcotest.test_case "pinned digests" `Quick test_page_sequence_pinned ] );
-      ("store", [ store_reference_property ]) ]
+      ( "store",
+        [ store_reference_property;
+          Alcotest.test_case "arena reuse = fresh domain" `Quick test_arena_reuse ] ) ]

@@ -156,22 +156,19 @@ let test_precompute_covering () =
             let heap = Psp_util.Min_heap.create () in
             dist.(s) <- 0.0;
             Psp_util.Min_heap.push heap ~priority:0.0 s;
-            let rec drain () =
-              match Psp_util.Min_heap.pop heap with
-              | None -> ()
-              | Some (d, u) ->
-                  if d <= dist.(u) then
-                    G.iter_out g u (fun e ->
-                        if available e.G.id then begin
-                          let nd = d +. e.G.weight in
-                          if nd < dist.(e.G.dst) then begin
-                            dist.(e.G.dst) <- nd;
-                            Psp_util.Min_heap.push heap ~priority:nd e.G.dst
-                          end
-                        end);
-                  drain ()
-            in
-            drain ();
+            while not (Psp_util.Min_heap.is_empty heap) do
+              let d = Psp_util.Min_heap.min_priority heap in
+              let u = Psp_util.Min_heap.pop_min heap in
+              if d <= dist.(u) then
+                G.iter_out g u (fun e ->
+                    if available e.G.id then begin
+                      let nd = d +. e.G.weight in
+                      if nd < dist.(e.G.dst) then begin
+                        dist.(e.G.dst) <- nd;
+                        Psp_util.Min_heap.push heap ~priority:nd e.G.dst
+                      end
+                    end)
+            done;
             dist.(dst)
           in
           Alcotest.(check bool)
@@ -335,6 +332,217 @@ let test_fi_builder_chain_compression () =
                    triples))
             sets.(i))
     placements
+
+(* The recursive decoder the one-pass walk replaced: a record resolves
+   its reference first, then applies its own inclusions (and
+   exclusions), with a sort at every link. *)
+let recursive_decode ~pages ~offset =
+  let module R = Psp_util.Byte_io.Reader in
+  let blob = Bytes.concat Bytes.empty (Array.to_list pages) in
+  let sort_dedup a = Array.of_list (List.sort_uniq compare (Array.to_list a)) in
+  let diff a b = Array.of_list (List.filter (fun x -> not (Array.mem x b)) (Array.to_list a)) in
+  let rec parse offset =
+    let r = R.of_bytes ~pos:offset blob in
+    let kind = R.u8 r in
+    let pointer = R.u32 r in
+    let count = R.varint r in
+    if kind = 0 then begin
+      let incl = E.decode_region_ids r ~count in
+      let excl = E.decode_region_ids r ~count:(R.varint r) in
+      let resolved =
+        if pointer = 0xFFFFFFFF then [||]
+        else match parse pointer with FB.Regions a -> a | FB.Edges _ -> assert false
+      in
+      FB.Regions (diff (sort_dedup (Array.append resolved incl)) excl)
+    end
+    else begin
+      let incl = E.decode_edge_triples r ~count in
+      let resolved =
+        if pointer = 0xFFFFFFFF then [||]
+        else match parse pointer with FB.Edges a -> a | FB.Regions _ -> assert false
+      in
+      FB.Edges (Array.append resolved incl)
+    end
+  in
+  parse offset
+
+let test_fi_builder_one_pass_equals_recursive () =
+  let g, t, b = setup () in
+  let pre =
+    Psp_index.Precompute.compute g ~assignment:t.K.assignment ~border:b ~want_sets:true
+      ~want_subgraphs:true
+  in
+  List.iter
+    (fun (kind, m_bound) ->
+      let builder = FB.create ~graph:g ~page_size:256 ~compress:true ~quantize:0.0 ~m_bound in
+      let placements = ref [] in
+      for i = 0 to t.K.region_count - 1 do
+        for j = 0 to t.K.region_count - 1 do
+          let elements =
+            match kind with
+            | FB.Region_set -> Psp_index.Precompute.region_set pre i j
+            | FB.Subgraph -> Psp_index.Precompute.subgraph pre i j
+          in
+          placements := FB.add builder ~kind elements :: !placements
+        done
+      done;
+      let file = PF.create ~name:"index" ~page_size:256 in
+      FB.flush_to builder file;
+      let deepest = ref 0 in
+      List.iter
+        (fun (pl : FB.placement) ->
+          let pages = Array.init pl.FB.span (fun k -> PF.read file (pl.FB.page + k)) in
+          let got = FB.decode ~quantize:0.0 ~pages ~base_page:0 ~offset:pl.FB.offset in
+          deepest := max !deepest pl.FB.offset;
+          if got <> recursive_decode ~pages ~offset:pl.FB.offset then
+            Alcotest.failf "record at page %d offset %d decodes differently" pl.FB.page
+              pl.FB.offset)
+        !placements;
+      Alcotest.(check bool) "some record sits past its base page" true (!deepest > 256))
+    [ (FB.Region_set, Some 6); (FB.Region_set, None); (FB.Subgraph, None) ]
+
+(* Hand-made region-set records at the given offsets, each pointing at
+   the one before it (or at [pointer_of i] when given). *)
+let chain_pages ?pointer_of n =
+  let module W = Psp_util.Byte_io.Writer in
+  let w = W.create () in
+  let offsets = Array.make n 0 in
+  for i = 0 to n - 1 do
+    offsets.(i) <- W.length w;
+    W.u8 w 0;
+    let pointer =
+      match pointer_of with
+      | Some f -> f offsets i
+      | None -> if i = 0 then 0xFFFFFFFF else offsets.(i - 1)
+    in
+    W.u32 w pointer;
+    W.varint w 1;
+    E.encode_region_ids w [| i |];
+    W.varint w 0
+  done;
+  ([| W.contents w |], offsets)
+
+let test_fi_builder_malformed_chains () =
+  let decode pages offset = FB.decode ~quantize:0.0 ~pages ~base_page:0 ~offset in
+  let rejects what pages offset why =
+    match decode pages offset with
+    | _ -> Alcotest.failf "%s: decoded" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) what ("Fi_builder.decode: " ^ why) msg
+  in
+  let backwards = "reference does not point backwards" in
+  (* a record that references itself used to recurse until the stack
+     overflowed *)
+  let pages, offsets = chain_pages ~pointer_of:(fun offsets i -> offsets.(i)) 1 in
+  rejects "self reference" pages offsets.(0) backwards;
+  (* a two-record cycle: the later record points back, the earlier forward *)
+  let pages, offsets = chain_pages ~pointer_of:(fun _ i -> if i = 0 then 8 else 0) 2 in
+  rejects "two-record cycle" pages offsets.(1) backwards;
+  (* the deepest chain the builder writes decodes; one link more does not *)
+  let n = FB.max_chain_depth + 1 in
+  let pages, offsets = chain_pages n in
+  (match decode pages offsets.(n - 1) with
+  | FB.Regions r -> Alcotest.(check int) "every link applied" n (Array.length r)
+  | FB.Edges _ -> Alcotest.fail "wrong kind");
+  let pages, offsets = chain_pages (n + 1) in
+  rejects "chain too deep" pages offsets.(n) "reference chain too deep"
+
+(* Malformed input yields a typed error: random, truncated and
+   bit-flipped blobs may raise [Underflow], [Invalid_argument] or
+   [Failure], nothing else, and never hang or exhaust memory. *)
+let typed_failure f =
+  match f () with
+  | _ -> true
+  | exception (Psp_util.Byte_io.Reader.Underflow | Invalid_argument _ | Failure _) -> true
+
+let mangle_gen valid =
+  QCheck2.Gen.(
+    let* blob = oneofl valid in
+    let n = Bytes.length blob in
+    oneof
+      [ map (fun cut -> Bytes.sub blob 0 cut) (int_bound n);
+        map
+          (fun flips ->
+            let b = Bytes.copy blob in
+            List.iter
+              (fun (i, bit) ->
+                if n > 0 then
+                  let i = i mod n in
+                  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+              flips;
+            b)
+          (list_size (int_range 1 4) (pair nat (int_bound 7)));
+        map Bytes.of_string (string_size (int_bound 64)) ])
+
+let region_configs =
+  [ E.plain_config;
+    { E.plain_config with E.quantize = 0.05 };
+    { E.plain_config with E.with_region_ids = true; landmark_anchors = 3 };
+    { E.plain_config with E.with_region_ids = true; flag_bits = 12 } ]
+
+let region_fold_fuzz =
+  let g, t, _ = setup () in
+  let lm = Psp_graph.Landmark.select_farthest g ~count:3 ~seed:4 in
+  let flags e = Psp_util.Bitset.of_list 12 [ e mod 12 ] in
+  let cases =
+    List.map
+      (fun config ->
+        let blobs =
+          List.init (min 4 t.K.region_count) (fun r ->
+              E.encode_region config g ~region_of:t.K.assignment ~landmark:lm ~flags
+                (K.nodes_of_region t r))
+        in
+        (config, blobs))
+      region_configs
+  in
+  qtest ~count:400 "region fold: malformed blobs fail typed"
+    QCheck2.Gen.(
+      let* config, blobs = oneofl cases in
+      let* blob = mangle_gen blobs in
+      return (config, blob))
+    (fun (config, blob) ->
+      typed_failure (fun () -> E.decode_region config blob)
+      && typed_failure (fun () ->
+             E.fold_region config blob
+               ~node:(fun n ~id:_ ~x:_ ~y:_ ~to_anchor:_ ~from_anchor:_ ~degree:_ -> n + 1)
+               ~edge:(fun n ~target:_ ~weight:_ ~target_region:_ ~flags:_ -> n)
+               0))
+
+let fi_decode_fuzz =
+  let g, t, b = setup () in
+  let pre =
+    Psp_index.Precompute.compute g ~assignment:t.K.assignment ~border:b ~want_sets:true
+      ~want_subgraphs:true
+  in
+  let windows =
+    List.concat_map
+      (fun kind ->
+        let builder = FB.create ~graph:g ~page_size:256 ~compress:true ~quantize:0.0 ~m_bound:None in
+        let placements =
+          List.init 24 (fun k ->
+              let i = k mod t.K.region_count and j = k / 2 mod t.K.region_count in
+              FB.add builder ~kind
+                (match kind with
+                | FB.Region_set -> Psp_index.Precompute.region_set pre i j
+                | FB.Subgraph -> Psp_index.Precompute.subgraph pre i j))
+        in
+        let file = PF.create ~name:"index" ~page_size:256 in
+        FB.flush_to builder file;
+        List.map
+          (fun (pl : FB.placement) ->
+            ( Bytes.concat Bytes.empty
+                (List.init pl.FB.span (fun k -> PF.read file (pl.FB.page + k))),
+              pl.FB.offset ))
+          placements)
+      [ FB.Region_set; FB.Subgraph ]
+  in
+  qtest ~count:400 "fi decode: malformed windows fail typed"
+    QCheck2.Gen.(
+      let* blob = mangle_gen (List.map fst windows) in
+      let* offset = oneof [ oneofl (List.map snd windows); int_bound 600 ] in
+      return (blob, offset))
+    (fun (blob, offset) ->
+      typed_failure (fun () -> FB.decode ~quantize:0.0 ~pages:[| blob |] ~base_page:0 ~offset))
 
 let test_fi_builder_span_budget () =
   (* chains must never blow a record's span past 1.5x (+1) of its plain
@@ -543,7 +751,8 @@ let () =
           Alcotest.test_case "node size prediction" `Quick test_node_bytes_matches_encoding;
           Alcotest.test_case "landmark+flags payloads" `Quick test_landmark_flag_encoding;
           Alcotest.test_case "lookup entries" `Quick test_lookup_entry_roundtrip;
-          region_ids_roundtrip ] );
+          region_ids_roundtrip;
+          region_fold_fuzz ] );
       ( "precompute",
         [ Alcotest.test_case "covering property" `Slow test_precompute_covering;
           Alcotest.test_case "diagonal" `Quick test_precompute_diagonal_exists;
@@ -555,7 +764,11 @@ let () =
           Alcotest.test_case "subgraph roundtrip" `Quick test_fi_builder_subgraph_roundtrip;
           Alcotest.test_case "chain compression" `Quick test_fi_builder_chain_compression;
           Alcotest.test_case "span budget" `Quick test_fi_builder_span_budget;
-          Alcotest.test_case "compression shrinks" `Quick test_fi_builder_compression_shrinks ] );
+          Alcotest.test_case "compression shrinks" `Quick test_fi_builder_compression_shrinks;
+          Alcotest.test_case "one pass = recursive decode" `Quick
+            test_fi_builder_one_pass_equals_recursive;
+          Alcotest.test_case "malformed chains rejected" `Quick test_fi_builder_malformed_chains;
+          fi_decode_fuzz ] );
       ( "plans",
         [ Alcotest.test_case "roundtrip" `Quick test_plan_roundtrip;
           Alcotest.test_case "budgets" `Quick test_plan_budgets ] );

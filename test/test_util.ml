@@ -99,11 +99,20 @@ let test_heap_basics () =
   Min_heap.push h ~priority:1.0 10;
   Min_heap.push h ~priority:2.0 20;
   Alcotest.(check int) "length" 3 (Min_heap.length h);
-  Alcotest.(check (option (pair (float 0.0) int))) "peek" (Some (1.0, 10)) (Min_heap.peek h);
-  Alcotest.(check (option (pair (float 0.0) int))) "pop1" (Some (1.0, 10)) (Min_heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) int))) "pop2" (Some (2.0, 20)) (Min_heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) int))) "pop3" (Some (3.0, 30)) (Min_heap.pop h);
-  Alcotest.(check (option (pair (float 0.0) int))) "pop4" None (Min_heap.pop h)
+  Alcotest.(check (float 0.0)) "min priority" 1.0 (Min_heap.min_priority h);
+  Alcotest.(check int) "min kept" 3 (Min_heap.length h);
+  let pop () =
+    let p = Min_heap.min_priority h in
+    (p, Min_heap.pop_min h)
+  in
+  Alcotest.(check (pair (float 0.0) int)) "pop1" (1.0, 10) (pop ());
+  Alcotest.(check (pair (float 0.0) int)) "pop2" (2.0, 20) (pop ());
+  Alcotest.(check (pair (float 0.0) int)) "pop3" (3.0, 30) (pop ());
+  Alcotest.(check bool) "drained" true (Min_heap.is_empty h);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Min_heap.pop_min: empty heap")
+    (fun () -> ignore (Min_heap.pop_min h));
+  Alcotest.check_raises "min of empty" (Invalid_argument "Min_heap.min_priority: empty heap")
+    (fun () -> ignore (Min_heap.min_priority h))
 
 let test_heap_duplicates () =
   let h = Min_heap.create () in
@@ -111,6 +120,10 @@ let test_heap_duplicates () =
     Min_heap.push h ~priority:1.0 i
   done;
   Alcotest.(check int) "all kept" 50 (Min_heap.length h);
+  (* equal priorities pop every payload exactly once *)
+  let seen = List.init 10 (fun _ -> Min_heap.pop_min h) in
+  Alcotest.(check int) "distinct" 10 (List.length (List.sort_uniq compare seen));
+  Alcotest.(check int) "rest kept" 40 (Min_heap.length h);
   Min_heap.clear h;
   Alcotest.(check bool) "cleared" true (Min_heap.is_empty h)
 
