@@ -33,11 +33,9 @@ let tests env =
   let blob = Bytes.make 4096 'x' in
   let chacha_key = Psp_crypto.Sha256.digest_string "bench" in
   let nonce = Bytes.make 12 'n' in
-  (* the per-slot PRF consumers of a pyramid rebuild and probe: one
-     HMAC of a 16-byte message and a 4-round Feistel point (table
-     lookups plus cycle walking); building the Feistel round tables is
-     paid once per level epoch *)
-  let prf = Psp_crypto.Prf.create ~key:chacha_key ~label:"bench" in
+  (* a 4-round Feistel point (table lookups plus cycle walking) places
+     each slot of a pyramid rebuild and probe; building the round
+     tables is paid once per level epoch *)
   let perm = Psp_crypto.Feistel.create ~key:chacha_key ~domain:1000 in
   let config = Psp_index.Encoding.plain_config in
   let region_blob region =
@@ -72,14 +70,14 @@ let tests env =
         ignore (Psp_crypto.Sha256.finalize ctx)));
     Test.make ~name:"chacha20 4KB" (Staged.stage (fun () ->
         ignore (Psp_crypto.Chacha20.encrypt ~key:chacha_key ~nonce blob)));
+    (* the twins allocate their output, like the encrypt row above *)
     Test.make ~name:"chacha20 4KB portable" (Staged.stage (fun () ->
-        (* allocating its output, like the encrypt row above *)
         let out = Bytes.create 4096 in
         Psp_crypto.Chacha20.Portable.encrypt_into ~key:chacha_key ~nonce ~src:blob out));
-    Test.make ~name:"hmac prf 16B" (Staged.stage (fun () ->
-        ignore (Psp_crypto.Prf.int prf 12345)));
-    Test.make ~name:"feistel create d=1000" (Staged.stage (fun () ->
-        ignore (Psp_crypto.Feistel.create ~key:chacha_key ~domain:1000)));
+    (* d=24 is level 1's domain at cache capacity 4, rebuilt on every
+       flush *)
+    Test.make_indexed ~name:"feistel create d=" ~fmt:"%s%d" ~args:[ 24; 1000 ] (fun domain ->
+        Staged.stage (fun () -> ignore (Psp_crypto.Feistel.create ~key:chacha_key ~domain)));
     Test.make ~name:"feistel forward" (Staged.stage (fun () ->
         ignore (Psp_crypto.Feistel.forward perm 617)));
     Test.make_indexed ~name:"pyramid fetch_many w" ~fmt:"%s%d" ~args:[ 1; 4; 16 ]
@@ -105,6 +103,13 @@ let tests env =
     Test.make ~name:"CI private query e2e" (Staged.stage (fun () ->
         let s, t = pick () in
         ignore (Psp_core.Client.query_nodes server g s t))) ]
+  (* the AVX2 core beside a faster dispatched one, where the CPU has it *)
+  @
+  if Psp_crypto.Chacha20.Avx2.core = "avx2" then
+    [ Test.make ~name:"chacha20 4KB avx2" (Staged.stage (fun () ->
+          let out = Bytes.create 4096 in
+          Psp_crypto.Chacha20.Avx2.encrypt_into ~key:chacha_key ~nonce ~src:blob out)) ]
+  else []
 
 let run env =
   Harness.header_line "Bechamel kernels (real wall-clock on this machine)";

@@ -4,18 +4,21 @@
     encrypted with ChaCha20 under per-level keys; re-encryption during
     reshuffles uses a fresh nonce so ciphertexts are unlinkable.
 
-    The block function is C ([chacha20_stubs.c]) in two cores, both
+    The block function is C ([chacha20_stubs.c]) in three cores, all
     with fixed trip counts on the public length and no key- or
-    data-dependent branch or table index: an 8-lane AVX2 core that runs
-    every whole 512-byte stretch where the CPU has AVX2 (chosen once per
-    process), and a portable 4-lane vector core for the remainder and on
-    every other machine.  Sizes are checked here before the call.  A
-    call allocates only the bytes it returns, and the [_into] variants
+    data-dependent branch or table index: a 16-lane AVX-512 core that
+    runs every whole 1,024-byte stretch, an 8-lane AVX2 core for every
+    whole 512-byte stretch after that, and a portable 4-lane vector core
+    for the remainder.  The fastest core the CPU has is chosen once per
+    process; on a machine without AVX-512 or AVX2 the cores below it
+    run everything.  Sizes are checked here before the call.  A call
+    allocates only the bytes it returns, and the [_into] variants
     allocate nothing.  Checked against the RFC 8439 vectors and a
-    byte-at-a-time reference in the test suite, on both cores. *)
+    byte-at-a-time reference in the test suite, on every core the CPU
+    supports. *)
 
 val core : string
-(** The core whole 512-byte stretches run on: ["avx2"] or
+(** The fastest core the process dispatches to: ["avx512"], ["avx2"] or
     ["portable"]. *)
 
 val block : key:bytes -> nonce:bytes -> counter:int -> bytes
@@ -54,6 +57,18 @@ val keystream_into : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> unit
     the CPU offers, so tests compare the two cores on every machine.
     The bytes are the same; only the speed differs. *)
 module Portable : sig
+  val encrypt_into : key:bytes -> nonce:bytes -> ?counter:int -> src:bytes -> bytes -> unit
+  val keystream_into : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> unit
+end
+
+(** {!encrypt_into} and {!keystream_into} on the AVX2 core (and the
+    portable core for the tail) whatever faster core the CPU offers, so
+    a machine with AVX-512 still checks the AVX2 core. *)
+module Avx2 : sig
+  val core : string
+  (** ["avx2"] where the CPU has AVX2; ["portable"] elsewhere, where
+      this module runs the portable core. *)
+
   val encrypt_into : key:bytes -> nonce:bytes -> ?counter:int -> src:bytes -> bytes -> unit
   val keystream_into : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> unit
 end

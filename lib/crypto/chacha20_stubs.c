@@ -1,4 +1,4 @@
-/* ChaCha20 (RFC 8439) keystream, two cores.
+/* ChaCha20 (RFC 8439) keystream, three cores.
 
    - The portable core is written with GCC/Clang vector extensions: lane
      l of the sixteen 4-lane state vectors is the block with counter
@@ -8,24 +8,31 @@
    - On x86-64 with AVX2, [blocks8] runs eight blocks per pass in 8-lane
      vectors (lane l is again block ctr + l mod 2^32): rotations by 16
      and 8 are byte shuffles, and the output is written through
-     in-register 4x4 transposes and 128-bit stores.  Every whole
-     512-byte run of a message goes through it; the remainder runs the
-     portable core.
+     in-register 4x4 transposes and 128-bit stores.
+   - On x86-64 with AVX-512F, [blocks16] runs sixteen blocks per pass in
+     16-lane vectors: every rotation is one [vprold], and the output
+     goes through the same in-register transposes, now four 128-bit
+     lanes wide, and 128-bit stores.
+   Each core takes the whole passes of a message it can and hands the
+   remainder down: whole 1,024-byte runs to the AVX-512 core, whole
+   512-byte runs of the rest to the AVX2 core, and the tail to the
+   portable core.
 
    Dispatch rule: the core is chosen once per process, by a constructor
    that asks [__builtin_cpu_supports] before [main]; no call checks the
-   CPU again.  The AVX2 core is compiled with a target attribute, not a
-   -march flag, so the build runs on any x86-64.  On other
-   architectures, and with a compiler that cannot be relied on for the
-   builtin, the portable core is the only path.  The [_portable] entry
-   points run the portable core whatever the CPU offers, so tests check
-   the two cores against each other on every machine.
+   CPU again.  The AVX2 and AVX-512 cores are compiled with target
+   attributes, not a -march flag, so the build runs on any x86-64.  On
+   other architectures, and with a compiler that cannot be relied on for
+   the builtin, the portable core is the only path.  The [_portable]
+   entry points run the portable core whatever the CPU offers, and the
+   [_avx2] ones the AVX2 core wherever the CPU has AVX2, so tests check
+   every core the machine supports against each other.
 
    Key, nonce and keystream words are read and written with explicit
-   little-endian byte order (the AVX2 core exists only on little-endian
-   x86-64), so the output does not depend on the host's endianness.
-   Trip counts depend only on the public message length; no branch and
-   no memory index depends on key, nonce or data.
+   little-endian byte order (the vector cores exist only on
+   little-endian x86-64), so the output does not depend on the host's
+   endianness.  Trip counts depend only on the public message length; no
+   branch and no memory index depends on key, nonce or data.
 
    Boundary: the OCaml side ([chacha20.ml]) checks every size before
    the call (32-byte key, 12-byte nonce, equal src/dst lengths), and the
@@ -200,63 +207,155 @@ static void stream_avx2(const uint32_t in[16], uint32_t ctr, const unsigned char
   for (; n - off >= 512; off += 512, ctr += 8) blocks8(in, ctr, s == NULL ? NULL : s + off, d + off);
   stream_portable(in, ctr, s == NULL ? NULL : s + off, d + off, n - off);
 }
+
+#define QR16(a, b, c, d)                                                           \
+  do {                                                                             \
+    a = _mm512_add_epi32(a, b); d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 16);  \
+    c = _mm512_add_epi32(c, d); b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 12);  \
+    a = _mm512_add_epi32(a, b); d = _mm512_rol_epi32(_mm512_xor_si512(d, a), 8);   \
+    c = _mm512_add_epi32(c, d); b = _mm512_rol_epi32(_mm512_xor_si512(b, c), 7);   \
+  } while (0)
+
+/* The 1,024 bytes of blocks ctr .. ctr + 15, XORed into s (or written
+   bare when s is NULL) at d.  The transposes are blocks8's, applied in
+   each 128-bit lane: after the unpacks, 128-bit lane k of u[l] holds
+   words 4q .. 4q + 3 of block 4k + l. */
+__attribute__((target("avx512f")))
+static void blocks16(const uint32_t in[16], uint32_t ctr, const unsigned char *s,
+                     unsigned char *d)
+{
+  __m512i x[16];
+  for (int i = 0; i < 16; i++) x[i] = _mm512_set1_epi32((int)in[i]);
+  const __m512i ctrs =
+    _mm512_add_epi32(_mm512_set1_epi32((int)ctr),
+                     _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+  x[12] = ctrs;
+  for (int r = 0; r < 10; r++) {
+    QR16(x[0], x[4], x[8], x[12]);
+    QR16(x[1], x[5], x[9], x[13]);
+    QR16(x[2], x[6], x[10], x[14]);
+    QR16(x[3], x[7], x[11], x[15]);
+    QR16(x[0], x[5], x[10], x[15]);
+    QR16(x[1], x[6], x[11], x[12]);
+    QR16(x[2], x[7], x[8], x[13]);
+    QR16(x[3], x[4], x[9], x[14]);
+  }
+  for (int i = 0; i < 16; i++)
+    x[i] = _mm512_add_epi32(x[i], i == 12 ? ctrs : _mm512_set1_epi32((int)in[i]));
+  for (int q = 0; q < 4; q++) {
+    __m512i t0 = _mm512_unpacklo_epi32(x[4 * q], x[4 * q + 1]);
+    __m512i t1 = _mm512_unpackhi_epi32(x[4 * q], x[4 * q + 1]);
+    __m512i t2 = _mm512_unpacklo_epi32(x[4 * q + 2], x[4 * q + 3]);
+    __m512i t3 = _mm512_unpackhi_epi32(x[4 * q + 2], x[4 * q + 3]);
+    __m512i u[4] = { _mm512_unpacklo_epi64(t0, t2), _mm512_unpackhi_epi64(t0, t2),
+                     _mm512_unpacklo_epi64(t1, t3), _mm512_unpackhi_epi64(t1, t3) };
+    for (int l = 0; l < 4; l++) {
+      __m128i w[4] = { _mm512_castsi512_si128(u[l]), _mm512_extracti32x4_epi32(u[l], 1),
+                       _mm512_extracti32x4_epi32(u[l], 2), _mm512_extracti32x4_epi32(u[l], 3) };
+      for (int k = 0; k < 4; k++) {
+        size_t at = 64 * (size_t)(4 * k + l) + 16 * (size_t)q;
+        if (s != NULL) w[k] = _mm_xor_si128(w[k], _mm_loadu_si128((const __m128i *)(s + at)));
+        _mm_storeu_si128((__m128i *)(d + at), w[k]);
+      }
+    }
+  }
+}
+
+__attribute__((target("avx512f")))
+static void stream_avx512(const uint32_t in[16], uint32_t ctr, const unsigned char *s,
+                          unsigned char *d, size_t n)
+{
+  size_t off = 0;
+  for (; n - off >= 1024; off += 1024, ctr += 16)
+    blocks16(in, ctr, s == NULL ? NULL : s + off, d + off);
+  stream_avx2(in, ctr, s == NULL ? NULL : s + off, d + off, n - off);
+}
 #endif
 
-static void (*stream)(const uint32_t in[16], uint32_t ctr, const unsigned char *s,
-                      unsigned char *d, size_t n) = stream_portable;
+typedef void (*stream_fn)(const uint32_t in[16], uint32_t ctr, const unsigned char *s,
+                          unsigned char *d, size_t n);
+
+/* [stream] is the dispatched core, [stream_avx2_twin] the AVX2 core
+   where the CPU has AVX2 (the portable core elsewhere), and [level]
+   names the dispatched one: 0 portable, 1 AVX2, 2 AVX-512. */
+static stream_fn stream = stream_portable;
+static stream_fn stream_avx2_twin = stream_portable;
+static int level = 0;
 
 #ifdef PSP_AVX2
 __attribute__((constructor))
 static void select_core(void)
 {
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) stream = stream_avx2;
+  if (__builtin_cpu_supports("avx2")) {
+    stream = stream_avx2_twin = stream_avx2;
+    level = 1;
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    stream = stream_avx512;
+    level = 2;
+  }
 }
 #endif
+
+/* The entry points run a given core. */
+static value run_xor(stream_fn core, value key, value nonce, value counter, value src,
+                     value dst)
+{
+  uint32_t in[16];
+  setup(in, Bytes_val(key), Bytes_val(nonce));
+  core(in, (uint32_t)Long_val(counter), Bytes_val(src), Bytes_val(dst),
+       caml_string_length(dst));
+  return Val_unit;
+}
+
+static value run_keystream(stream_fn core, value key, value nonce, value counter, value dst)
+{
+  uint32_t in[16];
+  setup(in, Bytes_val(key), Bytes_val(nonce));
+  core(in, (uint32_t)Long_val(counter), NULL, Bytes_val(dst), caml_string_length(dst));
+  return Val_unit;
+}
 
 /* dst[i] = src[i] ^ keystream[i] for i < length dst, block counter
    starting at [counter] (mod 2^32); [src] may be [dst]. */
 value psp_chacha20_xor(value key, value nonce, value counter, value src, value dst)
 {
-  uint32_t in[16];
-  setup(in, Bytes_val(key), Bytes_val(nonce));
-  stream(in, (uint32_t)Long_val(counter), Bytes_val(src), Bytes_val(dst),
-         caml_string_length(dst));
-  return Val_unit;
+  return run_xor(stream, key, nonce, counter, src, dst);
 }
 
 /* dst = the first (length dst) keystream bytes from block [counter]
    on, written directly. */
 value psp_chacha20_keystream(value key, value nonce, value counter, value dst)
 {
-  uint32_t in[16];
-  setup(in, Bytes_val(key), Bytes_val(nonce));
-  stream(in, (uint32_t)Long_val(counter), NULL, Bytes_val(dst), caml_string_length(dst));
-  return Val_unit;
+  return run_keystream(stream, key, nonce, counter, dst);
 }
 
-/* The two entry points above on the portable core. */
+/* The two entry points above on the portable core, and on the AVX2
+   core where the CPU has AVX2. */
 value psp_chacha20_xor_portable(value key, value nonce, value counter, value src, value dst)
 {
-  uint32_t in[16];
-  setup(in, Bytes_val(key), Bytes_val(nonce));
-  stream_portable(in, (uint32_t)Long_val(counter), Bytes_val(src), Bytes_val(dst),
-                  caml_string_length(dst));
-  return Val_unit;
+  return run_xor(stream_portable, key, nonce, counter, src, dst);
 }
 
 value psp_chacha20_keystream_portable(value key, value nonce, value counter, value dst)
 {
-  uint32_t in[16];
-  setup(in, Bytes_val(key), Bytes_val(nonce));
-  stream_portable(in, (uint32_t)Long_val(counter), NULL, Bytes_val(dst),
-                  caml_string_length(dst));
-  return Val_unit;
+  return run_keystream(stream_portable, key, nonce, counter, dst);
 }
 
-/* whether the dispatched core is the AVX2 one */
-value psp_chacha20_hardware(value unit)
+value psp_chacha20_xor_avx2(value key, value nonce, value counter, value src, value dst)
+{
+  return run_xor(stream_avx2_twin, key, nonce, counter, src, dst);
+}
+
+value psp_chacha20_keystream_avx2(value key, value nonce, value counter, value dst)
+{
+  return run_keystream(stream_avx2_twin, key, nonce, counter, dst);
+}
+
+/* the dispatched core: 0 portable, 1 AVX2, 2 AVX-512 */
+value psp_chacha20_level(value unit)
 {
   (void)unit;
-  return Val_bool(stream != stream_portable);
+  return Val_int(level);
 }

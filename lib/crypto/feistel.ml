@@ -1,6 +1,8 @@
-(* Round i's function F_i(r) = Prf.int k_i r land half_mask has only
-   2^half_bits inputs, so [create] tabulates all four once: F_i(r) is
-   tables.(i * 2^half_bits + r) (Black-Rogaway, CT-RSA 2002). *)
+(* Round i's function F_i(r) = PRF_i(r) land half_mask has only
+   2^half_bits inputs, so [create] tabulates all four once, one
+   [Prf.fill] per round: F_i(r) is tables.(i * 2^half_bits + r)
+   (Black-Rogaway, CT-RSA 2002).  The four round keys are derived from
+   the permutation key's HMAC pad states, prepared once. *)
 type t = {
   domain : int;
   half_bits : int; (* bits per Feistel half; total width = 2*half_bits *)
@@ -8,6 +10,7 @@ type t = {
 }
 
 let rounds = 4
+let round_labels = Array.init rounds (Printf.sprintf "feistel-round-%d")
 
 let create ~key ~domain =
   if domain <= 0 then invalid_arg "Feistel.create: domain must be positive";
@@ -18,11 +21,10 @@ let create ~key ~domain =
   let half_bits = width / 2 in
   let size = 1 lsl half_bits in
   let tables = Array.make (rounds * size) 0 in
+  let key = Hmac.keyed key in
   for i = 0 to rounds - 1 do
-    let f = Prf.create ~key ~label:(Printf.sprintf "feistel-round-%d" i) in
-    for r = 0 to size - 1 do
-      tables.((i * size) + r) <- Prf.int f r land (size - 1)
-    done
+    Prf.fill (Prf.create ~key ~label:round_labels.(i)) tables ~off:(i * size) ~len:size
+      ~mask:(size - 1)
   done;
   { domain; half_bits; tables }
 

@@ -15,8 +15,11 @@
     c·√N page budget, and at the paper's 2.5 GB file cap (the deepest
     level's domain is under 2{^22}) they are 8192 words, 64 KB — far
     inside [Psp_pir.Cost_model.scp_memory_needed] for that file, which
-    [test_pir] asserts.  Building them is 4 · 2{^h} PRF calls, paid once
-    per permutation (per level epoch). *)
+    [test_pir] asserts.  Building them is four {!Prf.fill} calls, one C
+    call per round computing all 2{^h} entries (two SHA-256 compressions
+    each), paid once per permutation (per level epoch); the four round
+    keys are derived from the permutation key's HMAC pad states,
+    prepared once. *)
 
 type t
 

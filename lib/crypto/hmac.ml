@@ -9,21 +9,31 @@ let normalize_key key =
     "branches on the key length only; keys are fixed-size protocol secrets \
      whose length is public"]
 
-let xor_pad key byte =
-  Bytes.map (fun c -> Char.chr (Char.code c lxor byte)) key
+(* XOR every byte of the block with [byte], in place, eight bytes at a
+   time (the byte repeated in each lane, so the host's order does not
+   matter) *)
+let xor_block block byte =
+  let lanes = Int64.mul (Int64.of_int byte) 0x0101010101010101L in
+  for i = 0 to (block_size / 8) - 1 do
+    Bytes.set_int64_ne block (8 * i) (Int64.logxor (Bytes.get_int64_ne block (8 * i)) lanes)
+  done
 
 (* The SHA-256 states after absorbing the one-block ipad and opad: the
-   per-key half of HMAC, computed once and copied per message. *)
+   per-key half of HMAC, computed once and copied per message.  The
+   padded key is a fresh block, turned into the ipad and then, XORing
+   with 0x36 lxor 0x5C, into the opad. *)
 type keyed = { inner : Sha256.ctx; outer : Sha256.ctx }
 
 let keyed key =
-  let key = normalize_key key in
+  let pad = normalize_key key in
   let absorb byte =
+    xor_block pad byte;
     let ctx = Sha256.init () in
-    Sha256.feed ctx (xor_pad key byte);
+    Sha256.feed ctx pad;
     ctx
   in
-  { inner = absorb 0x36; outer = absorb 0x5C }
+  let inner = absorb 0x36 in
+  { inner; outer = absorb (0x36 lxor 0x5C) }
 
 (* the working state of one message: a context the midstates are
    copied into, and the inner digest *)
@@ -51,6 +61,8 @@ let mac_keyed k data =
 
 let mac ~key data = mac_keyed (keyed key) data
 
+let pad_words k = Array.append (Sha256.midstate k.inner) (Sha256.midstate k.outer)
+
 let mac_string ~key s = mac ~key (Bytes.of_string s)
 
 let equal a b =
@@ -68,4 +80,5 @@ let equal a b =
 
 let verify ~key data ~tag = equal (mac ~key data) tag
 
-let derive ~key ~label = mac_string ~key ("psp-derive:" ^ label)
+let derive_keyed k ~label = mac_keyed k (Bytes.of_string ("psp-derive:" ^ label))
+let derive ~key ~label = derive_keyed (keyed key) ~label

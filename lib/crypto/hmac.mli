@@ -25,6 +25,11 @@ val mac_keyed : keyed -> bytes -> bytes
 (** [mac_keyed (keyed key) m] equals [mac ~key m]; the [keyed] value
     is not changed and may be reused for any number of messages. *)
 
+val pad_words : keyed -> int array
+(** The sixteen SHA-256 state words after the ipad block (first eight)
+    and after the opad block (last eight), in a fresh array: the per-key
+    half of HMAC in the form {!Prf.fill}'s C loop resumes from. *)
+
 type scratch
 (** Working state for the allocation-free calls below: one SHA-256
     context and an inner-digest buffer.  Reused across messages; one
@@ -58,3 +63,7 @@ val verify : key:bytes -> bytes -> tag:bytes -> bool
 val derive : key:bytes -> label:string -> bytes
 (** [derive ~key ~label] is a 32-byte subkey bound to [label];
     distinct labels give independent subkeys. *)
+
+val derive_keyed : keyed -> label:string -> bytes
+(** [derive_keyed (keyed key) ~label] equals [derive ~key ~label]: a
+    key that derives several subkeys pays for its pad states once. *)

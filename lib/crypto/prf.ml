@@ -1,18 +1,35 @@
-(* the derived key's HMAC pad states, prepared once, and the scratch a
-   call works in: every call below hashes one 16-byte message (two
-   SHA-256 compressions) and allocates nothing *)
-type t = { key : Hmac.keyed; scratch : Hmac.scratch; msg : bytes; digest : bytes }
+(* The derived key's HMAC pad states as sixteen words, prepared once.
+   [fill] tabulates the PRF over 0 .. len - 1 in one C call
+   ([sha256_stubs.c]): per entry, the HMAC of one 16-byte message, two
+   SHA-256 compressions on the dispatched core. *)
+type t = int array
 
-let create ~key ~label =
-  { key = Hmac.keyed (Hmac.derive ~key ~label);
-    scratch = Hmac.scratch ();
-    msg = Bytes.make 16 '\000';
-    digest = Bytes.create 32 }
+external fill_stub : int array -> int array -> int -> int -> int -> unit = "psp_prf_fill"
+  [@@noalloc]
+  [@@leak_ok
+    "two fixed SHA-256 compressions per entry, len entries whatever the key; the \
+     table length is public (a Feistel half-width) and no branch or index depends \
+     on the key or the digests"]
 
-(* the message is x as 8 little-endian bytes of its 63-bit pattern (the
-   top bit of the 64-bit field is 0), then a zero 8-byte salt; the result
-   is the low 62 bits of the tag's first 8 bytes, little-endian *)
-let int t x =
-  Bytes.set_int64_le t.msg 0 (Int64.logand (Int64.of_int x) Int64.max_int);
-  Hmac.mac_keyed_into t.key t.scratch t.msg t.digest;
-  Int64.to_int (Bytes.get_int64_le t.digest 0) land max_int
+external fill_portable_stub : int array -> int array -> int -> int -> int -> unit
+  = "psp_prf_fill_portable"
+  [@@noalloc]
+  [@@leak_ok
+    "fill_stub on the portable SHA-256 core, reachable for tests: same fixed \
+     compressions, trip count the public table length"]
+
+let create ~key ~label = Hmac.pad_words (Hmac.keyed (Hmac.derive_keyed key ~label))
+
+let check dst ~off ~len =
+  if off < 0 || len < 0 || off > Array.length dst - len then
+    invalid_arg "Prf.fill: range out of bounds"
+
+let fill t dst ~off ~len ~mask =
+  check dst ~off ~len;
+  fill_stub t dst off len mask
+
+module Portable = struct
+  let fill t dst ~off ~len ~mask =
+    check dst ~off ~len;
+    fill_portable_stub t dst off len mask
+end

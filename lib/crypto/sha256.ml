@@ -89,6 +89,10 @@ let feed ctx data =
 
 let feed_string ctx s = feed ctx (Bytes.of_string s)
 
+let midstate ctx =
+  if ctx.fill <> 0 then invalid_arg "Sha256.midstate: a partial block is buffered";
+  Array.copy ctx.h
+
 (* only the filled prefix of the block is state; [dst] keeps its core *)
 let copy_into ~src ~dst =
   Array.blit src.h 0 dst.h 0 8;

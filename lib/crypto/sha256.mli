@@ -42,6 +42,12 @@ val copy_into : src:ctx -> dst:ctx -> unit
     copies its precomputed ipad/opad midstates into a scratch context
     this way for every message. *)
 
+val midstate : ctx -> int array
+(** A fresh copy of the eight state words (each a 32-bit value) of a
+    context that has absorbed whole blocks only: the chaining value a
+    one-call C loop resumes from ({!Prf.fill}).
+    @raise Invalid_argument if a partial block is buffered. *)
+
 val finalize : ctx -> bytes
 (** 32-byte digest.  The context must not be reused afterwards, except
     as the [dst] of {!copy_into}. *)

@@ -24,13 +24,23 @@
    CPU offers, so tests check the two cores against each other on every
    machine.
 
-   Boundary: the OCaml side ([sha256.ml]) checks
-   off + 64 * nblocks <= length buf before the call, and the externals
-   are [@@noalloc]: these functions never allocate, raise, call back
-   into OCaml or release the runtime lock. */
+   [psp_prf_fill] is the keyed PRF of [prf.ml] tabulated in one call:
+   from a key's HMAC ipad and opad midstates it computes the HMAC of
+   each 16-byte message (x as 8 little-endian bytes, then 8 zero bytes)
+   for x = 0 .. len - 1, two compressions per entry on the dispatched
+   core, and keeps the low 62 bits of the tag's first 8 bytes read
+   little-endian, under a mask.  The loop runs len times whatever the
+   key; [psp_prf_fill_portable] is the same on the portable core.
+
+   Boundary: the OCaml side ([sha256.ml], [prf.ml]) checks
+   off + 64 * nblocks <= length buf, and off + len <= length dst,
+   before the call, and the externals are [@@noalloc]: these functions
+   never allocate, raise, call back into OCaml or release the runtime
+   lock. */
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
@@ -48,6 +58,14 @@ static const uint32_t K[64] = {
   0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
   0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2
 };
+
+static inline void store32_be(unsigned char *p, uint32_t v)
+{
+  p[0] = (unsigned char)(v >> 24);
+  p[1] = (unsigned char)(v >> 16);
+  p[2] = (unsigned char)(v >> 8);
+  p[3] = (unsigned char)v;
+}
 
 static inline uint32_t load32_be(const unsigned char *p)
 {
@@ -170,4 +188,57 @@ value psp_sha256_hardware(value unit)
 {
   (void)unit;
   return Val_bool(compress != compress_portable);
+}
+
+/* dst.(off + x) <- F(x) land mask for x < len, where F(x) is the low 62
+   bits of the first 8 bytes (little-endian) of HMAC(key, msg x), and
+   [pads] holds the key's ipad then opad midstate: sixteen words in an
+   [int array].  Each message is 16 bytes after the 64-byte ipad block,
+   so the inner hash ends in one padded block of 80 bytes (640 bits);
+   the outer hash ends in one padded block holding the 32-byte inner
+   digest after the opad block (96 bytes, 768 bits).  [dst] is an [int
+   array], so the immediates need no write barrier. */
+static value prf_fill(void (*core)(uint32_t *, const unsigned char *, size_t), value pads,
+                      value dst, value off, value len, value mask)
+{
+  uint32_t vi[8], vo[8];
+  unsigned char b1[64], b2[64], tag[8];
+  for (int i = 0; i < 8; i++) {
+    vi[i] = (uint32_t)Long_val(Field(pads, i));
+    vo[i] = (uint32_t)Long_val(Field(pads, 8 + i));
+  }
+  memset(b1, 0, sizeof b1);
+  b1[16] = 0x80;
+  b1[62] = 0x02; /* 640 = 0x280 */
+  b1[63] = 0x80;
+  memset(b2, 0, sizeof b2);
+  b2[32] = 0x80;
+  b2[62] = 0x03; /* 768 = 0x300 */
+  const intnat base = Long_val(off), n = Long_val(len);
+  const uint64_t m = (uint64_t)Long_val(mask) & ((UINT64_C(1) << 62) - 1);
+  for (intnat x = 0; x < n; x++) {
+    uint32_t v[8];
+    for (int i = 0; i < 8; i++) b1[i] = (unsigned char)((uint64_t)x >> (8 * i));
+    memcpy(v, vi, sizeof v);
+    core(v, b1, 1);
+    for (int i = 0; i < 8; i++) store32_be(b2 + 4 * i, v[i]);
+    memcpy(v, vo, sizeof v);
+    core(v, b2, 1);
+    store32_be(tag, v[0]);
+    store32_be(tag + 4, v[1]);
+    uint64_t t = 0;
+    for (int i = 7; i >= 0; i--) t = (t << 8) | tag[i];
+    Field(dst, base + x) = Val_long((intnat)(t & m));
+  }
+  return Val_unit;
+}
+
+value psp_prf_fill(value pads, value dst, value off, value len, value mask)
+{
+  return prf_fill(compress, pads, dst, off, len, mask);
+}
+
+value psp_prf_fill_portable(value pads, value dst, value off, value len, value mask)
+{
+  return prf_fill(compress_portable, pads, dst, off, len, mask);
 }

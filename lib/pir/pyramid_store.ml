@@ -38,7 +38,7 @@ type level = {
 }
 
 type t = {
-  master_key : bytes;
+  master : Psp_crypto.Hmac.keyed; (* the store key's HMAC pad states, prepared once *)
   n : int;
   cache_capacity : int;
   mutable cache : (int * bytes) list; (* newest first; may hold duplicates *)
@@ -52,7 +52,7 @@ type t = {
 }
 
 let level_key t level =
-  Psp_crypto.Hmac.derive ~key:t.master_key
+  Psp_crypto.Hmac.derive_keyed t.master
     ~label:(Printf.sprintf "level-%d-epoch-%d" level.depth level.epoch)
 
 (* a slot's nonce is its index as 8 little-endian bytes, then 4 zeros *)
@@ -66,9 +66,10 @@ let set_nonce t slot = Bytes.set_int64_le t.nonce 0 (Int64.of_int slot)
 let rebuild t level contents =
   Obs.incr m_rebuilds;
   level.epoch <- level.epoch + 1;
-  let key = level_key t level in
-  let perm_key = Psp_crypto.Hmac.derive ~key ~label:"perm" in
-  level.enc_key <- Psp_crypto.Hmac.derive ~key ~label:"enc";
+  (* the epoch key's pad states serve both derives below *)
+  let key = Psp_crypto.Hmac.keyed (level_key t level) in
+  let perm_key = Psp_crypto.Hmac.derive_keyed key ~label:"perm" in
+  level.enc_key <- Psp_crypto.Hmac.derive_keyed key ~label:"enc";
   let domain = Array.length level.slots in
   level.perm <- Psp_crypto.Feistel.create ~key:perm_key ~domain;
   level.assign <- Hashtbl.create (max 8 (Hashtbl.length contents));
@@ -124,9 +125,9 @@ let create ?(cache_capacity = default_cache_capacity) ~key file =
       dummy_cursor = 0 }
   in
   let t =
-    { master_key =
-        Psp_crypto.Hmac.derive ~key
-          ~label:("pyramid:" ^ Psp_storage.Page_file.name file);
+    { master =
+        Psp_crypto.Hmac.keyed
+          (Psp_crypto.Hmac.derive ~key ~label:("pyramid:" ^ Psp_storage.Page_file.name file));
       n;
       cache_capacity = c;
       cache = [];
@@ -312,9 +313,11 @@ let fetch_many t ids =
                   level.slots.(slot)
               end)
            [@leak_ok
-             "the slot touch the host observes happens either way; only the \
-              client-side decryption of the already-planned slot is skipped for \
-              dummies, exactly as in the sequential walk"]
+             "the slot touch the host observes happens either way, and so does the \
+              access pattern; but the SCP skips the ChaCha20 decrypt for dummy and \
+              cache-hit touches, so its work, and the response time the operator can \
+              clock, still depends on the page: an accepted timing leak until the \
+              work-oblivious SCP (ROADMAP, first direction) decrypts every touched slot"]
          done)
        t.levels)
     [@leak_ok

@@ -89,6 +89,17 @@ let test_hmac_derive_labels () =
   Alcotest.(check bool) "independent" true (a <> b);
   Alcotest.(check bool) "deterministic" true (a = Hmac.derive ~key ~label:"a")
 
+(* one prepared key deriving several labels gives the bytes of a fresh
+   derive per label *)
+let hmac_derive_keyed =
+  qtest ~count:200 "derive_keyed (keyed k) = derive ~key:k"
+    QCheck2.Gen.(
+      pair (string_size (int_range 0 150)) (list_size (int_range 1 5) (string_size (int_range 0 40))))
+    (fun (k, labels) ->
+      let key = Bytes.of_string k in
+      let kk = Hmac.keyed key in
+      List.for_all (fun label -> Hmac.derive_keyed kk ~label = Hmac.derive ~key ~label) labels)
+
 (* The textbook construction, hashing the padded key for every message:
    the reference the precomputed pad states are compared against. *)
 let reference_hmac key data =
@@ -575,28 +586,33 @@ let chacha20_matches_reference =
              && ks = Bytes.sub stream 0 n)
            lengths)
 
-(* Both cores against the reference: every length 0..1,100 (each tail
-   of the 4-block core, each block count up to 17) and the lengths
-   around one, two, eight and sixteen 8-block passes, at every counter
-   2^32-9 .. 2^32-1 — so the counter wrap lands in each lane of an
-   8-block pass, and in the pass after it — and at counter 0.  The XOR
-   entry points run into a separate buffer holding stale bytes and in
-   place; the keystream entry points write a stale buffer. *)
+(* Every core the CPU supports against the reference: the dispatched
+   one (AVX-512 or AVX2 where the CPU has it), the AVX2 twin and the
+   portable twin.  Every length 0..1,100 (each tail of the 4-block core,
+   each block count up to 17) and the lengths around one, two, four,
+   eight and sixteen 8-block passes (one, two and four 16-block passes
+   among them), at every counter 2^32-17 .. 2^32-1 — so the counter
+   wrap lands in each lane of a 16-block pass, and in the pass after
+   it — and at counter 0.  The XOR entry points run into a separate
+   buffer holding stale bytes and in place; the keystream entry points
+   write a stale buffer. *)
 module type Chacha_core = sig
   val encrypt_into : key:bytes -> nonce:bytes -> ?counter:int -> src:bytes -> bytes -> unit
   val keystream_into : key:bytes -> nonce:bytes -> ?counter:int -> bytes -> unit
 end
 
-let test_chacha20_both_cores () =
+let test_chacha20_every_core () =
   let rng = Random.State.make [| 8193 |] in
   let rand_bytes n = Bytes.init n (fun _ -> Char.chr (Random.State.int rng 256)) in
   let max_len = 8193 in
   let lengths =
     List.init 1101 Fun.id
-    @ [ 511; 512; 513; 1023; 1024; 1025; 4095; 4096; 4097; 8191; 8192; 8193 ]
+    @ [ 2047; 2048; 2049; 4095; 4096; 4097; 8191; 8192; 8193 ]
   in
   let cores =
-    [ ("dispatched", (module Chacha20 : Chacha_core)); ("portable", (module Chacha20.Portable)) ]
+    [ ("dispatched " ^ Chacha20.core, (module Chacha20 : Chacha_core));
+      ("avx2 twin on " ^ Chacha20.Avx2.core, (module Chacha20.Avx2));
+      ("portable", (module Chacha20.Portable)) ]
   in
   List.iter
     (fun counter ->
@@ -620,7 +636,7 @@ let test_chacha20_both_cores () =
               if ks <> Bytes.sub stream 0 n then Alcotest.fail (what "keystream"))
             lengths)
         cores)
-    (0 :: List.init 9 (fun i -> 0xFFFFFFFF - 8 + i))
+    (0 :: List.init 17 (fun i -> 0xFFFFFFFF - 16 + i))
 
 let test_chacha20_into_length_mismatch () =
   let key = Sha256.digest_string "k" and nonce = Bytes.make 12 'n' in
@@ -652,18 +668,48 @@ let test_chacha20_bad_sizes () =
 (* ------------------------------------------------------------------ *)
 (* PRF *)
 
+(* The PRF as the library computed it before its tables were filled in
+   C: one OCaml HMAC per point, from the derived key's pad states into
+   a scratch the instance owns.  Kept as the reference [Prf.fill] is
+   compared against. *)
+module Ref_prf = struct
+  type t = { key : Hmac.keyed; scratch : Hmac.scratch; msg : bytes; digest : bytes }
+
+  let create ~key ~label =
+    { key = Hmac.keyed (Hmac.derive ~key ~label);
+      scratch = Hmac.scratch ();
+      msg = Bytes.make 16 '\000';
+      digest = Bytes.create 32 }
+
+  (* the message is x as 8 little-endian bytes of its 63-bit pattern (the
+     top bit of the 64-bit field is 0), then a zero 8-byte salt; the result
+     is the low 62 bits of the tag's first 8 bytes, little-endian *)
+  let int t x =
+    Bytes.set_int64_le t.msg 0 (Int64.logand (Int64.of_int x) Int64.max_int);
+    Hmac.mac_keyed_into t.key t.scratch t.msg t.digest;
+    Int64.to_int (Bytes.get_int64_le t.digest 0) land max_int
+end
+
+(* one table of [len] entries from [Prf.fill] *)
+let prf_table fill ~key ~label ~len ~mask =
+  let dst = Array.make len (-1) in
+  fill (Prf.create ~key:(Hmac.keyed key) ~label) dst ~off:0 ~len ~mask;
+  dst
+
 let test_prf_deterministic () =
   let key = Sha256.digest_string "key" in
-  let f = Prf.create ~key ~label:"test" in
-  Alcotest.(check int) "same input same output" (Prf.int f 42) (Prf.int f 42);
-  Alcotest.(check bool) "nonnegative" true (Prf.int f 42 >= 0)
+  let a = prf_table Prf.fill ~key ~label:"test" ~len:64 ~mask:max_int in
+  let b = prf_table Prf.fill ~key ~label:"test" ~len:64 ~mask:max_int in
+  Alcotest.(check (array int)) "same key, same table" a b;
+  Alcotest.(check bool) "nonnegative" true (Array.for_all (fun v -> v >= 0) a)
 
 let test_prf_label_separation () =
   let key = Sha256.digest_string "key" in
-  let a = Prf.create ~key ~label:"a" and b = Prf.create ~key ~label:"b" in
+  let a = prf_table Prf.fill ~key ~label:"a" ~len:64 ~mask:max_int in
+  let b = prf_table Prf.fill ~key ~label:"b" ~len:64 ~mask:max_int in
   let differ = ref 0 in
   for x = 0 to 63 do
-    if Prf.int a x <> Prf.int b x then incr differ
+    if a.(x) <> b.(x) then incr differ
   done;
   Alcotest.(check bool) "labels separate" true (!differ > 60)
 
@@ -686,8 +732,9 @@ let reference_prf ~key ~label =
     done;
     !v land max_int
 
-(* two instances that share nothing, called interleaved: each call must
-   equal the reference whatever the other instance's scratch holds *)
+(* two instances of the OCaml loop that share nothing, called
+   interleaved: each call must equal the textbook spelling whatever the
+   other instance's scratch holds *)
 let prf_matches_reference =
   qtest ~count:100 "prf int = textbook HMAC, interleaved"
     QCheck2.Gen.(
@@ -696,31 +743,63 @@ let prf_matches_reference =
     (fun (key, (la, lb), xs) ->
       let key = Bytes.of_string key in
       let lb = lb ^ "/b" in
-      let a = Prf.create ~key ~label:la and b = Prf.create ~key ~label:lb in
+      let a = Ref_prf.create ~key ~label:la and b = Ref_prf.create ~key ~label:lb in
       let ra = reference_prf ~key ~label:la and rb = reference_prf ~key ~label:lb in
       List.for_all
         (fun x ->
-          let ia = Prf.int a x in
-          let ib = Prf.int b x in
-          let ia' = Prf.int a (x lxor 1) in
+          let ia = Ref_prf.int a x in
+          let ib = Ref_prf.int b x in
+          let ia' = Ref_prf.int a (x lxor 1) in
           ia = ra x && ib = rb x && ia' = ra (x lxor 1))
         xs)
+
+(* [Prf.fill] on both SHA-256 cores against the OCaml loop, under random
+   keys, at every table size a Feistel of domain 1 .. 10^6 uses (2^1 ..
+   2^10 entries, masked to the half width) and, unmasked, at a size that
+   keeps all 62 bits.  The table sits inside a larger array whose other
+   entries must stay untouched. *)
+let test_prf_fill_matches_loop () =
+  let rng = Random.State.make [| 62 |] in
+  let fills = [ ("dispatched " ^ Sha256.core, Prf.fill); ("portable", Prf.Portable.fill) ] in
+  let sizes = List.init 10 (fun b -> (1 lsl (b + 1), (1 lsl (b + 1)) - 1)) @ [ (300, max_int) ] in
+  for trial = 1 to 4 do
+    let key = Bytes.init (Random.State.int rng 80) (fun _ -> Char.chr (Random.State.int rng 256)) in
+    let label = Printf.sprintf "feistel-round-%d" (trial mod 4) in
+    let prf = Prf.create ~key:(Hmac.keyed key) ~label in
+    let loop = Ref_prf.create ~key ~label in
+    List.iter
+      (fun (len, mask) ->
+        let want = Array.init len (fun x -> Ref_prf.int loop x land mask) in
+        List.iter
+          (fun (name, fill) ->
+            let dst = Array.make (len + 6) (-7) in
+            fill prf dst ~off:3 ~len ~mask;
+            let what = Printf.sprintf "%s, key %d, %d entries" name trial len in
+            Alcotest.(check (array int)) what want (Array.sub dst 3 len);
+            Alcotest.(check (list int)) (what ^ ", outside the range") [ -7; -7; -7; -7; -7; -7 ]
+              [ dst.(0); dst.(1); dst.(2); dst.(len + 3); dst.(len + 4); dst.(len + 5) ])
+          fills)
+      sizes
+  done;
+  let prf = Prf.create ~key:(Hmac.keyed (Bytes.make 32 'k')) ~label:"r" in
+  Alcotest.check_raises "range past the end" (Invalid_argument "Prf.fill: range out of bounds")
+    (fun () -> Prf.fill prf (Array.make 4 0) ~off:1 ~len:4 ~mask:3)
 
 (* ------------------------------------------------------------------ *)
 (* Feistel small-domain PRP *)
 
-(* The permutation without round tables: four PRF calls per pass of the
-   network, as before tabulation. *)
+(* The permutation without round tables: four calls of the OCaml PRF
+   loop per pass of the network, as before tabulation. *)
 let reference_feistel ~key ~domain =
   let rec bits_for n acc = if n <= 1 then acc else bits_for ((n + 1) / 2) (acc + 1) in
   let width = max 2 (bits_for domain 0) in
   let h = (width + 1) / 2 in
   let mask = (1 lsl h) - 1 in
-  let f = Array.init 4 (fun i -> Prf.create ~key ~label:(Printf.sprintf "feistel-round-%d" i)) in
+  let f = Array.init 4 (fun i -> Ref_prf.create ~key ~label:(Printf.sprintf "feistel-round-%d" i)) in
   let once_fwd x =
     let l = ref ((x lsr h) land mask) and r = ref (x land mask) in
     for i = 0 to 3 do
-      let l' = !r and r' = !l lxor (Prf.int f.(i) !r land mask) in
+      let l' = !r and r' = !l lxor (Ref_prf.int f.(i) !r land mask) in
       l := l';
       r := r'
     done;
@@ -729,7 +808,7 @@ let reference_feistel ~key ~domain =
   let once_bwd x =
     let l = ref ((x lsr h) land mask) and r = ref (x land mask) in
     for i = 3 downto 0 do
-      let l' = !r lxor (Prf.int f.(i) !l land mask) and r' = !l in
+      let l' = !r lxor (Ref_prf.int f.(i) !l land mask) and r' = !l in
       l := l';
       r := r'
     done;
@@ -818,6 +897,7 @@ let () =
           Alcotest.test_case "verify" `Quick test_hmac_verify;
           Alcotest.test_case "derive labels" `Quick test_hmac_derive_labels;
           hmac_keyed_equals_mac;
+          hmac_derive_keyed;
           hmac_into_equals_reference;
           hmac_matches_reference ] );
       ( "chacha20",
@@ -825,8 +905,8 @@ let () =
           Alcotest.test_case "rfc8439 block vectors" `Quick test_chacha20_block_vectors;
           Alcotest.test_case "rfc8439 encryption vectors" `Quick test_chacha20_encrypt_vectors;
           chacha20_matches_reference;
-          Alcotest.test_case "dispatched = portable = reference, lengths 0..8193" `Quick
-            test_chacha20_both_cores;
+          Alcotest.test_case "dispatched = portable = reference, lengths 0..8193, every core"
+            `Quick test_chacha20_every_core;
           chacha20_roundtrip;
           Alcotest.test_case "nonce separation" `Quick test_chacha20_nonce_separation;
           Alcotest.test_case "bad sizes" `Quick test_chacha20_bad_sizes;
@@ -834,7 +914,9 @@ let () =
       ( "prf",
         [ Alcotest.test_case "deterministic" `Quick test_prf_deterministic;
           Alcotest.test_case "label separation" `Quick test_prf_label_separation;
-          prf_matches_reference ] );
+          prf_matches_reference;
+          Alcotest.test_case "fill = OCaml HMAC loop, every Feistel table size, both cores"
+            `Quick test_prf_fill_matches_loop ] );
       ( "feistel",
         [ feistel_bijective;
           feistel_inverse;
