@@ -105,23 +105,6 @@ let unknown_result stats client_seconds ~scheme =
     regions_fetched = 0;
     status = Unknown_scheme { scheme } }
 
-(* The CPU clock behind [client_seconds].  A walk parked at its release
-   point (Psp_async.Pipeline) lets other batches run before its tail
-   resumes, so the time spent inside [on_release] is not this batch's
-   work and is subtracted. *)
-type cpu_clock = { started : float; mutable parked : float }
-
-let start_clock (pacing : Engine.pacing) =
-  let clock = { started = Sys.time (); parked = 0.0 } in
-  let on_release () =
-    let t0 = Sys.time () in
-    pacing.Engine.on_release ();
-    clock.parked <- clock.parked +. (Sys.time () -. t0)
-  in
-  (clock, { pacing with Engine.on_release })
-
-let busy_seconds clock = Sys.time () -. clock.started -. clock.parked
-
 (* ------------------------------------------------------------------ *)
 (* The one query path: N same-plan queries walk the plan in lockstep,
    each fetch slot becoming one merged oblivious-store pass (Batcher).
@@ -136,8 +119,8 @@ let query_batch ?(retry = default_retry)
      Obs.observe m_batch_width (float_of_int width);
      Obs.add m_queries width;
      Obs.with_span "query" (fun () ->
-         let clock, pacing =
-           (start_clock pacing)
+         let t0 =
+           (Sys.time ())
            [@leak_ok
              "wall-clock sample for the public stats records; it never influences \
               the fetch schedule"]
@@ -179,7 +162,7 @@ let query_batch ?(retry = default_retry)
          in
          let stats = Batcher.finish batcher in
          let client_seconds =
-           (busy_seconds clock /. float_of_int width)
+           ((Sys.time () -. t0) /. float_of_int width)
            [@leak_ok
              "wall-clock sample for the public stats records; the sessions are \
               already finished"]

@@ -106,8 +106,7 @@ val query_batch :
     node of their regions.  Member [i]'s result — path, stats,
     per-member trace — matches what a width-1 batch would have
     produced; [client_seconds] reports the per-query share of the
-    batch's own CPU time ([Sys.time]; time parked at the release point
-    while other batches run is excluded).  The batch width is public.
+    batch's CPU time ([Sys.time]).  The batch width is public.
     Every member walks exactly the public plan, padded with dummy
     retrievals; a member whose search needs more is [Unavailable] at
     {!plan_exceeded}.  An empty array returns an empty array without
@@ -122,10 +121,10 @@ val query_batch :
     exhausts the budget degrades {e every} member to [Unavailable]
     identically; an unrecognised scheme tag yields [Unknown_scheme].
 
-    [pacing] (default {!Engine.sequential}) threads the engine's phase
-    reports to an execution scheduler; {!Psp_async.Pipeline} suspends
-    the call at the engine's release point through it.  It changes
-    nothing about what the server observes.
+    [pacing] (default {!Engine.sequential}) receives the engine's two
+    phase costs, from which the serving scheduler places the batch on
+    its modeled timeline.  It changes nothing about what the server
+    observes.
     @raise Replica_failed on a replica-level failure (see above);
     Failure on a malformed database, or a CI/PI/HY record that names more
     regions than the plan budgets (a database fault, not a query's). *)

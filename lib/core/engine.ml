@@ -81,29 +81,23 @@ let with_retry ~policy ~on_retry op =
   [@@oblivious]
 
 (* ------------------------------------------------------------------ *)
-(* Pacing: how a walk reports its phase boundaries to an execution
-   scheduler.  A pipelined executor (Psp_async.Pipeline) threads a
-   record whose [on_release] suspends the running fiber at the release
-   point — after the last server-visible operation, before the
-   client-local solve — so the next batch's PIR pass can start while
-   this batch decodes.  Everything reported is public: the accounted
-   server seconds are plan-determined aggregates, and the decode byte
-   count is plan-fixed (slot count x page size) by construction.  The
-   default is inert, so sequential callers pay nothing. *)
+(* Pacing: how a walk reports its two phase costs to a scheduler that
+   places batches on a modeled timeline (Psp_serve.Timeline): the
+   accounted server seconds once the last server-visible operation is
+   done, and the byte volume the client decodes.  Everything reported
+   is public: the accounted server seconds are plan-determined
+   aggregates, and the decode byte count is plan-fixed (slot count x
+   page size) by construction.  The default is inert, so callers that
+   need no timeline pay nothing. *)
 
 type pacing = {
   on_server : seconds:float -> unit;
-      (* total server-side accounted seconds at the release point *)
+      (* total server-side accounted seconds after the last fetch *)
   on_decode : bytes:int -> unit;
       (* plan-fixed delivered byte volume the client decodes *)
-  on_release : unit -> unit;
-      (* the suspension point: server done, client tail remains *)
 }
 
-let sequential =
-  { on_server = (fun ~seconds:_ -> ());
-    on_decode = (fun ~bytes:_ -> ());
-    on_release = (fun () -> ()) }
+let sequential = { on_server = (fun ~seconds:_ -> ()); on_decode = (fun ~bytes:_ -> ()) }
 
 (* Plan-fixed fetch slots per member: the sum of the public step list's
    window counts — every fetch the walk issues. *)
@@ -178,17 +172,13 @@ let run_batch ?(pacing = sequential) (module S : SCHEME) batcher ~policy ctx que
   in
   (* Phase reports are unconditional — every walk reports exactly once,
      including walks aborted by retry exhaustion or replica failure, so
-     an execution scheduler's accounting never depends on the outcome.
-     The release point sits after the last server-visible operation: a
-     suspended fiber has nothing left to say to the server, so resuming
-     it later cannot reorder the server-visible schedule. *)
+     a scheduler's accounting never depends on the outcome. *)
   (match walk (module S) batcher ~policy ctx states with
   | () -> pacing.on_server ~seconds:(accounted ())
   | exception e ->
       pacing.on_server ~seconds:(accounted ());
       raise e);
   pacing.on_decode ~bytes:(Array.length queries * plan_slots ctx * ctx.psize);
-  pacing.on_release ();
   (* Each member is asked once whether the plan finished its search; one
      that still wants a page fails closed with no answer.  Its trace is
      the plan's like every other member's. *)

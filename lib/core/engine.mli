@@ -85,21 +85,18 @@ val with_retry :
     traces stay indistinguishable under any fixed fault schedule.
     @raise Gave_up when the budget is exhausted. *)
 
-(** {2 Pacing: phase reports for pipelined execution}
+(** {2 Pacing: phase reports for the modeled timeline}
 
     The walk has two phases with different resources: a {e server}
-    phase (every PIR round) bounded by the serial SCP, and a {e client
-    tail} (trailing decode plus the solve over the accumulated store)
-    that only burns handheld CPU.  A
-    {!pacing} record lets an execution scheduler see the boundary: the
-    engine reports the accounted server seconds and the plan-fixed
-    decode byte volume, then calls [on_release] {e after} the last
-    server-visible operation and {e before} the solve.
-    {!Psp_async.Pipeline} implements [on_release] as an effect that
-    suspends the running fiber there, so the next batch's PIR pass
-    overlaps this batch's tail.  Because a released walk has nothing
-    left to say to the server, resuming the tail later cannot reorder
-    the server-visible schedule — only wall-clock timing changes.
+    phase (every PIR round) bounded by the serial SCP, and a {e client}
+    phase (decode plus the solve over the accumulated store) that only
+    burns handheld CPU.  A {!pacing} record reports the cost of each:
+    the accounted server seconds once the last server-visible operation
+    is done, and the plan-fixed decode byte volume.  The serving
+    scheduler places each batch on a modeled two-resource timeline from
+    these two numbers ({!Psp_serve.Timeline}), where batch [i+1]'s fetch
+    may overlap batch [i]'s decode; the walk itself always runs to
+    completion.
 
     Everything reported is public: accounted seconds are
     plan-determined cost aggregates, and the byte count is the public
@@ -109,18 +106,17 @@ val with_retry :
 
 type pacing = {
   on_server : seconds:float -> unit;
-      (** total server-side accounted seconds at the release point
+      (** total server-side accounted seconds after the last
+          server-visible operation
           ({!Psp_pir.Server.Session.accounted_seconds} summed over the
           batcher's sessions) *)
   on_decode : bytes:int -> unit;
       (** plan-fixed byte volume the client-side decode consumes:
           members × plan slots × page size *)
-  on_release : unit -> unit;
-      (** the suspension point: server done, client tail remains *)
 }
 
 val sequential : pacing
-(** The inert default: all three hooks do nothing. *)
+(** The inert default: both hooks do nothing. *)
 
 val run_batch :
   ?pacing:pacing ->

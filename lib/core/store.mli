@@ -29,7 +29,9 @@
     hands it back, so the tables, the solver's arrays and its heap keep
     their capacity from query to query.  A store that is never released
     (say, its walk raised) is simply garbage: nothing leaks, and no store
-    is shared across domains. *)
+    is shared across domains.  Every batch runs to completion before the
+    next one starts, so a domain holds at most one batch's stores, one
+    per member, in flight. *)
 
 type t
 

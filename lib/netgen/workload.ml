@@ -17,12 +17,6 @@ type arrival_process =
   | Poisson of { rate : float }
   | Bursts of { period : float; mean_size : int }
 
-let describe_arrivals = function
-  | Steady { rate } -> Printf.sprintf "steady(%.2f/s)" rate
-  | Poisson { rate } -> Printf.sprintf "poisson(%.2f/s)" rate
-  | Bursts { period; mean_size } ->
-      Printf.sprintf "bursts(every %.1fs, ~%d)" period mean_size
-
 let arrival_of_string s =
   let num v = try Some (float_of_string v) with Failure _ -> None in
   match String.split_on_char ':' s with

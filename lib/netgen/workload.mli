@@ -49,8 +49,6 @@ val arrivals : arrival_process -> count:int -> seed:int -> float array
     @raise Invalid_argument on a negative count or non-positive
     rate/period/size. *)
 
-val describe_arrivals : arrival_process -> string
-
 val arrival_of_string : string -> (arrival_process, string) result
 (** Parse a CLI spec: ["steady:2"], ["poisson:0.5"], or
     ["bursts:10x8"] (a burst every 10 s of mean size 8). *)

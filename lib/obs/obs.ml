@@ -149,12 +149,9 @@ let pages_total = ref 0
 
 type span = {
   sp_path : string;
-  (* entry snapshots are mutable so a context switch can shift them
-     forward by whatever accrued while the owning fiber was parked —
-     see [switch] below *)
-  mutable sp_t0 : float;
-  mutable sp_alloc0 : float;
-  mutable sp_pages0 : int;
+  sp_t0 : float;
+  sp_alloc0 : float;
+  sp_pages0 : int;
   mutable sp_open : bool;
 }
 
@@ -246,55 +243,6 @@ let exit sp =
 let with_span name f =
   let sp = enter name in
   Fun.protect ~finally:(fun () -> exit sp) f
-
-(* -------------------------------------------------------------- *)
-(* Span contexts: cooperative fibers (lib/async) run each session on
-   its own span stack.  A context remembers its stack plus the clock /
-   allocator / page-odometer readings at the instant it was last
-   switched out; switching back in shifts every still-open span's entry
-   snapshot forward by exactly what accrued in between, so time, bytes
-   and pages spent by *other* fibers are never attributed to a parked
-   fiber's spans.  This is what keeps [shape] byte-identical between a
-   pipelined and a synchronous run of the same plans. *)
-
-type context = {
-  ctx_stack : span list;
-  ctx_t : float;
-  ctx_alloc : float;
-  ctx_pages : int;
-}
-
-let context () =
-  { ctx_stack = [];
-    ctx_t = !clock ();
-    ctx_alloc = Gc.allocated_bytes ();
-    ctx_pages = !pages_total }
-  [@@leak_ok
-    "clock/allocator snapshots for context bookkeeping: taken on the fiber \
-     scheduler's public switch points, never on secret-dependent paths"]
-
-let switch next =
-  let now_t = !clock () in
-  let now_a = Gc.allocated_bytes () in
-  let now_p = !pages_total in
-  let prev =
-    { ctx_stack = !stack; ctx_t = now_t; ctx_alloc = now_a; ctx_pages = now_p }
-  in
-  let dt = now_t -. next.ctx_t in
-  let da = now_a -. next.ctx_alloc in
-  let dp = now_p - next.ctx_pages in
-  List.iter
-    (fun sp ->
-      sp.sp_t0 <- sp.sp_t0 +. dt;
-      sp.sp_alloc0 <- sp.sp_alloc0 +. da;
-      sp.sp_pages0 <- sp.sp_pages0 + dp)
-    next.ctx_stack;
-  stack := next.ctx_stack;
-  prev
-  [@@leak_ok
-    "context switches happen on the fiber scheduler's public schedule; the \
-     shifted quantities are the same constant-shape samples enter/finalize \
-     already take"]
 
 let span_stats path =
   Hashtbl.find_opt span_aggs path

@@ -177,30 +177,6 @@ val span_stats : string -> span_stats option
 val current_path : unit -> string
 (** Path of the innermost open span ([""] when none are open). *)
 
-(** {1 Span contexts}
-
-    Cooperative fibers ({!Psp_async.Pipeline}) run each session on its
-    own span stack.  A {!context} captures a stack together with the
-    clock, allocator and page-odometer readings at the instant it was
-    switched out; {!switch}ing back in shifts every still-open span's
-    entry snapshot forward by exactly what accrued in between.  Time,
-    allocation and page I/O spent by {e other} fibers while this one
-    was parked are therefore never attributed to its spans — which is
-    what keeps {!shape} byte-identical between a pipelined and a
-    synchronous execution of the same plans, whatever the interleaving. *)
-
-type context
-
-val context : unit -> context
-(** A fresh context with an empty span stack, snapshotted now.  Spans
-    entered after switching into it start a new root path. *)
-
-val switch : context -> context
-(** [switch next] installs [next]'s span stack as the current one and
-    returns the previous state as a context (capture it to switch
-    back).  Open spans carried by [next] have their entry snapshots
-    shifted so the parked interval is excluded from their aggregates. *)
-
 (** {1 Registry control & export} *)
 
 val set_clock : (unit -> float) -> unit

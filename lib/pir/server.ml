@@ -375,10 +375,10 @@ module Session = struct
     [@@oblivious]
 
   (* Server-side accounted seconds so far: the same pir + comm + cpu
-     total [finish] will report, readable mid-session.  The pipelined
-     executor samples it at the session's release point to place the
-     batch's fetch phase on its virtual timeline — a public aggregate
-     of plan-determined charges. *)
+     total [finish] will report, readable mid-session.  The engine
+     reports it after a walk's last fetch so the serving scheduler can
+     place the batch's fetch phase on its modeled timeline — a public
+     aggregate of plan-determined charges. *)
   let accounted_seconds t =
     t.pir_seconds +. t.comm_seconds +. t.server_cpu_seconds
 

@@ -190,10 +190,10 @@ module Session : sig
   val accounted_seconds : t -> float
   (** Server-side cost accounted so far — [pir + comm + server_cpu],
       the same total the eventual {!finish} stats report, readable
-      mid-session.  The pipelined executor ({!Psp_async.Pipeline})
-      samples it at a session's release point to place the batch's
-      fetch phase on its virtual timeline.  A public aggregate of
-      plan-determined charges. *)
+      mid-session.  The engine reports it after a walk's last fetch so
+      the serving scheduler can place the batch's fetch phase on its
+      modeled timeline.  A public aggregate of plan-determined
+      charges. *)
 
   type stats = {
     rounds : int;

@@ -2,8 +2,8 @@ module Obs = Psp_obs.Obs
 module Server = Psp_pir.Server
 module Cost_model = Psp_pir.Cost_model
 module Client = Psp_core.Client
+module Engine = Psp_core.Engine
 module Response_time = Psp_core.Response_time
-module Pipeline = Psp_async.Pipeline
 
 type policy = Adaptive | Fixed of int
 
@@ -230,20 +230,18 @@ let run ?retry cfg ~tenants ~jobs =
     let flush = !next >= n in
     Queue.depth q name >= cap || flush || !now +. eps >= deadline_of name
   in
-  (* Every batch runs as a Psp_async.Pipeline fiber, and the scheduler
-     keeps TWO timelines.  The {e formation} clock is [now]: it advances
-     by the batch's modeled fetch + decode whatever the depth, so which
-     jobs are queued when the next batch forms — batch composition, and
-     with it every member's trace and the server's fetch sequence — is
-     depth-independent by construction.  The {e execution} timeline
-     lives in the executor: batch [i]'s fetch starts at
+  (* The scheduler keeps TWO clocks.  The {e formation} clock is [now]:
+     it advances by the batch's modeled fetch + decode whatever the
+     depth, so which jobs are queued when the next batch forms — batch
+     composition, and with it every member's trace and the server's
+     fetch sequence — is depth-independent by construction.  Each batch
+     runs to completion on the spot; its reported instants come from
+     the modeled timeline, where batch [i]'s fetch starts at
      [max ready_i fetch_end_(i-1) completed_(i-depth)].  At depth 1
      that reproduces the formation clock exactly (the synchronous
      schedule); at depth >= 2 batch [i]'s fetch overlaps earlier
-     batches' decode tails.  Reported latencies come from the execution
-     timeline. *)
-  let pipe = Pipeline.create ~depth:cfg.depth () in
-  let submitted = ref [] in
+     batches' decode. *)
+  let timeline = Timeline.create ~depth:cfg.depth in
   let dispatch name =
     let st = lane name in
     let head = Option.value ~default:!now (Queue.head_arrival q name) in
@@ -256,9 +254,11 @@ let run ?retry cfg ~tenants ~jobs =
     let w = Array.length members in
     let pairs = Array.map (fun (j : Queue.job) -> (j.Queue.src, j.Queue.dst)) members in
     let cost = Server.cost st.tn.server in
+    let fetch = ref 0.0 and decode = ref 0.0 in
     let pacing =
-      Pipeline.pacing ~decode_seconds:(fun ~bytes ->
-          Cost_model.decode_seconds cost ~bytes)
+      { Engine.on_server = (fun ~seconds -> fetch := !fetch +. seconds);
+        on_decode =
+          (fun ~bytes -> decode := !decode +. Cost_model.decode_seconds cost ~bytes) }
     in
     let ready =
       fetch_ready ~cap ~width:w
@@ -269,13 +269,11 @@ let run ?retry cfg ~tenants ~jobs =
         ~deadline
         ~ended:(if !next >= n then ordered.(n - 1).Queue.arrival else infinity)
     in
-    let job =
-      Pipeline.submit pipe ~ready (fun () ->
-          Client.query_nodes_batch ?retry ~pacing st.tn.server st.tn.graph
-            pairs)
+    let results =
+      Client.query_nodes_batch ?retry ~pacing st.tn.server st.tn.graph pairs
     in
-    let fetch = Pipeline.fetch_seconds job in
-    let decode = Pipeline.decode_seconds job in
+    let fetch = !fetch and decode = !decode in
+    let completed = (Timeline.place timeline ~ready ~fetch ~decode).Timeline.completed in
     let dispatched = !now in
     now := !now +. fetch +. decode;
     Obs.incr st.c_batches;
@@ -288,7 +286,27 @@ let run ?retry cfg ~tenants ~jobs =
         b_service = fetch +. decode }
       :: !batches;
     learn st ~width:w ~service:fetch;
-    submitted := (st, job, members, dispatched) :: !submitted
+    let decode_share = decode /. float_of_int w in
+    Array.iteri
+      (fun k (j : Queue.job) ->
+        let wait =
+          Cost_model.queueing_delay_seconds ~enqueued:j.Queue.arrival ~dispatched
+        in
+        let latency = completed -. j.Queue.arrival in
+        Obs.observe st.h_latency latency;
+        out.(j.Queue.index) <-
+          Some
+            { job = j;
+              result = results.(k);
+              response =
+                Response_time.with_decode ~seconds:decode_share
+                  (Response_time.with_queue ~seconds:wait
+                     (Response_time.of_result results.(k)));
+              latency;
+              width = w;
+              dispatched;
+              completed })
+      members
   in
   let rec loop () =
     ingest ();
@@ -329,40 +347,7 @@ let run ?retry cfg ~tenants ~jobs =
     end
   in
   loop ();
-  (* Force every parked tail (publishing the executor's overlap
-     telemetry), then fill the output slots from the execution
-     timeline.  The tails were already free of server-visible work —
-     the fibers released after their last fetch — so nothing here
-     changes what the server observed. *)
-  Pipeline.drain pipe;
-  List.iter
-    (fun (st, job, (members : Queue.job array), dispatched) ->
-      let results = Pipeline.await pipe job in
-      let completed = Pipeline.completed_at job in
-      let decode_share =
-        Pipeline.decode_seconds job /. float_of_int (Array.length members)
-      in
-      Array.iteri
-        (fun k (j : Queue.job) ->
-          let wait =
-            Cost_model.queueing_delay_seconds ~enqueued:j.Queue.arrival ~dispatched
-          in
-          let latency = completed -. j.Queue.arrival in
-          Obs.observe st.h_latency latency;
-          out.(j.Queue.index) <-
-            Some
-              { job = j;
-                result = results.(k);
-                response =
-                  Response_time.with_decode ~seconds:decode_share
-                    (Response_time.with_queue ~seconds:wait
-                       (Response_time.of_result results.(k)));
-                latency;
-                width = Array.length members;
-                dispatched;
-                completed })
-        members)
-    (List.rev !submitted);
+  Timeline.finish timeline;
   let served =
     Array.mapi
       (fun i s ->
@@ -374,4 +359,4 @@ let run ?retry cfg ~tenants ~jobs =
                                (indices must be unique and dense)" i))
       out
   in
-  { served; batches = List.rev !batches; makespan = Pipeline.makespan pipe }
+  { served; batches = List.rev !batches; makespan = Timeline.makespan timeline }

@@ -24,10 +24,11 @@
     decision functions carry [[\@\@oblivious]] so psplint audits that
     they stay that way.
 
-    {b Execution.}  Every batch, under either width rule, runs as a
-    {!Psp_async.Pipeline} fiber paced by
-    {!Psp_pir.Cost_model.decode_seconds}; the virtual clock advances by
-    the batch's modeled fetch plus decode, a plan-fixed quantity, so
+    {b Execution.}  Every batch, under either width rule, runs to
+    completion when it is dispatched and is then placed on the modeled
+    {!Timeline} from its accounted fetch seconds and its decode priced
+    by {!Psp_pir.Cost_model.decode_seconds}; the virtual clock advances
+    by the batch's modeled fetch plus decode, a plan-fixed quantity, so
     schedules are deterministic.  A fetch never starts before its batch
     was formed: a full batch ([width] members) is ready when its last
     member arrives, any other batch once its lane fired — the head's
@@ -57,9 +58,9 @@ type config = {
   slo : float;  (** target end-to-end latency bound, model seconds *)
   policy : policy;  (** the width rule *)
   depth : int;
-      (** batches in flight in the {!Psp_async.Pipeline} executor every
-          batch runs through: batch [i]'s PIR pass may overlap earlier
-          batches' client-side decode tails.  Batch composition is
+      (** batches in flight on the modeled {!Timeline} every batch is
+          placed on: batch [i]'s PIR pass may overlap earlier batches'
+          client-side decode.  Batch composition is
           decided on a {e formation} clock that advances by fetch +
           modeled decode per batch whatever the depth, so every
           member's trace and the server's fetch sequence are

@@ -1,11 +1,11 @@
-(* The effects-based pipelined executor (lib/async) and the scheduler's
-   depth, which every batch runs through.  The load-bearing claims: (1) the executor's
-   modeled timeline follows the two-resource recurrence and degenerates
-   to the synchronous schedule at depth 1; (2) pipelining changes ONLY
-   wall-clock instants — per-member traces, answers, batch sequences
-   and the telemetry shape are byte-identical across depths, under
-   fault schedules too; (3) the overlap is worth something: at width >=
-   4 the pipelined schedule strictly beats the synchronous one on mean
+(* The modeled pipeline timeline and the scheduler's depth, which every
+   batch is placed with.  The load-bearing claims: (1) the timeline
+   follows the two-resource recurrence and degenerates to the
+   synchronous schedule at depth 1; (2) the depth changes ONLY the
+   reported instants — per-member traces, answers, batch sequences and
+   the telemetry shape are byte-identical across depths, under fault
+   schedules too; (3) the overlap is worth something: at width >= 4 the
+   pipelined schedule strictly beats the synchronous one on mean
    response for a back-to-back workload (the bench acceptance bar,
    pinned here). *)
 
@@ -17,7 +17,7 @@ module F = Psp_fault.Fault
 module Workload = Psp_netgen.Workload
 module Scheduler = Psp_serve.Scheduler
 module Queue = Psp_serve.Queue
-module Pipeline = Psp_async.Pipeline
+module Timeline = Psp_serve.Timeline
 module Obs = Psp_obs.Obs
 open Psp_core
 
@@ -53,145 +53,64 @@ let c_misnested = Obs.counter "obs.span.misnested"
 let trace_of (r : Client.result) = Psp_pir.Trace.fingerprint r.Client.stats.Session.trace
 
 (* ------------------------------------------------------------------ *)
-(* Executor unit tests: synthetic fibers with known phase costs *)
+(* Timeline unit tests: batches with known phase costs *)
 
-let fiber log i ~fetch ~decode () =
-  log := Printf.sprintf "f%d" i :: !log;
-  Pipeline.yield (Pipeline.Fetch fetch);
-  Pipeline.yield (Pipeline.Decode decode);
-  Pipeline.release ();
-  log := Printf.sprintf "t%d" i :: !log;
-  i
+let place_all t specs =
+  List.map (fun (ready, fetch, decode) -> Timeline.place t ~ready ~fetch ~decode) specs
 
 let test_timeline_depth2 () =
-  let p = Pipeline.create ~depth:2 () in
-  let log = ref [] in
-  let jobs =
-    List.map
-      (fun i -> Pipeline.submit p ~ready:0.0 (fiber log i ~fetch:10.0 ~decode:4.0))
-      [ 0; 1; 2 ]
-  in
-  Pipeline.drain p;
-  (match jobs with
+  let t = Timeline.create ~depth:2 in
+  let jobs = place_all t [ (0.0, 10.0, 4.0); (0.0, 10.0, 4.0); (0.0, 10.0, 4.0) ] in
+  Timeline.finish t;
+  match jobs with
   | [ j0; j1; j2 ] ->
       (* s_i = max(ready, e_(i-1), c_(i-2)); e = s + F; c = e + D *)
       List.iter
         (fun (label, got, want) ->
           Alcotest.(check bool) label true (close got want))
-        [ ("s0", Pipeline.started_at j0, 0.0);
-          ("e0", Pipeline.fetch_finished_at j0, 10.0);
-          ("c0", Pipeline.completed_at j0, 14.0);
-          ("s1 = e0 (server serial)", Pipeline.started_at j1, 10.0);
-          ("c1", Pipeline.completed_at j1, 24.0);
-          ("s2 = max(e1, c0)", Pipeline.started_at j2, 20.0);
-          ("c2", Pipeline.completed_at j2, 34.0);
+        [ ("s0", j0.Timeline.started, 0.0);
+          ("e0", j0.Timeline.fetch_end, 10.0);
+          ("c0", j0.Timeline.completed, 14.0);
+          ("s1 = e0 (server serial)", j1.Timeline.started, 10.0);
+          ("c1", j1.Timeline.completed, 24.0);
+          ("s2 = max(e1, c0)", j2.Timeline.started, 20.0);
+          ("c2", j2.Timeline.completed, 34.0);
           (* job1's fetch [10,20] covers job0's decode [10,14] entirely *)
-          ("overlap0", Pipeline.overlap_seconds j0, 4.0);
-          ("overlap1", Pipeline.overlap_seconds j1, 4.0);
-          ("overlap2 (nothing behind it)", Pipeline.overlap_seconds j2, 0.0);
-          ("makespan", Pipeline.makespan p, 34.0) ];
-      List.iteri
-        (fun i j -> Alcotest.(check (option int)) "result" (Some i) (Pipeline.result j))
-        [ j0; j1; j2 ]
-  | _ -> assert false);
-  (* real execution order: both fiber heads run before the first parked
-     tail is forced by window pressure *)
-  Alcotest.(check (list string)) "interleaved real order"
-    [ "f0"; "f1"; "t0"; "f2"; "t1"; "t2" ]
-    (List.rev !log)
+          ("overlap0", j0.Timeline.overlap, 4.0);
+          ("overlap1", j1.Timeline.overlap, 4.0);
+          ("overlap2 (nothing behind it)", j2.Timeline.overlap, 0.0);
+          ("makespan", Timeline.makespan t, 34.0) ]
+  | _ -> assert false
 
 let test_timeline_depth1_is_synchronous () =
-  let p = Pipeline.create ~depth:1 () in
-  let log = ref [] in
-  let jobs =
-    List.map
-      (fun i -> Pipeline.submit p ~ready:0.0 (fiber log i ~fetch:10.0 ~decode:4.0))
-      [ 0; 1; 2 ]
-  in
-  Pipeline.drain p;
+  let t = Timeline.create ~depth:1 in
+  let jobs = place_all t [ (0.0, 10.0, 4.0); (0.0, 10.0, 4.0); (0.0, 10.0, 4.0) ] in
+  Timeline.finish t;
   List.iteri
-    (fun i j ->
+    (fun i (j : Timeline.job) ->
       Alcotest.(check bool)
         (Printf.sprintf "s%d = i * (F + D)" i)
         true
-        (close (Pipeline.started_at j) (float_of_int i *. 14.0));
-      Alcotest.(check bool) "no overlap at depth 1" true
-        (close (Pipeline.overlap_seconds j) 0.0))
-    jobs;
-  Alcotest.(check (list string)) "strictly sequential real order"
-    [ "f0"; "t0"; "f1"; "t1"; "f2"; "t2" ]
-    (List.rev !log)
+        (close j.Timeline.started (float_of_int i *. 14.0));
+      Alcotest.(check bool) "no overlap at depth 1" true (close j.Timeline.overlap 0.0))
+    jobs
 
 let test_ready_and_window_gates () =
-  let p = Pipeline.create ~depth:2 () in
-  let log = ref [] in
-  (* late arrival: the server idles until ready *)
-  let j0 = Pipeline.submit p ~ready:5.0 (fiber log 0 ~fetch:2.0 ~decode:100.0) in
-  let j1 = Pipeline.submit p ~ready:5.0 (fiber log 1 ~fetch:2.0 ~decode:1.0) in
-  (* window gate: job2 may not start before c0 = 107 even though the
-     server is free at e1 = 9 *)
-  let j2 = Pipeline.submit p ~ready:5.0 (fiber log 2 ~fetch:2.0 ~decode:1.0) in
-  Pipeline.drain p;
-  Alcotest.(check bool) "s0 waits for ready" true (close (Pipeline.started_at j0) 5.0);
-  Alcotest.(check bool) "s1 = e0" true (close (Pipeline.started_at j1) 7.0);
-  Alcotest.(check bool) "s2 gated by c0" true
-    (close (Pipeline.started_at j2) (Pipeline.completed_at j0));
-  Alcotest.(check bool) "in-flight drained" true (Pipeline.in_flight p = 0)
-
-let test_executor_misc () =
-  (match Pipeline.create ~depth:0 () with
+  (match Timeline.create ~depth:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "depth 0 must be rejected");
-  let p = Pipeline.create () in
-  Alcotest.(check int) "default depth" 2 (Pipeline.depth p);
-  (* a fiber that never releases finishes in its first slice *)
-  let j = Pipeline.submit p ~ready:0.0 (fun () -> 42) in
-  Alcotest.(check (option int)) "immediate result" (Some 42) (Pipeline.result j);
-  Alcotest.(check int) "await is idempotent" 42 (Pipeline.await p j);
-  (* exceptions inside the fiber propagate at submit *)
-  (match Pipeline.submit p ~ready:0.0 (fun () -> failwith "boom") with
-  | exception Failure m -> Alcotest.(check string) "fiber exn" "boom" m
-  | _ -> Alcotest.fail "expected the fiber's exception");
-  (* parked result is invisible until the tail runs *)
-  let j2 =
-    Pipeline.submit p ~ready:0.0 (fun () ->
-        Pipeline.yield (Pipeline.Fetch 1.0);
-        Pipeline.release ();
-        7)
-  in
-  Alcotest.(check (option int)) "parked" None (Pipeline.result j2);
-  Alcotest.(check int) "await forces the tail" 7 (Pipeline.await p j2)
-
-(* Fibers run on their own span stacks: the telemetry shape of an
-   interleaved (depth 2) execution equals the synchronous (depth 1)
-   one, and parked time is not attributed to a fiber's open spans. *)
-let test_obs_context_isolation () =
-  let spanning_fiber i () =
-    Obs.with_span "job" (fun () ->
-        Obs.with_span "fetch" (fun () -> Pipeline.yield (Pipeline.Fetch 1.0));
-        Pipeline.release ();
-        Obs.with_span "tail" (fun () -> i))
-  in
-  let shape_at depth =
-    Obs.reset ();
-    let p = Pipeline.create ~depth () in
-    let jobs = List.map (fun i -> Pipeline.submit p ~ready:0.0 (spanning_fiber i)) [ 0; 1; 2 ] in
-    Pipeline.drain p;
-    List.iteri
-      (fun i j -> Alcotest.(check (option int)) "value" (Some i) (Pipeline.result j))
-      jobs;
-    let shape = Obs.shape () in
-    Alcotest.(check int) "no misnesting" 0 (Obs.count c_misnested);
-    (match Obs.span_stats "job/tail" with
-    | Some st -> Alcotest.(check int) "tail calls" 3 st.Obs.calls
-    | None -> Alcotest.fail "span job/tail missing");
-    shape
-  in
-  let s1 = shape_at 1 in
-  let s2 = shape_at 2 in
-  let s4 = shape_at 4 in
-  Alcotest.(check string) "shape depth 2 = depth 1" s1 s2;
-  Alcotest.(check string) "shape depth 4 = depth 1" s1 s4
+  let t = Timeline.create ~depth:2 in
+  (* late arrival: the server idles until ready *)
+  let j0 = Timeline.place t ~ready:5.0 ~fetch:2.0 ~decode:100.0 in
+  let j1 = Timeline.place t ~ready:5.0 ~fetch:2.0 ~decode:1.0 in
+  (* window gate: job2 may not start before c0 = 107 even though the
+     server is free at e1 = 9 *)
+  let j2 = Timeline.place t ~ready:5.0 ~fetch:2.0 ~decode:1.0 in
+  Timeline.finish t;
+  Alcotest.(check bool) "s0 waits for ready" true (close j0.Timeline.started 5.0);
+  Alcotest.(check bool) "s1 = e0" true (close j1.Timeline.started 7.0);
+  Alcotest.(check bool) "s2 gated by c0" true
+    (close j2.Timeline.started j0.Timeline.completed)
 
 (* ------------------------------------------------------------------ *)
 (* Cost model: the decode phase and the overlap estimate *)
@@ -226,28 +145,6 @@ let test_response_time_decode () =
   (match Response_time.with_decode ~seconds:(-1.0) Response_time.zero with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative decode must be rejected")
-
-(* [client_seconds] charges the batch's own CPU time only: whatever
-   runs while the walk is parked at its release point (other batches'
-   fetch passes, in the pipeline) is not counted. *)
-let test_client_seconds_excludes_parked () =
-  let burn () =
-    let t0 = Sys.time () in
-    while Sys.time () -. t0 < 0.2 do
-      ignore (Sys.opaque_identity (Array.make 64 0))
-    done
-  in
-  let pacing = { Engine.sequential with Engine.on_release = burn } in
-  let db = List.assoc "ci" (Lazy.force databases) in
-  let pairs = Array.sub queries 0 4 in
-  let results = Client.query_nodes_batch ~pacing (server_of db) g pairs in
-  Array.iter
-    (fun (r : Client.result) ->
-      let busy = r.Client.client_seconds *. float_of_int (Array.length pairs) in
-      Alcotest.(check bool)
-        (Printf.sprintf "client_seconds x width = %.3fs < 0.2s parked" busy)
-        true (busy < 0.2))
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler equivalence: pipelining changes instants, nothing else *)
@@ -311,6 +208,32 @@ let test_depth_invariance () =
         (Printf.sprintf "depth %d: telemetry shape = synchronous" depth)
         shape1 shape)
     [ 2; 4 ]
+
+(* Every batch runs to completion on the caller's span stack, so at any
+   depth each one files its spans under the root paths bench/perf's
+   layer table reads: one [query], [query/plan] and [query/solve] call
+   per batch, nothing misnested and no span outside [query]. *)
+let test_span_attribution () =
+  let report, shape = run_at_depth ~seed:3 4 in
+  let batches = List.length report.Scheduler.batches in
+  Alcotest.(check bool) "several batches" true (batches > 1);
+  Alcotest.(check int) "no misnesting" 0 (Obs.count c_misnested);
+  List.iter
+    (fun path ->
+      match Obs.span_stats path with
+      | Some st -> Alcotest.(check int) (path ^ " calls = batches") batches st.Obs.calls
+      | None -> Alcotest.fail ("span " ^ path ^ " missing"))
+    [ "query"; "query/plan"; "query/solve" ];
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | "span" :: path :: _ ->
+          Alcotest.(check bool)
+            (path ^ " is filed under query")
+            true
+            (path = "query" || String.starts_with ~prefix:"query/" path)
+      | _ -> ())
+    (String.split_on_char '\n' shape)
 
 (* The server-visible fetch sequence is the concatenation of batch
    traces in dispatch order; with the batch sequence and per-member
@@ -501,18 +424,16 @@ let () =
         [ Alcotest.test_case "depth-2 timeline and overlap" `Quick test_timeline_depth2;
           Alcotest.test_case "depth 1 is synchronous" `Quick
             test_timeline_depth1_is_synchronous;
-          Alcotest.test_case "ready and window gates" `Quick test_ready_and_window_gates;
-          Alcotest.test_case "lifecycle, await, errors" `Quick test_executor_misc;
-          Alcotest.test_case "span-context isolation" `Quick test_obs_context_isolation ] );
+          Alcotest.test_case "ready and window gates" `Quick test_ready_and_window_gates ] );
       ( "model",
         [ Alcotest.test_case "decode and overlap estimates" `Quick test_cost_model_decode;
           Alcotest.test_case "response-time decode component" `Quick
-            test_response_time_decode;
-          Alcotest.test_case "client_seconds excludes parked time" `Quick
-            test_client_seconds_excludes_parked ] );
+            test_response_time_decode ] );
       ( "equivalence",
         [ Alcotest.test_case "traces/batches/shape across depths 1-2-4" `Slow
             test_depth_invariance;
+          Alcotest.test_case "spans filed per batch at depth 4" `Quick
+            test_span_attribution;
           Alcotest.test_case "executed store work depth-invariant" `Slow
             test_executed_work_depth_invariant;
           Alcotest.test_case "32-seed fault sweep across depths" `Slow
