@@ -544,13 +544,11 @@ let replication env =
           (fun rate ->
             let run = serve replicas rate in
             let n = run.r_total in
-            let sorted = Array.copy run.r_samples in
-            Array.sort compare sorted;
             [ string_of_int replicas;
               Printf.sprintf "%.3f" rate;
               Printf.sprintf "%.1f%%"
                 (100.0 *. float_of_int (n - run.r_unavailable) /. float_of_int n);
-              seconds (percentile sorted 0.99);
+              seconds (percentile run.r_samples 99.0);
               string_of_int run.r_retries;
               Printf.sprintf "%d/%d" run.r_correct n ])
           rates)
@@ -668,9 +666,9 @@ let serve env =
             r.sv_report.Psp_serve.Scheduler.batches
         in
         [ label;
-          seconds (percentile r.sv_sorted 0.50);
-          seconds (percentile r.sv_sorted 0.95);
-          seconds (percentile r.sv_sorted 0.99);
+          seconds (percentile r.sv_sorted 50.0);
+          seconds (percentile r.sv_sorted 95.0);
+          seconds (percentile r.sv_sorted 99.0);
           Printf.sprintf "%.1f"
             (float_of_int (List.fold_left ( + ) 0 widths)
             /. float_of_int (max 1 (List.length widths)));
@@ -727,8 +725,8 @@ let pipeline env =
           | _ -> "-"
         in
         [ Printf.sprintf "w%d d%d" width depth;
-          seconds (percentile r.sv_sorted 0.50);
-          seconds (percentile r.sv_sorted 0.95);
+          seconds (percentile r.sv_sorted 50.0);
+          seconds (percentile r.sv_sorted 95.0);
           seconds m;
           speedup;
           Printf.sprintf "%.0f%%" (100.0 *. r.sv_overlap);

@@ -423,14 +423,9 @@ let megabytes v = Printf.sprintf "%.2f" (mb v)
 
 module J = Psp_obs.Json
 
-(* nearest-rank percentile over a sorted copy of the samples *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else begin
-    let rank = int_of_float (ceil (q *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-  end
+(* nearest-rank percentile ([p] in [0,100]); nan for a run that
+   served no query *)
+let percentile xs p = if Array.length xs = 0 then nan else Psp_util.Stats.percentile xs p
 
 let run_json r =
   let sorted = Array.copy r.r_samples in
@@ -447,9 +442,9 @@ let run_json r =
       ("latency_seconds",
        J.Obj
          [ ("mean", J.Float (if n = 0 then nan else sum /. float_of_int n));
-           ("p50", J.Float (percentile sorted 0.50));
-           ("p95", J.Float (percentile sorted 0.95));
-           ("p99", J.Float (percentile sorted 0.99));
+           ("p50", J.Float (percentile sorted 50.0));
+           ("p95", J.Float (percentile sorted 95.0));
+           ("p99", J.Float (percentile sorted 99.0));
            ("min", J.Float (if n = 0 then nan else sorted.(0)));
            ("max", J.Float (if n = 0 then nan else sorted.(n - 1))) ]);
       ("retries", J.Int r.r_retries);

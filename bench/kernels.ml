@@ -55,12 +55,6 @@ let tests env =
   [ Test.make ~name:"dijkstra p2p" (Staged.stage (fun () ->
         let s, t = pick () in
         ignore (Psp_graph.Dijkstra.distance g s t)));
-    Test.make ~name:"bidirectional p2p" (Staged.stage (fun () ->
-        let s, t = pick () in
-        ignore (Psp_graph.Bidirectional.distance g s t)));
-    Test.make ~name:"astar euclid p2p" (Staged.stage (fun () ->
-        let s, t = pick () in
-        ignore (Psp_graph.Astar.search_euclidean g ~source:s ~target:t)));
     (* the dispatched cores (SHA-NI, AVX2 where the CPU has them) beside
        the portable ones every other machine runs *)
     Test.make ~name:"sha256 4KB" (Staged.stage (fun () -> ignore (Psp_crypto.Sha256.digest blob)));

@@ -413,13 +413,8 @@ let serve_cmd =
                    Applies to either $(b,--policy).  1 (default) is the \
                    synchronous schedule.")
   in
-  let percentile sorted q =
-    let n = Array.length sorted in
-    if n = 0 then nan
-    else
-      let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
-      sorted.(max 0 (min (n - 1) (rank - 1)))
-  in
+  (* a tenant may have served no query *)
+  let percentile xs p = if Array.length xs = 0 then nan else Psp_util.Stats.percentile xs p in
   let run preset preset_scale gr co seed page_size tenants count arrivals slo min_width
       max_width policy pipeline faults fault_seed metrics =
     let policy =
@@ -519,7 +514,6 @@ let serve_cmd =
               s.Psp_serve.Scheduler.latency)
             mine
         in
-        Array.sort compare lat;
         let over =
           Array.fold_left (fun acc l -> if l > slo then acc + 1 else acc) 0 lat
         in
@@ -532,7 +526,7 @@ let serve_cmd =
           /. float_of_int (max 1 (List.length widths)));
         Printf.printf
           "         latency p50 %.2fs  p95 %.2fs  p99 %.2fs  (%d over slo)\n"
-          (percentile lat 0.50) (percentile lat 0.95) (percentile lat 0.99) over)
+          (percentile lat 50.0) (percentile lat 95.0) (percentile lat 99.0) over)
       built;
     (* the privacy invariant, checked on the live run: members of every
        dispatched batch must be mutually indistinguishable *)

@@ -27,12 +27,6 @@ let arm ?(seed = 0) name schedule =
   Hashtbl.replace points name
     { schedule; seed; rng = Psp_util.Rng.create seed; hits = 0; fired = 0 }
 
-let disarm name =
-  if Hashtbl.mem points name then begin
-    Hashtbl.remove points name;
-    decr armed
-  end
-
 let reset () =
   Hashtbl.reset points;
   armed := 0

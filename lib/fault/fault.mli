@@ -38,7 +38,6 @@ val arm : ?seed:int -> string -> schedule -> unit
     counters.  [seed] (default 0) seeds the stream used by
     [Probability] schedules. *)
 
-val disarm : string -> unit
 val reset : unit -> unit
 (** Remove every failpoint. *)
 

@@ -6,8 +6,8 @@ type spt = {
 }
 
 (* Core loop shared by every entry point.  [stop] may terminate the
-   search after a node is settled; [allowed] prunes relaxations. *)
-let run g ~source ~stop ~allowed =
+   search after a node is settled. *)
+let run g ~source ~stop =
   let n = Graph.node_count g in
   if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
   let dist = Array.make n infinity in
@@ -30,22 +30,19 @@ let run g ~source ~stop ~allowed =
         (* the CSR row directly: no edge record or closure per relaxation *)
         for e = Graph.out_start g u to Graph.out_start g (u + 1) - 1 do
           let v = Graph.edge_dst g e in
-          if allowed v then begin
-            let nd = d +. Graph.edge_weight g e in
-            if nd < dist.(v) then begin
-              dist.(v) <- nd;
-              parent.(v) <- u;
-              parent_edge.(v) <- e;
-              Psp_util.Min_heap.push heap ~priority:nd v
-            end
+          let nd = d +. Graph.edge_weight g e in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            parent.(v) <- u;
+            parent_edge.(v) <- e;
+            Psp_util.Min_heap.push heap ~priority:nd v
           end
         done
     end
   done;
-  ({ dist; parent; parent_edge; settled = !settled }, done_)
+  { dist; parent; parent_edge; settled = !settled }
 
-let tree g ~source =
-  fst (run g ~source ~stop:(fun _ -> false) ~allowed:(fun _ -> true))
+let tree g ~source = run g ~source ~stop:(fun _ -> false)
 
 let tree_until g ~source ~targets =
   let pending = Hashtbl.create 16 in
@@ -54,7 +51,7 @@ let tree_until g ~source ~targets =
     Hashtbl.remove pending u;
     Hashtbl.length pending = 0
   in
-  fst (run g ~source ~stop ~allowed:(fun _ -> true))
+  run g ~source ~stop
 
 let path_to g spt target =
   if spt.dist.(target) = infinity then None
@@ -68,23 +65,8 @@ let path_to g spt target =
   end
 
 let distance g s t =
-  if s = t then 0.0
-  else begin
-    let spt, _ = run g ~source:s ~stop:(fun u -> u = t) ~allowed:(fun _ -> true) in
-    spt.dist.(t)
-  end
+  if s = t then 0.0 else (run g ~source:s ~stop:(fun u -> u = t)).dist.(t)
 
 let shortest_path g s t =
   if s = t then Some (Path.trivial s)
-  else begin
-    let spt, _ = run g ~source:s ~stop:(fun u -> u = t) ~allowed:(fun _ -> true) in
-    path_to g spt t
-  end
-
-let restricted g ~allowed ~source ~target =
-  if not (allowed source && allowed target) then None
-  else if source = target then Some (Path.trivial source)
-  else begin
-    let spt, _ = run g ~source ~stop:(fun u -> u = target) ~allowed in
-    path_to g spt target
-  end
+  else path_to g (run g ~source:s ~stop:(fun u -> u = t)) t

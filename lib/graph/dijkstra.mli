@@ -28,8 +28,3 @@ val shortest_path : Graph.t -> int -> int -> Path.t option
 
 val path_to : Graph.t -> spt -> int -> Path.t option
 (** Extract the tree path to a node from a computed SPT. *)
-
-val restricted : Graph.t -> allowed:(int -> bool) -> source:int -> target:int -> Path.t option
-(** Dijkstra confined to nodes satisfying [allowed] (both endpoints must
-    satisfy it) — models the client searching only the union of fetched
-    regions. *)

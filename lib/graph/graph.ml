@@ -178,19 +178,6 @@ let bounding_box t =
   done;
   (!min_x, !min_y, !max_x, !max_y)
 
-let nearest_node t ~x:px ~y:py =
-  if node_count t = 0 then invalid_arg "Graph.nearest_node: empty graph";
-  let best = ref 0 and best_d = ref infinity in
-  for v = 0 to node_count t - 1 do
-    let dx = t.xs.(v) -. px and dy = t.ys.(v) -. py in
-    let d = (dx *. dx) +. (dy *. dy) in
-    if d < !best_d then begin
-      best := v;
-      best_d := d
-    end
-  done;
-  !best
-
 let reverse t =
   let n = node_count t and m = edge_count t in
   let row = Array.make (n + 1) 0 in
@@ -208,15 +195,3 @@ let reverse t =
     weight.(slot) <- t.g_w.(e)
   done;
   { xs = Array.copy t.xs; ys = Array.copy t.ys; row; g_dst = dst; g_src = src; g_w = weight; rev = None }
-
-let subgraph_of_edges t edge_ids =
-  let b = Builder.create () in
-  for v = 0 to node_count t - 1 do
-    ignore (Builder.add_node b ~x:t.xs.(v) ~y:t.ys.(v))
-  done;
-  List.iter
-    (fun e ->
-      let e = edge t e in
-      Builder.add_edge b e.src e.dst e.weight)
-    edge_ids;
-  Builder.freeze b

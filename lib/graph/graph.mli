@@ -72,26 +72,16 @@ val euclidean : t -> int -> int -> float
 (** Straight-line distance between two nodes' coordinates. *)
 
 val min_weight_per_distance : t -> float
-(** min over edges of weight / euclidean-length — the admissibility
-    scale factor for the Euclidean A* heuristic (1.0 when weights are
-    the Euclidean lengths; can be <1 for time-based weights).  Returns
-    1.0 for a graph with no usable edge. *)
+(** min over edges of weight / euclidean-length — the scale that makes
+    a scaled Euclidean distance an admissible lower bound on path cost
+    (1.0 when weights are the Euclidean lengths; can be <1 for
+    time-based weights).  Returns 1.0 for a graph with no usable edge. *)
 
 val bounding_box : t -> float * float * float * float
 (** (min_x, min_y, max_x, max_y) over all nodes.
-    @raise Invalid_argument on an empty graph. *)
-
-val nearest_node : t -> x:float -> y:float -> int
-(** Node whose coordinates are closest to the given point (linear scan —
-    clients hold small region subgraphs).
     @raise Invalid_argument on an empty graph. *)
 
 val reverse : t -> t
 (** The graph with every edge flipped.  Edge ids are re-assigned; use
     {!iter_in} on the original graph when forward edge ids are needed
     during a backward traversal. *)
-
-val subgraph_of_edges : t -> int list -> t
-(** Graph on the same node set containing only the listed edge ids
-    (ids are re-assigned densely).  Used to materialize PI passage
-    subgraphs on the client. *)

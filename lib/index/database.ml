@@ -85,7 +85,7 @@ let write_regions file ~pages_per_region blobs =
     blobs
 
 (* Dense look-up file: entry (i, j) at logical slot i*R + j, fixed
-   8-byte entries, packed pages. *)
+   10-byte entries ([Encoding.lookup_entry_bytes]), packed pages. *)
 let build_lookup ~page_size ~region_count placements =
   let file = PF.create ~name:"lookup" ~page_size in
   let per_page = page_size / Encoding.lookup_entry_bytes in

@@ -16,34 +16,6 @@ type t = {
   data_offset : int;
 }
 
-(* Serializing just the tree requires a Kdtree.t; we only hold the tree,
-   so we re-implement the same preorder encoding here for both ways. *)
-let encode_tree w tree =
-  let rec emit = function
-    | Psp_partition.Kdtree.Leaf { region } ->
-        W.u8 w 0;
-        W.varint w region
-    | Psp_partition.Kdtree.Split { axis; coord; less; geq } ->
-        W.u8 w (match axis with Psp_partition.Kdtree.X -> 1 | Psp_partition.Kdtree.Y -> 2);
-        W.float64 w coord;
-        emit less;
-        emit geq
-  in
-  emit tree
-
-let decode_tree r =
-  let rec parse () =
-    match R.u8 r with
-    | 0 -> Psp_partition.Kdtree.Leaf { region = R.varint r }
-    | tag ->
-        let axis = if tag = 1 then Psp_partition.Kdtree.X else Psp_partition.Kdtree.Y in
-        let coord = R.float64 r in
-        let less = parse () in
-        let geq = parse () in
-        Psp_partition.Kdtree.Split { axis; coord; less; geq }
-  in
-  parse ()
-
 let encode t =
   let w = W.create ~capacity:1024 () in
   W.string w t.scheme;
@@ -62,13 +34,17 @@ let encode t =
   W.varint w t.lookup_pages;
   W.varint w t.data_pages;
   W.varint w t.data_offset;
-  encode_tree w t.tree;
+  Psp_partition.Kdtree.write_tree w t.tree;
   W.contents w
 
 let decode blob =
   let r = R.of_bytes blob in
   let scheme = R.string r in
   let region_count = R.varint r in
+  (* each first-page entry takes at least one byte: a count the blob
+     cannot hold is rejected before it sizes an allocation *)
+  if region_count < 0 || region_count > R.remaining r then
+    invalid_arg (Printf.sprintf "Header.decode: region count %d" region_count);
   let region_first_page = Array.init region_count (fun _ -> R.varint r) in
   let pages_per_region = R.varint r in
   let plan_len = R.varint r in
@@ -82,7 +58,7 @@ let decode blob =
   let lookup_pages = R.varint r in
   let data_pages = R.varint r in
   let data_offset = R.varint r in
-  let tree = decode_tree r in
+  let tree = Psp_partition.Kdtree.read_tree r ~region_count in
   { scheme;
     tree;
     region_count;

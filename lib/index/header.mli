@@ -27,12 +27,16 @@ type t = {
 
 val encode : t -> bytes
 val decode : bytes -> t
+(** @raise Invalid_argument on a region count the blob cannot hold, a
+    bad plan or tree tag, or a leaf region outside [0, region_count).
+    @raise Psp_util.Byte_io.Reader.Underflow on a blob cut short. *)
 
 val to_page_file : t -> page_size:int -> Psp_storage.Page_file.t
 (** Chunk the encoded header into pages of a file named "header". *)
 
 val of_pages : bytes array -> t
-(** Reassemble from downloaded header pages. *)
+(** Reassemble from downloaded header pages.  Raises as {!decode}, and
+    [Invalid_argument] on a length prefix past the pages' end. *)
 
 val locate : t -> x:float -> y:float -> int
 (** Map a coordinate to its region — the client's first step. *)

@@ -33,6 +33,3 @@ val all_border_nodes : t -> int array
 val entering_edges : t -> int -> int array
 (** Edge ids u→w with u outside region [r] and w inside — the crossing
     edges PI must pack into G_{i,j} so a client can re-enter R_j. *)
-
-val crossing_count : t -> int -> int
-(** Number of crossing edges (both directions) at region [r]. *)

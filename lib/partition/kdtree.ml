@@ -159,36 +159,39 @@ let utilization t ~node_bytes ~capacity =
     float_of_int !used /. float_of_int (t.region_count * capacity)
   end
 
-let serialize t =
-  let w = Psp_util.Byte_io.Writer.create () in
+module W = Psp_util.Byte_io.Writer
+module R = Psp_util.Byte_io.Reader
+
+let write_tree w tree =
   let rec emit = function
     | Leaf { region } ->
-        Psp_util.Byte_io.Writer.u8 w 0;
-        Psp_util.Byte_io.Writer.varint w region
+        W.u8 w 0;
+        W.varint w region
     | Split { axis; coord; less; geq } ->
-        Psp_util.Byte_io.Writer.u8 w (match axis with X -> 1 | Y -> 2);
-        Psp_util.Byte_io.Writer.float64 w coord;
+        W.u8 w (match axis with X -> 1 | Y -> 2);
+        W.float64 w coord;
         emit less;
         emit geq
   in
-  emit t.tree;
-  Psp_util.Byte_io.Writer.contents w
+  emit tree
 
-let deserialize data =
-  let r = Psp_util.Byte_io.Reader.of_bytes data in
-  let max_region = ref (-1) in
+let read_tree r ~region_count =
   let rec parse () =
-    match Psp_util.Byte_io.Reader.u8 r with
+    match R.u8 r with
     | 0 ->
-        let region = Psp_util.Byte_io.Reader.varint r in
-        if region > !max_region then max_region := region;
+        let region = R.varint r in
+        if region < 0 || region >= region_count then
+          invalid_arg
+            (Printf.sprintf "Kdtree.read_tree: leaf region %d outside [0,%d)" region
+               region_count);
         Leaf { region }
-    | tag ->
-        let axis = if tag = 1 then X else Y in
-        let coord = Psp_util.Byte_io.Reader.float64 r in
-        let less = parse () in
-        let geq = parse () in
-        Split { axis; coord; less; geq }
+    | 1 -> split X
+    | 2 -> split Y
+    | tag -> invalid_arg (Printf.sprintf "Kdtree.read_tree: bad node tag %d" tag)
+  and split axis =
+    let coord = R.float64 r in
+    let less = parse () in
+    let geq = parse () in
+    Split { axis; coord; less; geq }
   in
-  let tree = parse () in
-  (tree, !max_region + 1)
+  parse ()

@@ -60,13 +60,18 @@ val region_bytes : t -> node_bytes:(int -> int) -> int -> int
 val utilization : t -> node_bytes:(int -> int) -> capacity:int -> float
 (** Mean payload/capacity over regions — Figure 8(a). *)
 
-val serialize : t -> bytes
-(** Concise header form: structure tags + split coordinates + region
-    ids (preorder). *)
+val write_tree : Psp_util.Byte_io.Writer.t -> tree -> unit
+(** The concise header form, the one writer of the tree's wire format:
+    nodes in preorder, each a tag byte (0 leaf, 1 split on x, 2 split
+    on y) followed by a leaf's varint region id or a split's float64
+    coordinate. *)
 
-val deserialize : bytes -> tree * int
-(** [(tree, region_count)] back from {!serialize} output — what a
-    client reconstructs from the header (it has no assignment array). *)
+val read_tree : Psp_util.Byte_io.Reader.t -> region_count:int -> tree
+(** The one reader of {!write_tree}'s output — what a client rebuilds
+    from the header (it has no assignment array).
+    @raise Invalid_argument on a tag other than 0, 1 or 2, or on a leaf
+    region outside [0, region_count).
+    @raise Psp_util.Byte_io.Reader.Underflow on a tree cut short. *)
 
 val locate_tree : tree -> x:float -> y:float -> int
 (** Point location on a client-side deserialized tree. *)

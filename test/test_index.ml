@@ -584,6 +584,60 @@ let test_fi_builder_compression_shrinks () =
     (Printf.sprintf "compressed %d <= plain %d pages" compressed plain)
     true (compressed <= plain)
 
+(* §5.3 on the placements the builder really makes: a plain record
+   that fits in a page has span 1 and ends inside its page; a larger one
+   starts a fresh page exactly when that lowers its span; records follow
+   one another with no gap but a closed page's tail; and every placement
+   decodes back to its record. *)
+let fi_builder_no_straddle =
+  let g = network ~nodes:20 () in
+  qtest ~count:200 "no-straddle placements stay in order"
+    QCheck2.Gen.(
+      pair (int_range 16 96) (list_size (int_range 1 40) (pair (int_bound 60) (int_range 1 300))))
+    (fun (page_size, records) ->
+      let builder = FB.create ~graph:g ~page_size ~compress:false ~quantize:0.0 ~m_bound:None in
+      let sets = List.map (fun (n, stride) -> Array.init n (fun i -> i * stride)) records in
+      let placements = List.map (FB.add builder ~kind:FB.Region_set) sets in
+      let file = PF.create ~name:"index" ~page_size in
+      FB.flush_to builder file;
+      (* a plain region set: u8 kind, u32 pointer, varint count, the
+         ids, varint 0 exclusions *)
+      let record_bytes ids =
+        let w = Psp_util.Byte_io.Writer.create () in
+        E.encode_region_ids w ids;
+        6 + Psp_util.Byte_io.varint_size (Array.length ids) + Psp_util.Byte_io.Writer.length w
+      in
+      let ceil_div a b = (a + b - 1) / b in
+      let decodes ids (pl : FB.placement) =
+        let pages = Array.init pl.FB.span (fun k -> PF.read file (pl.FB.page + k)) in
+        match FB.decode ~quantize:0.0 ~pages ~base_page:0 ~offset:pl.FB.offset with
+        | FB.Regions r -> r = ids
+        | FB.Edges _ -> false
+        | exception _ -> false
+      in
+      (* [stop] is the byte position just past the previous record *)
+      let rec check stop = function
+        | [] -> true
+        | (ids, (pl : FB.placement)) :: rest ->
+            let len = record_bytes ids in
+            let fill = stop mod page_size in
+            let fresh =
+              fill > 0
+              &&
+              if len <= page_size then fill + len > page_size
+              else ceil_div (fill + len) page_size > ceil_div len page_size
+            in
+            let start = if fresh then stop - fill + page_size else stop in
+            let placed =
+              if len <= page_size then pl.FB.span = 1 && pl.FB.offset + len <= page_size
+              else pl.FB.span = ceil_div (pl.FB.offset + len) page_size
+            in
+            (pl.FB.page * page_size) + pl.FB.offset = start
+            && placed && decodes ids pl
+            && check (start + len) rest
+      in
+      check 0 (List.combine sets placements))
+
 (* ------------------------------------------------------------------ *)
 (* Query plans and headers *)
 
@@ -639,6 +693,35 @@ let test_header_roundtrip () =
     Alcotest.(check int) "locate" t.K.assignment.(v)
       (Psp_index.Header.locate header' ~x:(G.x g v) ~y:(G.y g v))
   done
+
+(* Header pages as a host might serve them: random, truncated or
+   bit-flipped.  Decoding either fails typed, before any oblivious round
+   could start, or yields a tree whose every leaf names one of the
+   header's regions. *)
+let header_fuzz =
+  let g = network () in
+  let headers =
+    [ (DB.build_ci ~page_size:512 g).DB.header;
+      (DB.build_pi_star ~cluster:2 ~page_size:512 g).DB.header;
+      (fst (DB.build_af ~target_regions:12 ~page_size:512 g)).DB.header ]
+  in
+  let blobs =
+    List.map
+      (fun h ->
+        let file = Psp_index.Header.to_page_file h ~page_size:128 in
+        Bytes.concat Bytes.empty (List.init (PF.page_count file) (PF.read file)))
+      headers
+  in
+  let rec leaves_within count = function
+    | K.Leaf { region } -> region >= 0 && region < count
+    | K.Split { less; geq; _ } -> leaves_within count less && leaves_within count geq
+  in
+  qtest ~count:1000 "malformed header pages fail typed"
+    (mangle_gen blobs)
+    (fun blob ->
+      match Psp_index.Header.of_pages [| blob |] with
+      | h -> leaves_within h.Psp_index.Header.region_count h.Psp_index.Header.tree
+      | exception (Psp_util.Byte_io.Reader.Underflow | Invalid_argument _ | Failure _) -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Database builders: structural invariants *)
@@ -768,11 +851,12 @@ let () =
           Alcotest.test_case "one pass = recursive decode" `Quick
             test_fi_builder_one_pass_equals_recursive;
           Alcotest.test_case "malformed chains rejected" `Quick test_fi_builder_malformed_chains;
-          fi_decode_fuzz ] );
+          fi_decode_fuzz;
+          fi_builder_no_straddle ] );
       ( "plans",
         [ Alcotest.test_case "roundtrip" `Quick test_plan_roundtrip;
           Alcotest.test_case "budgets" `Quick test_plan_budgets ] );
-      ( "header", [ Alcotest.test_case "roundtrip" `Quick test_header_roundtrip ] );
+      ( "header", [ Alcotest.test_case "roundtrip" `Quick test_header_roundtrip; header_fuzz ] );
       ( "database",
         [ Alcotest.test_case "CI structure" `Quick test_ci_database_structure;
           Alcotest.test_case "PI bigger than CI" `Quick test_pi_database_bigger_than_ci;

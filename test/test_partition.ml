@@ -95,22 +95,35 @@ let test_oversized_node_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+let tree_blob t =
+  let w = Psp_util.Byte_io.Writer.create () in
+  K.write_tree w t.K.tree;
+  Psp_util.Byte_io.Writer.contents w
+
 let test_serialize_roundtrip () =
   let g = network () in
   let t = K.build_packed g ~node_bytes:(node_bytes g) ~capacity:400 in
-  let tree, count = K.deserialize (K.serialize t) in
-  Alcotest.(check int) "region count" t.K.region_count count;
+  let r = Psp_util.Byte_io.Reader.of_bytes (tree_blob t) in
+  let tree = K.read_tree r ~region_count:t.K.region_count in
+  Alcotest.(check int) "whole blob read" 0 (Psp_util.Byte_io.Reader.remaining r);
   for v = 0 to G.node_count g - 1 do
     Alcotest.(check int) "client-side locate" t.K.assignment.(v)
       (K.locate_tree tree ~x:(G.x g v) ~y:(G.y g v))
-  done
+  done;
+  (* the highest region id is a leaf, so one region fewer rejects it *)
+  match
+    K.read_tree (Psp_util.Byte_io.Reader.of_bytes (tree_blob t))
+      ~region_count:(t.K.region_count - 1)
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "leaf outside the region count accepted"
 
 let test_header_is_concise () =
   (* the partitioning info shipped to clients stays small: one split
      coordinate per internal node *)
   let g = network ~nodes:2000 () in
   let t = K.build_packed g ~node_bytes:(node_bytes g) ~capacity:500 in
-  let blob = K.serialize t in
+  let blob = tree_blob t in
   Alcotest.(check bool)
     (Printf.sprintf "%d bytes for %d regions" (Bytes.length blob) t.K.region_count)
     true
@@ -162,6 +175,25 @@ let test_entering_edges () =
       (B.entering_edges b r)
   done
 
+let crossings_property =
+  qtest "crossing edges reach border and entering sets on random networks"
+    QCheck2.Gen.(pair (int_range 50 400) (int_range 0 1000))
+    (fun (nodes, seed) ->
+      let g = network ~nodes ~seed () in
+      let t = K.build_packed g ~node_bytes:(node_bytes g) ~capacity:300 in
+      let b = B.compute g ~assignment:t.K.assignment ~region_count:t.K.region_count in
+      let ok = ref true in
+      G.iter_edges g (fun e ->
+          let ru = t.K.assignment.(e.G.src) and rv = t.K.assignment.(e.G.dst) in
+          if ru <> rv then
+            if
+              not
+                (Array.mem e.G.dst (B.border_nodes b ru)
+                && Array.mem e.G.src (B.border_nodes b rv)
+                && Array.mem e.G.id (B.entering_edges b rv))
+            then ok := false);
+      !ok)
+
 let test_all_border_nodes_union () =
   let _, t, b = setup_borders () in
   let union = B.all_border_nodes b in
@@ -173,69 +205,8 @@ let test_all_border_nodes_union () =
       (B.border_nodes b r)
   done
 
-let test_crossing_counts () =
-  let g, t, b = setup_borders () in
-  let total = ref 0 in
-  for r = 0 to t.K.region_count - 1 do
-    total := !total + B.crossing_count b r
-  done;
-  let crossing_edges = ref 0 in
-  G.iter_edges g (fun e ->
-      if t.K.assignment.(e.G.src) <> t.K.assignment.(e.G.dst) then incr crossing_edges);
-  (* each crossing edge counts once for each side *)
-  Alcotest.(check int) "sum = 2x crossing edges" (2 * !crossing_edges) !total
-
-(* ------------------------------------------------------------------ *)
-(* Geometric border nodes (the paper's exact §5.2 construction) *)
-
-module Geo = Psp_partition.Geometric
-
-let test_geometric_metric_preserved () =
-  (* splitting edges at split-line crossings must not change any
-     shortest-path cost *)
-  let g, t, _ = setup_borders () in
-  let aug = Geo.augment g t in
-  Alcotest.(check bool) "virtual nodes exist" true (Geo.virtual_count aug > 0);
-  let qs = Psp_netgen.Synthetic.random_queries g ~count:40 ~seed:12 in
-  Array.iter
-    (fun (s, dst) ->
-      let original = Psp_graph.Dijkstra.distance g s dst in
-      let augmented = Psp_graph.Dijkstra.distance aug.Geo.graph s dst in
-      Alcotest.(check bool)
-        (Printf.sprintf "d(%d,%d) %f = %f" s dst original augmented)
-        true
-        (Float.abs (original -. augmented) < 1e-6 *. Float.max 1.0 original))
-    qs
-
-let test_geometric_borders_on_boundaries () =
-  let g, t, graph_borders = setup_borders () in
-  let aug = Geo.augment g t in
-  (* every crossing edge produces at least one virtual node, so regions
-     with graph-theoretic borders also have geometric ones *)
-  for r = 0 to t.K.region_count - 1 do
-    if Array.length (B.border_nodes graph_borders r) > 0 then
-      Alcotest.(check bool)
-        (Printf.sprintf "region %d has geometric borders" r)
-        true
-        (Geo.border_count aug r > 0)
-  done;
-  (* virtual nodes have degree >= 2 (they sit on split edges) and map
-     back to original edges *)
-  for v = aug.Geo.original_nodes to Psp_graph.Graph.node_count aug.Geo.graph - 1 do
-    Alcotest.(check bool) "degree >= 1" true (Psp_graph.Graph.out_degree aug.Geo.graph v >= 1)
-  done;
-  Array.iteri
-    (fun id orig ->
-      if orig >= 0 then begin
-        let piece = Psp_graph.Graph.edge aug.Geo.graph id in
-        let original = Psp_graph.Graph.edge g orig in
-        Alcotest.(check bool) "piece weight within original" true
-          (piece.Psp_graph.Graph.weight <= original.Psp_graph.Graph.weight +. 1e-6)
-      end)
-    aug.Geo.orig_edge;
-  Alcotest.(check bool) "every augmented edge is mapped" true
-    (Array.for_all (fun o -> o >= 0) aug.Geo.orig_edge)
-
+(* Alcotest cuts long test names to the width the widest group label
+   leaves, so a group label's length is part of every printed name. *)
 let () =
   Alcotest.run "partition"
     [ ( "kdtree",
@@ -253,8 +224,5 @@ let () =
         [ Alcotest.test_case "definition" `Quick test_border_definition;
           Alcotest.test_case "covers crossings" `Quick test_border_covers_crossings;
           Alcotest.test_case "entering edges" `Quick test_entering_edges;
-          Alcotest.test_case "union" `Quick test_all_border_nodes_union;
-          Alcotest.test_case "crossing counts" `Quick test_crossing_counts ] );
-      ( "geometric",
-        [ Alcotest.test_case "metric preserved" `Quick test_geometric_metric_preserved;
-          Alcotest.test_case "borders on boundaries" `Quick test_geometric_borders_on_boundaries ] ) ]
+          Alcotest.test_case "union" `Quick test_all_border_nodes_union ] );
+      ("crossings", [ crossings_property ]) ]

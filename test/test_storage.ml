@@ -1,7 +1,8 @@
-(* Storage engine: page files and the no-straddle record packer. *)
+(* Storage engine: page files — padding, bounds, checksums, atomic
+   save and load, and typed rejection of corrupt files.  The §5.3
+   no-straddle record placement is tested on Fi_builder (test_index). *)
 
 module PF = Psp_storage.Page_file
-module Packer = Psp_storage.Packer
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -57,82 +58,6 @@ let test_page_file_iter () =
   let seen = ref [] in
   PF.iter_pages f (fun i page -> seen := (i, Bytes.get page 0) :: !seen);
   Alcotest.(check (list (pair int char))) "iterated" [ (1, 'b'); (0, 'a') ] !seen
-
-(* ------------------------------------------------------------------ *)
-(* Packer *)
-
-let test_packer_no_straddle () =
-  let p = Packer.create ~page_size:10 in
-  let a = Packer.add p (Bytes.make 6 'a') in
-  let b = Packer.add p (Bytes.make 6 'b') in
-  (* b does not fit after a: must start page 1, not straddle *)
-  Alcotest.(check int) "a page" 0 a.Packer.first_page;
-  Alcotest.(check int) "b page" 1 b.Packer.first_page;
-  Alcotest.(check int) "b offset" 0 b.Packer.offset;
-  Alcotest.(check int) "b span" 1 b.Packer.page_span
-
-let test_packer_fills_free_space () =
-  let p = Packer.create ~page_size:10 in
-  ignore (Packer.add p (Bytes.make 4 'a'));
-  let b = Packer.add p (Bytes.make 6 'b') in
-  Alcotest.(check int) "same page" 0 b.Packer.first_page;
-  Alcotest.(check int) "offset after a" 4 b.Packer.offset;
-  Alcotest.(check int) "free" 0 (Packer.current_page_free p)
-
-let test_packer_oversized () =
-  let p = Packer.create ~page_size:10 in
-  ignore (Packer.add p (Bytes.make 3 'a'));
-  let big = Packer.add p (Bytes.make 22 'b') in
-  Alcotest.(check int) "fresh page" 1 big.Packer.first_page;
-  Alcotest.(check int) "span ceil(22/10)" 3 big.Packer.page_span;
-  Alcotest.(check int) "offset" 0 big.Packer.offset;
-  Alcotest.(check int) "max span" 3 (Packer.max_span p);
-  (* next record may share the oversized record's trailing page *)
-  let c = Packer.add p (Bytes.make 2 'c') in
-  Alcotest.(check int) "after oversized" 3 c.Packer.first_page;
-  Alcotest.(check int) "offset past tail" 2 c.Packer.offset
-
-let test_packer_flush_roundtrip () =
-  let p = Packer.create ~page_size:10 in
-  let records = [ Bytes.make 4 'a'; Bytes.make 7 'b'; Bytes.make 25 'c'; Bytes.make 1 'd' ] in
-  let placements = List.map (Packer.add p) records in
-  let f = PF.create ~name:"t" ~page_size:10 in
-  Packer.flush_to p f;
-  Alcotest.(check int) "page count" (Packer.page_count p) (PF.page_count f);
-  (* each record's bytes are recoverable from its placement *)
-  List.iter2
-    (fun record (pl : Packer.placement) ->
-      let window =
-        Bytes.concat Bytes.empty
-          (List.init pl.Packer.page_span (fun k -> PF.read f (pl.Packer.first_page + k)))
-      in
-      let got = Bytes.sub window pl.Packer.offset (Bytes.length record) in
-      Alcotest.(check string) "record recovered" (Bytes.to_string record) (Bytes.to_string got))
-    records placements
-
-let packer_invariants =
-  qtest "packer placements never straddle and stay in order"
-    QCheck2.Gen.(pair (int_range 8 64) (list_size (int_range 1 40) (int_range 1 100)))
-    (fun (page_size, sizes) ->
-      let p = Packer.create ~page_size in
-      let placements = List.map (fun n -> Packer.add p (Bytes.make n 'x')) sizes in
-      let ok = ref true in
-      let last = ref (-1) in
-      List.iter2
-        (fun n (pl : Packer.placement) ->
-          (* monotone page order *)
-          if pl.Packer.first_page < !last then ok := false;
-          last := pl.Packer.first_page;
-          if n <= page_size then begin
-            if pl.Packer.page_span <> 1 then ok := false;
-            if pl.Packer.offset + n > page_size then ok := false
-          end
-          else begin
-            if pl.Packer.offset <> 0 then ok := false;
-            if pl.Packer.page_span <> (n + page_size - 1) / page_size then ok := false
-          end)
-        sizes placements;
-      !ok)
 
 let test_page_file_save_load () =
   let f = PF.create ~name:"persisted" ~page_size:32 in
@@ -249,14 +174,6 @@ let test_page_file_torn_save_detected () =
   | Ok _ -> Alcotest.fail "torn write loaded cleanly");
   Sys.remove path
 
-let test_packer_sealed () =
-  let p = Packer.create ~page_size:8 in
-  ignore (Packer.add p (Bytes.make 2 'a'));
-  let f = PF.create ~name:"t" ~page_size:8 in
-  Packer.flush_to p f;
-  Alcotest.check_raises "sealed" (Invalid_argument "Packer.add: already flushed") (fun () ->
-      ignore (Packer.add p (Bytes.make 1 'b')))
-
 let () =
   Alcotest.run "storage"
     [ ( "page_file",
@@ -270,11 +187,4 @@ let () =
           Alcotest.test_case "checksums" `Quick test_page_file_checksums;
           Alcotest.test_case "atomic save" `Quick test_page_file_atomic_save;
           Alcotest.test_case "torn save detected" `Quick test_page_file_torn_save_detected;
-          load_corruption_fuzz ] );
-      ( "packer",
-        [ Alcotest.test_case "no straddle" `Quick test_packer_no_straddle;
-          Alcotest.test_case "fills free space" `Quick test_packer_fills_free_space;
-          Alcotest.test_case "oversized records" `Quick test_packer_oversized;
-          Alcotest.test_case "flush roundtrip" `Quick test_packer_flush_roundtrip;
-          packer_invariants;
-          Alcotest.test_case "sealed" `Quick test_packer_sealed ] ) ]
+          load_corruption_fuzz ] ) ]
