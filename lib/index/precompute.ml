@@ -13,73 +13,58 @@ let pair_index ~region_count i j =
 
 let npairs region_count = region_count * (region_count + 1) / 2
 
-(* A tiny int-set accumulator with O(1) dedup via an epoch-stamped
-   mark array; reused across walks to avoid allocation. *)
-module Marked = struct
-  type t = { marks : int array; mutable epoch : int; items : int Psp_util.Dyn_array.t }
+(* A set over [0..n-1]: membership bits plus the member list, so adding
+   is O(1) and reading out or emptying costs the member count, not n. *)
+module Sparse_set = struct
+  type t = { bits : Psp_util.Bitset.t; members : int Psp_util.Dyn_array.t }
 
-  let create n = { marks = Array.make n 0; epoch = 0; items = Psp_util.Dyn_array.create () }
-
-  let reset t =
-    t.epoch <- t.epoch + 1;
-    Psp_util.Dyn_array.clear t.items
+  let create n = { bits = Psp_util.Bitset.create n; members = Psp_util.Dyn_array.create () }
 
   let add t v =
-    if t.marks.(v) <> t.epoch then begin
-      t.marks.(v) <- t.epoch;
-      Psp_util.Dyn_array.push t.items v
+    if not (Psp_util.Bitset.mem t.bits v) then begin
+      Psp_util.Bitset.set t.bits v;
+      Psp_util.Dyn_array.push t.members v
     end
 
-  let items t = Psp_util.Dyn_array.to_array t.items
+  (* the members in increasing order; leaves the set empty *)
+  let drain t =
+    let out = Psp_util.Dyn_array.to_array t.members in
+    Array.iter (Psp_util.Bitset.unset t.bits) out;
+    Psp_util.Dyn_array.clear t.members;
+    Array.sort Int.compare out;
+    out
 end
 
 let default_domains () = max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
-(* The per-source work: one shortest-path tree, then a parent-chain walk
-   to every other border node, accumulating region ids and edge ids into
-   the caller's pair-indexed tables.  Used by both the sequential path
-   and each worker domain (tables are then per-domain and merged). *)
-let process_source g ~assignment ~borders_of ~sources ~idx ~set_acc ~sub_acc
-    ~walk_regions ~walk_edges src =
-  let spt = Psp_graph.Dijkstra.tree g ~source:src in
-  let rows = borders_of.(src) in
-  Array.iter
-    (fun dst ->
-      if spt.Psp_graph.Dijkstra.dist.(dst) < infinity then begin
-        let cols = borders_of.(dst) in
-        Marked.reset walk_regions;
-        Psp_util.Dyn_array.clear walk_edges;
-        (* walk the tree chain dst -> src *)
-        let v = ref dst in
-        Marked.add walk_regions assignment.(!v);
-        while spt.Psp_graph.Dijkstra.parent_edge.(!v) >= 0 do
-          Psp_util.Dyn_array.push walk_edges spt.Psp_graph.Dijkstra.parent_edge.(!v);
-          v := spt.Psp_graph.Dijkstra.parent.(!v);
-          Marked.add walk_regions assignment.(!v)
-        done;
-        let regions = Marked.items walk_regions in
-        let edges = Psp_util.Dyn_array.to_array walk_edges in
-        List.iter
-          (fun i ->
-            List.iter
-              (fun j ->
-                let p = idx i j in
-                (match set_acc with
-                | Some acc ->
-                    let table = acc.(p) in
-                    Array.iter
-                      (fun r -> if r <> i && r <> j then Hashtbl.replace table r ())
-                      regions
-                | None -> ());
-                match sub_acc with
-                | Some acc ->
-                    let table = acc.(p) in
-                    Array.iter (fun e -> Hashtbl.replace table e ()) edges
-                | None -> ())
-              cols)
-          rows
-      end)
-    sources
+(* Union of two sorted, duplicate-free arrays, sorted and duplicate-free. *)
+let merge_union a b =
+  let na = Array.length a and nb = Array.length b in
+  let out = Array.make (na + nb) 0 in
+  let rec go i j k =
+    if i = na then begin
+      Array.blit b j out k (nb - j);
+      k + nb - j
+    end
+    else if j = nb then begin
+      Array.blit a i out k (na - i);
+      k + na - i
+    end
+    else if a.(i) < b.(j) then begin
+      out.(k) <- a.(i);
+      go (i + 1) j (k + 1)
+    end
+    else if a.(i) > b.(j) then begin
+      out.(k) <- b.(j);
+      go i (j + 1) (k + 1)
+    end
+    else begin
+      out.(k) <- a.(i);
+      go (i + 1) (j + 1) (k + 1)
+    end
+  in
+  let k = go 0 0 0 in
+  if k = na + nb then out else Array.sub out 0 k
 
 let compute ?domains g ~assignment ~border ~want_sets ~want_subgraphs =
   let n = G.node_count g in
@@ -87,95 +72,90 @@ let compute ?domains g ~assignment ~border ~want_sets ~want_subgraphs =
     invalid_arg "Precompute.compute: assignment length mismatch";
   let domains = match domains with Some d -> max 1 d | None -> default_domains () in
   let region_count = Psp_partition.Border.region_count border in
-  let pairs = npairs region_count in
-  let idx = pair_index ~region_count in
-  (* node -> regions for which it is a border node *)
-  let borders_of = Array.make n [] in
-  for r = 0 to region_count - 1 do
-    Array.iter
-      (fun v -> borders_of.(v) <- r :: borders_of.(v))
-      (Psp_partition.Border.border_nodes border r)
-  done;
-  let sources = Psp_partition.Border.all_border_nodes border in
-  let make_acc want =
-    if want then
-      Some (Array.init pairs (fun _ : (int, unit) Hashtbl.t -> Hashtbl.create 4))
-    else None
-  in
-  let set_acc = make_acc want_sets in
-  let sub_acc = make_acc want_subgraphs in
-  let run_chunk ~set_acc ~sub_acc lo hi =
-    let walk_regions = Marked.create region_count in
-    let walk_edges = Psp_util.Dyn_array.create () in
-    for k = lo to hi - 1 do
-      process_source g ~assignment ~borders_of ~sources ~idx ~set_acc ~sub_acc
-        ~walk_regions ~walk_edges sources.(k)
-    done
-  in
-  let total = Array.length sources in
-  if domains <= 1 || total < 2 * domains then
-    run_chunk ~set_acc ~sub_acc 0 total
-  else begin
-    (* each worker fills private tables over its source chunk; the
-       results are set unions, so the merge order is irrelevant and the
-       output is identical to a sequential run *)
-    let chunk = (total + domains - 1) / domains in
-    let workers =
-      List.init domains (fun d ->
-          let lo = d * chunk and hi = min total ((d + 1) * chunk) in
-          Domain.spawn (fun () ->
-              let local_set = make_acc want_sets in
-              let local_sub = make_acc want_subgraphs in
-              if lo < hi then run_chunk ~set_acc:local_set ~sub_acc:local_sub lo hi;
-              (local_set, local_sub)))
-    in
-    let merge ~into from =
-      match (into, from) with
-      | Some dst, Some src ->
-          Array.iteri
-            (fun p table -> Hashtbl.iter (fun k () -> Hashtbl.replace dst.(p) k ()) table)
-            src
-      | _ -> ()
-    in
-    List.iter
-      (fun worker ->
-        let local_set, local_sub = Domain.join worker in
-        merge ~into:set_acc local_set;
-        merge ~into:sub_acc local_sub)
-      workers
-  end;
-  let sets =
-    match set_acc with
-    | None -> None
-    | Some acc ->
-        Some
-          (Array.map
-             (fun table ->
-               let out = Hashtbl.fold (fun r () acc -> r :: acc) table [] in
-               Array.of_list (List.sort compare out))
-             acc)
-  in
-  let subgraphs =
-    match sub_acc with
-    | None -> None
-    | Some acc ->
-        (* add the crossing edges entering each endpoint region *)
-        for i = 0 to region_count - 1 do
-          let entering = Psp_partition.Border.entering_edges border i in
-          for j = 0 to region_count - 1 do
-            let p = idx i j in
-            let table = acc.(p) in
-            Array.iter (fun e -> Hashtbl.replace table e ()) entering
-          done
+  let border_nodes = Array.init region_count (Psp_partition.Border.border_nodes border) in
+  let entering = Array.init region_count (Psp_partition.Border.entering_edges border) in
+  (* directed contributions, row-major: D(i->j) at i * region_count + j
+     holds what the tree chains from border(i) to border(j) cross *)
+  let dir_sets = Array.make (region_count * region_count) [||] in
+  let dir_subs = Array.make (region_count * region_count) [||] in
+  (* Row i: one tree per border node s of R_i.  For each column j, climb
+     from every reachable border node of R_j towards s and stop at the
+     first node already climbed for (s, j): the rest of that chain is
+     already in column j's sets.  The row's sources share the sets, so
+     at the row's end each column holds D(i->j). *)
+  let run_rows next_row =
+    let stamp = Array.make n (-1) in
+    let epoch = ref (-1) in
+    let region_cols = Array.init region_count (fun _ -> Sparse_set.create region_count) in
+    let edge_cols = Array.init region_count (fun _ -> Sparse_set.create (G.edge_count g)) in
+    let rec rows () =
+      let i = next_row () in
+      if i < region_count then begin
+        Array.iter
+          (fun s ->
+            let spt = Psp_graph.Dijkstra.tree g ~source:s in
+            let dist = spt.Psp_graph.Dijkstra.dist
+            and parent = spt.Psp_graph.Dijkstra.parent
+            and parent_edge = spt.Psp_graph.Dijkstra.parent_edge in
+            for j = 0 to region_count - 1 do
+              incr epoch;
+              let walked = !epoch in
+              let regions = region_cols.(j) and edges = edge_cols.(j) in
+              let rec climb v =
+                if stamp.(v) <> walked then begin
+                  stamp.(v) <- walked;
+                  let r = assignment.(v) in
+                  if want_sets && r <> i && r <> j then Sparse_set.add regions r;
+                  let e = parent_edge.(v) in
+                  if e >= 0 then begin
+                    if want_subgraphs then Sparse_set.add edges e;
+                    climb parent.(v)
+                  end
+                end
+              in
+              Array.iter (fun t -> if dist.(t) < infinity then climb t) border_nodes.(j)
+            done)
+          border_nodes.(i);
+        for j = 0 to region_count - 1 do
+          let d = (i * region_count) + j in
+          if want_sets then dir_sets.(d) <- Sparse_set.drain region_cols.(j);
+          if want_subgraphs then begin
+            (* the crossing edges entering R_j, which a client cannot
+               otherwise see; D(j->i) brings those entering R_i *)
+            Array.iter (Sparse_set.add edge_cols.(j)) entering.(j);
+            dir_subs.(d) <- Sparse_set.drain edge_cols.(j)
+          end
         done;
-        Some
-          (Array.map
-             (fun table ->
-               let out = Hashtbl.fold (fun e () acc -> e :: acc) table [] in
-               Array.of_list (List.sort compare out))
-             acc)
+        rows ()
+      end
+    in
+    rows ()
   in
-  { region_count; sets; subgraphs }
+  (* rows are claimed one at a time, so each directed slot is written by
+     exactly one domain and the result does not depend on which *)
+  let row = Atomic.make 0 in
+  let next_row () = Atomic.fetch_and_add row 1 in
+  let spawned =
+    List.init (max 0 (min domains region_count - 1)) (fun _ ->
+        Domain.spawn (fun () -> run_rows next_row))
+  in
+  run_rows next_row;
+  List.iter Domain.join spawned;
+  let publish want dir =
+    if not want then None
+    else begin
+      let out = Array.make (npairs region_count) [||] in
+      for i = 0 to region_count - 1 do
+        out.(pair_index ~region_count i i) <- dir.((i * region_count) + i);
+        for j = i + 1 to region_count - 1 do
+          out.(pair_index ~region_count i j) <-
+            merge_union dir.((i * region_count) + j) dir.((j * region_count) + i)
+        done
+      done;
+      Some out
+    end
+  in
+  { region_count; sets = publish want_sets dir_sets; subgraphs = publish want_subgraphs dir_subs }
 
 let region_count t = t.region_count
 let pair_count t = npairs t.region_count

@@ -1,9 +1,8 @@
 (** Border-pair shortest-path pre-computation (§5.2, §6).
 
-    For every unordered region pair (i, j), i ≤ j (our networks are
-    undirected, so S_{i,j} = S_{j,i}; the paper makes the same
-    reduction), grow a shortest-path tree from every border node and
-    walk it to every other border node, accumulating:
+    For every unordered region pair (i, j), i ≤ j (the paper makes the
+    same reduction), grow a shortest-path tree from every border node
+    and walk it to every other border node, accumulating:
 
     - the *region set* S_{i,j}: identifiers of intermediate regions
       crossed by at least one border-to-border shortest path (excluding
@@ -14,7 +13,16 @@
       fetched regions) — the PI payload.
 
     The i = j diagonal is included: a shortest path between two nodes of
-    the same region may detour through neighbours. *)
+    the same region may detour through neighbours.
+
+    The walk is row-major.  Row i grows one tree per border node s of
+    R_i; for each column j it climbs from every reachable border node of
+    R_j towards s and stops at the first node already climbed for
+    (s, j), so each tree node is visited once per column.  The row's
+    sources fill one set per column, which at the row's end holds the
+    directed contribution D(i→j).  S_{i,j} and G_{i,j} are the merged
+    union of D(i→j) and D(j→i): paths run both ways, and on a directed
+    network the two differ. *)
 
 type t
 
@@ -27,9 +35,9 @@ val compute :
   want_subgraphs:bool ->
   t
 (** One pass computes whichever payloads are requested (HY needs both).
-    [domains] parallelizes over border-node sources with OCaml 5
-    domains (default: up to 4, per the machine); the result is
-    identical for any value, because the accumulators are set unions. *)
+    [domains] parallelizes over rows with OCaml 5 domains (default: up
+    to 4, per the machine); each row is computed whole by one domain, so
+    the result is identical for any value. *)
 
 val region_count : t -> int
 

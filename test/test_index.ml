@@ -206,6 +206,156 @@ let test_precompute_parallel_equals_sequential () =
     done
   done
 
+(* The pre-computation written the direct way: one tree per distinct
+   border node, then a separate parent-chain walk to every border node,
+   each chain's regions and edges added to every (i, j) pair with the
+   source bordering R_i and the destination bordering R_j, then the
+   crossing edges entering R_i and R_j.  Quadratic in the border count,
+   but nothing is shared between chains, so it is the reference for the
+   row-major walk.  Returns (sets, subgraphs) by pair index. *)
+let reference_precompute g ~assignment ~border =
+  let module Bd = Psp_partition.Border in
+  let module D = Psp_graph.Dijkstra in
+  let rc = Bd.region_count border in
+  let idx = Psp_index.Precompute.pair_index ~region_count:rc in
+  let pairs = rc * (rc + 1) / 2 in
+  let sets = Array.init pairs (fun _ -> Hashtbl.create 4) in
+  let subs = Array.init pairs (fun _ -> Hashtbl.create 4) in
+  let borders_of = Array.make (G.node_count g) [] in
+  for r = 0 to rc - 1 do
+    Array.iter (fun v -> borders_of.(v) <- r :: borders_of.(v)) (Bd.border_nodes border r)
+  done;
+  let sources = Bd.all_border_nodes border in
+  Array.iter
+    (fun src ->
+      let spt = D.tree g ~source:src in
+      Array.iter
+        (fun dst ->
+          if spt.D.dist.(dst) < infinity then begin
+            let regions = ref [ assignment.(dst) ] and edges = ref [] in
+            let v = ref dst in
+            while spt.D.parent_edge.(!v) >= 0 do
+              edges := spt.D.parent_edge.(!v) :: !edges;
+              v := spt.D.parent.(!v);
+              regions := assignment.(!v) :: !regions
+            done;
+            List.iter
+              (fun i ->
+                List.iter
+                  (fun j ->
+                    let p = idx i j in
+                    List.iter (fun r -> if r <> i && r <> j then Hashtbl.replace sets.(p) r ()) !regions;
+                    List.iter (fun e -> Hashtbl.replace subs.(p) e ()) !edges)
+                  borders_of.(dst))
+              borders_of.(src)
+          end)
+        sources)
+    sources;
+  for i = 0 to rc - 1 do
+    for j = 0 to rc - 1 do
+      Array.iter (fun e -> Hashtbl.replace subs.(idx i j) e ()) (Bd.entering_edges border i)
+    done
+  done;
+  let sorted table = Array.of_list (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) table [])) in
+  (Array.map sorted sets, Array.map sorted subs)
+
+(* [Precompute.compute] agrees with the reference on every pair, at one
+   and two domains, for each payload alone and both together *)
+let matches_reference g ~assignment ~border =
+  let rc = Psp_partition.Border.region_count border in
+  let ref_sets, ref_subs = reference_precompute g ~assignment ~border in
+  List.for_all
+    (fun (domains, want_sets, want_subgraphs) ->
+      let pre =
+        Psp_index.Precompute.compute ~domains g ~assignment ~border ~want_sets ~want_subgraphs
+      in
+      let ok = ref true in
+      for i = 0 to rc - 1 do
+        for j = 0 to rc - 1 do
+          let p = Psp_index.Precompute.pair_index ~region_count:rc i j in
+          if want_sets && Psp_index.Precompute.region_set pre i j <> ref_sets.(p) then ok := false;
+          if want_subgraphs && Psp_index.Precompute.subgraph pre i j <> ref_subs.(p) then
+            ok := false
+        done
+      done;
+      !ok)
+    [ (1, true, true); (2, true, true); (1, true, false); (1, false, true); (2, false, true) ]
+
+let precompute_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:12 ~name:"matches the per-chain reference"
+       ~print:(fun (nodes, seed, packed, capacity) ->
+         Printf.sprintf "nodes=%d seed=%d %s capacity=%d" nodes seed
+           (if packed then "packed" else "plain")
+           capacity)
+       QCheck2.Gen.(quad (int_range 30 300) (int_bound 10_000) bool (int_range 200 600))
+       (fun (nodes, seed, packed, capacity) ->
+         let g = network ~nodes ~seed () in
+         let node_bytes = E.node_bytes E.plain_config g in
+         let t = (if packed then K.build_packed else K.build_plain) g ~node_bytes ~capacity in
+         let border =
+           Psp_partition.Border.compute g ~assignment:t.K.assignment
+             ~region_count:t.K.region_count
+         in
+         matches_reference g ~assignment:t.K.assignment ~border))
+
+(* Synthetic networks are undirected, so every border node reaches every
+   other.  Here a 6x6 grid has one one-way street through its middle.  A
+   node [v] has one-way edges out into the grid and none in, so no other
+   source reaches it; two dead ends, each a two-node street entered by a
+   one-way edge from the grid, cannot reach each other either way.  [v]
+   and the dead-end nodes each fill a page, so each is a region of its
+   own: those regions lie only on the chains through their one node. *)
+let test_precompute_one_way () =
+  let b = G.Builder.create () in
+  let side = 6 in
+  let at x y = (y * side) + x in
+  for y = 0 to side - 1 do
+    for x = 0 to side - 1 do
+      ignore (G.Builder.add_node b ~x:(float_of_int x) ~y:(float_of_int y))
+    done
+  done;
+  for y = 0 to side - 1 do
+    for x = 0 to side - 1 do
+      (* row 3 runs east only *)
+      if x + 1 < side then
+        if y = 3 then G.Builder.add_edge b (at x y) (at (x + 1) y) 1.0
+        else G.Builder.add_undirected b (at x y) (at (x + 1) y) (1.0 +. (0.1 *. float_of_int y));
+      if y + 1 < side then G.Builder.add_undirected b (at x y) (at x (y + 1)) 1.3
+    done
+  done;
+  let v = G.Builder.add_node b ~x:6.5 ~y:2.5 in
+  G.Builder.add_edge b v (at (side - 1) 2) 0.5;
+  G.Builder.add_edge b v (at 0 0) 9.0;
+  let dead_end ~from x0 dx =
+    let p = G.Builder.add_node b ~x:x0 ~y:5.5 in
+    let q = G.Builder.add_node b ~x:(x0 +. dx) ~y:5.5 in
+    G.Builder.add_edge b from p 1.0;
+    G.Builder.add_undirected b p q 1.0;
+    p
+  in
+  let p = dead_end ~from:(at 0 (side - 1)) (-1.5) (-1.0) in
+  let x = dead_end ~from:(at (side - 1) (side - 1)) 6.5 1.0 in
+  let g = G.Builder.freeze b in
+  let t = K.build_plain g ~node_bytes:(fun u -> if u >= v then 60 else 10) ~capacity:60 in
+  let border =
+    Psp_partition.Border.compute g ~assignment:t.K.assignment ~region_count:t.K.region_count
+  in
+  let sources = Psp_partition.Border.all_border_nodes border in
+  let reaches s d = (Psp_graph.Dijkstra.tree g ~source:s).Psp_graph.Dijkstra.dist.(d) < infinity in
+  List.iter
+    (fun u ->
+      Alcotest.(check bool) "border node" true (Array.mem u sources);
+      Alcotest.(check int) "region of its own" 1
+        (Array.length (K.nodes_of_region t t.K.assignment.(u))))
+    [ v; p; x ];
+  Alcotest.(check bool) "v is unreachable from another source" true
+    (Array.exists (fun s -> s <> v && not (reaches s v)) sources);
+  Alcotest.(check bool) "the dead ends are mutually unreachable" true
+    ((not (reaches p x)) && not (reaches x p));
+  Alcotest.(check bool) "matches the per-chain reference" true
+    (matches_reference g ~assignment:t.K.assignment ~border)
+
 let test_pair_index_bijective () =
   let rc = 13 in
   let seen = Hashtbl.create 100 in
@@ -840,6 +990,8 @@ let () =
         [ Alcotest.test_case "covering property" `Slow test_precompute_covering;
           Alcotest.test_case "diagonal" `Quick test_precompute_diagonal_exists;
           Alcotest.test_case "parallel = sequential" `Quick test_precompute_parallel_equals_sequential;
+          precompute_matches_reference;
+          Alcotest.test_case "one-way streets" `Quick test_precompute_one_way;
           Alcotest.test_case "pair index" `Quick test_pair_index_bijective;
           Alcotest.test_case "histogram" `Quick test_histogram_sums_to_pairs ] );
       ( "fi_builder",
