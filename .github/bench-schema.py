@@ -4,12 +4,15 @@
 Usage: python3 .github/bench-schema.py BENCH_t3.json
 
 Exits non-zero (and prints every violation) when the artifact is
-malformed.  Kept as a plain-stdlib script so CI needs no extra
+malformed.  The kernels artifact (experiment "kernels") registers no
+runs: its rows are the metrics' "kernel_us.<kernel>" gauges, and at
+least one of them must be a positive, finite number of microseconds.  Kept as a plain-stdlib script so CI needs no extra
 dependencies; the JSON itself is produced by Harness.write_bench and
 documented in docs/OBSERVABILITY.md §5.
 """
 
 import json
+import math
 import sys
 
 LATENCY_KEYS = ("mean", "p50", "p95", "p99", "min", "max")
@@ -65,6 +68,20 @@ def check_run(i, run, errors):
             errors.append(f"{where}: correct ({run['correct']}) > queries ({run['queries']})")
 
 
+def check_kernels(metrics, errors):
+    gauges = metrics.get("gauges") if isinstance(metrics, dict) else None
+    if not isinstance(gauges, dict):
+        errors.append("metrics.gauges: expected object holding the kernel_us.* rows")
+        return
+    rows = {k: v for k, v in gauges.items() if k.startswith("kernel_us.")}
+    for k, v in sorted(rows.items()):
+        # a failed estimate is written as the string "nan"
+        if not is_num(v):
+            errors.append(f"metrics.gauges.{k}: expected number, got {v!r}")
+    if not any(is_num(v) and 0 < v < math.inf for v in rows.values()):
+        errors.append("metrics.gauges: expected at least one positive, finite kernel_us.* row")
+
+
 def check(doc):
     errors = []
     if doc.get("schema") != "psp-bench/1":
@@ -78,12 +95,18 @@ def check(doc):
         if not isinstance(doc.get(k), int) or isinstance(doc.get(k), bool):
             errors.append(f"{k}: expected integer, got {doc.get(k)!r}")
     runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
+    kernels = doc.get("experiment") == "kernels"
+    if kernels:
+        if runs != []:
+            errors.append("runs: expected an empty array for the kernels experiment")
+    elif not isinstance(runs, list) or not runs:
         errors.append("runs: expected non-empty array")
     else:
         for i, run in enumerate(runs):
             check_run(i, run, errors)
     metrics = doc.get("metrics")
+    if kernels:
+        check_kernels(metrics, errors)
     if not isinstance(metrics, dict):
         errors.append("metrics: expected object (Obs.to_json snapshot)")
     else:
@@ -106,8 +129,12 @@ def main():
     errors = check(doc)
     if errors:
         fail(errors)
-    runs = doc["runs"]
-    print(f"bench-schema: {path} ok ({len(runs)} run(s), "
+    if doc["experiment"] == "kernels":
+        rows = [k for k in doc["metrics"]["gauges"] if k.startswith("kernel_us.")]
+        what = f"{len(rows)} kernel row(s)"
+    else:
+        what = f"{len(doc['runs'])} run(s)"
+    print(f"bench-schema: {path} ok ({what}, "
           f"experiment {doc['experiment']}, scale {doc['scale']})")
 
 

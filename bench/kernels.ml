@@ -1,11 +1,11 @@
 (* Bechamel micro-benchmarks of the computational kernels underneath the
-   schemes: exact search, pyramid ORAM batch fetches at the widths the
-   serving path runs, crypto primitives and page checksums, the client
-   store's filing of a region blob (beside the reference record
-   decoder) and its final search, the border-pair pre-computation, and
-   one end-to-end private query per scheme.  These measure
-   real wall-clock on this machine (the experiment tables report
-   *simulated* 2012-hardware times instead). *)
+   schemes: exact search (point to point, and one full tree), pyramid
+   ORAM batch fetches at the widths the serving path runs, crypto
+   primitives and page checksums, the client store's filing of a region
+   blob (beside the reference record decoder) and its final search, the
+   border-pair pre-computation, and one end-to-end private query per
+   scheme.  These measure real wall-clock on this machine (the
+   experiment tables report *simulated* 2012-hardware times instead). *)
 
 open Bechamel
 open Toolkit
@@ -59,6 +59,10 @@ let tests env =
     Psp_partition.Border.compute g ~assignment
       ~region_count:db.DB.partition.Psp_partition.Kdtree.region_count
   in
+  (* one of the trees under each of those builds: the full tree from a
+     border node, grown into a reused workspace as every build grows it *)
+  let tree_ws = Psp_graph.Dijkstra.workspace g in
+  let tree_source = (Psp_partition.Border.all_border_nodes border).(0) in
   let precompute ~want_sets =
     Staged.stage (fun () ->
         ignore
@@ -95,6 +99,8 @@ let tests env =
         Staged.stage (fun () ->
             ignore (Psp_pir.Pyramid_store.fetch_many store ids);
             Psp_pir.Pyramid_store.clear_trace store));
+    Test.make ~name:"dijkstra tree" (Staged.stage (fun () ->
+        Psp_graph.Dijkstra.grow tree_ws ~source:tree_source));
     Test.make ~name:"precompute sets" (precompute ~want_sets:true);
     Test.make ~name:"precompute subgraphs" (precompute ~want_sets:false);
     Test.make ~name:"crc32 4KB" (Staged.stage (fun () -> ignore (Psp_util.Crc32.digest page)));

@@ -5,44 +5,128 @@ type spt = {
   settled : int;
 }
 
-(* Core loop shared by every entry point.  [stop] may terminate the
-   search after a node is settled. *)
-let run g ~source ~stop =
-  let n = Graph.node_count g in
+type workspace = {
+  row : int array;
+  dst : int array;
+  weight : float array;
+  ws_dist : float array;
+  ws_parent : int array;
+  ws_parent_edge : int array;
+  done_ : Bytes.t; (* '\001' once settled *)
+  (* binary min-heap of (priority, node); each edge relaxes at most once
+     per search, so [edge_count + 1] entries always suffice *)
+  prio : float array;
+  node : int array;
+  mutable ws_settled : int;
+}
+
+let workspace g =
+  let n = Graph.node_count g and m = Graph.edge_count g in
+  let row, dst, weight = Graph.csr g in
+  { row;
+    dst;
+    weight;
+    ws_dist = Array.make n infinity;
+    ws_parent = Array.make n (-1);
+    ws_parent_edge = Array.make n (-1);
+    done_ = Bytes.make n '\000';
+    prio = Array.make (m + 1) 0.0;
+    node = Array.make (m + 1) 0;
+    ws_settled = 0 }
+
+(* The one search loop.  [stop] may end the search after a node is
+   settled.  The heap is inline so no priority leaves the loop boxed;
+   it sifts by moving a hole but compares exactly as [Min_heap] does
+   (a parent moves down only when strictly greater, a child up only
+   when strictly smaller, the left child winning ties), so nodes settle
+   in the same order and every tie breaks the same way. *)
+let run ws ~source ~stop =
+  let n = Array.length ws.ws_dist in
   if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let parent_edge = Array.make n (-1) in
-  let done_ = Array.make n false in
-  let heap = Psp_util.Min_heap.create () in
+  let row = ws.row and dst = ws.dst and weight = ws.weight in
+  let dist = ws.ws_dist and parent = ws.ws_parent and parent_edge = ws.ws_parent_edge in
+  let done_ = ws.done_ and prio = ws.prio and node = ws.node in
+  Array.fill dist 0 n infinity;
+  Array.fill parent 0 n (-1);
+  Array.fill parent_edge 0 n (-1);
+  Bytes.fill done_ 0 n '\000';
   dist.(source) <- 0.0;
-  Psp_util.Min_heap.push heap ~priority:0.0 source;
+  prio.(0) <- 0.0;
+  node.(0) <- source;
+  let size = ref 1 in
   let settled = ref 0 in
   let finished = ref false in
-  while (not !finished) && not (Psp_util.Min_heap.is_empty heap) do
-    let d = Psp_util.Min_heap.min_priority heap in
-    let u = Psp_util.Min_heap.pop_min heap in
-    if not done_.(u) then begin
-      done_.(u) <- true;
+  while (not !finished) && !size > 0 do
+    let d = prio.(0) and u = node.(0) in
+    (* pop: the last entry fills the root's hole and sifts down *)
+    decr size;
+    let last = !size in
+    if last > 0 then begin
+      let x = prio.(last) and xn = node.(last) in
+      let hole = ref 0 and sifting = ref true in
+      while !sifting do
+        let l = (2 * !hole) + 1 in
+        if l >= last then sifting := false
+        else begin
+          let c = if l + 1 < last && prio.(l + 1) < prio.(l) then l + 1 else l in
+          if prio.(c) < x then begin
+            prio.(!hole) <- prio.(c);
+            node.(!hole) <- node.(c);
+            hole := c
+          end
+          else sifting := false
+        end
+      done;
+      prio.(!hole) <- x;
+      node.(!hole) <- xn
+    end;
+    if Bytes.get done_ u = '\000' then begin
+      Bytes.set done_ u '\001';
       incr settled;
       if stop u then finished := true
       else
-        (* the CSR row directly: no edge record or closure per relaxation *)
-        for e = Graph.out_start g u to Graph.out_start g (u + 1) - 1 do
-          let v = Graph.edge_dst g e in
-          let nd = d +. Graph.edge_weight g e in
+        for e = row.(u) to row.(u + 1) - 1 do
+          let v = dst.(e) in
+          let nd = d +. weight.(e) in
           if nd < dist.(v) then begin
             dist.(v) <- nd;
             parent.(v) <- u;
             parent_edge.(v) <- e;
-            Psp_util.Min_heap.push heap ~priority:nd v
+            (* push: sift a hole up from the end *)
+            let hole = ref !size in
+            incr size;
+            while !hole > 0 && prio.((!hole - 1) / 2) > nd do
+              let p = (!hole - 1) / 2 in
+              prio.(!hole) <- prio.(p);
+              node.(!hole) <- node.(p);
+              hole := p
+            done;
+            prio.(!hole) <- nd;
+            node.(!hole) <- v
           end
         done
     end
   done;
-  { dist; parent; parent_edge; settled = !settled }
+  ws.ws_settled <- !settled
 
-let tree g ~source = run g ~source ~stop:(fun _ -> false)
+let never (_ : int) = false
+let grow ws ~source = run ws ~source ~stop:never
+let dist ws = ws.ws_dist
+let parent ws = ws.ws_parent
+let parent_edge ws = ws.ws_parent_edge
+let settled ws = ws.ws_settled
+
+(* A one-shot search hands the workspace's own arrays over: nothing
+   else holds the workspace. *)
+let search g ~source ~stop =
+  let ws = workspace g in
+  run ws ~source ~stop;
+  { dist = ws.ws_dist;
+    parent = ws.ws_parent;
+    parent_edge = ws.ws_parent_edge;
+    settled = ws.ws_settled }
+
+let tree g ~source = search g ~source ~stop:never
 
 let tree_until g ~source ~targets =
   let pending = Hashtbl.create 16 in
@@ -51,7 +135,7 @@ let tree_until g ~source ~targets =
     Hashtbl.remove pending u;
     Hashtbl.length pending = 0
   in
-  run g ~source ~stop
+  search g ~source ~stop
 
 let path_to g spt target =
   if spt.dist.(target) = infinity then None
@@ -65,8 +149,8 @@ let path_to g spt target =
   end
 
 let distance g s t =
-  if s = t then 0.0 else (run g ~source:s ~stop:(fun u -> u = t)).dist.(t)
+  if s = t then 0.0 else (search g ~source:s ~stop:(fun u -> u = t)).dist.(t)
 
 let shortest_path g s t =
   if s = t then Some (Path.trivial s)
-  else path_to g (run g ~source:s ~stop:(fun u -> u = t)) t
+  else path_to g (search g ~source:s ~stop:(fun u -> u = t)) t

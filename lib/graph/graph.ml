@@ -111,6 +111,7 @@ let iter_out t v f =
 let out_start t v = t.row.(v)
 let edge_dst t e = t.g_dst.(e)
 let edge_weight t e = t.g_w.(e)
+let csr t = (Array.copy t.row, Array.copy t.g_dst, Array.copy t.g_w)
 
 let fold_out t v f init =
   let acc = ref init in

@@ -59,6 +59,13 @@ val out_start : t -> int -> int
 val edge_dst : t -> int -> int
 val edge_weight : t -> int -> float
 
+val csr : t -> int array * int array * float array
+(** Fresh copies of the CSR arrays: row offsets (length
+    [node_count t + 1], as {!out_start}), edge targets and edge weights
+    by edge id.  A loop over the copies reads each weight in place,
+    where {!edge_weight} returns a boxed float to a caller in another
+    module. *)
+
 val iter_in : t -> int -> (edge -> unit) -> unit
 (** Iterate incoming edges (reverse adjacency is built lazily and
     cached; edge ids refer to the forward edge). *)

@@ -14,11 +14,13 @@ let select_farthest g ~count ~seed =
   let anchors = Psp_util.Dyn_array.create () in
   (* distance from each node to its closest already-chosen anchor *)
   let closest = Array.make n infinity in
+  let ws = Dijkstra.workspace g in
   let add_anchor a =
     Psp_util.Dyn_array.push anchors a;
-    let spt = Dijkstra.tree g ~source:a in
+    Dijkstra.grow ws ~source:a;
+    let dist = Dijkstra.dist ws in
     for v = 0 to n - 1 do
-      closest.(v) <- Float.min closest.(v) spt.Dijkstra.dist.(v)
+      closest.(v) <- Float.min closest.(v) dist.(v)
     done
   in
   add_anchor (Psp_util.Rng.int rng n);
@@ -35,12 +37,12 @@ let select_farthest g ~count ~seed =
     add_anchor !best
   done;
   let anchors = Psp_util.Dyn_array.to_array anchors in
-  let to_anchor =
-    Array.map (fun a -> (Dijkstra.tree rev ~source:a).Dijkstra.dist) anchors
+  let distances ws a =
+    Dijkstra.grow ws ~source:a;
+    Array.copy (Dijkstra.dist ws)
   in
-  let from_anchor =
-    Array.map (fun a -> (Dijkstra.tree g ~source:a).Dijkstra.dist) anchors
-  in
+  let to_anchor = Array.map (distances (Dijkstra.workspace rev)) anchors in
+  let from_anchor = Array.map (distances ws) anchors in
   { anchors; to_anchor; from_anchor }
 
 let anchor_count t = Array.length t.anchors

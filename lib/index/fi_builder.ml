@@ -23,7 +23,9 @@ type t = {
   pages : bytes Psp_util.Dyn_array.t; (* closed page payloads *)
   mutable current : Buffer.t;
   mutable recents : recent list; (* newest first, bounded *)
-  fetch_sets : (int * int, int array) Hashtbl.t; (* (page, offset) -> fetched *)
+  (* (page, offset) -> the fetched set of a region-set record; [None]
+     marks a subgraph record, whose edge ids are not kept *)
+  fetch_sets : (int * int, int array option) Hashtbl.t;
   mutable span_set : int;
   mutable span_sub : int;
   mutable sealed : bool;
@@ -47,77 +49,7 @@ let create ~graph ~page_size ~compress ~quantize ~m_bound =
     span_sub = 0;
     sealed = false }
 
-let sort_dedup a =
-  let a = Array.copy a in
-  Array.sort compare a;
-  let out = Psp_util.Dyn_array.create () in
-  Array.iteri (fun i v -> if i = 0 || v <> a.(i - 1) then Psp_util.Dyn_array.push out v) a;
-  Psp_util.Dyn_array.to_array out
-
-let inter (a : int array) (b : int array) =
-  let out = Psp_util.Dyn_array.create () in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length a && !j < Array.length b do
-    let c = compare a.(!i) b.(!j) in
-    if c = 0 then begin
-      Psp_util.Dyn_array.push out a.(!i);
-      incr i;
-      incr j
-    end
-    else if c < 0 then incr i
-    else incr j
-  done;
-  Psp_util.Dyn_array.to_array out
-
-let diff (a : int array) (b : int array) =
-  let out = Psp_util.Dyn_array.create () in
-  let i = ref 0 and j = ref 0 in
-  while !i < Array.length a do
-    if !j >= Array.length b || a.(!i) < b.(!j) then begin
-      Psp_util.Dyn_array.push out a.(!i);
-      incr i
-    end
-    else if a.(!i) = b.(!j) then begin
-      incr i;
-      incr j
-    end
-    else incr j
-  done;
-  Psp_util.Dyn_array.to_array out
-
-(* Merge-union of two ascending, duplicate-free arrays: the same array
-   [sort_dedup (Array.append a b)] gives, in linear time. *)
-let union (a : int array) (b : int array) =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
-  let rec go i j k =
-    if i < na && j < nb then begin
-      let x = a.(i) and y = b.(j) in
-      if x < y then begin
-        out.(k) <- x;
-        go (i + 1) j (k + 1)
-      end
-      else if y < x then begin
-        out.(k) <- y;
-        go i (j + 1) (k + 1)
-      end
-      else begin
-        out.(k) <- x;
-        go (i + 1) (j + 1) (k + 1)
-      end
-    end
-    else if i < na then begin
-      out.(k) <- a.(i);
-      go (i + 1) j (k + 1)
-    end
-    else if j < nb then begin
-      out.(k) <- b.(j);
-      go i (j + 1) (k + 1)
-    end
-    else k
-  in
-  let k = go 0 0 0 in
-  if k = na + nb then out else Array.sub out 0 k
+module S = Psp_util.Sorted_ints
 
 let no_ref = 0xFFFFFFFF
 
@@ -141,8 +73,8 @@ let encode_record t ~kind ?ref_ elements =
       if kind = Region_set then W.varint w 0;
       (W.contents w, elements)
   | Some (pointer, ref_fetched) ->
-      let incl = diff elements ref_fetched in
-      let fetched = union ref_fetched incl in
+      let incl = S.diff elements ref_fetched in
+      let fetched = S.union ref_fetched incl in
       let excl =
         match (kind, t.m_bound) with
         | Subgraph, _ | Region_set, None -> [||]
@@ -150,11 +82,11 @@ let encode_record t ~kind ?ref_ elements =
             let over = Array.length fetched - m in
             if over <= 0 then [||]
             else begin
-              let removable = diff ref_fetched elements in
+              let removable = S.diff ref_fetched elements in
               Array.sub removable 0 (min over (Array.length removable))
             end
       in
-      let fetched = if Array.length excl = 0 then fetched else diff fetched excl in
+      let fetched = if Array.length excl = 0 then fetched else S.diff fetched excl in
       W.u32 w pointer;
       W.varint w (Array.length incl);
       encode_elements t ~kind w incl;
@@ -227,7 +159,7 @@ let place_plain t blob fetched =
 
 let add t ~kind elements =
   if t.sealed then invalid_arg "Fi_builder.add: already flushed";
-  let elements = sort_dedup elements in
+  let elements = S.sort_dedup elements in
   let plain, plain_fetched = encode_record t ~kind elements in
   let plain_span = max 1 (ceil_div (Bytes.length plain) t.page_size) in
   let span_budget = plain_span + max 1 (plain_span / 2) in
@@ -244,7 +176,7 @@ let add t ~kind elements =
          List.iter
            (fun r ->
              if r.r_kind = kind && r.r_depth < max_chain_depth then begin
-               let overlap = Array.length (inter r.r_fetched elements) in
+               let overlap = S.inter_count r.r_fetched elements in
                if overlap > 0 then begin
                  let base = r.r_placement.page in
                  let rec_offset = position t - (base * t.page_size) in
@@ -291,14 +223,16 @@ let add t ~kind elements =
         let placement, fetched = place_plain t plain plain_fetched in
         (placement, fetched, 0)
   in
-  Hashtbl.replace t.fetch_sets (placement.page, placement.offset) fetched;
+  Hashtbl.replace t.fetch_sets (placement.page, placement.offset)
+    (match kind with Region_set -> Some fetched | Subgraph -> None);
   bump_span t kind placement.span;
   remember t ~kind ~placement ~fetched ~depth;
   placement
 
 let fetch_set t placement =
   match Hashtbl.find_opt t.fetch_sets (placement.page, placement.offset) with
-  | Some f -> Array.copy f
+  | Some (Some f) -> Array.copy f
+  | Some None -> invalid_arg "Fi_builder.fetch_set: subgraph records keep no fetch set"
   | None -> invalid_arg "Fi_builder.fetch_set: unknown placement"
 
 let max_span t ~kind = match kind with Region_set -> t.span_set | Subgraph -> t.span_sub
@@ -368,6 +302,6 @@ let decode ~quantize ~pages ~base_page ~offset =
       Regions
         (List.fold_left
            (fun resolved -> function
-             | Set_link (incl, excl) -> diff (union resolved incl) excl
+             | Set_link (incl, excl) -> S.diff (S.union resolved incl) excl
              | Sub_link _ -> resolved)
            [||] links)

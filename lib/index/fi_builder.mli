@@ -52,11 +52,16 @@ val create :
 
 val add : t -> kind:kind -> int array -> placement
 (** Add the next record (elements: region ids for [Region_set], edge
-    ids for [Subgraph]).  Returns its placement. *)
+    ids for [Subgraph]).  Returns its placement.  Elements already in
+    strictly increasing order are kept as given, not copied, so the
+    caller must not change the array afterwards. *)
 
 val fetch_set : t -> placement -> int array
-(** The inflated element set a client will obtain for a record —
-    superset of what was passed to {!add} (testing / plan auditing). *)
+(** The inflated element set a client will obtain for a region-set
+    record — superset of what was passed to {!add} (the HY round-4
+    budget, testing).  Subgraph records keep no fetch set.
+    @raise Invalid_argument on a subgraph record's placement or an
+    unknown placement. *)
 
 val max_span : t -> kind:kind -> int
 (** Largest [span] among records of a kind (0 if none). *)

@@ -37,35 +37,6 @@ end
 
 let default_domains () = max 1 (min 4 (Domain.recommended_domain_count () - 1))
 
-(* Union of two sorted, duplicate-free arrays, sorted and duplicate-free. *)
-let merge_union a b =
-  let na = Array.length a and nb = Array.length b in
-  let out = Array.make (na + nb) 0 in
-  let rec go i j k =
-    if i = na then begin
-      Array.blit b j out k (nb - j);
-      k + nb - j
-    end
-    else if j = nb then begin
-      Array.blit a i out k (na - i);
-      k + na - i
-    end
-    else if a.(i) < b.(j) then begin
-      out.(k) <- a.(i);
-      go (i + 1) j (k + 1)
-    end
-    else if a.(i) > b.(j) then begin
-      out.(k) <- b.(j);
-      go i (j + 1) (k + 1)
-    end
-    else begin
-      out.(k) <- a.(i);
-      go (i + 1) (j + 1) (k + 1)
-    end
-  in
-  let k = go 0 0 0 in
-  if k = na + nb then out else Array.sub out 0 k
-
 let compute ?domains g ~assignment ~border ~want_sets ~want_subgraphs =
   let n = G.node_count g in
   if Array.length assignment <> n then
@@ -88,15 +59,18 @@ let compute ?domains g ~assignment ~border ~want_sets ~want_subgraphs =
     let epoch = ref (-1) in
     let region_cols = Array.init region_count (fun _ -> Sparse_set.create region_count) in
     let edge_cols = Array.init region_count (fun _ -> Sparse_set.create (G.edge_count g)) in
+    (* one workspace per domain: every tree is grown into, and read from,
+       the same arrays *)
+    let ws = Psp_graph.Dijkstra.workspace g in
+    let dist = Psp_graph.Dijkstra.dist ws
+    and parent = Psp_graph.Dijkstra.parent ws
+    and parent_edge = Psp_graph.Dijkstra.parent_edge ws in
     let rec rows () =
       let i = next_row () in
       if i < region_count then begin
         Array.iter
           (fun s ->
-            let spt = Psp_graph.Dijkstra.tree g ~source:s in
-            let dist = spt.Psp_graph.Dijkstra.dist
-            and parent = spt.Psp_graph.Dijkstra.parent
-            and parent_edge = spt.Psp_graph.Dijkstra.parent_edge in
+            Psp_graph.Dijkstra.grow ws ~source:s;
             for j = 0 to region_count - 1 do
               incr epoch;
               let walked = !epoch in
@@ -149,7 +123,7 @@ let compute ?domains g ~assignment ~border ~want_sets ~want_subgraphs =
         out.(pair_index ~region_count i i) <- dir.((i * region_count) + i);
         for j = i + 1 to region_count - 1 do
           out.(pair_index ~region_count i j) <-
-            merge_union dir.((i * region_count) + j) dir.((j * region_count) + i)
+            Psp_util.Sorted_ints.union dir.((i * region_count) + j) dir.((j * region_count) + i)
         done
       done;
       Some out

@@ -174,6 +174,127 @@ let tree_until_agrees =
               && close (Psp_graph.Path.cost p) full.Psp_graph.Dijkstra.dist.(t))
         targets)
 
+(* The search loop every Dijkstra entry point ran on [Min_heap] before
+   the workspace core, kept verbatim as the tie-order reference: on
+   graphs with many equal-length shortest paths, [parent] and
+   [parent_edge] depend on the exact order the heap pops equal
+   priorities, so a core that settles in another order fails here even
+   where every distance agrees. *)
+module Graph = Psp_graph.Graph
+
+let reference_run g ~source ~stop =
+  let n = Graph.node_count g in
+  if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
+  let dist = Array.make n infinity in
+  let parent = Array.make n (-1) in
+  let parent_edge = Array.make n (-1) in
+  let done_ = Array.make n false in
+  let heap = Psp_util.Min_heap.create () in
+  dist.(source) <- 0.0;
+  Psp_util.Min_heap.push heap ~priority:0.0 source;
+  let settled = ref 0 in
+  let finished = ref false in
+  while (not !finished) && not (Psp_util.Min_heap.is_empty heap) do
+    let d = Psp_util.Min_heap.min_priority heap in
+    let u = Psp_util.Min_heap.pop_min heap in
+    if not done_.(u) then begin
+      done_.(u) <- true;
+      incr settled;
+      if stop u then finished := true
+      else
+        (* the CSR row directly: no edge record or closure per relaxation *)
+        for e = Graph.out_start g u to Graph.out_start g (u + 1) - 1 do
+          let v = Graph.edge_dst g e in
+          let nd = d +. Graph.edge_weight g e in
+          if nd < dist.(v) then begin
+            dist.(v) <- nd;
+            parent.(v) <- u;
+            parent_edge.(v) <- e;
+            Psp_util.Min_heap.push heap ~priority:nd v
+          end
+        done
+    end
+  done;
+  { Psp_graph.Dijkstra.dist; parent; parent_edge; settled = !settled }
+
+(* [tree], [tree_until] and a reused workspace against the reference,
+   from every source: the same arrays, compared exactly, and the same
+   settled count. *)
+let same_as_reference g =
+  let module D = Psp_graph.Dijkstra in
+  let n = G.node_count g in
+  let same (a : D.spt) (b : D.spt) =
+    a.D.dist = b.D.dist && a.D.parent = b.D.parent && a.D.parent_edge = b.D.parent_edge
+    && a.D.settled = b.D.settled
+  in
+  let ws = D.workspace g in
+  List.for_all
+    (fun s ->
+      let full = reference_run g ~source:s ~stop:(fun _ -> false) in
+      let targets = [ (s + (n / 2)) mod n; n - 1 - s ] in
+      let pending = Hashtbl.create 4 in
+      List.iter (fun t -> Hashtbl.replace pending t ()) targets;
+      let early =
+        reference_run g ~source:s ~stop:(fun u ->
+            Hashtbl.remove pending u;
+            Hashtbl.length pending = 0)
+      in
+      let tree = D.tree g ~source:s in
+      let until = D.tree_until g ~source:s ~targets in
+      D.grow ws ~source:s;
+      (* later searches leave a returned tree alone *)
+      ignore (D.distance g s (n - 1));
+      same tree full
+      && same until early
+      && same
+           { D.dist = D.dist ws;
+             parent = D.parent ws;
+             parent_edge = D.parent_edge ws;
+             settled = D.settled ws }
+           full)
+    (List.init n Fun.id)
+
+(* a [side] x [side] grid of unit-weight two-way streets: almost every
+   node has several shortest paths from any source *)
+let unit_grid side =
+  let b = G.Builder.create () in
+  for y = 0 to side - 1 do
+    for x = 0 to side - 1 do
+      ignore (G.Builder.add_node b ~x:(float_of_int x) ~y:(float_of_int y))
+    done
+  done;
+  for y = 0 to side - 1 do
+    for x = 0 to side - 1 do
+      let v = (y * side) + x in
+      if x + 1 < side then G.Builder.add_undirected b v (v + 1) 1.0;
+      if y + 1 < side then G.Builder.add_undirected b v (v + side) 1.0
+    done
+  done;
+  G.Builder.freeze b
+
+let test_tie_order_grid () =
+  Alcotest.(check bool) "10x10 unit grid" true (same_as_reference (unit_grid 10))
+
+(* random graphs with weights from {1, 2, 3}: ties everywhere, one-way
+   edges too *)
+let tie_order_random =
+  qtest "tie order matches the reference on small weights" random_graph_gen
+    (fun (n, extra, seed) ->
+      let rng = Psp_util.Rng.create seed in
+      let b = G.Builder.create () in
+      for _ = 1 to n do
+        ignore (G.Builder.add_node b ~x:0.0 ~y:0.0)
+      done;
+      let w () = float_of_int (1 + Psp_util.Rng.int rng 3) in
+      for v = 1 to n - 1 do
+        G.Builder.add_undirected b (Psp_util.Rng.int rng v) v (w ())
+      done;
+      for _ = 1 to extra do
+        let u = Psp_util.Rng.int rng n and v = Psp_util.Rng.int rng n in
+        if u <> v then G.Builder.add_edge b u v (w ())
+      done;
+      same_as_reference (G.Builder.freeze b))
+
 let test_dijkstra_unreachable () =
   let b = G.Builder.create () in
   ignore (G.Builder.add_node b ~x:0.0 ~y:0.0);
@@ -292,7 +413,10 @@ let () =
           dijkstra_path_valid;
           Alcotest.test_case "tree_until" `Quick test_dijkstra_tree_until;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable ] );
-      ( "shortest-path", [ tree_until_agrees ] );
+      ( "shortest-path",
+        [ tree_until_agrees;
+          Alcotest.test_case "tie order on a unit grid" `Quick test_tie_order_grid;
+          tie_order_random ] );
       ( "landmark",
         [ Alcotest.test_case "admissible and exact" `Slow test_landmark_admissible_and_exact;
           Alcotest.test_case "vector bytes" `Quick test_landmark_vector_bytes ] );

@@ -442,6 +442,20 @@ let test_fi_builder_subgraph_roundtrip () =
             sets.(i))
     placements
 
+(* Only region-set records keep their fetch set (HY's round-4 budget
+   reads it); a subgraph record's edge ids are not held for the build. *)
+let test_fi_builder_fetch_set_kinds () =
+  let g, _, _ = setup () in
+  let builder = FB.create ~graph:g ~page_size:256 ~compress:true ~quantize:0.0 ~m_bound:None in
+  let set = FB.add builder ~kind:FB.Region_set [| 3; 1; 2 |] in
+  let sub = FB.add builder ~kind:FB.Subgraph [| 0; 1; 2 |] in
+  Alcotest.(check (array int)) "region set kept" [| 1; 2; 3 |] (FB.fetch_set builder set);
+  Alcotest.check_raises "subgraph"
+    (Invalid_argument "Fi_builder.fetch_set: subgraph records keep no fetch set") (fun () ->
+      ignore (FB.fetch_set builder sub));
+  Alcotest.check_raises "unknown" (Invalid_argument "Fi_builder.fetch_set: unknown placement")
+    (fun () -> ignore (FB.fetch_set builder { sub with FB.offset = sub.FB.offset + 1 }))
+
 let test_fi_builder_chain_compression () =
   (* heavily overlapping multi-page records must compress via reference
      chains, and every record must decode to a superset of its set *)
@@ -1004,7 +1018,8 @@ let () =
             test_fi_builder_one_pass_equals_recursive;
           Alcotest.test_case "malformed chains rejected" `Quick test_fi_builder_malformed_chains;
           fi_decode_fuzz;
-          fi_builder_no_straddle ] );
+          fi_builder_no_straddle;
+          Alcotest.test_case "fetch sets by kind" `Quick test_fi_builder_fetch_set_kinds ] );
       ( "plans",
         [ Alcotest.test_case "roundtrip" `Quick test_plan_roundtrip;
           Alcotest.test_case "budgets" `Quick test_plan_budgets ] );

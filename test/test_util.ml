@@ -80,6 +80,33 @@ let test_rng_pick_empty () =
       ignore (Rng.pick rng [||]))
 
 (* ------------------------------------------------------------------ *)
+(* Sorted_ints, against list references *)
+
+let ints_gen = QCheck2.Gen.(list_size (int_range 0 40) (int_range (-20) 60))
+let set_of l = List.sort_uniq compare l
+
+let sorted_ints_ops =
+  qtest "set operations match list references" QCheck2.Gen.(pair ints_gen ints_gen)
+    (fun (a, b) ->
+      let sa = Array.of_list (set_of a) and sb = Array.of_list (set_of b) in
+      Array.to_list (Sorted_ints.sort_dedup (Array.of_list a)) = set_of a
+      && Array.to_list (Sorted_ints.union sa sb) = set_of (a @ b)
+      && Array.to_list (Sorted_ints.diff sa sb) = List.filter (fun x -> not (List.mem x b)) (set_of a)
+      && Sorted_ints.inter_count sa sb = List.length (List.filter (fun x -> List.mem x b) (set_of a)))
+
+let test_sort_dedup_aliasing () =
+  let sorted = [| 1; 4; 9 |] in
+  Alcotest.(check bool) "strictly increasing input returned itself" true
+    (Sorted_ints.sort_dedup sorted == sorted);
+  let unsorted = [| 9; 1; 4; 1 |] in
+  let out = Sorted_ints.sort_dedup unsorted in
+  Alcotest.(check (array int)) "sorted, once each" [| 1; 4; 9 |] out;
+  Alcotest.(check (array int)) "input untouched" [| 9; 1; 4; 1 |] unsorted;
+  let dup = [| 2; 2 |] in
+  Alcotest.(check bool) "a repeat is not strictly increasing" false
+    (Sorted_ints.sort_dedup dup == dup)
+
+(* ------------------------------------------------------------------ *)
 (* Min_heap *)
 
 let heap_sorts =
@@ -323,6 +350,8 @@ let () =
           Alcotest.test_case "shuffle preserves" `Quick test_rng_shuffle_preserves_elements;
           Alcotest.test_case "gaussian moments" `Slow test_rng_gaussian_moments;
           Alcotest.test_case "pick empty" `Quick test_rng_pick_empty ] );
+      ( "sorted",
+        [ sorted_ints_ops; Alcotest.test_case "aliasing" `Quick test_sort_dedup_aliasing ] );
       ( "min_heap",
         [ heap_sorts;
           Alcotest.test_case "basics" `Quick test_heap_basics;
