@@ -15,6 +15,11 @@ smoke run did not regress:
     regression in the modeled schedule.
   - unavailable must not exceed the pinned count (availability gate)
   - correct must not fall below the pinned count (answer-quality gate)
+  - executed_slot_touches, level_scans and fetches_per_query must equal
+    the pinned integers exactly (work gate).  They are deterministic
+    counts of the executed store pass and of the plan, so any change
+    means the batch no longer reaches the store at the width it did —
+    a shift the latency band is far too loose to see.
 
 A pinned run that is missing from the artifact is an error (a silently
 dropped configuration is the regression CI exists to catch).  Runs
@@ -31,6 +36,9 @@ import os
 import sys
 
 REFS_PATH = os.path.join(os.path.dirname(__file__), "bench-refs.json")
+
+# Deterministic integer counts gated by exact equality when pinned.
+EXACT = ("executed_slot_touches", "level_scans", "fetches_per_query")
 
 
 def load(path):
@@ -81,6 +89,12 @@ def compare(doc, refs, errors, warnings):
                 f"{experiment}/{label}: only {run.get('correct')} correct "
                 f"(pinned floor {ref['correct']})"
             )
+        for key in EXACT:
+            if key in ref and run.get(key) != ref[key]:
+                errors.append(
+                    f"{experiment}/{label}: {key} {run.get(key)} differs from "
+                    f"the pinned {ref[key]} (exact gate)"
+                )
     for label in runs:
         warnings.append(f"{experiment}: run {label!r} is not pinned (no gate applied)")
 

@@ -407,9 +407,9 @@ let resilience env =
 (* ------------------------------------------------------------------ *)
 
 (* Batched multi-query serving: N same-plan queries walk the plan in
-   lockstep (Psp_pir.Batcher), so each round's page requests merge into
-   one oblivious-store pass and the log²N pass cost amortizes across the
-   batch (Table 2).  The servers run in `Pyramid mode, so the merged
+   lockstep over one Psp_pir.Server.Session, so each round's page
+   requests merge into one oblivious-store pass and the log²N pass cost
+   amortizes across the batch (Table 2).  The servers run in `Pyramid mode, so the merged
    pass is {e executed} (Pyramid_store.fetch_many), not just simulated:
    the table reports the executed slot touches and level scans per
    query next to the simulated response, and the per-query touch count

@@ -1,5 +1,4 @@
 module Session = Psp_pir.Server.Session
-module Batcher = Psp_pir.Batcher
 module H = Psp_index.Header
 module Obs = Psp_obs.Obs
 
@@ -91,7 +90,7 @@ let member_result ~client_seconds stats (answer [@secret]) =
     { served with status = Unavailable { point = plan_exceeded; attempts = 0 } }
   in
   match
-    (answer [@leak_ok "client-local, after every session closed: picks a built record"])
+    (answer [@leak_ok "client-local, after the session closed: picks a built record"])
   with
   | Some _ -> served
   | None -> exceeded
@@ -107,7 +106,7 @@ let unknown_result stats client_seconds ~scheme =
 
 (* ------------------------------------------------------------------ *)
 (* The one query path: N same-plan queries walk the plan in lockstep,
-   each fetch slot becoming one merged oblivious-store pass (Batcher).
+   each fetch slot becoming one merged oblivious-store pass (Session.fetch).
    A single query is the width-1 batch. *)
 
 let query_batch ?(retry = default_retry)
@@ -125,8 +124,8 @@ let query_batch ?(retry = default_retry)
              "wall-clock sample for the public stats records; it never influences \
               the fetch schedule"]
          in
-         let batcher = Batcher.start server ~width in
-         (* every member downloads the header over its own session, so each
+         let session = Session.start server ~width in
+         (* the header download is charged to every member, so each
             per-member trace carries the same plain download a width-1
             query's would; the header download and region location fix
             the public query plan before any oblivious round begins, and
@@ -137,8 +136,8 @@ let query_batch ?(retry = default_retry)
                 Obs.with_span "plan" (fun () ->
                     let pages =
                       Engine.with_retry ~policy:retry
-                        ~on_retry:(Batcher.note_retry batcher) (fun () ->
-                          Session.download ~file:"header" (Batcher.sessions batcher))
+                        ~on_retry:(Session.note_retry session) (fun () ->
+                          Session.download session ~file:"header")
                     in
                     (H.of_pages pages, Bytes.length pages.(0)))
               in
@@ -147,7 +146,7 @@ let query_batch ?(retry = default_retry)
               | Some scheme ->
                   let ctx = { Engine.header; psize } in
                   let qs = Array.map (locate header) queries in
-                  `Answers (Engine.run_batch ~pacing scheme batcher ~policy:retry ctx qs)
+                  `Answers (Engine.run_batch ~pacing scheme session ~policy:retry ctx qs)
             with
            | v -> Ok v
            | exception Engine.Gave_up { point; attempts } ->
@@ -160,11 +159,11 @@ let query_batch ?(retry = default_retry)
               failure degrades every member identically, keeping their partial \
               traces mutually equal and the recovery cost observable"]
          in
-         let stats = Batcher.finish batcher in
+         let stats = Session.finish session in
          let client_seconds =
            ((Sys.time () -. t0) /. float_of_int width)
            [@leak_ok
-             "wall-clock sample for the public stats records; the sessions are \
+             "wall-clock sample for the public stats records; the session is \
               already finished"]
          in
          Obs.observe m_query_seconds client_seconds;
@@ -177,18 +176,18 @@ let query_batch ?(retry = default_retry)
                (fun s -> unavailable_result s client_seconds ~point ~attempts)
                stats
          | Error (`Failover reason) ->
-             (* the sessions were finished first: the abandoned attempt's
+             (* the session was finished first: the abandoned attempt's
                 partial traces and accounted costs travel with the
                 exception so the failover loop can charge them *)
              raise
                (Replica_failed
                   { replica = Psp_pir.Server.replica server; reason; stats }))
          [@leak_ok
-           "result assembly happens after every session closed; the server \
+           "result assembly happens after the session closed; the server \
             observes nothing from this match"])
    end)
   [@leak_ok
-    "the batch width is public (the server trivially observes how many sessions \
+    "the batch width is public (the server trivially observes how many members \
      it serves); the empty-batch shortcut issues no request at all"]
   [@@oblivious]
 
@@ -230,7 +229,7 @@ let degrade ~failovers r =
     | Unavailable _ | Unknown_scheme _ -> r
 
 let stats_seconds (s : Session.stats) =
-  s.Session.pir_seconds +. s.Session.comm_seconds +. s.Session.server_cpu_seconds
+  s.Session.pir_seconds +. s.Session.comm_seconds
 
 let replicated_run ?max_failovers rset run =
   let max_failovers = Option.value max_failovers ~default:(3 * RS.width rset) in

@@ -9,7 +9,7 @@
     every trace conform to the published plan.
 
     There is one query path: {!query_batch} runs N same-plan queries in
-    lockstep over one {!Psp_pir.Batcher}, and a single query is a
+    lockstep over one {!Psp_pir.Server.Session}, and a single query is a
     width-1 batch.  {!query_batch_replicated} adds whole-plan failover
     over a replica set; the [query_nodes*] functions are node-id
     adapters over those two.
@@ -76,7 +76,7 @@ exception Replica_failed of {
   stats : Psp_pir.Server.Session.stats array;
 }
 (** A replica-level failure ({!Engine.failover_class}: tampering,
-    outage, timeout) aborted the plan walk.  The abandoned sessions are
+    outage, timeout) aborted the plan walk.  The abandoned session is
     finished first, so the partial traces and accounted costs travel
     with the exception; {!query_batch_replicated} catches it and replays
     the whole plan against the next replica.
@@ -98,7 +98,7 @@ val query_batch :
   endpoints array ->
   result array
 (** Execute N shortest-path queries, each from (sx, sy) to (tx, ty),
-    concurrently over one {!Psp_pir.Batcher}; a single query is
+    concurrently over one {!Psp_pir.Server.Session}; a single query is
     [query_batch server [| e |]].  All members walk the same public
     plan in lockstep and each fetch slot becomes one merged
     oblivious-store pass, amortizing the PIR cost (Table 2) across the
@@ -144,7 +144,7 @@ type abandoned = {
   on_replica : int;
   reason : string;  (** the {!Engine.failover_class} string *)
   attempt_stats : Psp_pir.Server.Session.stats array;
-      (** the abandoned attempt's finished sessions: partial traces and
+      (** the abandoned attempt's finished session: partial traces and
           the cost already incurred (one per batch member) *)
 }
 

@@ -1,6 +1,5 @@
 module Server = Psp_pir.Server
 module Session = Psp_pir.Server.Session
-module Batcher = Psp_pir.Batcher
 module H = Psp_index.Header
 module QP = Psp_index.Query_plan
 module Obs = Psp_obs.Obs
@@ -114,15 +113,15 @@ let plan_slots ctx =
 (* The walker: one engine drives every scheme over the public step list,
    owning padding, retry, telemetry spans and — by construction — trace
    conformance (Privacy.expected_trace folds over the same list).  It
-   reaches the server through one batcher multiplexing the members'
-   lockstep sessions; a single query is a width-1 batcher.  The page
-   array's length is the batch width; it rides down through
-   Batcher.fetch into the oblivious store's merged pass, which serves
-   the whole batch with one level scan per level per chunk.  The walk
+   reaches the server through one session serving the members in
+   lockstep; a single query is a width-1 session.  The page array's
+   length is the batch width; it rides down through Session.fetch into
+   the oblivious store's merged pass, which serves the whole batch with
+   one level scan per level per chunk.  The walk
    issues every step and nothing else: a member whose search outgrows
    the plan is reported by run_batch, never fed an extra fetch. *)
 
-let walk (type s) (module S : SCHEME with type state = s) batcher ~policy ctx
+let walk (type s) (module S : SCHEME with type state = s) session ~policy ctx
     (states : s array) =
   (* One fetch slot: ask every member which page it wants; a member
      without a real need gets a dummy retrieval of page 0.  The slot is
@@ -132,8 +131,8 @@ let walk (type s) (module S : SCHEME with type state = s) batcher ~policy ctx
     let (wants [@secret]) = Array.map (fun st -> S.next_page st ~file) states in
     (let (pages [@secret]) = Array.map (Option.value ~default:0) wants in
      let blobs =
-       with_retry ~policy ~on_retry:(Batcher.note_retry batcher) (fun () ->
-           Batcher.fetch batcher ~file ~pages)
+       with_retry ~policy ~on_retry:(Session.note_retry session) (fun () ->
+           Session.fetch session ~file ~pages)
      in
      Array.iteri
        (fun i blob ->
@@ -149,7 +148,7 @@ let walk (type s) (module S : SCHEME with type state = s) batcher ~policy ctx
   List.iter
     (fun step ->
       match step with
-      | QP.Next_round -> Batcher.next_round batcher
+      | QP.Next_round -> Session.next_round session
       | QP.Fetch_window { file; count } ->
           Obs.with_span ("window:" ^ file) (fun () ->
               for _ = 1 to count do
@@ -161,22 +160,15 @@ let walk (type s) (module S : SCHEME with type state = s) batcher ~policy ctx
     (QP.steps ctx.header.H.plan ~pages_per_region:ctx.header.H.pages_per_region)
   [@@oblivious]
 
-let run_batch ?(pacing = sequential) (module S : SCHEME) batcher ~policy ctx queries =
-  if Array.length queries <> Batcher.width batcher then
-    invalid_arg "Engine.run_batch: one query per batcher session required";
+let run_batch ?(pacing = sequential) (module S : SCHEME) session ~policy ctx queries =
   let states = Array.map (S.init ctx) queries in
-  let accounted () =
-    Array.fold_left
-      (fun acc s -> acc +. Session.accounted_seconds s)
-      0.0 (Batcher.sessions batcher)
-  in
   (* Phase reports are unconditional — every walk reports exactly once,
      including walks aborted by retry exhaustion or replica failure, so
      a scheduler's accounting never depends on the outcome. *)
-  (match walk (module S) batcher ~policy ctx states with
-  | () -> pacing.on_server ~seconds:(accounted ())
+  (match walk (module S) session ~policy ctx states with
+  | () -> pacing.on_server ~seconds:(Session.accounted_seconds session)
   | exception e ->
-      pacing.on_server ~seconds:(accounted ());
+      pacing.on_server ~seconds:(Session.accounted_seconds session);
       raise e);
   pacing.on_decode ~bytes:(Array.length queries * plan_slots ctx * ctx.psize);
   (* Each member is asked once whether the plan finished its search; one

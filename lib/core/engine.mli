@@ -108,8 +108,8 @@ type pacing = {
   on_server : seconds:float -> unit;
       (** total server-side accounted seconds after the last
           server-visible operation
-          ({!Psp_pir.Server.Session.accounted_seconds} summed over the
-          batcher's sessions) *)
+          ({!Psp_pir.Server.Session.accounted_seconds}, summed over the
+          members) *)
   on_decode : bytes:int -> unit;
       (** plan-fixed byte volume the client-side decode consumes:
           members × plan slots × page size *)
@@ -121,7 +121,7 @@ val sequential : pacing
 val run_batch :
   ?pacing:pacing ->
   scheme ->
-  Psp_pir.Batcher.t ->
+  Psp_pir.Server.Session.t ->
   policy:retry_policy ->
   ctx ->
   query array ->
@@ -130,13 +130,13 @@ val run_batch :
     queries in lockstep (a single query is N = 1).  A member the plan
     could not finish ([exhausted]) gets [None]; it walked the same plan.
     Each fetch slot
-    becomes one merged {!Psp_pir.Batcher.fetch} pass, and a retry
+    becomes one merged {!Psp_pir.Server.Session.fetch} pass, and a retry
     re-issues every member's identical request so members stay mutually
-    trace-identical.  The batch width flows through the batcher into the
+    trace-identical.  The batch width flows through the session into the
     oblivious store, where the pass executes as one level scan per level
     per chunk ({!Psp_pir.Pyramid_store.fetch_many}) — so the engine's
     simulated amortization and the store's executed page touches agree
     by construction.
     @raise Gave_up on retry-budget exhaustion; Failure on a malformed
-    database; Invalid_argument unless there is one query per batcher
-    session. *)
+    database; Invalid_argument unless there is one query per session
+    member. *)

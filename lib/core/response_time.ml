@@ -14,7 +14,7 @@ let total t =
 let of_result (r : Client.result) =
   { pir_seconds = r.Client.stats.Psp_pir.Server.Session.pir_seconds;
     comm_seconds = r.Client.stats.Psp_pir.Server.Session.comm_seconds;
-    server_cpu_seconds = r.Client.stats.Psp_pir.Server.Session.server_cpu_seconds;
+    server_cpu_seconds = 0.0;
     client_seconds = r.Client.client_seconds;
     decode_seconds = 0.0;
     queue_seconds = 0.0 }
@@ -30,7 +30,7 @@ let zero =
 let of_stats (s : Psp_pir.Server.Session.stats) =
   { pir_seconds = s.Psp_pir.Server.Session.pir_seconds;
     comm_seconds = s.Psp_pir.Server.Session.comm_seconds;
-    server_cpu_seconds = s.Psp_pir.Server.Session.server_cpu_seconds;
+    server_cpu_seconds = 0.0;
     client_seconds = 0.0;
     decode_seconds = 0.0;
     queue_seconds = 0.0 }

@@ -65,7 +65,7 @@ let has_attr name attrs =
 (* The universe *)
 
 type fn = {
-  fn_name : string; (* canonical fq name, e.g. "Psp_pir.Server.Session.fetch_batch" *)
+  fn_name : string; (* canonical fq name, e.g. "Psp_pir.Server.Session.fetch" *)
   fn_prefix : string; (* enclosing module path, e.g. "Psp_pir.Server.Session" *)
   fn_oblivious : bool;
   fn_binding : Typedtree.value_binding;
@@ -290,7 +290,7 @@ let apply_redirects t name =
 (* Candidate spellings of an alias-expanded name as seen from inside
    [current] (the caller's enclosing module path): the name as-is, then
    qualified by each enclosing prefix from innermost to outermost (a
-   bare [helper] or a sibling [Session.fetch_batch]). *)
+   bare [helper] or a sibling [Session.fetch]). *)
 let candidates ~current name =
   let rec prefixes acc p =
     match String.rindex_opt p '.' with

@@ -8,7 +8,7 @@
     functor body. *)
 
 type fn = {
-  fn_name : string;  (** canonical fq name, e.g. ["Psp_pir.Server.Session.fetch_batch"] *)
+  fn_name : string;  (** canonical fq name, e.g. ["Psp_pir.Server.Session.fetch"] *)
   fn_prefix : string;  (** enclosing module path *)
   fn_oblivious : bool;  (** carries [[\@\@oblivious]] *)
   fn_binding : Typedtree.value_binding;

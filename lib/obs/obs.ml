@@ -150,7 +150,6 @@ let pages_total = ref 0
 type span = {
   sp_path : string;
   sp_t0 : float;
-  sp_alloc0 : float;
   sp_pages0 : int;
   mutable sp_open : bool;
 }
@@ -158,14 +157,12 @@ type span = {
 type span_stats = {
   calls : int;
   seconds : float;
-  alloc_bytes : float;
   pages : int;
 }
 
 type agg = {
   mutable a_calls : int;
   mutable a_seconds : float;
-  mutable a_alloc : float;
   mutable a_pages : int;
 }
 
@@ -185,7 +182,6 @@ let enter name =
     {
       sp_path = path;
       sp_t0 = !clock ();
-      sp_alloc0 = Gc.allocated_bytes ();
       sp_pages0 = !pages_total;
       sp_open = true;
     }
@@ -193,7 +189,7 @@ let enter name =
   stack := sp :: !stack;
   sp
   [@@leak_ok
-    "wall-clock and GC sampling for constant-shape spans: every plan step \
+    "wall-clock sampling for constant-shape spans: every plan step \
      enters its span unconditionally, so the sampling schedule is plan-derived, \
      never secret-derived"]
 
@@ -203,16 +199,15 @@ let finalize sp =
     match Hashtbl.find_opt span_aggs sp.sp_path with
     | Some a -> a
     | None ->
-        let a = { a_calls = 0; a_seconds = 0.0; a_alloc = 0.0; a_pages = 0 } in
+        let a = { a_calls = 0; a_seconds = 0.0; a_pages = 0 } in
         Hashtbl.replace span_aggs sp.sp_path a;
         a
   in
   agg.a_calls <- agg.a_calls + 1;
   agg.a_seconds <- agg.a_seconds +. (!clock () -. sp.sp_t0);
-  agg.a_alloc <- agg.a_alloc +. (Gc.allocated_bytes () -. sp.sp_alloc0);
   agg.a_pages <- agg.a_pages + (!pages_total - sp.sp_pages0)
   [@@leak_ok
-    "span aggregation samples the clock and allocator on the same \
+    "span aggregation samples the clock on the same \
      constant-shape schedule as enter; aggregates are published knowingly \
      through the snapshot API"]
 
@@ -250,7 +245,6 @@ let span_stats path =
          {
            calls = a.a_calls;
            seconds = a.a_seconds;
-           alloc_bytes = a.a_alloc;
            pages = a.a_pages;
          })
 
@@ -278,7 +272,7 @@ let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
 
 (* The shape export: one sorted line per instrument, public fields
-   only.  Durations, allocation and gauge values are content-dependent
+   only.  Durations and gauge values are content-dependent
    and deliberately absent — see the .mli preamble. *)
 let shape () =
   let lines = ref [] in
@@ -336,7 +330,6 @@ let to_json () =
         [
           ("calls", Int a.a_calls);
           ("seconds", Float a.a_seconds);
-          ("alloc_bytes", Float a.a_alloc);
           ("pages", Int a.a_pages);
         ] )
   in
@@ -384,9 +377,6 @@ let pp fmt () =
     List.iter
       (fun k ->
         let a = Hashtbl.find span_aggs k in
-        pr "  %-44s calls=%d time=%.6gs alloc=%.3gMB pages=%d@." k a.a_calls
-          a.a_seconds
-          (a.a_alloc /. 1048576.0)
-          a.a_pages)
+        pr "  %-44s calls=%d time=%.6gs pages=%d@." k a.a_calls a.a_seconds a.a_pages)
       keys
   end

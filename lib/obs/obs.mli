@@ -17,15 +17,15 @@
     must be constants or public plan quantities (pages per region,
     rounds per query); and no metric update may sit under
     secret-dependent control flow inside an [[@@oblivious]] function
-    unless the site carries a justified [[@leak_ok]].  Durations and
-    allocation volumes of whole oblivious rounds are recordable because
-    the plan fixes the work done per round; per-item timings keyed by
-    secret data are not.
+    unless the site carries a justified [[@leak_ok]].  Durations of
+    whole oblivious rounds are recordable because the plan fixes the
+    work done per round; per-item timings keyed by secret data are
+    not.
 
     The {!shape} export makes the contract testable: it renders every
     registered metric's {e structure} (names, counter values, sample
     and call counts, page attributions) while omitting every
-    content-dependent measurement (durations, allocation).  Two queries
+    content-dependent measurement (durations).  Two queries
     executed under the same public plan must produce byte-identical
     shapes; [test/test_obs.ml] enforces this.
 
@@ -135,10 +135,11 @@ val quantile : histogram -> float -> float
     assembly).  A span's {e path} is its name prefixed by the names of
     the spans open at entry, joined with ['/'] — e.g.
     ["query/fetch_regions/pir_fetch"].  Per-path aggregates record
-    call count, inclusive wall-clock, inclusive allocated bytes
-    (profiling hook: {!Gc.allocated_bytes} deltas) and inclusive page
-    I/O (profiling hook: {!add_pages} deltas), so hot phases can be
-    attributed without a sampling profiler.
+    call count, inclusive wall-clock and inclusive page I/O (profiling
+    hook: {!add_pages} deltas), so hot phases can be attributed without
+    a sampling profiler.  Spans record no allocation: a
+    {!Gc.allocated_bytes} delta moves between spans when code outside
+    them changes, so it does not attribute a layer.
 
     Mismatched exits never raise: exiting a span that is not the
     innermost force-closes the spans opened inside it, and each
@@ -162,12 +163,11 @@ val with_span : string -> (unit -> 'a) -> 'a
 val add_pages : int -> unit
 (** Attribute [n] physical page retrievals to every currently-open
     span (the page-I/O profiling hook; called by the PIR server at
-    each page retrieval — fetch, bulk download or plain fetch). *)
+    each page retrieval — fetch or bulk download). *)
 
 type span_stats = {
   calls : int;  (** completed executions of this path *)
   seconds : float;  (** inclusive wall-clock total *)
-  alloc_bytes : float;  (** inclusive allocation total *)
   pages : int;  (** inclusive page retrievals (see {!add_pages}) *)
 }
 
@@ -193,13 +193,13 @@ val shape : unit -> string
 (** Canonical, deterministic rendering of the metric {e shape}: one
     sorted line per instrument carrying only publicly-derivable
     fields — counter values, histogram sample counts, span call and
-    page counts, gauge and histogram names.  Durations, allocation
-    volumes and gauge values are deliberately omitted (they vary with
+    page counts, gauge and histogram names.  Durations and gauge
+    values are deliberately omitted (they vary with
     machine noise, never with the plan).  Two same-plan queries must
     produce equal shapes; see the module preamble. *)
 
 val to_json : unit -> Json.t
-(** Full snapshot (including durations and allocation) as JSON, for
+(** Full snapshot (including durations) as JSON, for
     [BENCH_*.json] artifacts and [pspc --metrics]. *)
 
 val pp : Format.formatter -> unit -> unit

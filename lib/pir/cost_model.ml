@@ -149,9 +149,6 @@ let failover_seconds t ~attempt =
      back off exponentially in the number of replicas already abandoned *)
   t.rtt +. retry_backoff_seconds ~base:t.rtt ~attempt
 
-let plain_fetch_seconds t =
-  t.disk_seek +. (float_of_int t.page_size /. t.disk_rate)
-
 let transfer_seconds t ~bytes = float_of_int bytes /. t.bandwidth
 
 let max_file_bytes t =

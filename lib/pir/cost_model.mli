@@ -137,10 +137,6 @@ val failover_seconds : t -> attempt:int -> float
     next one, with exponential backoff in the number of replicas
     already abandoned ([attempt], 1-based). *)
 
-val plain_fetch_seconds : t -> float
-(** One unsecured page read (seek + disk transfer) — the cost unit of
-    the non-private OBF baseline. *)
-
 val transfer_seconds : t -> bytes:int -> float
 (** Client-link transmission time for a payload. *)
 

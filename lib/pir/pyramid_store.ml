@@ -208,8 +208,8 @@ type source = From_cache | From_member of int | From_level
 (* The array itself is not marked secret — its length (the batch width)
    is public, and the loop structure below depends only on it and on the
    access count; the page indices inside are marked [@secret] where they
-   are read out, exactly as Server.Session.fetch_batch treats its
-   request array. *)
+   are read out.  (Server.Session.fetch, the caller, marks the whole
+   array secret and justifies its one read of the length.) *)
 let fetch_many t ids =
   let k = Array.length ids in
   let nlevels = Array.length t.levels in

@@ -8,7 +8,6 @@ module DB = Psp_index.Database
 module PF = Psp_storage.Page_file
 module Server = Psp_pir.Server
 module Session = Psp_pir.Server.Session
-module Batcher = Psp_pir.Batcher
 module F = Psp_fault.Fault
 open Psp_core
 
@@ -398,18 +397,18 @@ let test_server_executed_vs_simulated () =
       let levels =
         CM.pyramid_levels ~cache_capacity:PS.default_cache_capacity ~file_pages:pages
       in
-      let b = Batcher.start server ~width in
+      let b = Session.start server ~width in
       let touches0 = Server.executed_slot_touches server in
       let scans0 = Server.executed_level_scans server in
       ignore
-        (Batcher.fetch b ~file:"file" ~pages:(Array.init width (fun i -> (3 * i) mod pages)));
+        (Session.fetch b ~file:"file" ~pages:(Array.init width (fun i -> (3 * i) mod pages)));
       Alcotest.(check int)
         (Printf.sprintf "width %d: executed touches = levels * width" width)
         (levels * width)
         (Server.executed_slot_touches server - touches0);
       Alcotest.(check bool) "level scans executed" true
         (Server.executed_level_scans server - scans0 >= levels);
-      let stats = Batcher.finish b in
+      let stats = Session.finish b in
       let charged =
         Array.fold_left
           (fun acc (s : Session.stats) -> acc +. s.Session.pir_seconds)
@@ -487,7 +486,7 @@ let test_batch_edges () =
   let server = server_of db in
   Alcotest.(check int) "empty batch" 0
     (Array.length (Client.query_batch server [||]));
-  (match Batcher.start server ~width:0 with
+  (match Session.start server ~width:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument for width 0")
 

@@ -447,9 +447,9 @@ let test_core_secrets_seeded () =
   Alcotest.(check (list string))
     "client query secrets" [ "s"; "t" ] (audit_of "query_nodes").secrets;
   Alcotest.(check (list string))
-    "session fetch secrets" [ "page" ] (audit_of "Session.fetch_batch").secrets;
+    "session fetch secrets" [ "page"; "pages" ] (audit_of "Session.fetch").secrets;
   Alcotest.(check bool) "session fetch justifies sites" true
-    ((audit_of "Session.fetch_batch").justified >= 3)
+    ((audit_of "Session.fetch").justified >= 3)
 
 let () =
   Alcotest.run "lint"

@@ -104,7 +104,11 @@ let small_cost = { CM.ibm4764 with CM.page_size = 64 }
 module PS = Psp_pir.Pyramid_store
 
 (* a single private fetch is a width-1 merged pass *)
-let fetch s ~file ~page = (Session.fetch_batch ~file [| (s, page) |]).(0)
+let fetch s ~file ~page = (Session.fetch s ~file ~pages:[| page |]).(0)
+
+(* a single query is a width-1 session *)
+let start server = Session.start server ~width:1
+let finish s = (Session.finish s).(0)
 
 let test_pyramid_reads_correct () =
   let f = make_file ~pages:60 ~page_size:32 () in
@@ -216,7 +220,7 @@ let test_pyramid_golden_host_bytes () =
 let test_pyramid_server_mode () =
   let f = make_file ~pages:20 ~page_size:64 () in
   let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
-  let s = Session.start server in
+  let s = start server in
   for i = 0 to 19 do
     let got = fetch s ~file:"data" ~page:i in
     Alcotest.(check string) "pyramid-served read" (Printf.sprintf "page-%06d" i)
@@ -283,7 +287,7 @@ let test_store_tamper_detection () =
      re-checksums is caught by the keyed tag check *)
   let f = make_file ~pages:20 ~page_size:64 () in
   let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
-  let s = Session.start server in
+  let s = start server in
   ignore (fetch s ~file:"data" ~page:0);
   let module F = Psp_fault.Fault in
   F.arm "pir.fetch.tamper" (F.Hits [ 1 ]);
@@ -364,12 +368,12 @@ let pyramid_random_sequences =
 let test_server_fetch_accounting () =
   let f = make_file ~pages:10 ~page_size:64 () in
   let server = Server.create ~cost:small_cost ~key [ f ] in
-  let s = Session.start server in
+  let s = start server in
   ignore (fetch s ~file:"data" ~page:3);
   Session.next_round s;
   ignore (fetch s ~file:"data" ~page:4);
   ignore (fetch s ~file:"data" ~page:4);
-  let stats = Session.finish s in
+  let stats = finish s in
   Alcotest.(check int) "rounds" 2 stats.Session.rounds;
   Alcotest.(check (list (pair string int))) "fetch counts" [ ("data", 3) ]
     stats.Session.pir_fetches;
@@ -384,9 +388,9 @@ let test_server_trace_hides_pages () =
   let f = make_file ~pages:10 ~page_size:64 () in
   let server = Server.create ~cost:small_cost ~key [ f ] in
   let run pages =
-    let s = Session.start server in
+    let s = start server in
     List.iter (fun p -> ignore (fetch s ~file:"data" ~page:p)) pages;
-    (Session.finish s).Session.trace
+    (finish s).Session.trace
   in
   (* different page numbers, same trace *)
   Alcotest.(check bool) "same view" true (Trace.equal (run [ 1; 2; 3 ]) (run [ 9; 9; 0 ]))
@@ -397,13 +401,13 @@ let test_server_trace_hides_pages () =
 let test_server_oblivious_mode () =
   let f = make_file ~pages:12 ~page_size:64 () in
   let run mode =
-    let s = Session.start (Server.create ~mode ~cost:small_cost ~key [ f ]) in
+    let s = start (Server.create ~mode ~cost:small_cost ~key [ f ]) in
     for i = 0 to 11 do
       let got = fetch s ~file:"data" ~page:i in
       Alcotest.(check string) "oblivious read correct" (Printf.sprintf "page-%06d" i)
         (Bytes.to_string (Bytes.sub got 0 11))
     done;
-    Session.finish s
+    finish s
   in
   let sim = run `Simulated and obl = run `Pyramid in
   Alcotest.(check bool) "same trace" true (Trace.equal sim.Session.trace obl.Session.trace);
@@ -418,9 +422,9 @@ let test_server_pyramid_retains_no_events () =
   let f = make_file ~pages:20 ~page_size:64 () in
   let server = Server.create ~mode:`Pyramid ~cost:small_cost ~key [ f ] in
   Alcotest.(check int) "none after create" 0 (Server.retained_physical_events server);
-  let s1 = Session.start server and s2 = Session.start server in
+  let s = Session.start server ~width:2 in
   for i = 0 to 9 do
-    ignore (Session.fetch_batch ~file:"data" [| (s1, i); (s2, 19 - i) |]);
+    ignore (Session.fetch s ~file:"data" ~pages:[| i; 19 - i |]);
     Alcotest.(check int) "none after a pass" 0 (Server.retained_physical_events server)
   done;
   Alcotest.(check bool) "the passes touched slots" true
@@ -442,10 +446,10 @@ let test_server_duplicate_names () =
 let test_server_download () =
   let f = make_file ~name:"header" ~pages:3 ~page_size:64 () in
   let server = Server.create ~cost:small_cost ~key [ f ] in
-  let s = Session.start server in
-  let pages = Session.download ~file:"header" [| s |] in
+  let s = start server in
+  let pages = Session.download s ~file:"header" in
   Alcotest.(check int) "all pages" 3 (Array.length pages);
-  let stats = Session.finish s in
+  let stats = finish s in
   Alcotest.(check (float 1e-9)) "no pir" 0.0 stats.Session.pir_seconds;
   let expected = small_cost.CM.rtt +. CM.transfer_seconds small_cost ~bytes:(3 * 64) in
   Alcotest.(check (float 1e-9)) "download comm" expected stats.Session.comm_seconds
@@ -458,18 +462,130 @@ let test_server_download_tamper () =
   let module F = Psp_fault.Fault in
   F.arm "pir.download.tamper" (F.Hits [ 2 ]);
   Fun.protect ~finally:F.reset (fun () ->
-      match Session.download ~file:"header" [| Session.start server |] with
+      match Session.download (start server) ~file:"header" with
       | exception Server.Tampered { file = "header"; page = 1 } -> ()
       | _ -> Alcotest.fail "expected Tampered on the second header page")
 
-let test_server_plain_fetch () =
-  let f = make_file ~pages:5 ~page_size:64 () in
-  let server = Server.create ~cost:small_cost ~key [ f ] in
-  let s = Session.start server in
-  ignore (Session.plain_fetch s ~file:"data" ~page:2);
-  let stats = Session.finish s in
-  Alcotest.(check bool) "server cpu charged" true (stats.Session.server_cpu_seconds > 0.0);
-  Alcotest.(check (list (pair string int))) "not a pir fetch" [] stats.Session.pir_fetches
+(* One batch session, one account: a header download, rounds, fetches
+   and a retry charged to a width-k session must leave every member with
+   exactly the Cost_model sums, bit for bit. *)
+let batch_files () =
+  [ make_file ~name:"header" ~pages:3 ~page_size:64 ();
+    make_file ~name:"data" ~pages:10 ~page_size:64 () ]
+
+let batch_backoff = 0.1
+
+let batch_scenario server ~width =
+  let s = Session.start server ~width in
+  ignore (Session.download s ~file:"header");
+  Session.next_round s;
+  for j = 0 to 1 do
+    ignore (Session.fetch s ~file:"data" ~pages:(Array.init width (fun i -> (i + j) mod 10)))
+  done;
+  Session.note_retry s ~backoff:batch_backoff;
+  Session.next_round s;
+  ignore (Session.fetch s ~file:"data" ~pages:(Array.make width 9));
+  s
+
+let test_server_one_account () =
+  List.iter
+    (fun k ->
+      let server = Server.create ~cost:small_cost ~key (batch_files ()) in
+      let s = batch_scenario server ~width:k in
+      (* the same charges, in the same order, that one member accrues *)
+      let rtt = small_cost.CM.rtt /. float_of_int k in
+      let levels =
+        CM.pyramid_levels ~cache_capacity:PS.default_cache_capacity ~file_pages:10
+      in
+      let pass =
+        CM.pir_batch_fetch_seconds small_cost ~file_pages:10 ~levels ~batch:k
+        /. float_of_int k
+      in
+      let page = CM.transfer_seconds small_cost ~bytes:64 in
+      let comm =
+        rtt +. CM.transfer_seconds small_cost ~bytes:(3 * 64) +. rtt +. page +. page
+        +. batch_backoff +. rtt +. page
+      in
+      let pir = 0.0 +. pass +. pass +. pass in
+      let trace = Trace.create () in
+      List.iter (Trace.record trace)
+        [ Trace.Plain_download { round = 1; file = "header"; pages = 3 };
+          Trace.Pir_fetch { round = 2; file = "data" };
+          Trace.Pir_fetch { round = 2; file = "data" };
+          Trace.Pir_fetch { round = 3; file = "data" } ];
+      let member = pir +. comm in
+      let total = ref 0.0 in
+      for _ = 1 to k do
+        total := !total +. member
+      done;
+      let name what = Printf.sprintf "width %d: %s" k what in
+      Alcotest.(check bool) (name "accounted = k-fold sum") true
+        (Float.equal !total (Session.accounted_seconds s));
+      let stats = Session.finish s in
+      Alcotest.(check int) (name "one stats per member") k (Array.length stats);
+      Array.iter
+        (fun (st : Session.stats) ->
+          Alcotest.(check bool) (name "pir seconds") true (Float.equal pir st.Session.pir_seconds);
+          Alcotest.(check bool) (name "comm seconds") true
+            (Float.equal comm st.Session.comm_seconds);
+          Alcotest.(check bool) (name "recovery seconds") true
+            (Float.equal batch_backoff st.Session.recovery_seconds);
+          Alcotest.(check (list (pair string int))) (name "fetch counts") [ ("data", 3) ]
+            st.Session.pir_fetches;
+          Alcotest.(check int) (name "rounds") 3 st.Session.rounds;
+          Alcotest.(check int) (name "retries") 1 st.Session.retries;
+          Alcotest.(check bool) (name "trace") true (Trace.equal trace st.Session.trace))
+        stats)
+    [ 1; 3; 8 ];
+  let server = Server.create ~cost:small_cost ~key (batch_files ()) in
+  (match Session.start server ~width:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for width 0");
+  match Session.fetch (Session.start server ~width:3) ~file:"data" ~pages:[| 1; 2 |] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument for two pages in a width-3 session"
+
+(* Telemetry counts members: a width-k session records k times what a
+   width-1 session records, per pass and per round alike, while the
+   per-pass batch counters stay per pass. *)
+let test_server_member_telemetry () =
+  let module Obs = Psp_obs.Obs in
+  let snapshot width =
+    Obs.reset ();
+    let server = Server.create ~cost:small_cost ~key (batch_files ()) in
+    ignore (Session.finish (batch_scenario server ~width));
+    let count name = Obs.count (Obs.counter name) in
+    let samples name = Obs.samples (Obs.histogram name) in
+    let span_pages =
+      match Obs.span_stats "pir_fetch_batch" with
+      | Some a -> a.Obs.pages
+      | None -> Alcotest.fail "no pir_fetch_batch span"
+    in
+    ( [ count "pir.sessions";
+        count "pir.fetch.total";
+        count "pir.fetch.pages.data";
+        count "pir.rounds";
+        count "pir.retries";
+        count "pir.download.pages";
+        samples "pir.session.pir_seconds";
+        samples "pir.session.comm_seconds";
+        span_pages ],
+      [ count "pir.fetch.batches"; count "pir.batcher.batches" ] )
+  in
+  let per_member1, per_pass1 = snapshot 1 in
+  Alcotest.(check (list int)) "width 1 counts" [ 1; 3; 3; 2; 1; 3; 1; 1; 3 ] per_member1;
+  List.iter
+    (fun k ->
+      let per_member, per_pass = snapshot k in
+      Alcotest.(check (list int))
+        (Printf.sprintf "width %d: k times the width-1 counts" k)
+        (List.map (( * ) k) per_member1)
+        per_member;
+      Alcotest.(check (list int))
+        (Printf.sprintf "width %d: one count per pass" k)
+        per_pass1 per_pass)
+    [ 3; 8 ];
+  Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)
@@ -535,6 +651,7 @@ let () =
           Alcotest.test_case "duplicate names" `Quick test_server_duplicate_names;
           Alcotest.test_case "download" `Quick test_server_download;
           Alcotest.test_case "download tamper" `Quick test_server_download_tamper;
-          Alcotest.test_case "plain fetch" `Quick test_server_plain_fetch ] );
+          Alcotest.test_case "one account per batch" `Quick test_server_one_account;
+          Alcotest.test_case "telemetry per member" `Quick test_server_member_telemetry ] );
       ( "trace",
         [ Alcotest.test_case "fingerprint/counts" `Quick test_trace_fingerprint_and_counts ] ) ]
