@@ -10,8 +10,6 @@
                 the published plan
      stats      run sample queries and report the telemetry registry
      inspect    summarize a network's structure
-     lint       statically check [@@oblivious] code for secret-dependent
-                branches, lengths and effectful calls (see also psplint)
 
    Networks are passed either as `--preset old --preset-scale 16` or as
    DIMACS files (`--gr map.gr --co map.co`). *)
@@ -702,61 +700,6 @@ let inspect_cmd =
     Term.(const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg)
 
 (* ------------------------------------------------------------------ *)
-(* lint *)
-
-let lint_cmd =
-  let paths =
-    Arg.(value & pos_all string []
-         & info [] ~docv:"PATH"
-             ~doc:"$(b,.cmt) files or directories searched recursively. Defaults to \
-                   the audited libraries under _build/default/lib.")
-  in
-  let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Print only the summary line.") in
-  let audit =
-    Arg.(value & flag
-         & info [ "audit" ] ~doc:"List every $(b,[@@oblivious]) function audited.")
-  in
-  let root =
-    Arg.(value & opt (some string) None
-         & info [ "root" ] ~docv:"DIR"
-             ~doc:"Whole-program mode: index every $(b,.cmt) under DIR-relative \
-                   PATHs into one call graph and report cross-module flows with \
-                   full call chains.")
-  in
-  let sarif =
-    Arg.(value & opt (some string) None
-         & info [ "sarif" ] ~docv:"FILE" ~doc:"Write a SARIF 2.1.0 report to FILE.")
-  in
-  let baseline =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"FILE"
-             ~doc:"Suppress findings accepted in FILE; report baseline drift.")
-  in
-  let write_baseline =
-    Arg.(value & opt (some string) None
-         & info [ "write-baseline" ] ~docv:"FILE"
-             ~doc:"Regenerate FILE from the current findings and exit 0.")
-  in
-  let run paths quiet audit root sarif baseline write_baseline =
-    let paths =
-      if paths <> [] || root <> None then paths
-      else
-        List.filter_map
-          (fun lib ->
-            let dir = Printf.sprintf "_build/default/lib/%s" lib in
-            if Sys.file_exists dir then Some dir else None)
-          [ "core"; "pir"; "index" ]
-    in
-    exit
-      (Psp_lint.Lint.main ?root ?sarif ?baseline ?write_baseline ~paths ~quiet ~audit
-         ())
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:"Statically check the oblivious core for secret-dependent behaviour")
-    Term.(const run $ paths $ quiet $ audit $ root $ sarif $ baseline $ write_baseline)
-
-(* ------------------------------------------------------------------ *)
 (* render *)
 
 let render_cmd =
@@ -815,5 +758,4 @@ let () =
             trace_cmd;
             stats_cmd;
             inspect_cmd;
-            render_cmd;
-            lint_cmd ]))
+            render_cmd ]))

@@ -27,6 +27,8 @@ let zero =
     decode_seconds = 0.0;
     queue_seconds = 0.0 }
 
+(* One finished session's cost-model accounting (client time unknown
+   there: 0). *)
 let of_stats (s : Psp_pir.Server.Session.stats) =
   { pir_seconds = s.Psp_pir.Server.Session.pir_seconds;
     comm_seconds = s.Psp_pir.Server.Session.comm_seconds;

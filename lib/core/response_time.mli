@@ -33,10 +33,6 @@ val of_result : Client.result -> t
 val zero : t
 (** All components zero — the fold seed for {!add}. *)
 
-val of_stats : Psp_pir.Server.Session.stats -> t
-(** Decomposition of one finished session's cost-model accounting
-    (client time unknown there: 0). *)
-
 val of_replicated : Client.replicated -> t array
 (** Per-member decomposition of a replicated query: the serving
     attempt, {e plus} every abandoned attempt's accounted cost, {e

@@ -39,6 +39,7 @@ let region_rects (header : H.t) =
   walk header.H.tree (neg_infinity, neg_infinity, infinity, infinity);
   rects
 
+(* Euclidean distance from a point to a rectangle (0 inside). *)
 let rect_distance (x0, y0, x1, y1) ~x ~y =
   let dx = Float.max 0.0 (Float.max (x0 -. x) (x -. x1)) in
   let dy = Float.max 0.0 (Float.max (y0 -. y) (y -. y1)) in

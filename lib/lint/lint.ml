@@ -1,87 +1,58 @@
-(* Driver: load .cmt files, run the taint analysis, report.
+(* Driver: load .cmt files, run the whole-program taint analysis,
+   report.
 
-   Two modes:
-
-   - per-module ([run]): each .cmt is analyzed on its own, with no
-     interprocedural environment.  Used by the fixture tests and for
-     quick single-file checks.
-
-   - whole-program ([run_program], the [--root] CLI mode): every .cmt
-     under the given directories is indexed into one [Callgraph]
-     universe, per-function summaries are iterated to a fixpoint
-     ([Summary.compute]), and each [@@oblivious] entrypoint is analyzed
-     with that environment — so a secret flowing through three modules
-     into an observable sink is one finding with the full call chain.
-     Reachability is then checked: a call from the oblivious surface
-     into a project-namespace module that was never loaded is an
-     [unanalyzed-module] finding, which is what lets the build rules
-     glob directories instead of hand-listing modules.  Every [external]
-     in the surface must carry a justified [@@leak_ok]
-     ([foreign-primitive]); each one gets an audit record in [foreign]. *)
+   Every .cmt under the given paths is indexed into one [Callgraph]
+   universe, per-function summaries are iterated to a fixpoint
+   ([Summary.compute]), and each [@@oblivious] entrypoint is analyzed
+   with that environment — so a secret flowing through three modules
+   into an observable sink is one finding with the full call chain.
+   Reachability is then checked: a call from the oblivious surface into
+   a project-namespace module that was never loaded is an
+   [unanalyzed-module] finding, which is what lets the build rules glob
+   directories instead of hand-listing modules.  Every [external] in the
+   surface must carry a justified [@@leak_ok] ([foreign-primitive]);
+   each one gets an audit record in [foreign]. *)
 
 type report = {
   findings : Finding.t list;
   audits : Finding.audit list; (* one per [@@oblivious] binding *)
-  foreign : Finding.audit list; (* one per [external], whole-program only *)
-  errors : string list; (* unreadable inputs *)
+  foreign : Finding.audit list; (* one per [external] *)
+  errors : string list; (* unreadable or vacuous inputs *)
   modules : int; (* implementations analyzed *)
 }
 
-let empty = { findings = []; audits = []; foreign = []; errors = []; modules = 0 }
-
-let merge a b =
-  { findings = a.findings @ b.findings;
-    audits = a.audits @ b.audits;
-    foreign = a.foreign @ b.foreign;
-    errors = a.errors @ b.errors;
-    modules = a.modules + b.modules }
-
-let analyze_cmt path =
-  match Cmt_format.read_cmt path with
-  | exception e ->
-      { empty with errors = [ Printf.sprintf "%s: %s" path (Printexc.to_string e) ] }
-  | cmt -> (
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-          let findings, audits = Taint.analyze_structure str in
-          { empty with findings; audits; modules = 1 }
-      | _ -> empty)
-
-let is_cmt path =
-  Filename.check_suffix path ".cmt" && not (Filename.check_suffix path ".cmti")
+let is_cmt path = Filename.check_suffix path ".cmt"
 
 (* Directories are walked recursively; explicit files must be .cmt.  A
-   top-level PATH that cannot be stat'ed is an error, but an entry under
-   a walked directory that vanishes (or dangles) before its stat is
-   skipped: the compiler writes temporary files into the very
+   top-level PATH that cannot be stat'ed, is not a .cmt file, or holds
+   no .cmt at all (a source directory instead of its build tree) is an
+   error: a run over nothing would pass as vacuously clean.  An entry
+   under a walked directory that vanishes (or dangles) before its stat
+   is skipped: the compiler writes temporary files into the very
    directories a build-time lint run walks. *)
 let collect path =
-  let rec walk ~top path =
+  let rec walk path =
     match
       if Sys.is_directory path then
         List.concat_map
-          (fun entry -> walk ~top:false (Filename.concat path entry))
+          (fun entry -> walk (Filename.concat path entry))
           (List.sort compare (Array.to_list (Sys.readdir path)))
       else if is_cmt path then [ path ]
       else []
     with
     | cmts -> cmts
-    | exception Sys_error _ when not top -> []
+    | exception Sys_error _ -> []
   in
-  match walk ~top:true path with
-  | cmts -> Ok cmts
+  match Sys.is_directory path with
   | exception Sys_error e -> Error e
-
-let run paths =
-  List.fold_left
-    (fun acc path ->
-      match collect path with
-      | Error e -> { acc with errors = acc.errors @ [ e ] }
-      | Ok cmts -> List.fold_left (fun acc cmt -> merge acc (analyze_cmt cmt)) acc cmts)
-    empty paths
+  | false when not (is_cmt path) -> Error (path ^ ": not a .cmt file")
+  | _ -> (
+      match walk path with
+      | [] -> Error (path ^ ": no .cmt files (pass the build tree, e.g. _build/default/lib)")
+      | cmts -> Ok cmts)
 
 (* ------------------------------------------------------------------ *)
-(* Whole-program mode *)
+(* Analysis *)
 
 module SSet = Set.Make (String)
 
@@ -166,12 +137,7 @@ let load_program paths =
     paths;
   (graph, !errors, !modules)
 
-let run_program ~root paths =
-  let paths =
-    List.map
-      (fun p -> if Filename.is_relative p then Filename.concat root p else p)
-      (if paths = [] then [ "." ] else paths)
-  in
+let run_program paths =
   let graph, errors, modules = load_program paths in
   let summaries = Summary.compute graph in
   let env = Summary.env summaries in
@@ -192,7 +158,7 @@ let run_program ~root paths =
   { findings; audits; foreign; errors; modules }
 
 (* ------------------------------------------------------------------ *)
-(* CLI entry shared by bin/psplint and `pspc lint` *)
+(* CLI entry for bin/psplint *)
 
 let print_report ~quiet ~audit r =
   let table title audits =
@@ -220,16 +186,14 @@ let print_report ~quiet ~audit r =
 let exit_code r =
   if r.errors <> [] then 2 else if r.findings <> [] then 1 else 0
 
-let main ?root ?sarif ?baseline ?write_baseline ~paths ~quiet ~audit () =
-  if paths = [] && root = None then begin
+let main ?sarif ?baseline ?write_baseline ~paths ~quiet ~audit () =
+  if paths = [] then begin
     Printf.eprintf
       "psplint: no inputs (pass .cmt files or directories, e.g. _build/default/lib)\n";
     2
   end
   else begin
-    let r =
-      match root with Some root -> run_program ~root paths | None -> run paths
-    in
+    let r = run_program paths in
     let audits = r.audits @ r.foreign in
     (match write_baseline with
     | Some file ->

@@ -7,8 +7,7 @@
    secret-steered branch is itself secret).  Reported:
 
    - secret-branch:     if / match / while guard / for bound steered by taint
-   - secret-length:     tainted size argument to an allocation, or a
-                        variable-length encoder (varint) fed a tainted value
+   - secret-length:     tainted size argument to an allocation
    - secret-alloc:      a heap allocation sitting under secret-dependent
                         control flow (allocation volume is profiled)
    - secret-loop:       an iterator walking a container whose taint — and
@@ -128,18 +127,13 @@ let length_sensitive_table =
     ("Array.make_matrix", 0);
     ("List.init", 0);
     ("Buffer.create", 0);
-    ("Hashtbl.create", 0);
-    ("Byte_io.Writer.varint", 1);
-    ("Byte_io.Writer.bytes", 1);
-    ("Byte_io.varint_size", 0) ]
+    ("Hashtbl.create", 0) ]
 
 (* (suffix, index of the mutated container argument) *)
 let mutator_table =
   [ ("Hashtbl.replace", 0);
     ("Hashtbl.add", 0);
     ("Hashtbl.remove", 0);
-    ("Dyn_array.push", 0);
-    ("Min_heap.push", 0);
     ("Buffer.add_string", 0);
     ("Buffer.add_bytes", 0);
     ("Buffer.add_char", 0);
@@ -294,9 +288,6 @@ type env = {
       (* type-abbreviation manifests, for the secret-compare exemption *)
 }
 
-let empty_env =
-  { lookup = (fun ~current:_ _ -> None); ty_abbrev = (fun ~current:_ _ -> None) }
-
 (* Taint tokens standing for "parameter i" during summary extraction. *)
 let param_token i = Printf.sprintf "#p%d" i
 
@@ -329,7 +320,6 @@ type state = {
   mutable metric : Finding.frame list option;
       (* chain to the first metric update this binding performs *)
   aliases : (string * string) list;
-  abbrevs : (string * Types.type_expr) list; (* file-local type manifests *)
   func : string; (* display name of the binding under analysis *)
   prefix : string; (* enclosing module path, for summary resolution *)
   env : env;
@@ -337,10 +327,9 @@ type state = {
 
 (* Constant-time comparable: immediates plus float and the boxed ints.
    Type abbreviations ([type id = int]) are expanded syntactically —
-   manifests collected from the loaded typedtrees (file-locally in
-   per-module mode, through the call graph in whole-program mode) are
-   followed to a bounded depth; no typing environment is rebuilt from
-   the cmt.  A chain that leaves the loaded universe stays flagged
+   manifests collected from the loaded typedtrees through the call graph
+   are followed to a bounded depth; no typing environment is rebuilt
+   from the cmt.  A chain that leaves the loaded universe stays flagged
    conservatively. *)
 let constant_time_comparable st (ty : Types.type_expr) =
   let rec check fuel (ty : Types.type_expr) =
@@ -350,12 +339,9 @@ let constant_time_comparable st (ty : Types.type_expr) =
         List.mem name immediate_type_names
         || fuel > 0
            &&
-           let manifest =
-             match List.assoc_opt name st.abbrevs with
-             | Some ty' -> Some ty'
-             | None -> st.env.ty_abbrev ~current:st.prefix name
-           in
-           (match manifest with Some ty' -> check (fuel - 1) ty' | None -> false)
+           (match st.env.ty_abbrev ~current:st.prefix name with
+           | Some ty' -> check (fuel - 1) ty'
+           | None -> false)
     | _ -> false
   in
   check 8 ty
@@ -852,7 +838,7 @@ and trivial_match (cases : Typedtree.computation Typedtree.case list) =
 (* ------------------------------------------------------------------ *)
 (* Per-binding drivers *)
 
-let new_state ?(env = empty_env) ?(prefix = "") ?(abbrevs = []) ~aliases ~func () =
+let new_state ~env (fn : Callgraph.fn) =
   { vars = IMap.empty;
     changed = false;
     hits = [];
@@ -860,10 +846,9 @@ let new_state ?(env = empty_env) ?(prefix = "") ?(abbrevs = []) ~aliases ~func (
     flagged = 0;
     secrets = SSet.empty;
     metric = None;
-    aliases;
-    abbrevs;
-    func;
-    prefix;
+    aliases = fn.fn_aliases;
+    func = fn.fn_name;
+    prefix = fn.fn_prefix;
     env }
 
 let finding_of_hit st (h : hit) =
@@ -889,24 +874,12 @@ let audit_of st (vb : Typedtree.value_binding) =
     justified = st.justified;
     flagged = st.flagged }
 
-let analyze_binding ?env ?prefix ?abbrevs ?func ~aliases (vb : Typedtree.value_binding)
-    =
-  let func =
-    match func with
-    | Some f -> f
-    | None -> (
-        match vb.vb_pat.pat_desc with
-        | Tpat_var (id, _) -> Ident.name id
-        | _ -> "<binding>")
-  in
-  let st = new_state ?env ?prefix ?abbrevs ~aliases ~func () in
-  let suppressed =
-    match leak_ok vb.vb_attributes with
-    | `Justified -> true
-    | `Unjustified _ | `Absent -> false
-  in
-  ignore (run_to_fixpoint st ~suppressed vb.vb_expr);
-  (List.rev_map (finding_of_hit st) st.hits, audit_of st vb)
+(* The binding-level [@leak_ok]: a justified one suppresses everything
+   found in the body. *)
+let binding_justified (vb : Typedtree.value_binding) =
+  match leak_ok vb.vb_attributes with
+  | `Justified -> true
+  | `Unjustified _ | `Absent -> false
 
 (* ------------------------------------------------------------------ *)
 (* Summary extraction: seed every leading parameter with a #p<i> token,
@@ -915,15 +888,8 @@ let analyze_binding ?env ?prefix ?abbrevs ?func ~aliases (vb : Typedtree.value_b
 
 let summarize ~env (fn : Callgraph.fn) =
   let vb = fn.Callgraph.fn_binding in
-  let st =
-    new_state ~env ~prefix:fn.Callgraph.fn_prefix ~aliases:fn.Callgraph.fn_aliases
-      ~func:fn.Callgraph.fn_name ()
-  in
-  let suppressed =
-    match leak_ok vb.vb_attributes with
-    | `Justified -> true
-    | `Unjustified _ | `Absent -> false
-  in
+  let st = new_state ~env fn in
+  let suppressed = binding_justified vb in
   (* Peel the leading [fun] layers, seeding one token per parameter.  A
      multi-case [function] layer both binds its patterns and *is* a
      dispatch on that parameter. *)
@@ -1012,97 +978,17 @@ let summary_shape s =
     s.sum_mutations )
 
 (* ------------------------------------------------------------------ *)
-(* Structure walking (per-module mode, used by [Lint.analyze_cmt]) *)
+(* Entry points *)
 
-let rec analyze_items ?(env = empty_env) ?(abbrevs = []) ~aliases items =
-  let findings = ref [] and audits = ref [] in
-  let aliases = ref aliases in
-  let abbrevs = ref abbrevs in
-  List.iter
-    (fun (item : Typedtree.structure_item) ->
-      match item.str_desc with
-      | Tstr_type (_, decls) ->
-          (* file-local abbreviation manifests feed the secret-compare
-             exemption (bare names: types are referenced unqualified
-             within their own module) *)
-          List.iter
-            (fun (td : Typedtree.type_declaration) ->
-              match td.typ_manifest with
-              | Some cty -> abbrevs := (td.typ_name.txt, cty.ctyp_type) :: !abbrevs
-              | None -> ())
-            decls
-      | Tstr_value (_, vbs) ->
-          List.iter
-            (fun (vb : Typedtree.value_binding) ->
-              if has_attr "oblivious" vb.vb_attributes then begin
-                let fs, a =
-                  analyze_binding ~env ~abbrevs:!abbrevs ~aliases:!aliases vb
-                in
-                findings := !findings @ fs;
-                audits := !audits @ [ a ]
-              end)
-            vbs
-      | Tstr_module mb -> (
-          match module_payload mb with
-          | `Alias (name, target) -> aliases := (name, target) :: !aliases
-          | `Structure (name, items) ->
-              let fs, au =
-                analyze_items ~env ~abbrevs:!abbrevs ~aliases:!aliases items
-              in
-              let qualify (f : Finding.t) = { f with func = name ^ "." ^ f.func } in
-              findings := !findings @ List.map qualify fs;
-              audits :=
-                !audits
-                @ List.map
-                    (fun (a : Finding.audit) ->
-                      { a with Finding.a_func = name ^ "." ^ a.a_func })
-                    au
-          | `Other -> ())
-      | Tstr_recmodule mbs ->
-          List.iter
-            (fun mb ->
-              match module_payload mb with
-              | `Structure (name, items) ->
-                  let fs, au =
-                    analyze_items ~env ~abbrevs:!abbrevs ~aliases:!aliases items
-                  in
-                  findings :=
-                    !findings
-                    @ List.map (fun (f : Finding.t) -> { f with func = name ^ "." ^ f.func }) fs;
-                  audits :=
-                    !audits
-                    @ List.map
-                        (fun (a : Finding.audit) ->
-                          { a with Finding.a_func = name ^ "." ^ a.a_func })
-                        au
-              | _ -> ())
-            mbs
-      | _ -> ())
-    items;
-  (!findings, !audits)
-
-and module_payload (mb : Typedtree.module_binding) =
-  let name = match mb.mb_name.txt with Some n -> n | None -> "_" in
-  let rec strip (me : Typedtree.module_expr) =
-    match me.mod_desc with
-    | Tmod_constraint (me, _, _, _) -> strip me
-    | desc -> desc
-  in
-  match strip mb.mb_expr with
-  | Tmod_ident (p, _) -> `Alias (name, Path.name p)
-  | Tmod_structure { str_items; _ } -> `Structure (name, str_items)
-  | _ -> `Other
-
-let analyze_structure ?env (str : Typedtree.structure) =
-  analyze_items ?env ~aliases:[] str.str_items
-
-(* Whole-program mode: analyze one indexed function with fully qualified
-   naming and an interprocedural environment. *)
+(* One indexed [@@oblivious] function, under its fully qualified name
+   with the interprocedural environment. *)
 let analyze_fn ~env (fn : Callgraph.fn) =
-  analyze_binding ~env ~prefix:fn.Callgraph.fn_prefix ~func:fn.Callgraph.fn_name
-    ~aliases:fn.Callgraph.fn_aliases fn.Callgraph.fn_binding
+  let vb = fn.Callgraph.fn_binding in
+  let st = new_state ~env fn in
+  ignore (run_to_fixpoint st ~suppressed:(binding_justified vb) vb.vb_expr);
+  (List.rev_map (finding_of_hit st) st.hits, audit_of st vb)
 
-(* Whole-program mode: an [external] runs foreign code that no typedtree
+(* An [external] runs foreign code that no typedtree
    describes, and a call into it is an unknown callee with a clean
    summary.  The declaration is therefore the audit point: it must carry
    [@@leak_ok "reason"] saying why that code is oblivious.  A justified

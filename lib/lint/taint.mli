@@ -1,14 +1,14 @@
 (** Taint-based obliviousness analysis over the typedtree.
 
-    [analyze_structure] scans an implementation for value bindings marked
-    [\@\@oblivious], seeds taint at patterns marked [\@secret], and returns
-    the findings together with one audit record per checked binding.  See
-    DESIGN.md §4 for the rule set and annotation conventions.
+    [analyze_fn] checks one indexed [\@\@oblivious] function: it seeds
+    taint at patterns marked [\@secret] and returns the findings together
+    with the function's audit record.  See DESIGN.md §4 for the rule set
+    and annotation conventions.
 
-    The per-binding analysis consults an {!env} of interprocedural
-    {!summary} values (computed by [Summary] to a whole-program fixpoint):
-    a tainted argument whose summary reaches an observable sink becomes a
-    finding at the call site, carrying the cross-module call chain. *)
+    The analysis consults an {!env} of interprocedural {!summary} values
+    (computed by [Summary] to a whole-program fixpoint): a tainted
+    argument whose summary reaches an observable sink becomes a finding
+    at the call site, carrying the cross-module call chain. *)
 
 (** {2 Interprocedural summaries} *)
 
@@ -35,11 +35,6 @@ type env = {
           immediates ([type id = int]) are not flagged *)
 }
 
-val empty_env : env
-
-val param_token : int -> string
-(** The taint token standing for "parameter [i]" during summary extraction. *)
-
 val summarize : env:env -> Callgraph.fn -> summary
 (** Seed every leading parameter with a token, run the analysis, and read
     off return flows, parameter-to-sink flows (with chains), ambient
@@ -49,33 +44,15 @@ val summary_shape : summary -> int list * (int * Finding.rule) list * (int * int
 (** Convergence measure for the interprocedural fixpoint: which flows
     exist, ignoring chains and wording. *)
 
-(** {2 Per-binding and per-structure analysis} *)
-
-val analyze_binding :
-  ?env:env ->
-  ?prefix:string ->
-  ?abbrevs:(string * Types.type_expr) list ->
-  ?func:string ->
-  aliases:(string * string) list ->
-  Typedtree.value_binding ->
-  Finding.t list * Finding.audit
-(** Analyze one binding (regardless of its attributes). [func] overrides
-    the display name; [prefix] is the enclosing module path used to
-    resolve summaries for unqualified callees; [abbrevs] are file-local
-    type-abbreviation manifests for the [secret-compare] exemption. *)
-
-val analyze_structure :
-  ?env:env -> Typedtree.structure -> Finding.t list * Finding.audit list
-(** Per-module mode: every [\@\@oblivious] binding in the structure, with
-    file-local naming ([Session.fetch]-style for nested modules). *)
+(** {2 Entry points} *)
 
 val analyze_fn : env:env -> Callgraph.fn -> Finding.t list * Finding.audit
-(** Whole-program mode: analyze one indexed function under its fully
-    qualified name with an interprocedural environment. *)
+(** Analyze one indexed function under its fully qualified name with an
+    interprocedural environment. *)
 
 val analyze_external : Callgraph.ext -> Finding.t list * Finding.audit
-(** Whole-program [foreign-primitive] rule: an [external] without a
-    justified [\@\@leak_ok] is a finding (an empty reason is also a
+(** The [foreign-primitive] rule: an [external] without a justified
+    [\@\@leak_ok] is a finding (an empty reason is also a
     [missing-justification]); a justified one is one justified site in
     its audit record. *)
 

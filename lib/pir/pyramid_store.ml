@@ -101,11 +101,10 @@ let rebuild t level contents =
 
 let default_cache_capacity = 4
 
-let create ?(cache_capacity = default_cache_capacity) ~key file =
+let create ~key file =
   let n = Psp_storage.Page_file.page_count file in
   if n = 0 then invalid_arg "Pyramid_store.create: empty file";
-  if cache_capacity < 1 then invalid_arg "Pyramid_store.create: cache_capacity >= 1";
-  let c = cache_capacity in
+  let c = default_cache_capacity in
   (* deepest level must hold all n pages: cap_L = c * 4^L >= n.  The
      formula lives in Cost_model so the simulated batch cost and this
      layout can never drift apart. *)

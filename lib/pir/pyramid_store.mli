@@ -48,13 +48,13 @@ type physical_event =
       (** levels 0..level-1 merged into [level] *)
 
 val default_cache_capacity : int
-(** The [cache_capacity] {!create} uses when none is given (4) — also
+(** The SCP cache capacity of every store {!create} builds (4) — also
     the capacity {!Cost_model.pyramid_levels} is consulted with when the
     server simulates a pyramid it does not instantiate. *)
 
-val create : ?cache_capacity:int -> key:bytes -> Psp_storage.Page_file.t -> t
-(** Snapshot the file's pages.  [cache_capacity] defaults to
-    {!default_cache_capacity}; the pyramid depth is
+val create : key:bytes -> Psp_storage.Page_file.t -> t
+(** Snapshot the file's pages.  The cache holds
+    {!default_cache_capacity} pages; the pyramid depth is
     {!Cost_model.pyramid_levels}[ ~cache_capacity ~file_pages].
     @raise Invalid_argument on an empty file. *)
 

@@ -19,11 +19,11 @@ type t = {
 
 exception No_replica_available
 
-let create ?mode ?threshold ?cooldown ~cost ~key ~replicas files =
+let create ?mode ~cost ~key ~replicas files =
   if replicas < 1 then invalid_arg "Replica_set.create: replicas must be >= 1";
   { servers =
       Array.init replicas (fun i -> Server.create ?mode ~replica:i ~cost ~key files);
-    breakers = Array.init replicas (fun i -> Breaker.create ?threshold ?cooldown ~seed:i ());
+    breakers = Array.init replicas (fun i -> Breaker.create ~seed:i ());
     clock = 0.0;
     current = 0 }
 

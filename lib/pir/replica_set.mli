@@ -23,16 +23,14 @@ exception No_replica_available
 
 val create :
   ?mode:Server.mode ->
-  ?threshold:int ->
-  ?cooldown:float ->
   cost:Cost_model.t ->
   key:bytes ->
   replicas:int ->
   Psp_storage.Page_file.t list ->
   t
 (** [replicas] servers (indices [0..replicas-1]) over the same page
-    files, each with a fresh breaker ([threshold]/[cooldown] as in
-    {!Breaker.create}, jitter seeded by the replica index).  The files
+    files, each with a fresh breaker ({!Breaker.create}'s default
+    threshold and cooldown, jitter seeded by the replica index).  The files
     are sealed once; oblivious modes build one store per replica.
     @raise Invalid_argument if [replicas < 1]. *)
 

@@ -56,11 +56,6 @@ let file t name =
 
 let file_names t = t.order
 
-let database_bytes t =
-  List.fold_left
-    (fun acc name -> acc + Psp_storage.Page_file.size_bytes (file t name))
-    0 t.order
-
 (* Executed-side accounting, summed over the instantiated pyramid
    stores (zero in `Simulated mode, where no store exists).  Both totals
    are public functions of the access count and the batch widths — what

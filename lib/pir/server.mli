@@ -75,8 +75,6 @@ val file : t -> string -> Psp_storage.Page_file.t
 (** @raise Not_found for an unregistered name. *)
 
 val file_names : t -> string list
-val database_bytes : t -> int
-(** Total size across all files. *)
 
 val executed_slot_touches : t -> int
 (** Physical slot touches the server's oblivious stores have executed

@@ -61,10 +61,9 @@ let of_list n items =
   t
 
 let bytes_for n = (n + 7) / 8
-let byte_size t = bytes_for t.n
 
 let to_bytes t =
-  let b = Bytes.make (byte_size t) '\000' in
+  let b = Bytes.make (bytes_for t.n) '\000' in
   iter
     (fun i ->
       let c = Char.code (Bytes.get b (i / 8)) in

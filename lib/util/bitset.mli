@@ -51,14 +51,12 @@ val of_list : int -> int list -> t
 (** [of_list n l] is the set of capacity [n] holding the members of
     [l]. *)
 
-val byte_size : t -> int
-(** Serialized size in bytes: ceil(capacity/8). *)
-
 val bytes_for : int -> int
 (** [bytes_for n] is the serialized size of a set of capacity [n]. *)
 
 val to_bytes : t -> bytes
-(** Little-endian bit-packed encoding, [byte_size t] bytes long. *)
+(** Little-endian bit-packed encoding, [bytes_for] of the capacity
+    (ceil(capacity/8)) bytes long. *)
 
 val of_bytes : int -> bytes -> t
 (** [of_bytes n b] decodes a set of capacity [n] from [to_bytes] output. *)

@@ -42,15 +42,3 @@ let histogram ~buckets ~lo ~hi xs =
       counts.(i) <- counts.(i) + 1)
     xs;
   counts
-
-let pp_duration ppf seconds =
-  if seconds < 1e-3 then Format.fprintf ppf "%.1fus" (seconds *. 1e6)
-  else if seconds < 1.0 then Format.fprintf ppf "%.1fms" (seconds *. 1e3)
-  else Format.fprintf ppf "%.2fs" seconds
-
-let pp_bytes ppf n =
-  let f = float_of_int n in
-  if f < 1e3 then Format.fprintf ppf "%dB" n
-  else if f < 1e6 then Format.fprintf ppf "%.1fKB" (f /. 1e3)
-  else if f < 1e9 then Format.fprintf ppf "%.2fMB" (f /. 1e6)
-  else Format.fprintf ppf "%.2fGB" (f /. 1e9)

@@ -18,10 +18,3 @@ val percentile : float array -> float -> float
 val histogram : buckets:int -> lo:float -> hi:float -> float array -> int array
 (** Fixed-width bucket counts over [lo,hi]; values outside the range are
     clamped into the first/last bucket. *)
-
-val pp_duration : Format.formatter -> float -> unit
-(** Render seconds human-readably (µs/ms/s). *)
-
-val pp_bytes : Format.formatter -> int -> unit
-(** Render a byte count human-readably (B/KB/MB/GB), decimal units as in
-    the paper. *)

@@ -1,7 +1,7 @@
-(* Externals: foreign code the analysis cannot see.  In whole-program
-   mode each one needs a justified [@@leak_ok]; per-module mode does not
-   look at them.  Both symbols are real runtime primitives, so the
-   fixture library still links. *)
+(* Externals: foreign code the analysis cannot see, so each one needs
+   a justified [@@leak_ok] stating why that code is oblivious.  All the
+   symbols are real runtime primitives, so the fixture library still
+   links. *)
 
 external unchecked_blit : bytes -> int -> bytes -> int -> int -> unit = "caml_blit_bytes" [@@noalloc] (* EXPECT: foreign-primitive *)
 

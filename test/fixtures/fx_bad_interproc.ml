@@ -2,9 +2,9 @@
    (fx_bad_interproc -> fx_interproc_mid -> fx_interproc_helper).  The
    finding must land at the call site here, carrying the full chain.
 
-   Per-module analysis sees nothing — [Fx_interproc_mid.relay] is just an
-   opaque call — so this fixture is asserted clean in per-module mode and
-   flagged only by the whole-program pass (test_lint.ml exercises both). *)
+   Seen one module at a time, [Fx_interproc_mid.relay] is just an opaque
+   call; only the summaries of mid and helper reveal the flow, and with
+   the helper left out of the surface the call is [unanalyzed-module]. *)
 
 let launder (x [@secret]) =
   Fx_interproc_mid.relay x (* EXPECT: secret-branch *)

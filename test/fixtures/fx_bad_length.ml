@@ -12,11 +12,11 @@ let list_of_secret_length (n [@secret]) =
   List.init n (fun i -> i) (* EXPECT: secret-length *)
   [@@oblivious]
 
-(* A varint's width is a function of its value: encoding a secret with
-   one leaks its magnitude through the message length. *)
+(* A varint's width is a function of its value: encoding a secret leaks
+   its magnitude.  The encoder's own summary reports its branch on it. *)
 let varint_of_secret (x [@secret]) =
   let w = Psp_util.Byte_io.Writer.create ~capacity:10 () in
-  Psp_util.Byte_io.Writer.varint w x; (* EXPECT: secret-length *)
+  Psp_util.Byte_io.Writer.varint w x; (* EXPECT: secret-branch *)
   Psp_util.Byte_io.Writer.contents w
   [@@oblivious]
 

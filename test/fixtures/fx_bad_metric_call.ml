@@ -1,7 +1,7 @@
 (* Metric updates one call away, and guard-only justifications.  A
    helper that bumps a counter publishes the branch that reached it just
    as a direct [Obs.incr] would, so calling it under secret control is a
-   finding at the call site (whole-program mode, where summaries exist).
+   finding at the call site, through the helper's summary.
    A [@leak_ok] on a match scrutinee licenses the selection alone; the
    arms are still checked. *)
 

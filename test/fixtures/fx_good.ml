@@ -37,7 +37,7 @@ let at ?(pos = 0) (buf [@secret]) = Bytes.get buf pos [@@oblivious]
 
 (* The regression shape of the one historical baseline entry: a secret
    supplied *as* the optional argument must not count as steering the
-   default-select (whole-program mode applies [at]'s summary here). *)
+   default-select (the analysis applies [at]'s summary here). *)
 let read_at (i [@secret]) buf = at ~pos:i buf [@@oblivious]
 
 (* Non-oblivious helpers are out of scope: effects are fine here. *)

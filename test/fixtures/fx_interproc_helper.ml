@@ -1,7 +1,7 @@
 (* Leaf helper for the interprocedural fixtures.  Nothing here is
-   [@@oblivious] — per-module analysis has nothing to say about it — but
-   whole-program summarization records the parameter-to-sink flows so
-   oblivious callers two modules away inherit them. *)
+   [@@oblivious], so no finding lands here, but summarization
+   records the parameter-to-sink flows so oblivious callers two modules
+   away inherit them. *)
 
 (* Branches on its argument: summary sink (secret-branch on param 0). *)
 let clamp v = if v < 0 then 0 else if v > 255 then 255 else v

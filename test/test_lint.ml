@@ -1,10 +1,14 @@
 (* psplint: unit tests for callee classification and taint plumbing, plus
    end-to-end runs over the compiled fixtures in test/fixtures/.
 
-   The fixture sources carry [(* EXPECT: rule-slug *)] markers on the
-   exact line a finding must be reported; the expectations are re-read
-   from the source at test time, so fixture edits cannot silently drift
-   out of sync with the assertions. *)
+   Every fixture is analyzed the way the build's lint gate analyzes the
+   library: whole-program, with the gate's surface (every library under
+   lib/) loaded next to it, so a fixture's call into Psp_util or Psp_obs
+   is judged by that function's own summary.  The fixture sources carry
+   [(* EXPECT: rule-slug *)] markers on the exact line a finding must be
+   reported; the expectations are re-read from the source at test time,
+   so fixture edits cannot silently drift out of sync with the
+   assertions. *)
 
 module Lint = Psp_lint.Lint
 module Taint = Psp_lint.Taint
@@ -19,8 +23,15 @@ let fixture_cmt name =
   Filename.concat "fixtures/.psp_lint_fixtures.objs/byte"
     ("psp_lint_fixtures__" ^ String.capitalize_ascii name ^ ".cmt")
 
-let lib_cmt lib m =
-  Printf.sprintf "../lib/%s/.psp_%s.objs/byte/psp_%s__%s.cmt" lib lib lib m
+(* The lint gate's surface, and that surface with every fixture loaded
+   next to it.  Each is one ~0.6 s load, shared by the tests below. *)
+let lib_surface = "../lib"
+let lib_run = lazy (Lint.run_program [ lib_surface ])
+
+let fixture_run =
+  lazy (Lint.run_program [ lib_surface; "fixtures/.psp_lint_fixtures.objs/byte" ])
+
+let in_file name file = Filename.basename file = name ^ ".ml"
 
 (* ------------------------------------------------------------------ *)
 (* Unit: name normalization and callee tables *)
@@ -59,8 +70,8 @@ let test_denylist () =
 let test_length_sensitive () =
   Alcotest.(check (option int)) "Bytes.create" (Some 0)
     (Taint.length_sensitive "Bytes.create");
-  Alcotest.(check (option int)) "qualified varint" (Some 1)
-    (Taint.length_sensitive "Psp_util.Byte_io.Writer.varint");
+  Alcotest.(check (option int)) "qualified Array.init" (Some 0)
+    (Taint.length_sensitive "StdLabels.Array.init");
   Alcotest.(check (option int)) "suffix needs module boundary" None
     (Taint.length_sensitive "MyBytes.create");
   Alcotest.(check (option int)) "plain call" None (Taint.length_sensitive "List.map")
@@ -109,8 +120,8 @@ let test_mutator () =
     (Taint.mutator "Hashtbl.replace");
   Alcotest.(check (option int)) "Queue.add mutates arg 1" (Some 1)
     (Taint.mutator "Queue.add");
-  Alcotest.(check (option int)) "qualified Dyn_array.push" (Some 0)
-    (Taint.mutator "Psp_util.Dyn_array.push");
+  Alcotest.(check (option int)) "qualified Hashtbl.replace" (Some 0)
+    (Taint.mutator "MoreLabels.Hashtbl.replace");
   Alcotest.(check (option int)) "reader is not a mutator" None
     (Taint.mutator "Hashtbl.find_opt")
 
@@ -158,20 +169,35 @@ let expectations path =
 let found_pairs (r : Lint.report) =
   List.map (fun (f : Finding.t) -> (f.line, Finding.rule_slug f.rule)) r.findings
 
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
+  go 0
+
 let finding_pair = Alcotest.(pair int string)
 let sorted = List.sort compare
 
-let check_fixture name () =
-  let r = Lint.analyze_cmt (fixture_cmt name) in
+(* One fixture's slice of the shared run: the findings and audit
+   records located in its source file. *)
+let fixture_report name =
+  let r = Lazy.force fixture_run in
   Alcotest.(check (list string)) "no read errors" [] r.errors;
+  let here (a : Finding.audit) = in_file name a.a_file in
+  { r with
+    findings = List.filter (fun (f : Finding.t) -> in_file name f.file) r.findings;
+    audits = List.filter here r.audits;
+    foreign = List.filter here r.foreign }
+
+let check_markers name (r : Lint.report) =
   Alcotest.(check (list finding_pair))
     (name ^ " findings match EXPECT markers")
     (sorted (expectations (fixture_src name)))
     (sorted (found_pairs r))
 
+let check_fixture name () = check_markers name (fixture_report name)
+
 let test_good_audit () =
-  let r = Lint.analyze_cmt (fixture_cmt "fx_good") in
-  Alcotest.(check (list string)) "no read errors" [] r.errors;
+  let r = fixture_report "fx_good" in
   Alcotest.(check int) "nine audited functions" 9 (List.length r.audits);
   Alcotest.(check bool) "one justified site" true
     (List.exists (fun (a : Finding.audit) -> a.justified = 1) r.audits);
@@ -180,11 +206,11 @@ let test_good_audit () =
 
 let test_exit_codes () =
   Alcotest.(check int) "clean -> 0" 0
-    (Lint.exit_code (Lint.analyze_cmt (fixture_cmt "fx_good")));
+    (Lint.exit_code (Lint.run_program [ fixture_cmt "fx_good" ]));
   Alcotest.(check int) "findings -> 1" 1
-    (Lint.exit_code (Lint.analyze_cmt (fixture_cmt "fx_bad_branch")));
+    (Lint.exit_code (Lint.run_program [ fixture_cmt "fx_bad_branch" ]));
   Alcotest.(check int) "unreadable -> 2" 2
-    (Lint.exit_code (Lint.analyze_cmt "fixtures/no_such_file.cmt"))
+    (Lint.exit_code (Lint.run_program [ "fixtures/no_such_file.cmt" ]))
 
 (* A directory entry that vanishes or dangles between [readdir] and its
    stat is skipped — the compiler writes temporary files into the
@@ -204,37 +230,49 @@ let test_walk_skips_vanished_entries () =
           Out_channel.output_string oc
             (In_channel.with_open_bin (fixture_cmt "fx_good") In_channel.input_all));
       Unix.symlink (Filename.concat dir "gone") link;
-      let run paths = Lint.main ~root:"." ~paths ~quiet:true ~audit:false () in
-      let r = Lint.run_program ~root:"." [ dir ] in
+      let run paths = Lint.main ~paths ~quiet:true ~audit:false () in
+      let r = Lint.run_program [ dir ] in
       Alcotest.(check (list string)) "no read errors" [] r.errors;
       Alcotest.(check int) "the .cmt is still analyzed" 1 r.modules;
       Alcotest.(check int) "dangling entry skipped -> 0" 0 (run [ dir ]);
       Alcotest.(check int) "missing top-level PATH -> 2" 2
         (run [ Filename.concat dir "no_such_dir" ]))
 
-(* ------------------------------------------------------------------ *)
-(* Whole-program: cross-module flows, discovery gaps *)
+(* A PATH that yields nothing to analyze fails instead of passing as
+   vacuously clean: a source directory (no .cmt under it, as when the
+   source tree is passed instead of the build tree) and a file that is
+   not a .cmt.  Both errors name the PATH. *)
+let test_vacuous_input () =
+  let dir = Filename.temp_file "psplint_src" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let src = Filename.concat dir "m.ml" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove src;
+      Sys.rmdir dir)
+    (fun () ->
+      Out_channel.with_open_bin src (fun oc -> Out_channel.output_string oc "let x = 1\n");
+      List.iter
+        (fun path ->
+          let r = Lint.run_program [ path ] in
+          Alcotest.(check int) (path ^ ": nothing analyzed") 0 r.modules;
+          Alcotest.(check bool) (path ^ ": error names it") true
+            (List.exists (fun e -> contains e path) r.errors);
+          Alcotest.(check int) (path ^ " -> 2") 2
+            (Lint.main ~paths:[ path ] ~quiet:true ~audit:false ()))
+        [ dir; src; fixture_src "fx_good" ])
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
+(* ------------------------------------------------------------------ *)
+(* Cross-module flows, discovery gaps *)
 
 let interproc_cmts names = List.map fixture_cmt names
 
 (* The secret flows fx_bad_interproc -> mid -> helper; the finding lands
    at the oblivious call site with the full three-frame chain. *)
 let test_interproc_chain () =
-  let r =
-    Lint.run_program ~root:"."
-      (interproc_cmts
-         [ "fx_interproc_helper"; "fx_interproc_mid"; "fx_bad_interproc" ])
-  in
-  Alcotest.(check (list string)) "no read errors" [] r.errors;
-  Alcotest.(check (list finding_pair))
-    "findings match EXPECT markers"
-    (sorted (expectations (fixture_src "fx_bad_interproc")))
-    (sorted (found_pairs r));
+  let r = fixture_report "fx_bad_interproc" in
+  check_markers "fx_bad_interproc" r;
   match r.findings with
   | [ f ] ->
       Alcotest.(check int) "three-frame chain" 3 (List.length f.Finding.chain);
@@ -246,28 +284,21 @@ let test_interproc_chain () =
            f.Finding.chain)
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
-(* fx_good must stay clean in whole-program mode too: [read_at] passes a
-   secret as [at]'s optional argument, so [at]'s summary must not carry a
-   sink for the compiler-generated default-select ([?(pos = 0)]), and the
-   abbreviation exemption must hold with summaries applied. *)
+(* fx_good must stay clean on its own too, with no library loaded:
+   [read_at] passes a secret as [at]'s optional argument, so [at]'s
+   summary must not carry a sink for the compiler-generated
+   default-select ([?(pos = 0)]), and the abbreviation exemption must
+   hold with summaries applied. *)
 let test_good_whole_program () =
-  let r = Lint.run_program ~root:"." (interproc_cmts [ "fx_good" ]) in
+  let r = Lint.run_program (interproc_cmts [ "fx_good" ]) in
   Alcotest.(check (list string)) "no read errors" [] r.errors;
   Alcotest.(check (list finding_pair)) "clean" [] (found_pairs r)
-
-(* Without linking, the same module is vacuously clean: the flow exists
-   only in the whole-program view. *)
-let test_interproc_per_module_blind () =
-  let r = Lint.analyze_cmt (fixture_cmt "fx_bad_interproc") in
-  Alcotest.(check (list string)) "no read errors" [] r.errors;
-  Alcotest.(check (list finding_pair))
-    "per-module mode cannot see the cross-module flow" [] (found_pairs r)
 
 (* Dropping the leaf from the surface turns the unresolved project call
    into a discovery-gap finding instead of silence. *)
 let test_unanalyzed_module () =
   let r =
-    Lint.run_program ~root:"."
+    Lint.run_program
       (interproc_cmts [ "fx_interproc_mid"; "fx_bad_interproc" ])
   in
   Alcotest.(check (list string)) "no read errors" [] r.errors;
@@ -278,17 +309,12 @@ let test_unanalyzed_module () =
          && contains f.message "Psp_lint_fixtures.Fx_interproc_helper")
        r.findings)
 
-(* Externals are audited in whole-program mode: one without a justified
-   [@@leak_ok] (no attribute, or an empty reason) is a finding at its
-   declaration, and a justified one is a justified site in its audit
-   record.  Per-module mode does not look at them. *)
+(* Externals are audited: one without a justified [@@leak_ok] (no
+   attribute, or an empty reason) is a finding at its declaration, and a
+   justified one is a justified site in its audit record. *)
 let test_foreign_primitive () =
-  let r = Lint.run_program ~root:"." (interproc_cmts [ "fx_bad_foreign" ]) in
-  Alcotest.(check (list string)) "no read errors" [] r.errors;
-  Alcotest.(check (list finding_pair))
-    "findings match EXPECT markers"
-    (sorted (expectations (fixture_src "fx_bad_foreign")))
-    (sorted (found_pairs r));
+  let r = fixture_report "fx_bad_foreign" in
+  check_markers "fx_bad_foreign" r;
   let audit name =
     let func = "Psp_lint_fixtures.Fx_bad_foreign." ^ name in
     match List.find_opt (fun (a : Finding.audit) -> a.a_func = func) r.foreign with
@@ -299,25 +325,13 @@ let test_foreign_primitive () =
   Alcotest.(check int) "one audit per external" 3 (List.length r.foreign);
   Alcotest.(check counts) "justified external" (1, 0) (audit "justified_blit");
   Alcotest.(check counts) "unjustified external" (0, 1) (audit "unchecked_blit");
-  Alcotest.(check counts) "empty reason" (0, 1) (audit "empty_reason");
-  let per_module = Lint.analyze_cmt (fixture_cmt "fx_bad_foreign") in
-  Alcotest.(check (list finding_pair)) "per-module mode skips externals" []
-    (found_pairs per_module)
+  Alcotest.(check counts) "empty reason" (0, 1) (audit "empty_reason")
 
 (* A helper's metric update is charged to a caller that reaches it under
    secret control, and a scrutinee-level [@leak_ok] justifies only the
-   selection: whole-program mode, where summaries carry the update. *)
+   selection: summaries carry the update. *)
 let test_metric_call () =
-  let r =
-    Lint.run_program ~root:"."
-      ("../lib/obs/.psp_obs.objs/byte/psp_obs__Obs.cmt"
-      :: interproc_cmts [ "fx_bad_metric_call" ])
-  in
-  Alcotest.(check (list string)) "no read errors" [] r.errors;
-  Alcotest.(check (list finding_pair))
-    "findings match EXPECT markers"
-    (sorted (expectations (fixture_src "fx_bad_metric_call")))
-    (sorted (found_pairs r))
+  check_markers "fx_bad_metric_call" (fixture_report "fx_bad_metric_call")
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: fingerprint suppression and the drift ratchet *)
@@ -419,17 +433,8 @@ let test_sarif () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the real oblivious core must stay clean *)
 
-let core_cmts =
-  [ lib_cmt "core" "Client";
-    lib_cmt "storage" "Page_file";
-    lib_cmt "pir" "Server";
-    lib_cmt "pir" "Pyramid_store";
-    lib_cmt "pir" "Trace";
-    lib_cmt "index" "Query_plan";
-    lib_cmt "index" "Encoding" ]
-
 let test_oblivious_core_clean () =
-  let r = Lint.run core_cmts in
+  let r = Lazy.force lib_run in
   Alcotest.(check (list string)) "no read errors" [] r.errors;
   Alcotest.(check (list finding_pair)) "zero findings on the oblivious core" []
     (found_pairs r);
@@ -438,18 +443,18 @@ let test_oblivious_core_clean () =
 (* The audit must actually see the secrets: a silent annotation typo
    (e.g. [@secert]) would otherwise pass as vacuously clean. *)
 let test_core_secrets_seeded () =
-  let r = Lint.run core_cmts in
+  let r = Lazy.force lib_run in
   let audit_of name =
     match List.find_opt (fun (a : Finding.audit) -> a.a_func = name) r.audits with
     | Some a -> a
     | None -> Alcotest.failf "no audit record for %s" name
   in
+  let fetch = audit_of "Psp_pir.Server.Session.fetch" in
   Alcotest.(check (list string))
-    "client query secrets" [ "s"; "t" ] (audit_of "query_nodes").secrets;
-  Alcotest.(check (list string))
-    "session fetch secrets" [ "page"; "pages" ] (audit_of "Session.fetch").secrets;
-  Alcotest.(check bool) "session fetch justifies sites" true
-    ((audit_of "Session.fetch").justified >= 3)
+    "client query secrets" [ "s"; "t" ]
+    (audit_of "Psp_core.Client.query_nodes").secrets;
+  Alcotest.(check (list string)) "session fetch secrets" [ "page"; "pages" ] fetch.secrets;
+  Alcotest.(check bool) "session fetch justifies sites" true (fetch.justified >= 3)
 
 let () =
   Alcotest.run "lint"
@@ -474,13 +479,12 @@ let () =
             (check_fixture "fx_regression_audit");
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "vanished entries skipped" `Quick
-            test_walk_skips_vanished_entries ] );
+            test_walk_skips_vanished_entries;
+          Alcotest.test_case "vacuous input fails" `Quick test_vacuous_input ] );
       ( "interproc",
         [ Alcotest.test_case "good is clean whole-program" `Quick
             test_good_whole_program;
           Alcotest.test_case "cross-module chain" `Quick test_interproc_chain;
-          Alcotest.test_case "per-module is blind" `Quick
-            test_interproc_per_module_blind;
           Alcotest.test_case "unanalyzed module" `Quick test_unanalyzed_module;
           Alcotest.test_case "foreign primitive" `Quick test_foreign_primitive;
           Alcotest.test_case "metric update in a callee" `Quick test_metric_call ] );
