@@ -1,8 +1,9 @@
 (* Bechamel micro-benchmarks of the computational kernels underneath the
    schemes: exact search (point to point, and one full tree), pyramid
    ORAM batch fetches at the widths the serving path runs, crypto
-   primitives and page checksums, the client store's filing of a region
-   blob (beside the reference record decoder) and its final search, the
+   primitives and page checksums, the region reader alone and the client
+   store's filing of a region blob through it, the store's final search
+   (over every region, and over the regions one CI query files), the
    border-pair pre-computation, and one end-to-end private query per
    scheme.  These measure real wall-clock on this machine (the
    experiment tables report *simulated* 2012-hardware times instead). *)
@@ -51,6 +52,7 @@ let tests env =
   for r = 0 to db.DB.header.Psp_index.Header.region_count - 1 do
     Psp_core.Store.add_region solved config r (region_blob r)
   done;
+  let reader = Psp_index.Encoding.region_buffer () in
   let page = Bytes.init 4096 (fun i -> Char.chr (i * 7 land 0xff)) in
   (* the border-pair pre-computation under every CI (sets) and PI
      (subgraphs) database build, on one domain *)
@@ -63,6 +65,23 @@ let tests env =
      border node, grown into a reused workspace as every build grows it *)
   let tree_ws = Psp_graph.Dijkstra.workspace g in
   let tree_source = (Psp_partition.Border.all_border_nodes border).(0) in
+  (* one CI query's store: the source and target regions and their
+     region set S_{rs,rt}, filed as the client files them *)
+  let solve_s, solve_t = queries.(0) in
+  let ci_store =
+    let region v = Psp_partition.Kdtree.region_of_node db.DB.partition v in
+    let sets =
+      Psp_index.Precompute.compute ~domains:1 g ~assignment ~border ~want_sets:true
+        ~want_subgraphs:false
+    in
+    let rs = region solve_s and rt = region solve_t in
+    let st = Psp_core.Store.create () in
+    List.iter
+      (fun r -> Psp_core.Store.add_region st config r (region_blob r))
+      (List.sort_uniq Int.compare
+         (rs :: rt :: Array.to_list (Psp_index.Precompute.region_set sets rs rt)));
+    st
+  in
   let precompute ~want_sets =
     Staged.stage (fun () ->
         ignore
@@ -104,8 +123,9 @@ let tests env =
     Test.make ~name:"precompute sets" (precompute ~want_sets:true);
     Test.make ~name:"precompute subgraphs" (precompute ~want_sets:false);
     Test.make ~name:"crc32 4KB" (Staged.stage (fun () -> ignore (Psp_util.Crc32.digest page)));
-    Test.make ~name:"decode_region (reference)" (Staged.stage (fun () ->
-        ignore (Psp_index.Encoding.decode_region config region0)));
+    (* the one region reader, into a reused buffer *)
+    Test.make ~name:"region read" (Staged.stage (fun () ->
+        Psp_index.Encoding.read_region config reader region0));
     (* decode and filing in one pass, into a store from this domain's
        free list, as a query takes it *)
     Test.make ~name:"store file region" (Staged.stage (fun () ->
@@ -115,6 +135,8 @@ let tests env =
     Test.make ~name:"store dijkstra" (Staged.stage (fun () ->
         let s, t = pick () in
         ignore (Psp_core.Store.dijkstra solved ~source:s ~target:t)));
+    Test.make ~name:"store solve" (Staged.stage (fun () ->
+        ignore (Psp_core.Store.dijkstra ci_store ~source:solve_s ~target:solve_t)));
     Test.make ~name:"CI private query e2e" (Staged.stage (fun () ->
         let s, t = pick () in
         ignore (Psp_core.Client.query_nodes server g s t))) ]

@@ -4,12 +4,14 @@
      generate   synthesize a road network (or a Table 1 preset) to DIMACS
      build      build a scheme database from a network and report its layout
      query      answer a private shortest-path query end to end
+     batch      serve many private queries as merged same-plan batches
      serve      run a mixed multi-tenant stream through the scheduler-driven
                 serving frontend (lib/serve)
      trace      print the adversary's view of a query and check it against
                 the published plan
      stats      run sample queries and report the telemetry registry
      inspect    summarize a network's structure
+     render     render the network, its partition and a query to SVG
 
    Networks are passed either as `--preset old --preset-scale 16` or as
    DIMACS files (`--gr map.gr --co map.co`). *)

@@ -11,7 +11,8 @@ module H = Psp_index.Header
    per slot: [rq_next] hands out the next page of the in-flight region
    (or starts the next queued one), [rq_deliver] collects the pages and
    files the region's records into the store once the region completes,
-   straight from its bytes. *)
+   straight from its bytes: the delivered page itself when the region
+   spans one. *)
 
 type region_queue = {
   rq_header : H.t;
@@ -54,8 +55,11 @@ let rq_deliver (q [@secret]) blob =
   | Some (region, sent, got) ->
       let got = blob :: got in
       if List.length got >= q.rq_pages then begin
-        Store.add_region q.rq_store q.rq_header.H.config region
-          (Bytes.concat Bytes.empty (List.rev got));
+        (* a one-page region is filed from the delivered page itself *)
+        let bytes =
+          match got with [ page ] -> page | _ -> Bytes.concat Bytes.empty (List.rev got)
+        in
+        Store.add_region q.rq_store q.rq_header.H.config region bytes;
         q.rq_current <- None
       end
       else q.rq_current <- Some (region, sent, got))

@@ -1,5 +1,4 @@
 module E = Psp_index.Encoding
-module Heap = Psp_util.Min_heap
 
 (* The client-side accumulation of downloaded network data.  Everything
    here is client-local: no function issues a fetch, so nothing in this
@@ -52,11 +51,15 @@ type t = {
   mutable region_ids : bool;
   mutable flag_bits : int;
   mutable flag_bytes : int;
-  (* solver scratch over local ids *)
+  (* the decoded region being filed *)
+  reader : E.region;
+  (* solver scratch over local ids, and its binary min-heap of
+     (priority, local id) pairs, grown by doubling when a push fills it *)
   mutable dist : float array;
   mutable parent : int array;
   mutable closed : Bytes.t;
-  heap : Heap.t;
+  mutable heap_prio : float array;
+  mutable heap_node : int array;
   mutable released : bool;
 }
 
@@ -94,10 +97,12 @@ let create () =
     region_ids = false;
     flag_bits = 0;
     flag_bytes = 0;
+    reader = E.region_buffer ();
     dist = [||];
     parent = [||];
     closed = Bytes.empty;
-    heap = Heap.create ~capacity:nodes ();
+    heap_prio = Array.make nodes 0.0;
+    heap_node = Array.make nodes 0;
     released = false }
 
 let clear st =
@@ -108,8 +113,7 @@ let clear st =
   st.anchors <- 0;
   st.region_ids <- false;
   st.flag_bits <- 0;
-  st.flag_bytes <- 0;
-  Heap.clear st.heap
+  st.flag_bytes <- 0
 
 (* Each domain's free list: stores handed back by [release], cleared. *)
 let arena : t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
@@ -217,27 +221,28 @@ let intern st v =
     l
   end
 
-(* Append edge u -> v and return its index; its region and flags are
-   the caller's to set when the store keeps them. *)
-let add_edge st u v w =
-  let e = st.edges in
-  if e = Array.length st.edge_dst then begin
-    st.edge_dst <- grow st.edge_dst (e + 1) 0;
-    st.edge_weight <- grow st.edge_weight (e + 1) 0.0;
-    st.edge_next <- grow st.edge_next (e + 1) no_id
+(* Room for [n] edges in every per-edge array the store keeps. *)
+let reserve_edges st n =
+  if n > Array.length st.edge_dst then begin
+    st.edge_dst <- grow st.edge_dst n 0;
+    st.edge_weight <- grow st.edge_weight n 0.0;
+    st.edge_next <- grow st.edge_next n no_id
   end;
-  if st.region_ids then st.edge_region <- grow st.edge_region (e + 1) no_id;
-  if st.flag_bytes > 0 then
-    st.edge_flags <- grow_bytes st.edge_flags ((e + 1) * st.flag_bytes);
-  st.edge_dst.(e) <- v;
-  st.edge_weight.(e) <- w;
-  st.edge_next.(e) <- no_id;
-  st.edges <- e + 1;
+  if st.region_ids then st.edge_region <- grow st.edge_region n no_id;
+  if st.flag_bytes > 0 then st.edge_flags <- grow_bytes st.edge_flags (n * st.flag_bytes)
+
+(* Append edges [e0 .. e1-1] (e0 < e1), their fields already written,
+   to the end of [u]'s out-list, in index order. *)
+let append_edges st u e0 e1 =
+  for e = e0 to e1 - 2 do
+    st.edge_next.(e) <- e + 1
+  done;
+  st.edge_next.(e1 - 1) <- no_id;
   (match st.last_edge.(u) with
-  | -1 -> st.first_edge.(u) <- e
-  | last -> st.edge_next.(last) <- e);
-  st.last_edge.(u) <- e;
-  e
+  | -1 -> st.first_edge.(u) <- e0
+  | last -> st.edge_next.(last) <- e0);
+  st.last_edge.(u) <- e1 - 1;
+  st.edges <- e1
 
 (* The first filing after a clear fixes the extras; edges a triple
    brought in before it carry none. *)
@@ -263,53 +268,64 @@ let configure st (config : E.config) =
     || config.E.flag_bits <> st.flag_bits
   then invalid_arg "Store.add_region: config extras differ from the store's"
 
-let file_node st u region x y ~to_anchor ~from_anchor =
-  st.region.(u) <- region;
-  st.xs.(u) <- x;
-  st.ys.(u) <- y;
-  let a = st.anchors in
-  if a > 0 then begin
-    let n = Array.length st.global * a in
-    st.to_anchor <- grow st.to_anchor n 0.0;
-    st.from_anchor <- grow st.from_anchor n 0.0;
-    Array.blit to_anchor 0 st.to_anchor (u * a) a;
-    Array.blit from_anchor 0 st.from_anchor (u * a) a
-  end;
-  st.filed_ids.(st.filed) <- u;
-  st.filed <- st.filed + 1
-
-(* The fold's accumulator is the local id of the record being filed, or
-   [no_id] while the edges of a duplicate go by. *)
+(* Files the region's records from the reader's buffer, in encoded
+   order: a record is interned, and if newly filed, its fields are set
+   and its edges appended, each target interned in encoded order; a
+   duplicate's edges are skipped.  Floats are copied array to array, so
+   nothing is boxed on the way, and the edge arrays are grown once, for
+   every edge the region could add. *)
 let add_region st config region blob =
   if region < 0 then invalid_arg "Store.add_region: negative region";
   configure st config;
-  ignore
-    (E.fold_region config blob
-       ~node:(fun _ ~id ~x ~y ~to_anchor ~from_anchor ~degree:_ ->
-         let u = intern st id in
-         if st.region.(u) <> no_id then no_id
-         else begin
-           file_node st u region x y ~to_anchor ~from_anchor;
-           u
-         end)
-       ~edge:(fun u ~target ~weight ~target_region ~flags ->
-         if u <> no_id then begin
-           let e = add_edge st u (intern st target) weight in
-           if st.region_ids then st.edge_region.(e) <- target_region;
-           if st.flag_bytes > 0 then
-             Bytes.blit flags 0 st.edge_flags (e * st.flag_bytes) st.flag_bytes
-         end;
-         u)
-       no_id)
+  let r = st.reader in
+  E.read_region config r blob;
+  reserve_edges st (st.edges + r.E.edges);
+  let a = st.anchors and fb = st.flag_bytes in
+  let first = ref 0 in
+  for i = 0 to r.E.nodes - 1 do
+    let degree = r.E.degrees.(i) in
+    let u = intern st r.E.ids.(i) in
+    if st.region.(u) = no_id then begin
+      st.region.(u) <- region;
+      st.xs.(u) <- r.E.xs.(i);
+      st.ys.(u) <- r.E.ys.(i);
+      if a > 0 then begin
+        let n = Array.length st.global * a in
+        st.to_anchor <- grow st.to_anchor n 0.0;
+        st.from_anchor <- grow st.from_anchor n 0.0;
+        Array.blit r.E.to_anchor (i * a) st.to_anchor (u * a) a;
+        Array.blit r.E.from_anchor (i * a) st.from_anchor (u * a) a
+      end;
+      st.filed_ids.(st.filed) <- u;
+      st.filed <- st.filed + 1;
+      if degree > 0 then begin
+        let e0 = st.edges and j0 = !first in
+        let dst = st.edge_dst and weight = st.edge_weight in
+        for k = 0 to degree - 1 do
+          dst.(e0 + k) <- intern st r.E.targets.(j0 + k);
+          weight.(e0 + k) <- r.E.weights.(j0 + k)
+        done;
+        if st.region_ids then Array.blit r.E.target_regions j0 st.edge_region e0 degree;
+        if fb > 0 then Bytes.blit r.E.flags (j0 * fb) st.edge_flags (e0 * fb) (degree * fb);
+        append_edges st u e0 (e0 + degree)
+      end
+    end;
+    first := !first + degree
+  done
   [@@leak_ok
     "client-local filing of an already-fetched region; duplicate checks, table \
      growth and edge threading are invisible to the server"]
 
 let add_triple st (t : E.edge_triple) =
   let u = intern st t.E.e_src in
-  let e = add_edge st u (intern st t.E.e_dst) t.E.e_weight in
+  let v = intern st t.E.e_dst in
+  let e = st.edges in
+  reserve_edges st (e + 1);
+  st.edge_dst.(e) <- v;
+  st.edge_weight.(e) <- t.E.e_weight;
   if st.region_ids then st.edge_region.(e) <- no_id;
-  if st.flag_bytes > 0 then Bytes.fill st.edge_flags (e * st.flag_bytes) st.flag_bytes '\000'
+  if st.flag_bytes > 0 then Bytes.fill st.edge_flags (e * st.flag_bytes) st.flag_bytes '\000';
+  append_edges st u e (e + 1)
   [@@leak_ok
     "client-local append of an already-fetched edge; table growth is invisible \
      to the server"]
@@ -382,8 +398,22 @@ let snap st region ~x ~y =
    [unreached] until a tentative distance is set, [no_id] at the source.
    Every distance update pushes, and only strictly smaller ones follow
    the first, so the first pop of a node carries exactly [dist] of it:
-   the loop reads [dist] instead of the popped priority. *)
+   the loop reads [dist] instead of the popped priority.
+
+   The heap is inline so no priority leaves the loop boxed.  It sifts by
+   moving a hole but compares exactly as [Min_heap] does (a parent moves
+   down only when strictly greater, a child up only when strictly
+   smaller, the left child winning ties), so nodes settle in the same
+   order and every tie breaks the same way as [Psp_graph.Dijkstra.run]. *)
 let unreached = -2
+
+let grow_heap st =
+  let cap = 2 * Array.length st.heap_prio in
+  let prio = Array.make cap 0.0 and node = Array.make cap 0 in
+  Array.blit st.heap_prio 0 prio 0 (Array.length st.heap_prio);
+  Array.blit st.heap_node 0 node 0 (Array.length st.heap_node);
+  st.heap_prio <- prio;
+  st.heap_node <- node
 
 let dijkstra st ~source ~target =
   if source = target then Some ([ source ], 0.0)
@@ -398,17 +428,40 @@ let dijkstra st ~source ~target =
           st.parent <- Array.make cap unreached;
           st.closed <- Bytes.make cap '\000'
         end;
-        let dist = st.dist and parent = st.parent and closed = st.closed
-        and heap = st.heap in
+        let dist = st.dist and parent = st.parent and closed = st.closed in
         Array.fill parent 0 n unreached;
         Bytes.fill closed 0 n '\000';
-        Heap.clear heap;
         dist.(s) <- 0.0;
         parent.(s) <- no_id;
-        Heap.push heap ~priority:0.0 s;
+        st.heap_prio.(0) <- 0.0;
+        st.heap_node.(0) <- s;
+        let size = ref 1 in
         let found = ref false in
-        while (not !found) && not (Heap.is_empty heap) do
-          let u = Heap.pop_min heap in
+        while (not !found) && !size > 0 do
+          let prio = st.heap_prio and node = st.heap_node in
+          let u = node.(0) in
+          (* pop: the last entry fills the root's hole and sifts down *)
+          decr size;
+          let last = !size in
+          if last > 0 then begin
+            let x = prio.(last) and xn = node.(last) in
+            let hole = ref 0 and sifting = ref true in
+            while !sifting do
+              let l = (2 * !hole) + 1 in
+              if l >= last then sifting := false
+              else begin
+                let c = if l + 1 < last && prio.(l + 1) < prio.(l) then l + 1 else l in
+                if prio.(c) < x then begin
+                  prio.(!hole) <- prio.(c);
+                  node.(!hole) <- node.(c);
+                  hole := c
+                end
+                else sifting := false
+              end
+            done;
+            prio.(!hole) <- x;
+            node.(!hole) <- xn
+          end;
           if Bytes.get closed u = '\000' then begin
             Bytes.set closed u '\001';
             if u = t then found := true
@@ -421,7 +474,19 @@ let dijkstra st ~source ~target =
                 if parent.(v) = unreached || nd < dist.(v) then begin
                   dist.(v) <- nd;
                   parent.(v) <- u;
-                  Heap.push heap ~priority:nd v
+                  (* push: sift a hole up from the end *)
+                  if !size = Array.length st.heap_prio then grow_heap st;
+                  let prio = st.heap_prio and node = st.heap_node in
+                  let hole = ref !size in
+                  incr size;
+                  while !hole > 0 && prio.((!hole - 1) / 2) > nd do
+                    let p = (!hole - 1) / 2 in
+                    prio.(!hole) <- prio.(p);
+                    node.(!hole) <- node.(p);
+                    hole := p
+                  done;
+                  prio.(!hole) <- nd;
+                  node.(!hole) <- v
                 end;
                 e := st.edge_next.(!e)
               done

@@ -5,11 +5,12 @@
     no function here issues a fetch, so the module is outside the
     adversary's view by construction.
 
-    {b One decoder.}  {!add_region} files a region blob straight from
-    {!Psp_index.Encoding.fold_region} into flat arrays: coordinates and a
+    {b One reader.}  {!add_region} reads a region blob with
+    {!Psp_index.Encoding.read_region} into a buffer the store owns, then
+    files it from there in one loop into flat arrays: coordinates and a
     filed mark per node, target and weight per edge, and landmark
     vectors, target regions and arc-flags only when the region config
-    carries them.  No record is built on the way.
+    carries them.  No record is built and no float boxed on the way.
 
     {b Local ids.}  Every global node id gets a dense local id the first
     time it appears, as a filed record or as an edge endpoint: a
@@ -26,8 +27,8 @@
 
     {b Reuse.}  Each domain keeps a free list of stores.  {!acquire}
     takes a cleared store from it and {!release} clears a store and
-    hands it back, so the tables, the solver's arrays and its heap keep
-    their capacity from query to query.  A store that is never released
+    hands it back, so the tables, the reader's buffer, the solver's
+    arrays and its heap keep their capacity from query to query.  A store that is never released
     (say, its walk raised) is simply garbage: nothing leaks, and no store
     is shared across domains.  Every batch runs to completion before the
     next one starts, so a domain holds at most one batch's stores, one
@@ -56,8 +57,8 @@ val add_region : t -> Psp_index.Encoding.config -> int -> bytes -> unit
     extras is refused.
     @raise Invalid_argument on a negative region, a config whose extras
     differ from the store's, or a malformed blob (see
-    {!Psp_index.Encoding.fold_region}, which may also raise
-    [Underflow]). *)
+    {!Psp_index.Encoding.read_region}, which may also raise
+    [Underflow]); a malformed blob files nothing. *)
 
 val add_triple : t -> Psp_index.Encoding.edge_triple -> unit
 (** Append one subgraph edge to its source's adjacency (PI/HY edge
@@ -105,6 +106,8 @@ val snap : t -> int -> x:float -> y:float -> int
 val dijkstra : t -> source:int -> target:int -> (int list * float) option
 (** Exact shortest path over the downloaded adjacency: the node sequence
     from [source] to [target] and its cost, summed edge by edge along
-    the search.  [Some ([source], 0.0)] when [source = target]; [None]
+    the search.  The binary heap is inline and compares exactly as
+    {!Psp_util.Min_heap} does, so nodes settle, and equal-cost paths
+    tie-break, as they would on it.  [Some ([source], 0.0)] when [source = target]; [None]
     when the target is unreachable from the source within the store
     (including either end being unknown to it). *)

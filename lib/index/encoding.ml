@@ -22,7 +22,7 @@ let grid_index ~epsilon w =
   let k = int_of_float (ceil (log w /. log (1.0 +. epsilon))) + grid_bias in
   max 0 (min 65535 k)
 
-let grid_value ~epsilon k = (1.0 +. epsilon) ** float_of_int (k - grid_bias)
+let grid_value ~epsilon k = (1.0 +. epsilon) ** float_of_int (k - grid_bias) [@@inline]
 
 let quantize_up ~epsilon w =
   if epsilon <= 0.0 then w else grid_value ~epsilon (grid_index ~epsilon w)
@@ -102,9 +102,10 @@ let encode_region config g ?region_of ?landmark ?flags nodes =
   W.contents w
 
 (* The one reader of region blobs.  A cursor over the blob reads each
-   field in place: floats straight from their four bytes, no
-   intermediate records.  Every read is bounds-checked and a short blob
-   raises [Byte_io.Reader.Underflow], like every other decoder. *)
+   field in place: floats straight from their four bytes into the
+   buffer's float arrays, no intermediate records.  Every read is
+   bounds-checked and a short blob raises [Byte_io.Reader.Underflow],
+   like every other decoder. *)
 
 type cursor = { buf : bytes; mutable at : int }
 
@@ -113,10 +114,15 @@ let take c n =
   if p > Bytes.length c.buf - n then raise R.Underflow;
   c.at <- p + n;
   p
+  [@@inline]
 
-let c_u8 c = Char.code (Bytes.unsafe_get c.buf (take c 1))
+let c_u8 c = Char.code (Bytes.unsafe_get c.buf (take c 1)) [@@inline]
 let c_u16 c = Bytes.get_uint16_le c.buf (take c 2)
-let c_f32 c = Int32.float_of_bits (Bytes.get_int32_le c.buf (take c 4))
+
+(* A float returned by a function that is not inlined comes back boxed,
+   so the reader reads each f32 in place, at the offset [take] hands
+   out. *)
+let f32_at b p = Int32.float_of_bits (Bytes.get_int32_le b p) [@@inline]
 
 (* LEB128, as [Byte_io.Reader.varint] *)
 let rec c_varint_from c shift acc =
@@ -124,14 +130,20 @@ let rec c_varint_from c shift acc =
   let acc = acc lor ((b land 0x7F) lsl shift) in
   if b land 0x80 = 0 then acc else c_varint_from c (shift + 7) acc
 
-let c_varint c = c_varint_from c 0 0
-
-let c_weight config c =
-  if config.quantize <= 0.0 then c_f32 c
-  else grid_value ~epsilon:config.quantize (c_varint c)
+(* ids and degrees mostly fit one or two bytes: those are read inline *)
+let c_varint c =
+  let b = c_u8 c in
+  if b < 0x80 then b
+  else begin
+    let b2 = c_u8 c in
+    let acc = (b land 0x7F) lor ((b2 land 0x7F) lsl 7) in
+    if b2 < 0x80 then acc else c_varint_from c 14 acc
+  end
+  [@@inline]
 
 (* The fewest bytes a node record or an edge entry can take, so a count
-   is checked against what is left before anything runs that many times. *)
+   is checked against what is left before anything runs that many times
+   or is sized by it. *)
 let min_node_bytes config = 1 + 8 + (8 * config.landmark_anchors) + 1
 
 let min_edge_bytes config =
@@ -142,63 +154,123 @@ let min_edge_bytes config =
 
 let check_count c what count ~each =
   if count < 0 || count > (Bytes.length c.buf - c.at) / each then
-    invalid_arg ("Encoding.fold_region: " ^ what ^ " exceeds the blob")
+    invalid_arg ("Encoding.read_region: " ^ what ^ " exceeds the blob")
 
-let fold_region config blob ~node ~edge init =
+type region = {
+  mutable nodes : int;
+  mutable ids : int array;
+  mutable xs : float array;
+  mutable ys : float array;
+  mutable degrees : int array;
+  mutable to_anchor : float array;
+  mutable from_anchor : float array;
+  mutable edges : int;
+  mutable targets : int array;
+  mutable weights : float array;
+  mutable target_regions : int array;
+  mutable flags : Bytes.t;
+}
+
+let region_buffer () =
+  { nodes = 0;
+    ids = [||];
+    xs = [||];
+    ys = [||];
+    degrees = [||];
+    to_anchor = [||];
+    from_anchor = [||];
+    edges = 0;
+    targets = [||];
+    weights = [||];
+    target_regions = [||];
+    flags = Bytes.empty }
+
+(* [a] with room for at least [n] cells; the old contents are not kept. *)
+let room a n fill =
+  if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) fill
+
+let read_region config r blob =
+  r.nodes <- 0;
+  r.edges <- 0;
   let c = { buf = blob; at = 0 } in
   let count = c_varint c in
   check_count c "node count" count ~each:(min_node_bytes config);
   let anchors = config.landmark_anchors and fbytes = flag_bytes config.flag_bits in
-  let to_anchor = Array.make anchors 0.0 and from_anchor = Array.make anchors 0.0 in
-  let flags = Bytes.create fbytes in
-  let rec edges acc k =
-    if k = 0 then acc
-    else begin
-      let target = c_varint c in
-      let weight = c_weight config c in
-      let target_region = if config.with_region_ids then c_u16 c else -1 in
-      if fbytes > 0 then Bytes.blit c.buf (take c fbytes) flags 0 fbytes;
-      edges (edge acc ~target ~weight ~target_region ~flags) (k - 1)
-    end
-  in
-  let rec nodes acc k =
-    if k = 0 then acc
-    else begin
-      let id = c_varint c in
-      let x = c_f32 c in
-      let y = c_f32 c in
-      for a = 0 to anchors - 1 do
-        to_anchor.(a) <- c_f32 c;
-        from_anchor.(a) <- c_f32 c
-      done;
-      let degree = c_varint c in
-      check_count c "degree" degree ~each:(min_edge_bytes config);
-      let acc = node acc ~id ~x ~y ~to_anchor ~from_anchor ~degree in
-      nodes (edges acc degree) (k - 1)
-    end
-  in
-  nodes init count
+  let region_ids = config.with_region_ids and quantize = config.quantize in
+  (* every edge takes at least [min_edge_bytes], so the bytes left bound
+     the edge total: the buffer is sized once, before anything is read *)
+  let max_edges = (Bytes.length blob - c.at) / min_edge_bytes config in
+  r.ids <- room r.ids count 0;
+  r.xs <- room r.xs count 0.0;
+  r.ys <- room r.ys count 0.0;
+  r.degrees <- room r.degrees count 0;
+  r.to_anchor <- room r.to_anchor (count * anchors) 0.0;
+  r.from_anchor <- room r.from_anchor (count * anchors) 0.0;
+  r.targets <- room r.targets max_edges 0;
+  r.weights <- room r.weights max_edges 0.0;
+  if region_ids then r.target_regions <- room r.target_regions max_edges 0;
+  if Bytes.length r.flags < max_edges * fbytes then
+    r.flags <- Bytes.create (max (max_edges * fbytes) (2 * Bytes.length r.flags));
+  let ids = r.ids and xs = r.xs and ys = r.ys and degrees = r.degrees in
+  let to_anchor = r.to_anchor and from_anchor = r.from_anchor in
+  let targets = r.targets and weights = r.weights in
+  let target_regions = r.target_regions and flags = r.flags in
+  let e = ref 0 in
+  for i = 0 to count - 1 do
+    ids.(i) <- c_varint c;
+    xs.(i) <- f32_at blob (take c 4);
+    ys.(i) <- f32_at blob (take c 4);
+    for a = i * anchors to ((i + 1) * anchors) - 1 do
+      to_anchor.(a) <- f32_at blob (take c 4);
+      from_anchor.(a) <- f32_at blob (take c 4)
+    done;
+    let degree = c_varint c in
+    check_count c "degree" degree ~each:(min_edge_bytes config);
+    degrees.(i) <- degree;
+    for j = !e to !e + degree - 1 do
+      targets.(j) <- c_varint c;
+      weights.(j) <-
+        (if quantize <= 0.0 then f32_at blob (take c 4)
+         else grid_value ~epsilon:quantize (c_varint c));
+      if region_ids then target_regions.(j) <- c_u16 c;
+      if fbytes > 0 then Bytes.blit blob (take c fbytes) flags (j * fbytes) fbytes
+    done;
+    e := !e + degree
+  done;
+  r.nodes <- count;
+  r.edges <- !e
 
-(* The reference decoder: records built from the same fold.  Within the
-   accumulator the head record's adjacency is in reverse. *)
+(* The reference decoder: records built from the same buffer. *)
 let decode_region config blob =
-  fold_region config blob
-    ~node:(fun acc ~id ~x ~y ~to_anchor ~from_anchor ~degree:_ ->
-      let landmark =
-        if config.landmark_anchors = 0 then None
-        else Some (Array.copy to_anchor, Array.copy from_anchor)
-      in
-      { id; x; y; adj = []; landmark } :: acc)
-    ~edge:(fun acc ~target ~weight ~target_region ~flags ->
-      let flags =
-        if config.flag_bits = 0 then None
-        else Some (Psp_util.Bitset.of_bytes config.flag_bits flags)
-      in
-      match acc with
-      | r :: rest -> { r with adj = { target; weight; target_region; flags } :: r.adj } :: rest
-      | [] -> invalid_arg "Encoding.decode_region: edge before any node")
-    []
-  |> List.rev_map (fun r -> { r with adj = List.rev r.adj })
+  let r = region_buffer () in
+  read_region config r blob;
+  let anchors = config.landmark_anchors and fbytes = flag_bytes config.flag_bits in
+  let records = ref [] and last = ref r.edges in
+  for i = r.nodes - 1 downto 0 do
+    let first = !last - r.degrees.(i) in
+    let adj =
+      List.init (!last - first) (fun k ->
+          let j = first + k in
+          { target = r.targets.(j);
+            weight = r.weights.(j);
+            target_region = (if config.with_region_ids then r.target_regions.(j) else -1);
+            flags =
+              (if fbytes = 0 then None
+               else
+                 Some
+                   (Psp_util.Bitset.of_bytes config.flag_bits
+                      (Bytes.sub r.flags (j * fbytes) fbytes))) })
+    in
+    let landmark =
+      if anchors = 0 then None
+      else
+        let vector v = Array.sub v (i * anchors) anchors in
+        Some (vector r.to_anchor, vector r.from_anchor)
+    in
+    records := { id = r.ids.(i); x = r.xs.(i); y = r.ys.(i); adj; landmark } :: !records;
+    last := first
+  done;
+  !records
 
 let lookup_entry_bytes = 10
 

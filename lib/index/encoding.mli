@@ -14,7 +14,13 @@
     PI/HY/PI*.
 
     Look-up entries (F_l) are fixed-size: page number, in-page offset,
-    page span. *)
+    page span.
+
+    Region blobs have one reader, {!read_region}: one loop, no closure
+    call, into a reusable buffer of flat arrays, with nothing allocated
+    or boxed per record or edge.  The client store files from that
+    buffer; {!decode_region} builds records from it for tests and
+    tools. *)
 
 type config = {
   with_region_ids : bool;  (** store the target's region id with each edge *)
@@ -64,43 +70,54 @@ val encode_region :
   bytes
 (** Encode the node records of a region's members. *)
 
-val fold_region :
-  config ->
-  bytes ->
-  node:
-    ('a ->
-    id:int ->
-    x:float ->
-    y:float ->
-    to_anchor:float array ->
-    from_anchor:float array ->
-    degree:int ->
-    'a) ->
-  edge:('a -> target:int -> weight:float -> target_region:int -> flags:bytes -> 'a) ->
-  'a ->
-  'a
-(** The one reader of a region blob (or of concatenated region pages;
-    bytes past the last record are ignored).  Records are visited in
-    encoded order: [node] once per record, then [edge] once per entry of
-    its adjacency list, in encoded order, threading an accumulator.
-    Nothing is allocated per record.
+(** {2 Reading region blobs} *)
 
-    [to_anchor] and [from_anchor] hold the record's landmark vectors
-    ([landmark_anchors] long, empty without landmarks); [target_region]
-    is -1 unless the config stores region ids; [flags] holds the edge's
-    arc-flag bit-vector as {!Psp_util.Bitset.to_bytes} bytes (empty
-    without flags).  All three are scratch buffers, overwritten by the
-    next record or edge: copy what must outlive the call.
+type region = private {
+  mutable nodes : int;  (** records read *)
+  mutable ids : int array;
+  mutable xs : float array;
+  mutable ys : float array;
+  mutable degrees : int array;  (** edges per record *)
+  mutable to_anchor : float array;
+      (** [landmark_anchors] per record: record [i]'s vector starts at
+          [i * landmark_anchors] *)
+  mutable from_anchor : float array;
+  mutable edges : int;  (** edges read, over all records *)
+  mutable targets : int array;
+  mutable weights : float array;
+  mutable target_regions : int array;  (** with region ids only *)
+  mutable flags : Bytes.t;
+      (** with arc-flags only: [Bitset.bytes_for flag_bits] bytes per
+          edge, as {!Psp_util.Bitset.to_bytes} writes them *)
+}
+(** A decoded region, as flat arrays indexed by record ([0 .. nodes-1])
+    and by edge ([0 .. edges-1]): record [i]'s edges follow record
+    [i-1]'s, [degrees.(i)] of them, in encoded order.  Cells past
+    [nodes] and [edges], and the arrays of extras the config does not
+    carry, hold stale data.  The buffer is reused: each
+    {!read_region} overwrites it and grows its arrays only when a blob
+    needs more room than any before. *)
+
+val region_buffer : unit -> region
+(** An empty buffer. *)
+
+val read_region : config -> region -> bytes -> unit
+(** [read_region config r blob] decodes a region blob (or concatenated
+    region pages; bytes past the last record are ignored) into [r], in
+    one pass with no closure call and nothing allocated per record or
+    edge.  This is the one reader of the layout.
 
     Every count and degree is checked against the bytes left before the
-    fold runs that many steps.
+    reader runs that many steps or sizes anything by it.  After a failed
+    read [r] holds no records.
     @raise Invalid_argument on a count or degree the blob cannot hold.
     @raise Psp_util.Byte_io.Reader.Underflow on a blob cut short. *)
 
 val decode_region : config -> bytes -> node_record list
-(** The records of a region blob, built by {!fold_region}.  The client
-    files regions through the fold directly; this is the reference its
-    tests and kernels compare against. *)
+(** The records of a region blob, built from {!read_region}'s buffer:
+    [target_region] is -1 and [flags] [None] unless the config stores
+    them.  The client files regions from the buffer directly; this is
+    the reference its tests and kernels compare against. *)
 
 (** {2 Look-up entries (F_l)} *)
 

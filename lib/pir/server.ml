@@ -173,6 +173,25 @@ module Session = struct
     if Bytes.length b > 0 then Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor mask));
     b
 
+  (* The one integrity gate on a served page: its keyed tag.  A host
+     that alters a page can recompute its CRC, so the CRC proves nothing
+     against the adversary and is computed only after a tag failure, to
+     classify it against the CRC the host holds for what it served — the
+     published one, unless the host [recomputed] it over the bytes.  A
+     mismatch is damage the host did not account for (bit rot at rest or
+     in transit): [Page_corrupt], retried in place.  A match means the
+     host recomputed the CRC over bytes it altered: [Tampered], failed
+     over. *)
+  let gate server f ~file ~page ~recomputed bytes =
+    if not (Psp_storage.Page_file.authenticate f ~key:server.key page bytes) then begin
+      let host_crc =
+        if recomputed then Psp_util.Crc32.digest bytes
+        else Psp_storage.Page_file.page_crc f page
+      in
+      if Psp_util.Crc32.digest bytes = host_crc then raise (Tampered { file; page })
+      else raise (Page_corrupt { file; page })
+    end
+
   (* One merged pass: member [i] retrieves [pages.(i)].  The attempt is
      accounted and recorded in the trace *before* the shared failpoints
      are consulted: the adversary saw the request whether or not the
@@ -261,46 +280,36 @@ module Session = struct
              and the access count; the secret page indices only select which \
              pre-planned slots carry real payloads (see fetch_many)"]
         in
-        (* the one per-member loop: each page passes its own CRC and tag
-           gates, in member order, so fault schedules replay exactly *)
+        (* the one per-member loop: each page passes its tag gate, in
+           member order, so fault schedules replay exactly *)
         Array.init k (fun m ->
             let page = pages.(m) in
+            (* a corrupt page fails before the tamper hook is reached, so
+               the tamper hook is consulted only when corruption did not
+               fire: hit ordinals and seeded streams stay as they are *)
+            let corrupt = Psp_fault.Fault.fires "pir.fetch.corrupt" in
+            let tampered = (not corrupt) && Psp_fault.Fault.fires "pir.fetch.tamper" in
             let bytes =
-              (if Psp_fault.Fault.fires "pir.fetch.corrupt" then flip ~mask:0x01 contents.(m)
+              (if corrupt then flip ~mask:0x01 contents.(m)
+               else if tampered then flip ~mask:0x80 contents.(m)
                else contents.(m))
               [@leak_ok
                 "fault-injection test hook: flips one bit of the already-fetched page, \
                  whose length is the file's public page size"]
             in
-            (if not (Psp_storage.Page_file.verify_page f page bytes) then
-               raise (Page_corrupt { file = name; page }))
+            (gate server f ~file:name ~page ~recomputed:tampered bytes)
             [@leak_ok
               "integrity failure aborts the whole batch; the exception stays inside the \
-               client trust boundary and the engine's retry re-issues every member's \
-               identical request"];
-            let bytes =
-              (* a Byzantine host recomputes the CRC after altering the
-                 page, so the flip lands after the checksum gate — only
-                 the keyed tag check below can catch it *)
-              (if Psp_fault.Fault.fires "pir.fetch.tamper" then flip ~mask:0x80 bytes
-               else bytes)
-              [@leak_ok
-                "fault-injection test hook: flips one bit of the already-fetched page, \
-                 whose length is the file's public page size"]
-            in
-            (if not (Psp_storage.Page_file.authenticate f ~key:server.key page bytes) then
-               raise (Tampered { file = name; page }))
-            [@leak_ok
-              "authenticity failure aborts the whole batch and fails the replica over; \
-               the exception stays inside the client trust boundary"];
+               client trust boundary, and the engine either re-issues every member's \
+               identical request (corruption) or fails the replica over (tampering)"];
             bytes))
     [@@oblivious]
 
   (* The header download for every member as one exchange.  Like fetch,
      the download is charged and recorded before the shared failpoints
      fire, so a fault (and the batch-granular retry) adds the same events
-     to every member.  The pages pass the same CRC and tag gates as a
-     private fetch: the header fixes the plan, the KD-tree splits and the
+     to every member.  The pages pass the same tag gate as a private
+     fetch: the header fixes the plan, the KD-tree splits and the
      scheme tag, so a host that could rewrite it would choose what the
      client walks.  The page numbers here are public. *)
   let download t ~file:name =
@@ -317,13 +326,9 @@ module Session = struct
     Psp_fault.Fault.inject "pir.download.transient";
     Array.init pages (fun page ->
         let bytes = Psp_storage.Page_file.read f page in
-        if not (Psp_storage.Page_file.verify_page f page bytes) then
-          raise (Page_corrupt { file = name; page });
-        let bytes =
-          if Psp_fault.Fault.fires "pir.download.tamper" then flip ~mask:0x80 bytes else bytes
-        in
-        if not (Psp_storage.Page_file.authenticate f ~key:server.key page bytes) then
-          raise (Tampered { file = name; page });
+        let tampered = Psp_fault.Fault.fires "pir.download.tamper" in
+        let bytes = if tampered then flip ~mask:0x80 bytes else bytes in
+        gate server f ~file:name ~page ~recomputed:tampered bytes;
         bytes)
     [@@oblivious]
 

@@ -9,8 +9,9 @@
     sizes from actual encodings.
 
     Integrity: every page carries a CRC-32 computed when it is appended.
-    The PIR server re-verifies it on each fetch ({!verify_page}), and
-    the on-disk format stores it per page plus a whole-file checksum, so
+    The PIR server consults it ({!page_crc}) only after a page fails its
+    tag, to tell bit rot from tampering, and the on-disk format stores
+    it per page plus a whole-file checksum, so
     {!load} detects torn writes and bit rot as a typed {!error} instead
     of crashing.  {!save} is atomic (temp file + rename): a fault
     mid-save never clobbers an existing good file.
@@ -21,7 +22,8 @@
     publisher's master key (which the host never sees), bound to the
     file name and page number; {!authenticate} is the client-side gate
     that makes tampering a detectable, typed condition distinct from
-    bit rot.  Tags travel with the file ({!save}/{!load}). *)
+    bit rot.  It is the one gate a served page passes.  Tags travel
+    with the file ({!save}/{!load}). *)
 
 type t
 
@@ -63,8 +65,9 @@ val page_crc : t -> int -> int
 
 val verify_page : t -> int -> bytes -> bool
 (** [verify_page t no page] checks a (purported) copy of page [no]
-    against its recorded checksum — the server's integrity gate on
-    every PIR fetch.
+    against its recorded checksum.  No fetch runs it: a CRC the host
+    can recompute proves nothing against the host, so fetches gate on
+    {!authenticate} alone.
     @raise Invalid_argument on an out-of-range page number. *)
 
 val tag_size : int

@@ -686,8 +686,11 @@ let e2e_property =
 (* ------------------------------------------------------------------ *)
 (* The client store against its predecessor.  [Ref_store] is the
    Hashtbl-keyed store the flat, local-id store replaced, kept as the
-   reference and fed the records [Encoding.decode_region] builds, while
-   [Store] files the same bytes through [Encoding.fold_region].  On
+   reference and fed the records the reference reader
+   ([Ref_region.decode_region], the closure fold the flat-buffer reader
+   replaced) builds, while [Store] files the same bytes through
+   [Encoding.read_region], whose [Encoding.decode_region] must build the
+   same records.  On
    random networks split into random regions, under the plain,
    quantized, LM and AF region configs, delivered in random order with
    duplicates and interleaved subgraph triples, both must hold the same
@@ -1008,7 +1011,10 @@ let store_matches_reference c =
       | `Region r ->
           let bytes = blob r in
           List.iter (fun st -> Store.add_region st config r bytes) stores;
-          List.iter (Ref_store.add_record rf r) (E.decode_region config bytes)
+          let records = Ref_region.decode_region config bytes in
+          if E.decode_region config bytes <> records then
+            Alcotest.failf "region %d: Encoding.decode_region differs from the reference reader" r;
+          List.iter (Ref_store.add_record rf r) records
       | `Triple e ->
           let u, v, w = edges.(e) in
           let t =
@@ -1027,6 +1033,49 @@ let store_reference_property =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:500 ~name:"flat store = Hashtbl reference" ~print:print_store_case
        store_case_gen store_matches_reference)
+
+(* Tie order of the client solve.  On a unit-weight grid nearly every
+   pair has several shortest paths, so which one [Store.dijkstra]
+   returns depends on the exact order nodes settle in: its inline heap
+   must settle them as [Ref_store]'s [Min_heap] does.  The grid is cut
+   into column-band regions, filed from their blobs in a shuffled
+   order (local ids then differ from global ones), and every pair must
+   get the same path and the same cost bits from both stores. *)
+let test_store_tie_order () =
+  let module E = Psp_index.Encoding in
+  let side = 9 and bands = 3 in
+  let b = G.Builder.create () in
+  for v = 0 to (side * side) - 1 do
+    ignore (G.Builder.add_node b ~x:(float_of_int (v mod side)) ~y:(float_of_int (v / side)))
+  done;
+  for v = 0 to (side * side) - 1 do
+    if v mod side < side - 1 then G.Builder.add_undirected b v (v + 1) 1.0;
+    if v / side < side - 1 then G.Builder.add_undirected b v (v + side) 1.0
+  done;
+  let grid = G.Builder.freeze b in
+  let band v = v mod side * bands / side in
+  let config = E.plain_config in
+  List.iter
+    (fun order ->
+      let st = Store.create () and rf = Ref_store.create () in
+      List.iter
+        (fun r ->
+          let bytes =
+            E.encode_region config grid
+              (Array.of_list (List.filter (fun v -> band v = r) (List.init (side * side) Fun.id)))
+          in
+          Store.add_region st config r bytes;
+          List.iter (Ref_store.add_record rf r) (Ref_region.decode_region config bytes))
+        order;
+      for s = 0 to (side * side) - 1 do
+        for t = 0 to (side * side) - 1 do
+          match (Store.dijkstra st ~source:s ~target:t, Ref_store.dijkstra rf ~source:s ~target:t) with
+          | Some (p, d), Some (q, e) when p = q && Int64.equal (Int64.bits_of_float d) (Int64.bits_of_float e)
+            -> ()
+          | _ -> Alcotest.failf "%d -> %d: the store's answer differs from the reference's" s t
+        done
+      done)
+    [ [ 0; 1; 2 ]; [ 2; 0; 1 ] ]
 
 (* Store reuse end to end.  One domain runs queries A, B, A at widths 1
    and 8, then walks aborted mid-plan by an injected fault (their
@@ -1136,4 +1185,5 @@ let () =
         [ Alcotest.test_case "pinned digests" `Quick test_page_sequence_pinned ] );
       ( "store",
         [ store_reference_property;
-          Alcotest.test_case "arena reuse = fresh domain" `Quick test_arena_reuse ] ) ]
+          Alcotest.test_case "arena reuse = fresh domain" `Quick test_arena_reuse;
+          Alcotest.test_case "tie order on a unit grid" `Quick test_store_tie_order ] ) ]

@@ -644,6 +644,89 @@ let region_configs =
     { E.plain_config with E.with_region_ids = true; landmark_anchors = 3 };
     { E.plain_config with E.with_region_ids = true; flag_bits = 12 } ]
 
+(* What a region read yields, as comparable data: every event the
+   reference fold reports (a record's id, coordinates, landmark vectors
+   and degree, then each of its edges), floats by their bits so NaNs
+   from mangled bytes compare, or the failure — [Underflow], or an
+   [Invalid_argument] by the check that raised it (the messages name
+   different functions).  Any other exception escapes and fails the
+   property. *)
+type region_event =
+  | Node of int * int64 * int64 * int64 list * int64 list * int
+  | Edge of int * int64 * int * string
+
+type 'a region_outcome = Read of 'a | Short | Invalid of string
+
+let bits = Int64.bits_of_float
+
+let outcome_of f =
+  match f () with
+  | events -> Read events
+  | exception Psp_util.Byte_io.Reader.Underflow -> Short
+  | exception Invalid_argument msg -> (
+      match String.index_opt msg ':' with
+      | Some k -> Invalid (String.sub msg k (String.length msg - k))
+      | None -> Invalid msg)
+
+let reference_events config blob =
+  List.rev
+    (Ref_region.fold_region config blob
+       ~node:(fun acc ~id ~x ~y ~to_anchor ~from_anchor ~degree ->
+         Node
+           ( id,
+             bits x,
+             bits y,
+             Array.to_list (Array.map bits to_anchor),
+             Array.to_list (Array.map bits from_anchor),
+             degree )
+         :: acc)
+       ~edge:(fun acc ~target ~weight ~target_region ~flags ->
+         Edge (target, bits weight, target_region, Bytes.to_string flags) :: acc)
+       [])
+
+(* The same events read back from a (reused) buffer. *)
+let buffer_events config (r : E.region) =
+  let a = config.E.landmark_anchors and fb = Psp_util.Bitset.bytes_for config.E.flag_bits in
+  let events = ref [] and e = ref 0 in
+  for i = 0 to r.E.nodes - 1 do
+    let vector v = List.init a (fun k -> bits v.((i * a) + k)) in
+    events :=
+      Node (r.E.ids.(i), bits r.E.xs.(i), bits r.E.ys.(i), vector r.E.to_anchor,
+            vector r.E.from_anchor, r.E.degrees.(i))
+      :: !events;
+    for j = !e to !e + r.E.degrees.(i) - 1 do
+      events :=
+        Edge
+          ( r.E.targets.(j),
+            bits r.E.weights.(j),
+            (if config.E.with_region_ids then r.E.target_regions.(j) else -1),
+            Bytes.sub_string r.E.flags (j * fb) fb )
+        :: !events
+    done;
+    e := !e + r.E.degrees.(i)
+  done;
+  if !e <> r.E.edges then Alcotest.failf "buffer: %d edges by degree, %d recorded" !e r.E.edges;
+  List.rev !events
+
+(* Records by their bits, likewise. *)
+let record_key (r : E.node_record) =
+  ( r.E.id,
+    bits r.E.x,
+    bits r.E.y,
+    List.map
+      (fun (a : E.adj) ->
+        (a.E.target, bits a.E.weight, a.E.target_region, Option.map Psp_util.Bitset.to_bytes a.E.flags))
+      r.E.adj,
+    Option.map (fun (t, f) -> (Array.map bits t, Array.map bits f)) r.E.landmark )
+
+(* Malformed region blobs, and intact ones (a cut at the full length),
+   under all four configs: the reader and the record decoder yield
+   exactly what the reference fold does, or fail where it fails, with
+   [Underflow] or [Invalid_argument] only.  The blobs are encoded under
+   their config, and also with landmark vectors the config does not
+   declare (the encoder writes them whenever it is handed them), which
+   misaligns every later field.  One buffer serves every case, so stale
+   contents from a larger read must never show. *)
 let region_fold_fuzz =
   let g, t, _ = setup () in
   let lm = Psp_graph.Landmark.select_farthest g ~count:3 ~seed:4 in
@@ -651,26 +734,78 @@ let region_fold_fuzz =
   let cases =
     List.map
       (fun config ->
-        let blobs =
-          List.init (min 4 t.K.region_count) (fun r ->
-              E.encode_region config g ~region_of:t.K.assignment ~landmark:lm ~flags
-                (K.nodes_of_region t r))
+        let encode ?landmark r =
+          E.encode_region config g ~region_of:t.K.assignment ?landmark ~flags (K.nodes_of_region t r)
         in
-        (config, blobs))
+        let regions = List.init (min 4 t.K.region_count) Fun.id in
+        let matched =
+          if config.E.landmark_anchors > 0 then [] else List.map (fun r -> encode r) regions
+        in
+        (config, matched @ List.map (encode ~landmark:lm) regions))
       region_configs
   in
+  let buffer = E.region_buffer () in
   qtest ~count:400 "region fold: malformed blobs fail typed"
     QCheck2.Gen.(
       let* config, blobs = oneofl cases in
       let* blob = mangle_gen blobs in
       return (config, blob))
     (fun (config, blob) ->
-      typed_failure (fun () -> E.decode_region config blob)
-      && typed_failure (fun () ->
-             E.fold_region config blob
-               ~node:(fun n ~id:_ ~x:_ ~y:_ ~to_anchor:_ ~from_anchor:_ ~degree:_ -> n + 1)
-               ~edge:(fun n ~target:_ ~weight:_ ~target_region:_ ~flags:_ -> n)
-               0))
+      let want = outcome_of (fun () -> reference_events config blob) in
+      let records f = outcome_of (fun () -> f config blob |> List.map record_key) in
+      outcome_of (fun () ->
+          E.read_region config buffer blob;
+          buffer_events config buffer)
+      = want
+      && (buffer.E.nodes = 0 || match want with Read _ -> true | _ -> false)
+      && records E.decode_region = records Ref_region.decode_region)
+
+(* The reader allocates nothing per record or edge: reading a whole
+   network's blob allocates what reading one record's does, once the
+   buffer has grown to fit both. *)
+let test_reader_allocation () =
+  let g, t, _ = setup () in
+  let lm = Psp_graph.Landmark.select_farthest g ~count:3 ~seed:4 in
+  let flags e = Psp_util.Bitset.of_list 12 [ e mod 12 ] in
+  List.iter
+    (fun config ->
+      let landmark = if config.E.landmark_anchors > 0 then Some lm else None in
+      let encode nodes = E.encode_region config g ~region_of:t.K.assignment ?landmark ~flags nodes in
+      let small = encode [| 0 |] and large = encode (Array.init (G.node_count g) Fun.id) in
+      let r = E.region_buffer () in
+      E.read_region config r large;
+      let words blob =
+        let before = Gc.minor_words () in
+        E.read_region config r blob;
+        Gc.minor_words () -. before
+      in
+      let small_words = words small and large_words = words large in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "words for %d records = words for 1 (quantize %g, anchors %d, flags %d)"
+           r.E.nodes config.E.quantize config.E.landmark_anchors config.E.flag_bits)
+        small_words large_words)
+    region_configs
+
+(* Look-up entries are read at secret offsets from fetched pages: any
+   blob and position yields the fixed-width fields or a typed error,
+   and an entry that fits decodes to the bytes it occupies. *)
+let lookup_entry_fuzz =
+  qtest ~count:1000 "lookup entry decode: any blob and position is typed"
+    QCheck2.Gen.(
+      let* blob = map Bytes.of_string (string_size (int_bound 40)) in
+      let* pos = int_range (-12) (Bytes.length blob + 12) in
+      return (blob, pos))
+    (fun (blob, pos) ->
+      match E.decode_lookup_entry blob ~pos with
+      | page, offset, span ->
+          pos >= 0
+          && pos + E.lookup_entry_bytes <= Bytes.length blob
+          && Bytes.equal
+               (E.encode_lookup_entry ~page ~offset ~span)
+               (Bytes.sub blob pos E.lookup_entry_bytes)
+      | exception Psp_util.Byte_io.Reader.Underflow ->
+          pos + E.lookup_entry_bytes > Bytes.length blob
+      | exception Invalid_argument _ -> pos < 0)
 
 let fi_decode_fuzz =
   let g, t, b = setup () in
@@ -999,7 +1134,9 @@ let () =
           Alcotest.test_case "landmark+flags payloads" `Quick test_landmark_flag_encoding;
           Alcotest.test_case "lookup entries" `Quick test_lookup_entry_roundtrip;
           region_ids_roundtrip;
-          region_fold_fuzz ] );
+          region_fold_fuzz;
+          Alcotest.test_case "reader allocates per region only" `Quick test_reader_allocation;
+          lookup_entry_fuzz ] );
       ( "precompute",
         [ Alcotest.test_case "covering property" `Slow test_precompute_covering;
           Alcotest.test_case "diagonal" `Quick test_precompute_diagonal_exists;

@@ -454,8 +454,8 @@ let test_server_download () =
   let expected = small_cost.CM.rtt +. CM.transfer_seconds small_cost ~bytes:(3 * 64) in
   Alcotest.(check (float 1e-9)) "download comm" expected stats.Session.comm_seconds
 
-(* the header passes the same CRC and tag gates as a private fetch: a
-   host that alters a page and recomputes its CRC is caught *)
+(* the header passes the same tag gate as a private fetch: a host that
+   alters a page and recomputes its CRC is caught *)
 let test_server_download_tamper () =
   let f = make_file ~name:"header" ~pages:3 ~page_size:64 () in
   let server = Server.create ~cost:small_cost ~key [ f ] in
@@ -465,6 +465,65 @@ let test_server_download_tamper () =
       match Session.download (start server) ~file:"header" with
       | exception Server.Tampered { file = "header"; page = 1 } -> ()
       | _ -> Alcotest.fail "expected Tampered on the second header page")
+
+(* The gate's order.  A fetched page passes one gate, its tag; the CRC
+   only classifies a failure.  A corrupt page (the host still holds the
+   published CRC) is [Page_corrupt] and a tampered one (the host
+   recomputed the CRC) [Tampered].  The corruption hook is consulted
+   first and the tamper hook only when it did not fire, so with both
+   always on, a fetch is [Page_corrupt] and the tamper hook never
+   fires.  Both serving modes, every case from a fresh session. *)
+let gate_outcome ?(mode = `Simulated) arms ~width =
+  let module F = Psp_fault.Fault in
+  let server = Server.create ~mode ~cost:small_cost ~key [ make_file ~pages:20 ~page_size:64 () ] in
+  let s = Session.start server ~width in
+  List.iter (fun (point, sched) -> F.arm point sched) arms;
+  Fun.protect ~finally:F.reset (fun () ->
+      let outcome =
+        match Session.fetch s ~file:"data" ~pages:(Array.init width (fun m -> 3 + m)) with
+        | _ -> "served"
+        | exception Server.Page_corrupt { file = "data"; page } -> Printf.sprintf "corrupt %d" page
+        | exception Server.Tampered { file = "data"; page } -> Printf.sprintf "tampered %d" page
+      in
+      (outcome, F.fired "pir.fetch.corrupt", F.fired "pir.fetch.tamper"))
+
+let test_gate_order () =
+  let module F = Psp_fault.Fault in
+  let check what arms ~width want =
+    List.iter
+      (fun mode ->
+        Alcotest.(check (triple string int int)) what want (gate_outcome ~mode arms ~width))
+      [ `Simulated; `Pyramid ]
+  in
+  check "both always: corrupt, tamper never fired"
+    [ ("pir.fetch.corrupt", F.Always); ("pir.fetch.tamper", F.Always) ]
+    ~width:1 ("corrupt 3", 1, 0);
+  check "tamper alone" [ ("pir.fetch.tamper", F.Always) ] ~width:1 ("tampered 3", 0, 1);
+  check "corrupt alone" [ ("pir.fetch.corrupt", F.Always) ] ~width:1 ("corrupt 3", 1, 0);
+  check "no faults" [] ~width:1 ("served", 0, 0);
+  (* in a batch the members pass the hooks in member order, so a member
+     fails before any later member's hook is consulted *)
+  check "batch: corrupt on the second member"
+    [ ("pir.fetch.corrupt", F.Hits [ 2 ]); ("pir.fetch.tamper", F.Always) ]
+    ~width:3 ("tampered 3", 0, 1);
+  check "batch: corrupt on the first member, tamper armed"
+    [ ("pir.fetch.corrupt", F.Hits [ 1 ]); ("pir.fetch.tamper", F.Always) ]
+    ~width:3 ("corrupt 3", 1, 0);
+  check "batch: tamper on the third member"
+    [ ("pir.fetch.corrupt", F.Never); ("pir.fetch.tamper", F.Hits [ 3 ]) ]
+    ~width:3 ("tampered 5", 0, 1)
+
+let test_gate_download_tamper () =
+  let module F = Psp_fault.Fault in
+  let f = make_file ~name:"header" ~pages:3 ~page_size:64 () in
+  let server = Server.create ~cost:small_cost ~key [ f ] in
+  F.arm "pir.download.tamper" F.Always;
+  Fun.protect ~finally:F.reset (fun () ->
+      match Session.download (start server) ~file:"header" with
+      | exception Server.Tampered { file = "header"; page = 0 } ->
+          Alcotest.(check int) "one tamper hit" 1 (F.fired "pir.download.tamper")
+      | exception Server.Page_corrupt _ -> Alcotest.fail "tampered header classified as corrupt"
+      | _ -> Alcotest.fail "expected Tampered on the first header page")
 
 (* One batch session, one account: a header download, rounds, fetches
    and a retry charged to a width-k session must leave every member with
@@ -652,6 +711,8 @@ let () =
           Alcotest.test_case "download" `Quick test_server_download;
           Alcotest.test_case "download tamper" `Quick test_server_download_tamper;
           Alcotest.test_case "one account per batch" `Quick test_server_one_account;
-          Alcotest.test_case "telemetry per member" `Quick test_server_member_telemetry ] );
+          Alcotest.test_case "telemetry per member" `Quick test_server_member_telemetry;
+          Alcotest.test_case "gate order" `Quick test_gate_order;
+          Alcotest.test_case "gate: download tamper" `Quick test_gate_download_tamper ] );
       ( "trace",
         [ Alcotest.test_case "fingerprint/counts" `Quick test_trace_fingerprint_and_counts ] ) ]
