@@ -53,13 +53,11 @@ type t = {
   mutable flag_bytes : int;
   (* the decoded region being filed *)
   reader : E.region;
-  (* solver scratch over local ids, and its binary min-heap of
-     (priority, local id) pairs, grown by doubling when a push fills it *)
+  (* solver scratch over local ids *)
   mutable dist : float array;
   mutable parent : int array;
   mutable closed : Bytes.t;
-  mutable heap_prio : float array;
-  mutable heap_node : int array;
+  heap : Psp_util.Min_heap.t;
   mutable released : bool;
 }
 
@@ -101,8 +99,7 @@ let create () =
     dist = [||];
     parent = [||];
     closed = Bytes.empty;
-    heap_prio = Array.make nodes 0.0;
-    heap_node = Array.make nodes 0;
+    heap = Psp_util.Min_heap.create ~capacity:nodes ();
     released = false }
 
 let clear st =
@@ -398,22 +395,8 @@ let snap st region ~x ~y =
    [unreached] until a tentative distance is set, [no_id] at the source.
    Every distance update pushes, and only strictly smaller ones follow
    the first, so the first pop of a node carries exactly [dist] of it:
-   the loop reads [dist] instead of the popped priority.
-
-   The heap is inline so no priority leaves the loop boxed.  It sifts by
-   moving a hole but compares exactly as [Min_heap] does (a parent moves
-   down only when strictly greater, a child up only when strictly
-   smaller, the left child winning ties), so nodes settle in the same
-   order and every tie breaks the same way as [Psp_graph.Dijkstra.run]. *)
+   the loop reads [dist] instead of the popped priority. *)
 let unreached = -2
-
-let grow_heap st =
-  let cap = 2 * Array.length st.heap_prio in
-  let prio = Array.make cap 0.0 and node = Array.make cap 0 in
-  Array.blit st.heap_prio 0 prio 0 (Array.length st.heap_prio);
-  Array.blit st.heap_node 0 node 0 (Array.length st.heap_node);
-  st.heap_prio <- prio;
-  st.heap_node <- node
 
 let dijkstra st ~source ~target =
   if source = target then Some ([ source ], 0.0)
@@ -429,39 +412,16 @@ let dijkstra st ~source ~target =
           st.closed <- Bytes.make cap '\000'
         end;
         let dist = st.dist and parent = st.parent and closed = st.closed in
+        let heap = st.heap in
         Array.fill parent 0 n unreached;
         Bytes.fill closed 0 n '\000';
+        Psp_util.Min_heap.clear heap;
         dist.(s) <- 0.0;
         parent.(s) <- no_id;
-        st.heap_prio.(0) <- 0.0;
-        st.heap_node.(0) <- s;
-        let size = ref 1 in
+        Psp_util.Min_heap.push heap ~priority:0.0 s;
         let found = ref false in
-        while (not !found) && !size > 0 do
-          let prio = st.heap_prio and node = st.heap_node in
-          let u = node.(0) in
-          (* pop: the last entry fills the root's hole and sifts down *)
-          decr size;
-          let last = !size in
-          if last > 0 then begin
-            let x = prio.(last) and xn = node.(last) in
-            let hole = ref 0 and sifting = ref true in
-            while !sifting do
-              let l = (2 * !hole) + 1 in
-              if l >= last then sifting := false
-              else begin
-                let c = if l + 1 < last && prio.(l + 1) < prio.(l) then l + 1 else l in
-                if prio.(c) < x then begin
-                  prio.(!hole) <- prio.(c);
-                  node.(!hole) <- node.(c);
-                  hole := c
-                end
-                else sifting := false
-              end
-            done;
-            prio.(!hole) <- x;
-            node.(!hole) <- xn
-          end;
+        while (not !found) && not (Psp_util.Min_heap.is_empty heap) do
+          let u = Psp_util.Min_heap.pop_min heap in
           if Bytes.get closed u = '\000' then begin
             Bytes.set closed u '\001';
             if u = t then found := true
@@ -474,19 +434,7 @@ let dijkstra st ~source ~target =
                 if parent.(v) = unreached || nd < dist.(v) then begin
                   dist.(v) <- nd;
                   parent.(v) <- u;
-                  (* push: sift a hole up from the end *)
-                  if !size = Array.length st.heap_prio then grow_heap st;
-                  let prio = st.heap_prio and node = st.heap_node in
-                  let hole = ref !size in
-                  incr size;
-                  while !hole > 0 && prio.((!hole - 1) / 2) > nd do
-                    let p = (!hole - 1) / 2 in
-                    prio.(!hole) <- prio.(p);
-                    node.(!hole) <- node.(p);
-                    hole := p
-                  done;
-                  prio.(!hole) <- nd;
-                  node.(!hole) <- v
+                  Psp_util.Min_heap.push heap ~priority:nd v
                 end;
                 e := st.edge_next.(!e)
               done

@@ -106,8 +106,9 @@ val snap : t -> int -> x:float -> y:float -> int
 val dijkstra : t -> source:int -> target:int -> (int list * float) option
 (** Exact shortest path over the downloaded adjacency: the node sequence
     from [source] to [target] and its cost, summed edge by edge along
-    the search.  The binary heap is inline and compares exactly as
-    {!Psp_util.Min_heap} does, so nodes settle, and equal-cost paths
-    tie-break, as they would on it.  [Some ([source], 0.0)] when [source = target]; [None]
+    the search.  It runs on {!Psp_util.Min_heap}, the heap every search
+    in the library uses, so nodes settle, and equal-cost paths
+    tie-break, as they do in {!Psp_graph.Dijkstra}.
+    [Some ([source], 0.0)] when [source = target]; [None]
     when the target is unreachable from the source within the store
     (including either end being unknown to it). *)

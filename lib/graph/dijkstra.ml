@@ -13,10 +13,9 @@ type workspace = {
   ws_parent : int array;
   ws_parent_edge : int array;
   done_ : Bytes.t; (* '\001' once settled *)
-  (* binary min-heap of (priority, node); each edge relaxes at most once
-     per search, so [edge_count + 1] entries always suffice *)
-  prio : float array;
-  node : int array;
+  (* each edge relaxes at most once per search, so [edge_count + 1]
+     entries always suffice and the heap never grows *)
+  heap : Psp_util.Min_heap.t;
   mutable ws_settled : int;
 }
 
@@ -30,61 +29,36 @@ let workspace g =
     ws_parent = Array.make n (-1);
     ws_parent_edge = Array.make n (-1);
     done_ = Bytes.make n '\000';
-    prio = Array.make (m + 1) 0.0;
-    node = Array.make (m + 1) 0;
+    heap = Psp_util.Min_heap.create ~capacity:(m + 1) ();
     ws_settled = 0 }
 
 (* The one search loop.  [stop] may end the search after a node is
-   settled.  The heap is inline so no priority leaves the loop boxed;
-   it sifts by moving a hole but compares exactly as [Min_heap] does
-   (a parent moves down only when strictly greater, a child up only
-   when strictly smaller, the left child winning ties), so nodes settle
-   in the same order and every tie breaks the same way. *)
+   settled.  Every distance update pushes, and only strictly smaller
+   ones follow the first, so the first pop of a node carries exactly
+   [dist] of it: the loop reads [dist] instead of the popped priority. *)
 let run ws ~source ~stop =
   let n = Array.length ws.ws_dist in
   if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
   let row = ws.row and dst = ws.dst and weight = ws.weight in
   let dist = ws.ws_dist and parent = ws.ws_parent and parent_edge = ws.ws_parent_edge in
-  let done_ = ws.done_ and prio = ws.prio and node = ws.node in
+  let done_ = ws.done_ and heap = ws.heap in
   Array.fill dist 0 n infinity;
   Array.fill parent 0 n (-1);
   Array.fill parent_edge 0 n (-1);
   Bytes.fill done_ 0 n '\000';
+  Psp_util.Min_heap.clear heap;
   dist.(source) <- 0.0;
-  prio.(0) <- 0.0;
-  node.(0) <- source;
-  let size = ref 1 in
+  Psp_util.Min_heap.push heap ~priority:0.0 source;
   let settled = ref 0 in
   let finished = ref false in
-  while (not !finished) && !size > 0 do
-    let d = prio.(0) and u = node.(0) in
-    (* pop: the last entry fills the root's hole and sifts down *)
-    decr size;
-    let last = !size in
-    if last > 0 then begin
-      let x = prio.(last) and xn = node.(last) in
-      let hole = ref 0 and sifting = ref true in
-      while !sifting do
-        let l = (2 * !hole) + 1 in
-        if l >= last then sifting := false
-        else begin
-          let c = if l + 1 < last && prio.(l + 1) < prio.(l) then l + 1 else l in
-          if prio.(c) < x then begin
-            prio.(!hole) <- prio.(c);
-            node.(!hole) <- node.(c);
-            hole := c
-          end
-          else sifting := false
-        end
-      done;
-      prio.(!hole) <- x;
-      node.(!hole) <- xn
-    end;
+  while (not !finished) && not (Psp_util.Min_heap.is_empty heap) do
+    let u = Psp_util.Min_heap.pop_min heap in
     if Bytes.get done_ u = '\000' then begin
       Bytes.set done_ u '\001';
       incr settled;
       if stop u then finished := true
-      else
+      else begin
+        let d = dist.(u) in
         for e = row.(u) to row.(u + 1) - 1 do
           let v = dst.(e) in
           let nd = d +. weight.(e) in
@@ -92,19 +66,10 @@ let run ws ~source ~stop =
             dist.(v) <- nd;
             parent.(v) <- u;
             parent_edge.(v) <- e;
-            (* push: sift a hole up from the end *)
-            let hole = ref !size in
-            incr size;
-            while !hole > 0 && prio.((!hole - 1) / 2) > nd do
-              let p = (!hole - 1) / 2 in
-              prio.(!hole) <- prio.(p);
-              node.(!hole) <- node.(p);
-              hole := p
-            done;
-            prio.(!hole) <- nd;
-            node.(!hole) <- v
+            Psp_util.Min_heap.push heap ~priority:nd v
           end
         done
+      end
     end
   done;
   ws.ws_settled <- !settled

@@ -14,11 +14,14 @@ type spt = {
 (** {2 Reusable workspace}
 
     A workspace holds its own copy of the graph's CSR arrays, the
-    [dist]/[parent]/[parent_edge]/settled arrays and a binary heap of
-    capacity [edge_count + 1] (each edge relaxes at most once per
-    search, so the heap never grows).  A tree grown in it allocates
-    nothing.  Every entry point below runs the same loop, so all of them
-    settle nodes in the same order and break ties the same way. *)
+    [dist]/[parent]/[parent_edge]/settled arrays and a
+    {!Psp_util.Min_heap} of capacity [edge_count + 1] (each edge
+    relaxes at most once per search, so the heap never grows).  A tree
+    grown in it allocates no array.  Every entry point below runs the
+    same loop on the one heap the library has, so all of them, and the
+    client's solve in [Psp_core.Store], settle nodes in the same order
+    and break ties the same way.  A workspace over [fst (Graph.reverse
+    g)] grows backward trees, as [Arcflag.compute] does. *)
 
 type workspace
 

@@ -5,10 +5,7 @@ type t = {
   g_dst : int array; (* edge targets, by edge id *)
   g_src : int array; (* edge sources, by edge id *)
   g_w : float array;
-  mutable rev : rev option; (* lazy reverse adjacency *)
 }
-
-and rev = { rrow : int array; redge : int array (* forward edge ids *) }
 
 type edge = { src : int; dst : int; weight : float; id : int }
 
@@ -75,8 +72,7 @@ module Builder = struct
       row;
       g_dst = dst;
       g_src = src;
-      g_w = weight;
-      rev = None }
+      g_w = weight }
 end
 
 let node_count t = Array.length t.xs
@@ -127,35 +123,6 @@ let iter_edges t f =
     f { src = t.g_src.(e); dst = t.g_dst.(e); weight = t.g_w.(e); id = e }
   done
 
-let build_rev t =
-  match t.rev with
-  | Some r -> r
-  | None ->
-      let n = node_count t and m = edge_count t in
-      let rrow = Array.make (n + 1) 0 in
-      Array.iter (fun v -> rrow.(v + 1) <- rrow.(v + 1) + 1) t.g_dst;
-      for i = 1 to n do
-        rrow.(i) <- rrow.(i) + rrow.(i - 1)
-      done;
-      let cursor = Array.copy rrow in
-      let redge = Array.make m 0 in
-      for e = 0 to m - 1 do
-        let slot = cursor.(t.g_dst.(e)) in
-        cursor.(t.g_dst.(e)) <- slot + 1;
-        redge.(slot) <- e
-      done;
-      let r = { rrow; redge } in
-      t.rev <- Some r;
-      r
-
-let iter_in t v f =
-  check_node t v;
-  let r = build_rev t in
-  for i = r.rrow.(v) to r.rrow.(v + 1) - 1 do
-    let e = r.redge.(i) in
-    f { src = t.g_src.(e); dst = t.g_dst.(e); weight = t.g_w.(e); id = e }
-  done
-
 let euclidean t u v =
   let dx = x t u -. x t v and dy = y t u -. y t v in
   sqrt ((dx *. dx) +. (dy *. dy))
@@ -188,11 +155,14 @@ let reverse t =
   done;
   let cursor = Array.copy row in
   let dst = Array.make m 0 and src = Array.make m 0 and weight = Array.make m 0.0 in
+  let forward = Array.make m 0 in
   for e = 0 to m - 1 do
     let slot = cursor.(t.g_dst.(e)) in
     cursor.(t.g_dst.(e)) <- slot + 1;
     src.(slot) <- t.g_dst.(e);
     dst.(slot) <- t.g_src.(e);
-    weight.(slot) <- t.g_w.(e)
+    weight.(slot) <- t.g_w.(e);
+    forward.(slot) <- e
   done;
-  { xs = Array.copy t.xs; ys = Array.copy t.ys; row; g_dst = dst; g_src = src; g_w = weight; rev = None }
+  ({ xs = Array.copy t.xs; ys = Array.copy t.ys; row; g_dst = dst; g_src = src; g_w = weight },
+   forward)

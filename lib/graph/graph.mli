@@ -6,7 +6,8 @@
     ids [0 .. edge_count-1] — these ids key the Arc-flag bit-vectors and
     the PI passage subgraphs.
 
-    Graphs are immutable once frozen from a {!Builder}. *)
+    Graphs are immutable once frozen from a {!Builder}: no operation
+    changes a graph, and {!reverse} builds a new one. *)
 
 type t
 
@@ -66,10 +67,6 @@ val csr : t -> int array * int array * float array
     where {!edge_weight} returns a boxed float to a caller in another
     module. *)
 
-val iter_in : t -> int -> (edge -> unit) -> unit
-(** Iterate incoming edges (reverse adjacency is built lazily and
-    cached; edge ids refer to the forward edge). *)
-
 val edge : t -> int -> edge
 (** Edge by id. @raise Invalid_argument if out of range. *)
 
@@ -88,7 +85,10 @@ val bounding_box : t -> float * float * float * float
 (** (min_x, min_y, max_x, max_y) over all nodes.
     @raise Invalid_argument on an empty graph. *)
 
-val reverse : t -> t
-(** The graph with every edge flipped.  Edge ids are re-assigned; use
-    {!iter_in} on the original graph when forward edge ids are needed
-    during a backward traversal. *)
+val reverse : t -> t * int array
+(** The graph with every edge flipped, and the forward edge id of each
+    reversed edge: reversed edge [e] is forward edge [ids.(e)] with its
+    ends swapped.  A node's out-edges in the reversed graph are its
+    in-edges in the forward graph, in ascending forward id, so a
+    backward search is a forward search on the reversed graph that maps
+    its tree edges back through [ids]. *)

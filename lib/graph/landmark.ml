@@ -10,7 +10,7 @@ let select_farthest g ~count ~seed =
   if count < 1 then invalid_arg "Landmark.select_farthest: count must be >= 1";
   let count = min count n in
   let rng = Psp_util.Rng.create seed in
-  let rev = Graph.reverse g in
+  let rev, _ = Graph.reverse g in
   let anchors = Psp_util.Dyn_array.create () in
   (* distance from each node to its closest already-chosen anchor *)
   let closest = Array.make n infinity in
@@ -49,17 +49,3 @@ let anchor_count t = Array.length t.anchors
 let anchors t = Array.copy t.anchors
 let to_anchor t a v = t.to_anchor.(a).(v)
 let from_anchor t a v = t.from_anchor.(a).(v)
-
-let heuristic t ~target v =
-  let bound = ref 0.0 in
-  for a = 0 to anchor_count t - 1 do
-    let dv_a = t.to_anchor.(a).(v) and dt_a = t.to_anchor.(a).(target) in
-    let da_v = t.from_anchor.(a).(v) and da_t = t.from_anchor.(a).(target) in
-    if dv_a < infinity && dt_a < infinity then
-      bound := Float.max !bound (dv_a -. dt_a);
-    if da_v < infinity && da_t < infinity then
-      bound := Float.max !bound (da_t -. da_v)
-  done;
-  Float.max !bound 0.0
-
-let vector_bytes t = 2 * 4 * anchor_count t

@@ -2,7 +2,8 @@
 
     Chooses anchor nodes and stores, for every node, the shortest-path
     costs to and from each anchor.  The triangle inequality then yields
-    an admissible A* heuristic:
+    an admissible A* heuristic, which the LM client computes from the
+    vectors it downloads:
       h(v) = max_a max(d(v,a) − d(t,a), d(a,t) − d(a,v)).
     This is the pre-computed payload of the LM baseline (§4): the
     landmark vector is stored with each node in the region data file,
@@ -24,10 +25,3 @@ val to_anchor : t -> int -> int -> float
 
 val from_anchor : t -> int -> int -> float
 (** [from_anchor t a v] = d(anchor_a, v). *)
-
-val heuristic : t -> target:int -> int -> float
-(** The ALT lower bound towards [target]. *)
-
-val vector_bytes : t -> int
-(** Serialized size of one node's landmark vector (two float32 per
-    anchor) — used when laying out the LM region data file. *)

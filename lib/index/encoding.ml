@@ -75,9 +75,15 @@ let encode_node config g ?region_of ?landmark ?flags w v =
   f32 w (G.x g v);
   f32 w (G.y g v);
   (match landmark with
-  | None -> ()
+  | None ->
+      if config.landmark_anchors > 0 then
+        invalid_arg "Encoding.encode_node: landmarks requested but absent"
   | Some lm ->
-      for a = 0 to Psp_graph.Landmark.anchor_count lm - 1 do
+      if config.landmark_anchors = 0 then
+        invalid_arg "Encoding.encode_node: landmarks given but not requested";
+      if Psp_graph.Landmark.anchor_count lm <> config.landmark_anchors then
+        invalid_arg "Encoding.encode_node: landmark anchor count differs from the config";
+      for a = 0 to config.landmark_anchors - 1 do
         f32 w (Psp_graph.Landmark.to_anchor lm a v);
         f32 w (Psp_graph.Landmark.from_anchor lm a v)
       done);

@@ -68,7 +68,13 @@ val encode_region :
   ?flags:(int -> Psp_util.Bitset.t) ->
   int array ->
   bytes
-(** Encode the node records of a region's members. *)
+(** Encode the node records of a region's members.  Each record carries
+    exactly [config.landmark_anchors] landmark vector pairs, read from
+    [landmark].
+    @raise Invalid_argument if [config] asks for region ids or flags
+    that are not given, if it asks for landmark vectors that are not
+    given, if [landmark] is given under a config with no anchors, or if
+    [landmark]'s anchor count differs from the config's. *)
 
 (** {2 Reading region blobs} *)
 

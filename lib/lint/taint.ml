@@ -636,13 +636,16 @@ let rec eval st ~emit ~suppressed ~ct (e : Typedtree.expression) =
             | Some id -> add_taint st id payload
             | None -> ()
           end;
-          (* Interprocedural: apply the callee's summary. *)
+          (* Interprocedural: apply the callee's summary.  A callee the
+             telemetry table covers was judged by it above, so its own
+             summary's sinks would report the same payload again. *)
           (match !summary with
           | None -> ()
           | Some sum ->
               let call_frame note =
                 Finding.frame_of_location ~func:st.func ~note e.exp_loc
               in
+              let sinks = if Option.is_some (telemetry name) then [] else sum.sum_sinks in
               List.iter
                 (fun sk ->
                   let chain = call_frame ("calls " ^ sum.sum_name) :: sk.sk_chain in
@@ -674,7 +677,7 @@ let rec eval st ~emit ~suppressed ~ct (e : Typedtree.expression) =
                            sk.sk_param sum.sum_name (describe t)
                            (Finding.rule_slug sk.sk_rule)
                            sk.sk_short))
-                sum.sum_sinks;
+                sinks;
               List.iter
                 (fun (i, srcs) ->
                   let payload =

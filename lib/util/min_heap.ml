@@ -8,7 +8,6 @@ let create ?(capacity = 16) () =
   let capacity = max capacity 1 in
   { prio = Array.make capacity 0.0; data = Array.make capacity 0; size = 0 }
 
-let length t = t.size
 let is_empty t = t.size = 0
 
 let grow t =
@@ -19,66 +18,55 @@ let grow t =
   t.prio <- prio;
   t.data <- data
 
-let swap t i j =
-  let p = t.prio.(i) and d = t.data.(i) in
-  t.prio.(i) <- t.prio.(j);
-  t.data.(i) <- t.data.(j);
-  t.prio.(j) <- p;
-  t.data.(j) <- d
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.prio.(parent) > t.prio.(i) then begin
-      swap t parent i;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let left = (2 * i) + 1 and right = (2 * i) + 2 in
-  let smallest = ref i in
-  if left < t.size && t.prio.(left) < t.prio.(!smallest) then smallest := left;
-  if right < t.size && t.prio.(right) < t.prio.(!smallest) then smallest := right;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
+(* Both sifts move a hole and write the moving entry once, where it
+   stops.  A parent moves down only when strictly greater and a child up
+   only when strictly smaller, the left child winning ties: the order a
+   swapping heap pops equal priorities in, which the searches' tie
+   breaks (and so the arc-flags and the pinned traces) depend on. *)
 let push t ~priority payload =
   if t.size = Array.length t.prio then grow t;
-  t.prio.(t.size) <- priority;
-  t.data.(t.size) <- payload;
+  let prio = t.prio and data = t.data in
+  let hole = ref t.size in
   t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+  while !hole > 0 && prio.((!hole - 1) / 2) > priority do
+    let p = (!hole - 1) / 2 in
+    prio.(!hole) <- prio.(p);
+    data.(!hole) <- data.(p);
+    hole := p
+  done;
+  prio.(!hole) <- priority;
+  data.(!hole) <- payload
 
 let min_priority t =
   if t.size = 0 then invalid_arg "Min_heap.min_priority: empty heap";
   t.prio.(0)
-  [@@inline]
 
 let pop_min t =
   if t.size = 0 then invalid_arg "Min_heap.pop_min: empty heap";
-  let d = t.data.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.prio.(0) <- t.prio.(t.size);
-    t.data.(0) <- t.data.(t.size);
-    sift_down t 0
+  let prio = t.prio and data = t.data in
+  let top = data.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    (* the last entry fills the root's hole and sifts down *)
+    let x = prio.(last) and xd = data.(last) in
+    let hole = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !hole) + 1 in
+      if l >= last then sifting := false
+      else begin
+        let c = if l + 1 < last && prio.(l + 1) < prio.(l) then l + 1 else l in
+        if prio.(c) < x then begin
+          prio.(!hole) <- prio.(c);
+          data.(!hole) <- data.(c);
+          hole := c
+        end
+        else sifting := false
+      end
+    done;
+    prio.(!hole) <- x;
+    data.(!hole) <- xd
   end;
-  d
+  top
+
 let clear t = t.size <- 0
-
-let of_list entries =
-  let t = create ~capacity:(max 1 (List.length entries)) () in
-  List.iter (fun (priority, payload) -> push t ~priority payload) entries;
-  t
-
-let to_sorted_list t =
-  let rec drain acc =
-    if t.size = 0 then List.rev acc
-    else
-      let p = min_priority t in
-      drain ((p, pop_min t) :: acc)
-  in
-  drain []

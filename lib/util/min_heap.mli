@@ -1,18 +1,19 @@
-(** Binary min-heap keyed by float priorities.
+(** Binary min-heap keyed by float priorities: the one priority queue
+    of every search in the library.
 
-    The workhorse priority queue for Dijkstra and A*: payloads are
-    integers (node ids), priorities are floats (tentative distances).
-    Supports lazy decrease-key usage: push duplicates and skip stale
-    pops at the call site, or use {!push_or_decrease} with an external
-    position map for strict decrease-key semantics. *)
+    Payloads are integers (node ids), priorities are floats (tentative
+    distances).  Searches use it with lazy deletion: push duplicates
+    and skip stale pops at the call site.  The heap is two flat arrays
+    sifted by moving a hole; equal priorities pop in the order a
+    swapping binary heap pops them (a parent moves down only when
+    strictly greater, a child up only when strictly smaller, the left
+    child winning ties), so every search breaks ties the same way. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Fresh empty heap.  [capacity] pre-sizes the backing store. *)
-
-val length : t -> int
-(** Number of queued entries (duplicates included). *)
+(** Fresh empty heap.  [capacity] pre-sizes the backing store; a push
+    that fills it doubles it. *)
 
 val is_empty : t -> bool
 
@@ -25,15 +26,9 @@ val min_priority : t -> float
 
 val pop_min : t -> int
 (** Remove the minimum entry and return its payload; read its priority
-    first with {!min_priority}.  Neither call allocates, so a search
-    loop pops without an option, a tuple or a boxed float.
+    first with {!min_priority}.  Neither call allocates a tuple or an
+    option.
     @raise Invalid_argument if the heap is empty. *)
 
 val clear : t -> unit
 (** Empty the heap, retaining its backing store. *)
-
-val of_list : (float * int) list -> t
-(** Heapify a list of (priority, payload) pairs. *)
-
-val to_sorted_list : t -> (float * int) list
-(** Destructively drain the heap in ascending priority order. *)

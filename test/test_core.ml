@@ -758,13 +758,13 @@ module Ref_store = struct
     else begin
       let dist = Hashtbl.create 256 and parent = Hashtbl.create 256 in
       let closed = Hashtbl.create 256 in
-      let heap = Psp_util.Min_heap.create () in
+      let heap = Ref_min_heap.create () in
       Hashtbl.replace dist source 0.0;
-      Psp_util.Min_heap.push heap ~priority:0.0 source;
+      Ref_min_heap.push heap ~priority:0.0 source;
       let found = ref false in
-      while (not !found) && not (Psp_util.Min_heap.is_empty heap) do
-        let d = Psp_util.Min_heap.min_priority heap in
-        let u = Psp_util.Min_heap.pop_min heap in
+      while (not !found) && not (Ref_min_heap.is_empty heap) do
+        let d = Ref_min_heap.min_priority heap in
+        let u = Ref_min_heap.pop_min heap in
         if not (Hashtbl.mem closed u) then begin
           Hashtbl.replace closed u ();
           if u = target then found := true
@@ -781,7 +781,7 @@ module Ref_store = struct
                 if better then begin
                   Hashtbl.replace dist v nd;
                   Hashtbl.replace parent v u;
-                  Psp_util.Min_heap.push heap ~priority:nd v
+                  Ref_min_heap.push heap ~priority:nd v
                 end)
               (out store u)
         end
@@ -1036,8 +1036,8 @@ let store_reference_property =
 
 (* Tie order of the client solve.  On a unit-weight grid nearly every
    pair has several shortest paths, so which one [Store.dijkstra]
-   returns depends on the exact order nodes settle in: its inline heap
-   must settle them as [Ref_store]'s [Min_heap] does.  The grid is cut
+   returns depends on the exact order nodes settle in: the library heap
+   must settle them as [Ref_store]'s swapping [Ref_min_heap] does.  The grid is cut
    into column-band regions, filed from their blobs in a shuffled
    order (local ids then differ from global ones), and every pair must
    get the same path and the same cost bits from both stores. *)

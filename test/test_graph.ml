@@ -1,5 +1,6 @@
-(* Graph engine: CSR structure, Dijkstra against a Bellman–Ford oracle,
-   landmark admissibility and arc-flag equivalence with Dijkstra. *)
+(* Graph engine: CSR structure, Dijkstra against a Bellman–Ford oracle
+   and the tie-order reference, landmark admissibility, and arc-flags
+   against Dijkstra and the flag-for-flag reference. *)
 
 module G = Psp_graph.Graph
 
@@ -89,20 +90,38 @@ let test_builder_validation () =
     (Invalid_argument "Graph.Builder.add_edge: weight must be positive") (fun () ->
       G.Builder.add_edge b 0 0 0.0)
 
-let test_iter_in_matches_out () =
-  let g = diamond () in
-  let in_edges = ref [] in
-  G.iter_in g 4 (fun e -> in_edges := (e.G.src, e.G.dst) :: !in_edges);
-  List.iter (fun (_, d) -> Alcotest.(check int) "incoming ends at 4" 4 d) !in_edges;
-  Alcotest.(check int) "in-degree of 4" 3 (List.length !in_edges)
-
 let test_reverse () =
   let g = diamond () in
-  let r = G.reverse g in
+  let r, _ = G.reverse g in
   Alcotest.(check int) "same edges" (G.edge_count g) (G.edge_count r);
   (* directed shortcut 0->4 becomes 4->0 *)
   let has_40 = G.fold_out r 4 (fun acc e -> acc || e.G.dst = 0) false in
   Alcotest.(check bool) "flipped shortcut" true has_40
+
+(* Each reversed edge is its forward edge flipped, the id map is a
+   permutation, and a node's reversed out-edges are its forward in-edges
+   in ascending forward id: the order backward searches relax them in. *)
+let test_reverse_ids () =
+  List.iter
+    (fun g ->
+      let r, forward = G.reverse g in
+      let m = G.edge_count g in
+      Alcotest.(check int) "one id per edge" m (Array.length forward);
+      Alcotest.(check (list int)) "a permutation" (List.init m Fun.id)
+        (List.sort compare (Array.to_list forward));
+      G.iter_edges r (fun e ->
+          let f = G.edge g forward.(e.G.id) in
+          Alcotest.(check (triple int int (float 0.0))) "flipped"
+            (f.G.dst, f.G.src, f.G.weight) (e.G.src, e.G.dst, e.G.weight));
+      for v = 0 to G.node_count g - 1 do
+        let ins = ref [] in
+        G.iter_edges g (fun e -> if e.G.dst = v then ins := e.G.id :: !ins);
+        let outs = G.fold_out r v (fun acc e -> forward.(e.G.id) :: acc) [] in
+        Alcotest.(check (list int)) "in-edges by forward id" (List.rev !ins) (List.rev outs)
+      done)
+    [ diamond (); build_random (30, 40, 7) ];
+  let ins = G.fold_out (fst (G.reverse (diamond ()))) 4 (fun acc _ -> acc + 1) 0 in
+  Alcotest.(check int) "in-degree of 4" 3 ins
 
 let test_euclidean_and_bbox () =
   let g = diamond () in
@@ -174,8 +193,9 @@ let tree_until_agrees =
               && close (Psp_graph.Path.cost p) full.Psp_graph.Dijkstra.dist.(t))
         targets)
 
-(* The search loop every Dijkstra entry point ran on [Min_heap] before
-   the workspace core, kept verbatim as the tie-order reference: on
+(* The search loop every Dijkstra entry point ran on the swapping heap
+   ([Ref_min_heap]) before the workspace core, kept verbatim as the
+   tie-order reference: on
    graphs with many equal-length shortest paths, [parent] and
    [parent_edge] depend on the exact order the heap pops equal
    priorities, so a core that settles in another order fails here even
@@ -189,14 +209,14 @@ let reference_run g ~source ~stop =
   let parent = Array.make n (-1) in
   let parent_edge = Array.make n (-1) in
   let done_ = Array.make n false in
-  let heap = Psp_util.Min_heap.create () in
+  let heap = Ref_min_heap.create () in
   dist.(source) <- 0.0;
-  Psp_util.Min_heap.push heap ~priority:0.0 source;
+  Ref_min_heap.push heap ~priority:0.0 source;
   let settled = ref 0 in
   let finished = ref false in
-  while (not !finished) && not (Psp_util.Min_heap.is_empty heap) do
-    let d = Psp_util.Min_heap.min_priority heap in
-    let u = Psp_util.Min_heap.pop_min heap in
+  while (not !finished) && not (Ref_min_heap.is_empty heap) do
+    let d = Ref_min_heap.min_priority heap in
+    let u = Ref_min_heap.pop_min heap in
     if not done_.(u) then begin
       done_.(u) <- true;
       incr settled;
@@ -210,7 +230,7 @@ let reference_run g ~source ~stop =
             dist.(v) <- nd;
             parent.(v) <- u;
             parent_edge.(v) <- e;
-            Psp_util.Min_heap.push heap ~priority:nd v
+            Ref_min_heap.push heap ~priority:nd v
           end
         done
     end
@@ -277,23 +297,25 @@ let test_tie_order_grid () =
 
 (* random graphs with weights from {1, 2, 3}: ties everywhere, one-way
    edges too *)
+let small_weight_graph (n, extra, seed) =
+  let rng = Psp_util.Rng.create seed in
+  let b = G.Builder.create () in
+  for _ = 1 to n do
+    ignore (G.Builder.add_node b ~x:0.0 ~y:0.0)
+  done;
+  let w () = float_of_int (1 + Psp_util.Rng.int rng 3) in
+  for v = 1 to n - 1 do
+    G.Builder.add_undirected b (Psp_util.Rng.int rng v) v (w ())
+  done;
+  for _ = 1 to extra do
+    let u = Psp_util.Rng.int rng n and v = Psp_util.Rng.int rng n in
+    if u <> v then G.Builder.add_edge b u v (w ())
+  done;
+  G.Builder.freeze b
+
 let tie_order_random =
   qtest "tie order matches the reference on small weights" random_graph_gen
-    (fun (n, extra, seed) ->
-      let rng = Psp_util.Rng.create seed in
-      let b = G.Builder.create () in
-      for _ = 1 to n do
-        ignore (G.Builder.add_node b ~x:0.0 ~y:0.0)
-      done;
-      let w () = float_of_int (1 + Psp_util.Rng.int rng 3) in
-      for v = 1 to n - 1 do
-        G.Builder.add_undirected b (Psp_util.Rng.int rng v) v (w ())
-      done;
-      for _ = 1 to extra do
-        let u = Psp_util.Rng.int rng n and v = Psp_util.Rng.int rng n in
-        if u <> v then G.Builder.add_edge b u v (w ())
-      done;
-      same_as_reference (G.Builder.freeze b))
+    (fun spec -> same_as_reference (small_weight_graph spec))
 
 let test_dijkstra_unreachable () =
   let b = G.Builder.create () in
@@ -306,25 +328,31 @@ let test_dijkstra_unreachable () =
 (* ------------------------------------------------------------------ *)
 (* Landmark (ALT) *)
 
-(* The ALT bound never overestimates; that LM answers are exact is
-   checked end to end by test_core's LM queries against the Dijkstra
-   oracle. *)
+(* The ALT bound over the stored vectors never overestimates; that LM
+   answers are exact is checked end to end by test_core's LM queries
+   against the Dijkstra oracle. *)
+let alt_bound lm ~target v =
+  let module L = Psp_graph.Landmark in
+  let bound = ref 0.0 in
+  for a = 0 to L.anchor_count lm - 1 do
+    let dv_a = L.to_anchor lm a v and dt_a = L.to_anchor lm a target in
+    let da_v = L.from_anchor lm a v and da_t = L.from_anchor lm a target in
+    if dv_a < infinity && dt_a < infinity then bound := Float.max !bound (dv_a -. dt_a);
+    if da_v < infinity && da_t < infinity then bound := Float.max !bound (da_t -. da_v)
+  done;
+  !bound
+
 let test_landmark_admissible_and_exact () =
   let g = build_random (30, 40, 77) in
   let lm = Psp_graph.Landmark.select_farthest g ~count:4 ~seed:3 in
   Alcotest.(check int) "anchors" 4 (Psp_graph.Landmark.anchor_count lm);
   for t = 0 to 9 do
-    let h = Psp_graph.Landmark.heuristic lm ~target:t in
     for v = 0 to 29 do
       let d = Psp_graph.Dijkstra.distance g v t in
-      if d < infinity then Alcotest.(check bool) "admissible" true (h v <= d +. 1e-6)
+      if d < infinity then
+        Alcotest.(check bool) "admissible" true (alt_bound lm ~target:t v <= d +. 1e-6)
     done
   done
-
-let test_landmark_vector_bytes () =
-  let g = diamond () in
-  let lm = Psp_graph.Landmark.select_farthest g ~count:3 ~seed:1 in
-  Alcotest.(check int) "8 bytes per anchor" 24 (Psp_graph.Landmark.vector_bytes lm)
 
 (* ------------------------------------------------------------------ *)
 (* Arc-flags *)
@@ -336,22 +364,69 @@ let grid_regions g cells =
   Array.init (G.node_count g) (fun v ->
       min (cells - 1) (max 0 (int_of_float ((G.x g v -. x0) /. Float.max width 1e-9))))
 
+(* Dijkstra that relaxes only the edges flagged for the target's region:
+   the AF query, whose exactness rests on the construction. *)
+let flagged_distance af g ~region_of ~source ~target =
+  let module H = Psp_util.Min_heap in
+  let dist = Array.make (G.node_count g) infinity in
+  let closed = Array.make (G.node_count g) false in
+  let heap = H.create () in
+  dist.(source) <- 0.0;
+  H.push heap ~priority:0.0 source;
+  while (not closed.(target)) && not (H.is_empty heap) do
+    let u = H.pop_min heap in
+    if not closed.(u) then begin
+      closed.(u) <- true;
+      G.iter_out g u (fun e ->
+          let nd = dist.(u) +. e.G.weight in
+          if Psp_graph.Arcflag.flag af ~edge:e.G.id ~region:region_of.(target)
+             && nd < dist.(e.G.dst)
+          then begin
+            dist.(e.G.dst) <- nd;
+            H.push heap ~priority:nd e.G.dst
+          end)
+    end
+  done;
+  dist.(target)
+
 let arcflag_exact =
   qtest ~count:30 "arc-flag query matches dijkstra" random_graph_gen (fun spec ->
       let g = build_random spec in
       let region_of = grid_regions g 4 in
       let af = Psp_graph.Arcflag.compute g ~region_of ~region_count:4 in
-      let n = G.node_count g in
-      let ok = ref true in
-      for t = 0 to min (n - 1) 8 do
-        let d = Psp_graph.Dijkstra.distance g 0 t in
-        let r = Psp_graph.Arcflag.query af g ~region_of ~source:0 ~target:t in
-        (match (r.Psp_graph.Arcflag.path, d = infinity) with
-        | None, true -> ()
-        | Some p, false -> if not (close (Psp_graph.Path.cost p) d) then ok := false
-        | _ -> ok := false)
-      done;
-      !ok)
+      List.for_all
+        (fun t ->
+          close (flagged_distance af g ~region_of ~source:0 ~target:t)
+            (Psp_graph.Dijkstra.distance g 0 t))
+        (List.init (min (G.node_count g) 9) Fun.id))
+
+(* Tie order decides which of several shortest paths into a boundary
+   node is flagged, so [compute] must flag exactly what the private
+   backward search it replaced ([Ref_arcflag], kept verbatim) flags. *)
+let same_flags_as_reference g ~region_of ~region_count =
+  let af = Psp_graph.Arcflag.compute g ~region_of ~region_count in
+  let reference = Ref_arcflag.compute g ~region_of ~region_count in
+  List.for_all
+    (fun edge ->
+      List.for_all
+        (fun region ->
+          Psp_graph.Arcflag.flag af ~edge ~region = Ref_arcflag.flag reference ~edge ~region)
+        (List.init region_count Fun.id))
+    (List.init (G.edge_count g) Fun.id)
+
+let test_arcflag_identity_grid () =
+  let g = unit_grid 10 in
+  Alcotest.(check bool) "4 stripes" true
+    (same_flags_as_reference g ~region_of:(grid_regions g 4) ~region_count:4);
+  Alcotest.(check bool) "node id mod 7" true
+    (same_flags_as_reference g ~region_of:(Array.init 100 (fun v -> v mod 7)) ~region_count:7)
+
+let arcflag_identity_random =
+  qtest "flags match the reference on small weights" random_graph_gen (fun spec ->
+      let g = small_weight_graph spec in
+      same_flags_as_reference g
+        ~region_of:(Array.init (G.node_count g) (fun v -> v mod 4))
+        ~region_count:4)
 
 let test_arcflag_internal_edges_flagged () =
   let g = build_random (20, 20, 5) in
@@ -366,7 +441,6 @@ let test_arcflag_prunes () =
   let g = build_random (40, 30, 9) in
   let region_of = grid_regions g 4 in
   let af = Psp_graph.Arcflag.compute g ~region_of ~region_count:4 in
-  Alcotest.(check int) "flag bytes" 1 (Psp_graph.Arcflag.flag_bytes_per_edge af);
   let pruned = ref false in
   G.iter_edges g (fun e ->
       for r = 0 to 3 do
@@ -404,8 +478,8 @@ let () =
     [ ( "structure",
         [ Alcotest.test_case "builder/CSR" `Quick test_builder_csr;
           Alcotest.test_case "validation" `Quick test_builder_validation;
-          Alcotest.test_case "iter_in" `Quick test_iter_in_matches_out;
           Alcotest.test_case "reverse" `Quick test_reverse;
+          Alcotest.test_case "reverse ids" `Quick test_reverse_ids;
           Alcotest.test_case "euclid/bbox" `Quick test_euclidean_and_bbox ] );
       ( "dijkstra",
         [ Alcotest.test_case "diamond" `Quick test_dijkstra_diamond;
@@ -418,12 +492,13 @@ let () =
           Alcotest.test_case "tie order on a unit grid" `Quick test_tie_order_grid;
           tie_order_random ] );
       ( "landmark",
-        [ Alcotest.test_case "admissible and exact" `Slow test_landmark_admissible_and_exact;
-          Alcotest.test_case "vector bytes" `Quick test_landmark_vector_bytes ] );
+        [ Alcotest.test_case "admissible and exact" `Slow test_landmark_admissible_and_exact ] );
       ( "arcflag",
         [ arcflag_exact;
           Alcotest.test_case "internal edges flagged" `Quick test_arcflag_internal_edges_flagged;
-          Alcotest.test_case "prunes" `Quick test_arcflag_prunes ] );
+          Alcotest.test_case "prunes" `Quick test_arcflag_prunes;
+          Alcotest.test_case "identity on a unit grid" `Quick test_arcflag_identity_grid;
+          arcflag_identity_random ] );
       ( "path",
         [ Alcotest.test_case "make/validate" `Quick test_path_make_and_validate;
           Alcotest.test_case "trivial" `Quick test_path_trivial ] ) ]

@@ -58,11 +58,19 @@ let test_region_encoding_roundtrip () =
 
 let test_node_bytes_matches_encoding () =
   let g, _, _ = setup () in
+  let lm = Psp_graph.Landmark.select_farthest g ~count:3 ~seed:4 in
+  let lm_config = { E.plain_config with E.landmark_anchors = 3 } in
   for v = 0 to min 50 (G.node_count g - 1) do
     let blob = E.encode_region E.plain_config g [| v |] in
     (* region blob = varint count (1 byte here) + node record *)
     Alcotest.(check int) "size prediction" (E.node_bytes E.plain_config g v)
-      (Bytes.length blob - 1)
+      (Bytes.length blob - 1);
+    (* a landmark vector is two float32 per anchor *)
+    let blob = E.encode_region lm_config g ~landmark:lm [| v |] in
+    Alcotest.(check int) "size prediction with 3 anchors" (E.node_bytes lm_config g v)
+      (Bytes.length blob - 1);
+    Alcotest.(check int) "8 bytes per anchor" (E.node_bytes E.plain_config g v + 24)
+      (E.node_bytes lm_config g v)
   done
 
 let test_landmark_flag_encoding () =
@@ -93,7 +101,19 @@ let test_landmark_flag_encoding () =
         (fun (a : E.adj) ->
           Alcotest.(check int) "region id present" t.K.assignment.(a.E.target) a.E.target_region)
         rec_.E.adj)
-    decoded
+    decoded;
+  (* a record carries exactly the config's anchors, or nothing is encoded *)
+  let encode config ?landmark () =
+    ignore (E.encode_region config g ~region_of:t.K.assignment ?landmark nodes)
+  in
+  Alcotest.check_raises "landmarks absent"
+    (Invalid_argument "Encoding.encode_node: landmarks requested but absent") (encode config);
+  Alcotest.check_raises "landmarks under a config without anchors"
+    (Invalid_argument "Encoding.encode_node: landmarks given but not requested")
+    (encode E.plain_config ~landmark:lm);
+  Alcotest.check_raises "anchor count differs"
+    (Invalid_argument "Encoding.encode_node: landmark anchor count differs from the config")
+    (encode config ~landmark:(Psp_graph.Landmark.select_farthest g ~count:2 ~seed:4))
 
 let test_lookup_entry_roundtrip () =
   let blob = E.encode_lookup_entry ~page:123456 ~offset:789 ~span:3 in
@@ -153,19 +173,19 @@ let test_precompute_covering () =
             (* dijkstra over available edges only *)
             let n = G.node_count g in
             let dist = Array.make n infinity in
-            let heap = Psp_util.Min_heap.create () in
+            let heap = Ref_min_heap.create () in
             dist.(s) <- 0.0;
-            Psp_util.Min_heap.push heap ~priority:0.0 s;
-            while not (Psp_util.Min_heap.is_empty heap) do
-              let d = Psp_util.Min_heap.min_priority heap in
-              let u = Psp_util.Min_heap.pop_min heap in
+            Ref_min_heap.push heap ~priority:0.0 s;
+            while not (Ref_min_heap.is_empty heap) do
+              let d = Ref_min_heap.min_priority heap in
+              let u = Ref_min_heap.pop_min heap in
               if d <= dist.(u) then
                 G.iter_out g u (fun e ->
                     if available e.G.id then begin
                       let nd = d +. e.G.weight in
                       if nd < dist.(e.G.dst) then begin
                         dist.(e.G.dst) <- nd;
-                        Psp_util.Min_heap.push heap ~priority:nd e.G.dst
+                        Ref_min_heap.push heap ~priority:nd e.G.dst
                       end
                     end)
             done;
@@ -722,26 +742,26 @@ let record_key (r : E.node_record) =
 (* Malformed region blobs, and intact ones (a cut at the full length),
    under all four configs: the reader and the record decoder yield
    exactly what the reference fold does, or fail where it fails, with
-   [Underflow] or [Invalid_argument] only.  The blobs are encoded under
-   their config, and also with landmark vectors the config does not
-   declare (the encoder writes them whenever it is handed them), which
-   misaligns every later field.  One buffer serves every case, so stale
+   [Underflow] or [Invalid_argument] only.  Each config reads the blobs
+   encoded under it, and the three without anchors also read the
+   LM-config blobs, whose landmark vectors they do not declare, so every
+   later field is misaligned.  One buffer serves every case, so stale
    contents from a larger read must never show. *)
 let region_fold_fuzz =
   let g, t, _ = setup () in
   let lm = Psp_graph.Landmark.select_farthest g ~count:3 ~seed:4 in
   let flags e = Psp_util.Bitset.of_list 12 [ e mod 12 ] in
+  let encode config =
+    let landmark = if config.E.landmark_anchors > 0 then Some lm else None in
+    List.map
+      (fun r -> E.encode_region config g ~region_of:t.K.assignment ?landmark ~flags (K.nodes_of_region t r))
+      (List.init (min 4 t.K.region_count) Fun.id)
+  in
+  let lm_blobs = encode (List.find (fun c -> c.E.landmark_anchors > 0) region_configs) in
   let cases =
     List.map
       (fun config ->
-        let encode ?landmark r =
-          E.encode_region config g ~region_of:t.K.assignment ?landmark ~flags (K.nodes_of_region t r)
-        in
-        let regions = List.init (min 4 t.K.region_count) Fun.id in
-        let matched =
-          if config.E.landmark_anchors > 0 then [] else List.map (fun r -> encode r) regions
-        in
-        (config, matched @ List.map (encode ~landmark:lm) regions))
+        (config, encode config @ if config.E.landmark_anchors > 0 then [] else lm_blobs))
       region_configs
   in
   let buffer = E.region_buffer () in

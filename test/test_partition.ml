@@ -140,6 +140,7 @@ let setup_borders () =
 
 let test_border_definition () =
   let g, t, b = setup_borders () in
+  let rev, _ = G.reverse g in
   (* every border node of r is an outside endpoint of a crossing edge *)
   for r = 0 to t.K.region_count - 1 do
     Array.iter
@@ -147,7 +148,7 @@ let test_border_definition () =
         Alcotest.(check bool) "border node is outside r" true (t.K.assignment.(v) <> r);
         let touches = ref false in
         G.iter_out g v (fun e -> if t.K.assignment.(e.G.dst) = r then touches := true);
-        G.iter_in g v (fun e -> if t.K.assignment.(e.G.src) = r then touches := true);
+        G.iter_out rev v (fun e -> if t.K.assignment.(e.G.dst) = r then touches := true);
         Alcotest.(check bool) "adjacent to r" true !touches)
       (B.border_nodes b r)
   done

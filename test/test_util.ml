@@ -109,15 +109,50 @@ let test_sort_dedup_aliasing () =
 (* ------------------------------------------------------------------ *)
 (* Min_heap *)
 
+let drain h =
+  let rec go acc =
+    if Min_heap.is_empty h then List.rev acc
+    else
+      let p = Min_heap.min_priority h in
+      go ((p, Min_heap.pop_min h) :: acc)
+  in
+  go []
+
 let heap_sorts =
   qtest "min_heap drains in sorted order"
     QCheck2.Gen.(list (pair (float_bound_inclusive 1000.0) small_nat))
     (fun entries ->
-      let heap = Min_heap.of_list entries in
-      let drained = Min_heap.to_sorted_list heap in
+      let heap = Min_heap.create ~capacity:1 () in
+      List.iter (fun (priority, payload) -> Min_heap.push heap ~priority payload) entries;
+      let drained = drain heap in
       let priorities = List.map fst drained in
       List.sort compare priorities = priorities
       && List.length drained = List.length entries)
+
+(* Every search's tie breaks depend on the order equal priorities pop
+   in, so the heap must pop exactly what the swapping heap it replaced
+   ([Ref_min_heap], kept verbatim) pops: random interleaved pushes and
+   pops, priorities from {1, 2, 3} so ties are everywhere, both heaps
+   growing from capacity 1. *)
+let heap_tie_order =
+  qtest ~count:500 "min_heap pops = swapping reference"
+    QCheck2.Gen.(list (option (pair (int_range 1 3) small_nat)))
+    (fun ops ->
+      let h = Min_heap.create ~capacity:1 () and r = Ref_min_heap.create ~capacity:1 () in
+      let pop_both () =
+        let p = Min_heap.min_priority h and rp = Ref_min_heap.min_priority r in
+        (p, Min_heap.pop_min h) = (rp, Ref_min_heap.pop_min r)
+      in
+      List.for_all
+        (function
+          | Some (priority, payload) ->
+              let priority = float_of_int priority in
+              Min_heap.push h ~priority payload;
+              Ref_min_heap.push r ~priority payload;
+              true
+          | None -> Min_heap.is_empty h = Ref_min_heap.is_empty r && (Min_heap.is_empty h || pop_both ()))
+        ops
+      && drain h = Ref_min_heap.to_sorted_list r)
 
 let test_heap_basics () =
   let h = Min_heap.create () in
@@ -125,9 +160,8 @@ let test_heap_basics () =
   Min_heap.push h ~priority:3.0 30;
   Min_heap.push h ~priority:1.0 10;
   Min_heap.push h ~priority:2.0 20;
-  Alcotest.(check int) "length" 3 (Min_heap.length h);
   Alcotest.(check (float 0.0)) "min priority" 1.0 (Min_heap.min_priority h);
-  Alcotest.(check int) "min kept" 3 (Min_heap.length h);
+  Alcotest.(check (float 0.0)) "min kept" 1.0 (Min_heap.min_priority h);
   let pop () =
     let p = Min_heap.min_priority h in
     (p, Min_heap.pop_min h)
@@ -146,13 +180,20 @@ let test_heap_duplicates () =
   for i = 1 to 50 do
     Min_heap.push h ~priority:1.0 i
   done;
-  Alcotest.(check int) "all kept" 50 (Min_heap.length h);
   (* equal priorities pop every payload exactly once *)
   let seen = List.init 10 (fun _ -> Min_heap.pop_min h) in
   Alcotest.(check int) "distinct" 10 (List.length (List.sort_uniq compare seen));
-  Alcotest.(check int) "rest kept" 40 (Min_heap.length h);
+  let rest = drain h in
+  Alcotest.(check int) "rest kept" 40 (List.length rest);
+  Alcotest.(check (list int)) "all 50 once" (List.init 50 (fun i -> i + 1))
+    (List.sort compare (seen @ List.map snd rest));
+  for i = 1 to 5 do
+    Min_heap.push h ~priority:1.0 i
+  done;
   Min_heap.clear h;
-  Alcotest.(check bool) "cleared" true (Min_heap.is_empty h)
+  Alcotest.(check bool) "cleared" true (Min_heap.is_empty h);
+  Min_heap.push h ~priority:2.0 7;
+  Alcotest.(check (pair (float 0.0) int)) "usable after clear" (2.0, 7) (List.hd (drain h))
 
 (* ------------------------------------------------------------------ *)
 (* Dyn_array *)
@@ -354,6 +395,7 @@ let () =
         [ sorted_ints_ops; Alcotest.test_case "aliasing" `Quick test_sort_dedup_aliasing ] );
       ( "min_heap",
         [ heap_sorts;
+          heap_tie_order;
           Alcotest.test_case "basics" `Quick test_heap_basics;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates ] );
       ( "dyn_array",
