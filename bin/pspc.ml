@@ -3,56 +3,113 @@
    Subcommands:
      generate   synthesize a road network (or a Table 1 preset) to DIMACS
      build      build a scheme database from a network and report its layout
-     query      answer a private shortest-path query end to end
-     batch      serve many private queries as merged same-plan batches
+     query      run private shortest-path queries end to end as same-plan
+                batches (a single query is a width-1 batch): answers checked
+                against an in-process oracle, the adversary's view, trace
+                indistinguishability and plan conformance
      serve      run a mixed multi-tenant stream through the scheduler-driven
                 serving frontend (lib/serve)
-     trace      print the adversary's view of a query and check it against
-                the published plan
-     stats      run sample queries and report the telemetry registry
      inspect    summarize a network's structure
      render     render the network, its partition and a query to SVG
 
    Networks are passed either as `--preset old --preset-scale 16` or as
-   DIMACS files (`--gr map.gr --co map.co`). *)
+   DIMACS files (`--gr map.gr --co map.co`).  A malformed option value is
+   a usage error (exit 124) before any work starts. *)
 
 open Cmdliner
 module G = Psp_graph.Graph
 module DB = Psp_index.Database
 module PF = Psp_storage.Page_file
 module Obs = Psp_obs.Obs
+module Client = Psp_core.Client
+module Response_time = Psp_core.Response_time
 
 (* ------------------------------------------------------------------ *)
 (* Shared options *)
 
+(* An option value accepted by [parse] and shown by [print]; a rejected
+   one is a usage error. *)
+let checked parse print =
+  Arg.conv' (parse, fun ppf v -> Format.pp_print_string ppf (print v))
+
+let positive =
+  checked
+    (fun s ->
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (Printf.sprintf "expected an integer >= 1, got %S" s))
+    string_of_int
+
 let preset_arg =
   let doc = "Use a Table 1 preset network (old/ger/arg/den/ind/nor)." in
-  Arg.(value & opt (some string) None & info [ "preset" ] ~doc)
+  let preset =
+    checked
+      (fun s ->
+        Option.to_result
+          ~none:(Printf.sprintf "unknown preset %S, not old/ger/arg/den/ind/nor" s)
+          (Psp_netgen.Presets.of_string s))
+      Psp_netgen.Presets.full_name
+  in
+  Arg.(value & opt (some preset) None & info [ "preset" ] ~docv:"NAME" ~doc)
 
 let preset_scale =
   let doc = "Divide the preset's published size by this factor." in
   Arg.(value & opt float 16.0 & info [ "preset-scale" ] ~doc)
 
-let gr_arg =
-  let doc = "DIMACS .gr graph file." in
-  Arg.(value & opt (some file) None & info [ "gr" ] ~doc)
-
-let co_arg =
-  let doc = "DIMACS .co coordinate file." in
-  Arg.(value & opt (some file) None & info [ "co" ] ~doc)
-
 let seed_arg =
   let doc = "Random seed." in
   Arg.(value & opt int 2012 & info [ "seed" ] ~doc)
 
+(* The network a command runs on: a preset, a DIMACS pair, or a handy
+   city-sized default.  Loaded once the command line is accepted. *)
+let network =
+  let gr_arg =
+    Arg.(value & opt (some file) None & info [ "gr" ] ~doc:"DIMACS .gr graph file.")
+  in
+  let co_arg =
+    Arg.(value & opt (some file) None & info [ "co" ] ~doc:"DIMACS .co coordinate file.")
+  in
+  let load preset preset_scale gr co seed =
+    match (preset, gr, co) with
+    | Some p, None, None -> `Ok (Psp_netgen.Presets.graph ~scale:preset_scale ~seed p)
+    | None, Some gr, Some co -> `Ok (Psp_netgen.Dimacs.parse_files ~gr_path:gr ~co_path:co)
+    | None, None, None ->
+        `Ok
+          (Psp_netgen.Synthetic.generate
+             { Psp_netgen.Synthetic.nodes = 2000;
+               edges = 2260;
+               width = 4000.0;
+               height = 4000.0;
+               seed })
+    | _ -> `Error (true, "pass either --preset or both --gr and --co")
+  in
+  Term.(ret (const load $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg))
+
+type scheme = Ci | Pi | Hy | Pi_star | Lm | Af
+
+(* Accepted case-insensitively; the first name of a scheme is its own. *)
+let scheme_names =
+  [ ("CI", Ci); ("PI", Pi); ("HY", Hy); ("PI*", Pi_star); ("PISTAR", Pi_star); ("LM", Lm);
+    ("AF", Af) ]
+
+let scheme_of_string s =
+  Option.to_result
+    ~none:(Printf.sprintf "unknown scheme %S, not CI/PI/HY/PI*/LM/AF" s)
+    (List.assoc_opt (String.uppercase_ascii s) scheme_names)
+
+let scheme_name sc = fst (List.find (fun (_, s) -> s = sc) scheme_names)
+
 let scheme_arg =
   let doc = "Scheme: CI, PI, HY, PI*, LM or AF." in
-  Arg.(value & opt string "CI" & info [ "scheme" ] ~doc)
+  Arg.(value
+       & opt (checked scheme_of_string scheme_name) Ci
+       & info [ "scheme" ] ~docv:"SCHEME" ~doc)
 
 let page_size_arg =
   let doc = "Disk page size in bytes." in
   Arg.(value & opt int 4096 & info [ "page-size" ] ~doc)
 
+(* Each spec is kept with its parse, so arming cannot fail. *)
 let fault_arg =
   let doc =
     "Arm a failpoint (repeatable).  SPEC is point=schedule with schedule one of \
@@ -60,105 +117,35 @@ let fault_arg =
      --fault pir.fetch.transient=hits:2,5 or --fault pir.replica.down=flap:120,2.  \
      See DESIGN.md for the failpoint list."
   in
-  Arg.(value & opt_all string [] & info [ "fault" ] ~doc ~docv:"SPEC")
-
-let replicas_arg =
-  let doc =
-    "Serve through N replicas with authenticated pages and oblivious whole-plan \
-     failover (N >= 1; 1 keeps the standalone path)."
+  let spec =
+    checked (fun s -> Result.map (fun p -> (s, p)) (Psp_fault.Fault.parse_spec s)) fst
   in
-  Arg.(value & opt int 1 & info [ "replicas" ] ~doc)
-
-let mode_arg =
-  let doc = "Serve through the real pyramid ORAM instead of the simulated store." in
-  Arg.(value & vflag `Simulated [ (`Pyramid, info [ "oblivious" ] ~doc) ])
+  Arg.(value & opt_all spec [] & info [ "fault" ] ~doc ~docv:"SPEC")
 
 let fault_seed_arg =
   let doc = "Seed for probabilistic (p:F) fault schedules." in
   Arg.(value & opt int 2012 & info [ "fault-seed" ] ~doc)
 
-let metrics_arg =
-  let doc = "Print the telemetry registry (lib/obs) after the command finishes." in
-  Arg.(value & flag & info [ "metrics" ] ~doc)
-
-let report_metrics metrics =
-  if metrics then Format.printf "@.telemetry:@.%a" Obs.pp ()
-
-let arm_faults specs seed =
+let arm_faults faults seed =
   Psp_fault.Fault.reset ();
-  List.iter
-    (fun spec ->
-      match Psp_fault.Fault.arm_spec ~seed spec with
-      | Ok () -> ()
-      | Error e -> failwith (Printf.sprintf "bad --fault %S: %s" spec e))
-    specs
-
-let report_status (r : Psp_core.Client.result) =
-  match r.Psp_core.Client.status with
-  | Psp_core.Client.Served -> ()
-  | Psp_core.Client.Degraded { retries } ->
-      Printf.printf "  degraded: recovered from faults with %d retries (%.2fs backoff)\n"
-        retries r.Psp_core.Client.stats.Psp_pir.Server.Session.recovery_seconds
-  | Psp_core.Client.Unavailable { point; attempts } ->
-      Printf.printf "  UNAVAILABLE: gave up after %d attempts at failpoint %s\n" attempts
-        point
-  | Psp_core.Client.Unknown_scheme { scheme } ->
-      Printf.printf "  UNKNOWN SCHEME: header announces %S; update this client\n" scheme
-
-(* Degraded-or-better exits 0 (the answer is correct even when recovery
-   cost was paid); Unavailable/Unknown exit 3 so fault-matrix CI jobs
-   can assert availability. *)
-let status_exit (r : Psp_core.Client.result) =
-  match r.Psp_core.Client.status with
-  | Psp_core.Client.Served | Psp_core.Client.Degraded _ -> 0
-  | Psp_core.Client.Unavailable _ | Psp_core.Client.Unknown_scheme _ -> 3
-
-let report_failovers (rep : Psp_core.Client.replicated) =
-  if rep.Psp_core.Client.failovers > 0 then begin
-    Printf.printf "  failovers: %d (served by replica %d, +%.2fs modeled switch cost)\n"
-      rep.Psp_core.Client.failovers rep.Psp_core.Client.replica
-      rep.Psp_core.Client.failover_seconds;
-    List.iter
-      (fun (a : Psp_core.Client.abandoned) ->
-        Printf.printf "    abandoned replica %d: %s\n" a.Psp_core.Client.on_replica
-          a.Psp_core.Client.reason)
-      rep.Psp_core.Client.abandoned
-  end
-
-let load_network preset preset_scale gr co seed =
-  match (preset, gr, co) with
-  | Some name, None, None -> (
-      match Psp_netgen.Presets.of_string name with
-      | Some p -> Psp_netgen.Presets.graph ~scale:preset_scale ~seed p
-      | None -> failwith (Printf.sprintf "unknown preset %S" name))
-  | None, Some gr, Some co -> Psp_netgen.Dimacs.parse_files ~gr_path:gr ~co_path:co
-  | None, None, None ->
-      (* a handy default: a small city-sized network *)
-      Psp_netgen.Synthetic.generate
-        { Psp_netgen.Synthetic.nodes = 2000;
-          edges = 2260;
-          width = 4000.0;
-          height = 4000.0;
-          seed }
-  | _ -> failwith "pass either --preset or both --gr and --co"
+  List.iter (fun (_, (point, schedule)) -> Psp_fault.Fault.arm ~seed point schedule) faults
 
 let build_database g scheme page_size seed =
-  let calibration_queries = Psp_netgen.Synthetic.random_queries g ~count:200 ~seed in
-  match String.uppercase_ascii scheme with
-  | "CI" -> DB.build_ci ~page_size g
-  | "PI" -> DB.build_pi ~page_size g
-  | "HY" ->
+  let calibration_queries () = Psp_netgen.Synthetic.random_queries g ~count:200 ~seed in
+  match scheme with
+  | Ci -> DB.build_ci ~page_size g
+  | Pi -> DB.build_pi ~page_size g
+  | Hy ->
       let p = DB.prepare ~page_size g in
       let threshold = max 1 (DB.prepared_max_cardinality p / 3) in
       DB.build_hy ~prepared:p ~threshold ~page_size g
-  | "PI*" | "PISTAR" -> DB.build_pi_star ~cluster:2 ~page_size g
-  | "LM" ->
+  | Pi_star -> DB.build_pi_star ~cluster:2 ~page_size g
+  | Lm ->
       let db, _ = DB.build_lm ~anchors:5 ~seed ~page_size g in
-      Psp_core.Calibrate.lm db ~queries:calibration_queries
-  | "AF" ->
+      Psp_core.Calibrate.lm db ~queries:(calibration_queries ())
+  | Af ->
       let db, _ = DB.build_af ~target_regions:16 ~page_size g in
-      Psp_core.Calibrate.af db ~queries:calibration_queries
-  | s -> failwith (Printf.sprintf "unknown scheme %S" s)
+      Psp_core.Calibrate.af db ~queries:(calibration_queries ())
 
 (* ------------------------------------------------------------------ *)
 (* generate *)
@@ -172,7 +159,7 @@ let generate_cmd =
   let run preset preset_scale seed out nodes edges =
     let g =
       match preset with
-      | Some _ -> load_network preset preset_scale None None seed
+      | Some p -> Psp_netgen.Presets.graph ~scale:preset_scale ~seed p
       | None ->
           Psp_netgen.Synthetic.generate
             { Psp_netgen.Synthetic.nodes;
@@ -198,8 +185,7 @@ let build_cmd =
     Arg.(value & opt (some string) None
          & info [ "save" ] ~doc:"Persist the built database bundle to this directory.")
   in
-  let run preset preset_scale gr co seed scheme page_size save =
-    let g = load_network preset preset_scale gr co seed in
+  let run g seed scheme page_size save =
     let started = Unix.gettimeofday () in
     let db = build_database g scheme page_size seed in
     let elapsed = Unix.gettimeofday () -. started in
@@ -226,226 +212,316 @@ let build_cmd =
   in
   Cmd.v
     (Cmd.info "build" ~doc:"Build a scheme database and report its layout")
-    Term.(
-      const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ save_arg)
+    Term.(const run $ network $ seed_arg $ scheme_arg $ page_size_arg $ save_arg)
 
 (* ------------------------------------------------------------------ *)
 (* query *)
 
+let report_status (r : Client.result) =
+  match r.Client.status with
+  | Client.Served -> ()
+  | Client.Degraded { retries } ->
+      Printf.printf "  degraded: recovered from faults with %d retries (%.2fs backoff)\n"
+        retries r.Client.stats.Psp_pir.Server.Session.recovery_seconds
+  | Client.Unavailable { point; attempts } ->
+      Printf.printf "  UNAVAILABLE: gave up after %d attempts at failpoint %s\n" attempts
+        point
+  | Client.Unknown_scheme { scheme } ->
+      Printf.printf "  UNKNOWN SCHEME: header announces %S; update this client\n" scheme
+
+let report_failovers (rep : Client.replicated) =
+  if rep.Client.failovers > 0 then begin
+    Printf.printf "  failovers: %d (served by replica %d, +%.2fs modeled switch cost)\n"
+      rep.Client.failovers rep.Client.replica rep.Client.failover_seconds;
+    List.iter
+      (fun (a : Client.abandoned) ->
+        Printf.printf "    abandoned replica %d: %s\n" a.Client.on_replica a.Client.reason)
+      rep.Client.abandoned
+  end
+
+(* The correctness oracle: in-process Dijkstra on the server's graph. *)
+let oracle_matches ~truth cost = Float.abs (cost -. truth) <= 1e-3 *. Float.max 1.0 truth
+
+(* One query's answer and its oracle check; true when it is correct. *)
+let report_answer g scheme (s, t) (r : Client.result) =
+  match r.Client.path with
+  | None ->
+      Printf.printf "%s: no path from %d to %d\n" scheme s t;
+      false
+  | Some (nodes, cost) ->
+      Printf.printf "%s: path %d -> %d, cost %.2f, %d hops\n" scheme s t cost
+        (List.length nodes - 1);
+      let truth = Psp_graph.Dijkstra.distance g s t in
+      let ok = oracle_matches ~truth cost in
+      Printf.printf "  oracle cost %.2f (%s)\n" truth (if ok then "match" else "MISMATCH");
+      ok
+
 let query_cmd =
-  let s_arg = Arg.(value & opt (some int) None & info [ "s" ] ~doc:"Source node id.") in
-  let t_arg = Arg.(value & opt (some int) None & info [ "t" ] ~doc:"Destination node id.") in
-  let run preset preset_scale gr co seed scheme page_size s t mode replicas faults
-      fault_seed metrics =
-    if replicas < 1 then failwith "--replicas must be >= 1";
-    let g = load_network preset preset_scale gr co seed in
-    let db = build_database g scheme page_size seed in
-    let cost = Psp_pir.Cost_model.ibm4764 in
-    let key = Psp_crypto.Sha256.digest_string "pspc" in
-    let serve =
-      if replicas = 1 then begin
-        let server = Psp_pir.Server.create ~mode ~cost ~key (DB.files db) in
-        fun s t ->
-          let r = Psp_core.Client.query_nodes server g s t in
-          (r, Psp_core.Response_time.of_result r, None)
-      end
-      else begin
-        let rset =
-          Psp_pir.Replica_set.create ~mode ~cost ~key ~replicas (DB.files db)
-        in
-        fun s t ->
-          let rep = Psp_core.Client.query_nodes_replicated rset g s t in
-          ( rep.Psp_core.Client.results.(0),
-            (Psp_core.Response_time.of_replicated rep).(0),
-            Some rep )
-      end
-    in
-    arm_faults faults fault_seed;
-    Obs.reset ();
-    let rng = Psp_util.Rng.create seed in
-    let s = Option.value ~default:(Psp_util.Rng.int rng (G.node_count g)) s in
-    let t = Option.value ~default:(Psp_util.Rng.int rng (G.node_count g)) t in
-    let r, rt, rep = serve s t in
-    Psp_fault.Fault.reset ();
-    (match r.Psp_core.Client.path with
-    | None -> Printf.printf "no path from %d to %d\n" s t
-    | Some (nodes, cost) ->
-        Printf.printf "%s: path %d -> %d, cost %.2f, %d hops\n" db.DB.scheme s t cost
-          (List.length nodes - 1);
-        let truth = Psp_graph.Dijkstra.distance g s t in
-        Printf.printf "  oracle cost %.2f (%s)\n" truth
-          (if Float.abs (cost -. truth) <= 1e-3 *. Float.max 1.0 truth then "match"
-           else "MISMATCH"));
-    report_status r;
-    Option.iter report_failovers rep;
-    Format.printf "  simulated response: %a@." Psp_core.Response_time.pp rt;
-    report_metrics metrics;
-    exit (status_exit r)
+  let s_arg =
+    Arg.(value & opt (some int) None & info [ "s" ] ~doc:"Source node id (one query only).")
   in
-  Cmd.v
-    (Cmd.info "query" ~doc:"Run one private shortest-path query end to end")
-    Term.(
-      const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ s_arg $ t_arg $ mode_arg $ replicas_arg $ fault_arg
-      $ fault_seed_arg $ metrics_arg)
-
-(* ------------------------------------------------------------------ *)
-(* batch *)
-
-let batch_cmd =
-  let width =
-    Arg.(value & opt int 4 & info [ "width" ] ~doc:"Queries per merged batch.")
+  let t_arg =
+    Arg.(value & opt (some int) None
+         & info [ "t" ] ~doc:"Destination node id (one query only).")
   in
   let count =
-    Arg.(value & opt int 8 & info [ "queries" ] ~doc:"Total queries to serve.")
+    Arg.(value & opt positive 1
+         & info [ "queries" ] ~docv:"N"
+             ~doc:"Queries to run.  Their pairs are drawn at random (seed + 1) \
+                   unless $(b,-s)/$(b,-t) fix the pair of a single query.")
   in
-  let run preset preset_scale gr co seed scheme page_size width count mode faults
-      fault_seed metrics =
-    if width <= 0 then failwith "--width must be positive";
-    let g = load_network preset preset_scale gr co seed in
-    let db = build_database g scheme page_size seed in
-    let server =
-      Psp_pir.Server.create ~mode ~cost:Psp_pir.Cost_model.ibm4764
-        ~key:(Psp_crypto.Sha256.digest_string "pspc") (DB.files db)
+  let width =
+    Arg.(value & opt positive 1
+         & info [ "width" ] ~docv:"W"
+             ~doc:"Queries per merged same-plan batch; 1 serves each query alone.")
+  in
+  let replicas_arg =
+    let doc =
+      "Serve through N replicas with authenticated pages and oblivious whole-plan \
+       failover (1 keeps the standalone path)."
     in
-    arm_faults faults fault_seed;
-    Obs.reset ();
-    let queries = Psp_netgen.Synthetic.random_queries g ~count ~seed:(seed + 1) in
-    let results = ref [] in
-    let chunk_start = ref 0 in
-    while !chunk_start < count do
-      let w = min width (count - !chunk_start) in
-      let chunk = Array.sub queries !chunk_start w in
-      (* replay the same fault schedule for every batch, as `pspc trace`
-         does per query *)
-      Psp_fault.Fault.rewind ();
-      let rs = Psp_core.Client.query_nodes_batch server g chunk in
-      Array.iteri
-        (fun i r -> results := ((fst chunk.(i), snd chunk.(i)), r) :: !results)
-        rs;
-      chunk_start := !chunk_start + w
-    done;
-    Psp_fault.Fault.reset ();
-    let results = List.rev !results in
-    let correct = ref 0 and answered = ref 0 in
-    let total_response = ref 0.0 in
-    List.iter
-      (fun ((s, t), (r : Psp_core.Client.result)) ->
-        (match r.Psp_core.Client.path with
-        | Some (_, cost) ->
-            incr answered;
-            let truth = Psp_graph.Dijkstra.distance g s t in
-            if Float.abs (cost -. truth) <= 1e-3 *. Float.max 1.0 truth then
-              incr correct
-        | None -> ());
-        report_status r;
-        total_response :=
-          !total_response
-          +. Psp_core.Response_time.total (Psp_core.Response_time.of_result r))
-      results;
-    let traces =
-      List.map
-        (fun (_, (r : Psp_core.Client.result)) ->
-          r.Psp_core.Client.stats.Psp_pir.Server.Session.trace)
-        results
+    Arg.(value & opt positive 1 & info [ "replicas" ] ~docv:"N" ~doc)
+  in
+  let mode_arg =
+    let doc = "Serve through the real pyramid ORAM instead of the simulated store." in
+    Arg.(value & vflag `Simulated [ (`Pyramid, info [ "oblivious" ] ~doc) ])
+  in
+  let metrics_arg =
+    let doc =
+      "Report the telemetry registry (lib/obs): $(b,text) (the default) after the \
+       query report, or only the $(b,json) snapshot or only the constant-shape \
+       digest ($(b,shape)), identical for every same-plan workload (see \
+       docs/OBSERVABILITY.md)."
     in
-    (match Psp_core.Privacy.indistinguishable traces with
-    | Ok () ->
-        Printf.printf
-          "all %d member traces identical: batched queries are indistinguishable\n"
-          count
-    | Error e -> Printf.printf "PRIVACY VIOLATION: %s\n" e);
-    Printf.printf
-      "%s: served %d queries in batches of %d: %d answered, %d correct\n"
-      db.DB.scheme count width !answered !correct;
-    Printf.printf "  amortized simulated response: %.3fs per query\n"
-      (!total_response /. float_of_int (max 1 count));
-    report_metrics metrics
+    let formats = [ ("text", `Text); ("json", `Json); ("shape", `Shape) ] in
+    Arg.(value & opt ~vopt:(Some `Text) (some (enum formats)) None
+         & info [ "metrics" ] ~docv:"FORMAT" ~doc)
+  in
+  let run g seed scheme page_size s t count width mode replicas faults fault_seed metrics =
+    let in_graph v = v >= 0 && v < G.node_count g in
+    if count > 1 && (s <> None || t <> None) then
+      `Error (true, "-s and -t fix the pair of a single query; drop them or --queries")
+    else if not (List.for_all in_graph (Option.to_list s @ Option.to_list t)) then
+      `Error (false, Printf.sprintf "-s and -t take node ids below %d" (G.node_count g))
+    else begin
+      let db = build_database g scheme page_size seed in
+      let cost = Psp_pir.Cost_model.ibm4764 in
+      let key = Psp_crypto.Sha256.digest_string "pspc" in
+      let serve =
+        if replicas = 1 then begin
+          let server = Psp_pir.Server.create ~mode ~cost ~key (DB.files db) in
+          fun pairs ->
+            let rs = Client.query_nodes_batch server g pairs in
+            (rs, Array.map Response_time.of_result rs, None)
+        end
+        else begin
+          let rset = Psp_pir.Replica_set.create ~mode ~cost ~key ~replicas (DB.files db) in
+          fun pairs ->
+            let rep =
+              Client.query_batch_replicated rset (Client.endpoints_of_nodes g pairs)
+            in
+            (rep.Client.results, Response_time.of_replicated rep, Some rep)
+        end
+      in
+      let pairs =
+        let drawn = Psp_netgen.Synthetic.random_queries g ~count ~seed:(seed + 1) in
+        let s0, t0 = drawn.(0) in
+        if count = 1 then [| (Option.value ~default:s0 s, Option.value ~default:t0 t) |]
+        else drawn
+      in
+      arm_faults faults fault_seed;
+      Obs.reset ();
+      let batches =
+        Array.init
+          ((count + width - 1) / width)
+          (fun b ->
+            let chunk = Array.sub pairs (b * width) (min width (count - (b * width))) in
+            (* replay the same fault schedule for every batch: the
+               indistinguishability check below must hold even while
+               faults force retries *)
+            Psp_fault.Fault.rewind ();
+            (chunk, serve chunk))
+      in
+      Psp_fault.Fault.reset ();
+      let results =
+        Array.concat (List.map (fun (_, (rs, _, _)) -> rs) (Array.to_list batches))
+      in
+      let traces =
+        List.map
+          (fun (r : Client.result) -> r.Client.stats.Psp_pir.Server.Session.trace)
+          (Array.to_list results)
+      in
+      let indistinguishable = Psp_core.Privacy.indistinguishable traces in
+      let conforms =
+        Psp_core.Privacy.conforms db.DB.header
+          ~header_pages:(PF.page_count db.DB.header_file)
+          (List.hd traces)
+      in
+      (match metrics with
+      | Some `Json -> print_endline (Psp_obs.Json.to_string_pretty (Obs.to_json ()))
+      | Some `Shape -> print_endline (Obs.shape ())
+      | None | Some `Text ->
+          let answered = ref 0 and correct = ref 0 and response = ref 0.0 in
+          Array.iter
+            (fun (chunk, (rs, rts, rep)) ->
+              Array.iteri
+                (fun i r ->
+                  if r.Client.path <> None then incr answered;
+                  if report_answer g db.DB.scheme chunk.(i) r then incr correct;
+                  report_status r;
+                  response := !response +. Response_time.total rts.(i))
+                rs;
+              Option.iter report_failovers rep)
+            batches;
+          Format.printf "adversary view of every query (scheme %s):@.%a@." db.DB.scheme
+            Psp_pir.Trace.pp (List.hd traces);
+          (match indistinguishable with
+          | Ok () ->
+              Printf.printf "all %d traces identical: queries are indistinguishable\n" count
+          | Error e -> Printf.printf "PRIVACY VIOLATION: %s\n" e);
+          (match conforms with
+          | Ok () -> Printf.printf "trace conforms to the published query plan\n"
+          | Error e when faults = [] -> Printf.printf "PLAN VIOLATION: %s\n" e
+          | Error e ->
+              Printf.printf
+                "trace deviates from the fault-free plan (expected under injection): %s\n"
+                e);
+          Printf.printf "%s: served %d queries in batches of %d: %d answered, %d correct\n"
+            db.DB.scheme count width !answered !correct;
+          Printf.printf "  amortized simulated response: %.3fs per query\n"
+            (!response /. float_of_int count);
+          if metrics = Some `Text then Format.printf "@.telemetry:@.%a" Obs.pp ());
+      (* exit codes as `pspc serve`: 3 when a query went unanswered, 4 on
+         a privacy violation *)
+      let unavailable (r : Client.result) =
+        match r.Client.status with
+        | Client.Unavailable _ | Client.Unknown_scheme _ -> true
+        | Client.Served | Client.Degraded _ -> false
+      in
+      if Array.exists unavailable results then exit 3;
+      if Result.is_error indistinguishable || (faults = [] && Result.is_error conforms)
+      then exit 4;
+      `Ok ()
+    end
   in
   Cmd.v
-    (Cmd.info "batch"
-       ~doc:"Serve many private queries as merged same-plan batches")
+    (Cmd.info "query"
+       ~doc:"Run private shortest-path queries end to end and check their traces")
     Term.(
-      const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ width $ count $ mode_arg $ fault_arg $ fault_seed_arg
-      $ metrics_arg)
+      ret
+        (const run $ network $ seed_arg $ scheme_arg $ page_size_arg $ s_arg $ t_arg $ count
+       $ width $ mode_arg $ replicas_arg $ fault_arg $ fault_seed_arg $ metrics_arg))
 
 (* ------------------------------------------------------------------ *)
 (* serve *)
 
 let serve_cmd =
   let tenants_arg =
-    Arg.(value & opt string "ci,pi"
+    let tenants =
+      checked
+        (fun s ->
+          match List.filter (fun s -> s <> "") (String.split_on_char ',' s) with
+          | [] -> Error "needs at least one scheme"
+          | names ->
+              List.fold_right
+                (fun name acc ->
+                  match (scheme_of_string name, acc) with
+                  | Ok sc, Ok rest -> Ok (sc :: rest)
+                  | Error e, _ | _, Error e -> Error e)
+                names (Ok []))
+        (fun scs -> String.concat "," (List.map scheme_name scs))
+    in
+    Arg.(value & opt tenants [ Ci; Pi ]
          & info [ "tenants" ] ~docv:"SCHEMES"
              ~doc:"Comma-separated scheme list served side by side (e.g. \
                    $(b,ci,pi)).  Each scheme becomes one tenant database over \
                    the same network.")
   in
   let count =
-    Arg.(value & opt int 12 & info [ "queries" ] ~doc:"Queries per tenant.")
+    Arg.(value & opt positive 12 & info [ "queries" ] ~doc:"Queries per tenant.")
   in
   let arrivals_arg =
-    Arg.(value & opt string "bursts:300x4"
+    let open Psp_netgen.Workload in
+    let process =
+      checked arrival_of_string (function
+        | Steady { rate } -> Printf.sprintf "steady:%g" rate
+        | Poisson { rate } -> Printf.sprintf "poisson:%g" rate
+        | Bursts { period; mean_size } -> Printf.sprintf "bursts:%gx%d" period mean_size)
+    in
+    Arg.(value & opt process (Bursts { period = 300.0; mean_size = 4 })
          & info [ "arrivals" ] ~docv:"SPEC"
              ~doc:"Arrival process per tenant: $(b,steady:RATE), \
                    $(b,poisson:RATE) or $(b,bursts:PERIODxMEAN).")
   in
   let slo_arg =
-    Arg.(value & opt float 60.0 & info [ "slo" ] ~doc:"Latency SLO in model seconds.")
+    let seconds =
+      checked
+        (fun s ->
+          match float_of_string_opt s with
+          | Some x when x > 0.0 -> Ok x
+          | _ -> Error (Printf.sprintf "expected seconds > 0, got %S" s))
+        string_of_float
+    in
+    Arg.(value & opt seconds 60.0 & info [ "slo" ] ~doc:"Latency SLO in model seconds.")
   in
-  let min_width_arg =
-    Arg.(value & opt int 1 & info [ "min-width" ] ~doc:"Smallest batch width.")
+  let widths =
+    let min_width =
+      Arg.(value & opt positive 1 & info [ "min-width" ] ~doc:"Smallest batch width.")
+    in
+    let max_width =
+      Arg.(value & opt positive 16 & info [ "max-width" ] ~doc:"Largest batch width.")
+    in
+    let check lo hi =
+      if hi < lo then `Error (false, "--max-width must be at least --min-width")
+      else `Ok (lo, hi)
+    in
+    Term.(ret (const check $ min_width $ max_width))
   in
-  let max_width_arg =
-    Arg.(value & opt int 16 & info [ "max-width" ] ~doc:"Largest batch width.")
+  let policy_name = function
+    | Psp_serve.Scheduler.Adaptive -> "adaptive"
+    | Psp_serve.Scheduler.Fixed w -> Printf.sprintf "fixed:%d" w
   in
   let policy_arg =
-    Arg.(value & opt string "adaptive"
+    let policy =
+      checked
+        (fun p ->
+          match String.lowercase_ascii p with
+          | "adaptive" -> Ok Psp_serve.Scheduler.Adaptive
+          | l -> (
+              match String.index_opt l ':' with
+              | Some i when String.sub l 0 i = "fixed" -> (
+                  let w = String.sub l (i + 1) (String.length l - i - 1) in
+                  match int_of_string_opt w with
+                  | Some w when w >= 1 -> Ok (Psp_serve.Scheduler.Fixed w)
+                  | _ -> Error (Printf.sprintf "%S: fixed:W needs W >= 1" p))
+              | _ -> Error (Printf.sprintf "unknown policy %S, not adaptive or fixed:W" p)))
+        policy_name
+    in
+    Arg.(value & opt policy Psp_serve.Scheduler.Adaptive
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:"$(b,adaptive) or $(b,fixed:W) (fill-or-timeout at width W).")
   in
   let pipeline_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt positive 1
          & info [ "pipeline" ] ~docv:"DEPTH"
              ~doc:"Pipeline depth: up to $(docv) batches in flight, each \
                    batch's fetch overlapping earlier batches' decode.  \
                    Applies to either $(b,--policy).  1 (default) is the \
                    synchronous schedule.")
   in
+  let metrics_arg =
+    let doc = "Print the telemetry registry (lib/obs) after the run." in
+    Arg.(value & flag & info [ "metrics" ] ~doc)
+  in
   (* a tenant may have served no query *)
   let percentile xs p = if Array.length xs = 0 then nan else Psp_util.Stats.percentile xs p in
-  let run preset preset_scale gr co seed page_size tenants count arrivals slo min_width
-      max_width policy pipeline faults fault_seed metrics =
-    let policy =
-      match String.lowercase_ascii policy with
-      | "adaptive" -> Psp_serve.Scheduler.Adaptive
-      | p -> (
-          match String.index_opt p ':' with
-          | Some i when String.sub p 0 i = "fixed" -> (
-              match
-                int_of_string_opt (String.sub p (i + 1) (String.length p - i - 1))
-              with
-              | Some w when w >= 1 -> Psp_serve.Scheduler.Fixed w
-              | _ -> failwith (Printf.sprintf "bad --policy %S: fixed:W needs W >= 1" p))
-          | _ -> failwith (Printf.sprintf "unknown --policy %S" p))
-    in
-    if pipeline < 1 then failwith "--pipeline needs DEPTH >= 1";
-    let process =
-      match Psp_netgen.Workload.arrival_of_string arrivals with
-      | Ok p -> p
-      | Error e -> failwith (Printf.sprintf "bad --arrivals %S: %s" arrivals e)
-    in
-    let schemes =
-      List.filter (fun s -> s <> "") (String.split_on_char ',' tenants)
-    in
-    if schemes = [] then failwith "--tenants needs at least one scheme";
-    let g = load_network preset preset_scale gr co seed in
+  let run g seed page_size schemes count process slo (min_width, max_width) policy pipeline
+      faults fault_seed metrics =
     let cost = Psp_pir.Cost_model.ibm4764 in
     let key = Psp_crypto.Sha256.digest_string "pspc" in
     let seen = Hashtbl.create 4 in
     let tenant_of idx scheme =
-      let base = String.lowercase_ascii scheme in
+      let base = String.lowercase_ascii (scheme_name scheme) in
       let n = 1 + Option.value ~default:0 (Hashtbl.find_opt seen base) in
       Hashtbl.replace seen base n;
       let name = if n = 1 then base else Printf.sprintf "%s-%d" base n in
@@ -475,11 +551,7 @@ let serve_cmd =
     Printf.printf
       "served %d queries across %d tenants (%s policy, depth %d, slo %.1fs)\n"
       (Array.length report.Psp_serve.Scheduler.served)
-      (List.length built)
-      (match policy with
-      | Psp_serve.Scheduler.Adaptive -> "adaptive"
-      | Psp_serve.Scheduler.Fixed w -> Printf.sprintf "fixed:%d" w)
-      pipeline slo;
+      (List.length built) (policy_name policy) pipeline slo;
     let unavailable = ref 0 in
     List.iter
       (fun (tn, _, scheme) ->
@@ -493,9 +565,8 @@ let serve_cmd =
         in
         Array.iter
           (fun (s : Psp_serve.Scheduler.served) ->
-            match s.Psp_serve.Scheduler.result.Psp_core.Client.status with
-            | Psp_core.Client.Unavailable _ | Psp_core.Client.Unknown_scheme _ ->
-                incr unavailable
+            match s.Psp_serve.Scheduler.result.Client.status with
+            | Client.Unavailable _ | Client.Unknown_scheme _ -> incr unavailable
             | _ -> ())
           mine;
         let batches =
@@ -538,8 +609,7 @@ let serve_cmd =
             s.Psp_serve.Scheduler.dispatched )
         in
         Hashtbl.replace by_batch k
-          (s.Psp_serve.Scheduler.result.Psp_core.Client.stats
-             .Psp_pir.Server.Session.trace
+          (s.Psp_serve.Scheduler.result.Client.stats.Psp_pir.Server.Session.trace
           :: Option.value ~default:[] (Hashtbl.find_opt by_batch k)))
       report.Psp_serve.Scheduler.served;
     let violations =
@@ -557,7 +627,7 @@ let serve_cmd =
           (List.length report.Psp_serve.Scheduler.batches)
           report.Psp_serve.Scheduler.makespan
     | e :: _ -> Printf.printf "PRIVACY VIOLATION: %s\n" e);
-    report_metrics metrics;
+    if metrics then Format.printf "@.telemetry:@.%a" Obs.pp ();
     if !unavailable > 0 then begin
       Printf.printf "%d queries UNAVAILABLE\n" !unavailable;
       exit 3
@@ -568,119 +638,15 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve a mixed multi-tenant query stream through the adaptive scheduler")
     Term.(
-      const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg
-      $ page_size_arg $ tenants_arg $ count $ arrivals_arg $ slo_arg $ min_width_arg
-      $ max_width_arg $ policy_arg $ pipeline_arg $ fault_arg $ fault_seed_arg
-      $ metrics_arg)
-
-(* ------------------------------------------------------------------ *)
-(* trace *)
-
-let trace_cmd =
-  let count = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Queries to trace.") in
-  let run preset preset_scale gr co seed scheme page_size count faults fault_seed metrics =
-    let g = load_network preset preset_scale gr co seed in
-    let db = build_database g scheme page_size seed in
-    let server =
-      Psp_pir.Server.create ~cost:Psp_pir.Cost_model.ibm4764
-        ~key:(Psp_crypto.Sha256.digest_string "pspc") (DB.files db)
-    in
-    arm_faults faults fault_seed;
-    Obs.reset ();
-    let queries = Psp_netgen.Synthetic.random_queries g ~count ~seed:(seed + 1) in
-    let results =
-      Array.to_list
-        (Array.map
-           (fun (s, t) ->
-             (* replay the same fault schedule for every query: the
-                indistinguishability check below must hold even while
-                faults force retries *)
-             Psp_fault.Fault.rewind ();
-             Psp_core.Client.query_nodes server g s t)
-           queries)
-    in
-    Psp_fault.Fault.reset ();
-    let traces =
-      List.map
-        (fun (r : Psp_core.Client.result) ->
-          r.Psp_core.Client.stats.Psp_pir.Server.Session.trace)
-        results
-    in
-    Format.printf "adversary view of every query (scheme %s):@.%a@." db.DB.scheme
-      Psp_pir.Trace.pp (List.hd traces);
-    (match Psp_core.Privacy.indistinguishable traces with
-    | Ok () -> Printf.printf "all %d traces identical: queries are indistinguishable\n" count
-    | Error e -> Printf.printf "PRIVACY VIOLATION: %s\n" e);
-    let retries =
-      List.fold_left
-        (fun acc (r : Psp_core.Client.result) ->
-          acc + r.Psp_core.Client.stats.Psp_pir.Server.Session.retries)
-        0 results
-    in
-    if retries > 0 then
-      Printf.printf "recovered from injected faults with %d retries total\n" retries;
-    let header_pages = PF.page_count db.DB.header_file in
-    (match Psp_core.Privacy.conforms db.DB.header ~header_pages (List.hd traces) with
-    | Ok () -> Printf.printf "trace conforms to the published query plan\n"
-    | Error e ->
-        if faults = [] then Printf.printf "PLAN VIOLATION: %s\n" e
-        else
-          Printf.printf
-            "trace deviates from the fault-free plan (expected under injection): %s\n" e);
-    report_metrics metrics
-  in
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Show the adversary's view and check indistinguishability")
-    Term.(
-      const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ count $ fault_arg $ fault_seed_arg $ metrics_arg)
-
-(* ------------------------------------------------------------------ *)
-(* stats *)
-
-let stats_cmd =
-  let count =
-    Arg.(value & opt int 10 & info [ "queries" ] ~doc:"Queries to run before reporting.")
-  in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Emit the full snapshot as JSON.")
-  in
-  let shape =
-    Arg.(value & flag
-         & info [ "shape" ]
-             ~doc:"Print only the constant-shape digest (identical for every \
-                   same-plan query; see docs/OBSERVABILITY.md).")
-  in
-  let run preset preset_scale gr co seed scheme page_size count json shape_only =
-    let g = load_network preset preset_scale gr co seed in
-    let db = build_database g scheme page_size seed in
-    let server =
-      Psp_pir.Server.create ~cost:Psp_pir.Cost_model.ibm4764
-        ~key:(Psp_crypto.Sha256.digest_string "pspc") (DB.files db)
-    in
-    Obs.reset ();
-    let queries = Psp_netgen.Synthetic.random_queries g ~count ~seed:(seed + 1) in
-    Array.iter (fun (s, t) -> ignore (Psp_core.Client.query_nodes server g s t)) queries;
-    if shape_only then print_endline (Obs.shape ())
-    else if json then print_endline (Psp_obs.Json.to_string_pretty (Obs.to_json ()))
-    else begin
-      Printf.printf "telemetry after %d %s queries:\n" count db.DB.scheme;
-      Format.printf "%a" Obs.pp ()
-    end
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:"Run sample queries and report the oblivious telemetry registry")
-    Term.(
-      const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ count $ json $ shape)
+      const run $ network $ seed_arg $ page_size_arg $ tenants_arg $ count $ arrivals_arg
+      $ slo_arg $ widths $ policy_arg $ pipeline_arg $ fault_arg
+      $ fault_seed_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* inspect *)
 
 let inspect_cmd =
-  let run preset preset_scale gr co seed =
-    let g = load_network preset preset_scale gr co seed in
+  let run g =
     let x0, y0, x1, y1 = G.bounding_box g in
     Printf.printf "nodes: %d\ndirected edges: %d\n" (G.node_count g) (G.edge_count g);
     Printf.printf "bounding box: (%.1f, %.1f) - (%.1f, %.1f)\n" x0 y0 x1 y1;
@@ -699,7 +665,7 @@ let inspect_cmd =
   in
   Cmd.v
     (Cmd.info "inspect" ~doc:"Summarize a network's structure")
-    Term.(const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg)
+    Term.(const run $ network)
 
 (* ------------------------------------------------------------------ *)
 (* render *)
@@ -710,8 +676,7 @@ let render_cmd =
   in
   let s_arg = Arg.(value & opt (some int) None & info [ "s" ] ~doc:"Source node id.") in
   let t_arg = Arg.(value & opt (some int) None & info [ "t" ] ~doc:"Destination node id.") in
-  let run preset preset_scale gr co seed scheme page_size out s t =
-    let g = load_network preset preset_scale gr co seed in
+  let run g seed scheme page_size out s t =
     let db = build_database g scheme page_size seed in
     let rng = Psp_util.Rng.create (seed + 7) in
     let s = Option.value ~default:(Psp_util.Rng.int rng (G.node_count g)) s in
@@ -720,9 +685,9 @@ let render_cmd =
       Psp_pir.Server.create ~cost:Psp_pir.Cost_model.ibm4764
         ~key:(Psp_crypto.Sha256.digest_string "pspc") (DB.files db)
     in
-    let r = Psp_core.Client.query_nodes server g s t in
+    let r = Client.query_nodes server g s t in
     let path =
-      match r.Psp_core.Client.path with Some (nodes, _) -> nodes | None -> []
+      match r.Client.path with Some (nodes, _) -> nodes | None -> []
     in
     let part = db.DB.partition in
     let highlight_regions =
@@ -744,20 +709,11 @@ let render_cmd =
   Cmd.v
     (Cmd.info "render" ~doc:"Render the network, partition and a query to SVG")
     Term.(
-      const run $ preset_arg $ preset_scale $ gr_arg $ co_arg $ seed_arg $ scheme_arg
-      $ page_size_arg $ out $ s_arg $ t_arg)
+      const run $ network $ seed_arg $ scheme_arg $ page_size_arg $ out $ s_arg $ t_arg)
 
 let () =
   let doc = "Private shortest paths with no information leakage (VLDB 2012)" in
   exit
     (Cmd.eval
        (Cmd.group (Cmd.info "pspc" ~doc)
-          [ generate_cmd;
-            build_cmd;
-            query_cmd;
-            batch_cmd;
-            serve_cmd;
-            trace_cmd;
-            stats_cmd;
-            inspect_cmd;
-            render_cmd ]))
+          [ generate_cmd; build_cmd; query_cmd; serve_cmd; inspect_cmd; render_cmd ]))

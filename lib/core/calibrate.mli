@@ -7,12 +7,19 @@
     server under the whole-file plan, so the result ignores the plan it
     is given.  This decides availability, not privacy: a query that needs
     more still walks exactly the plan and fails closed
-    ({!Client.plan_exceeded}). *)
+    ({!Client.plan_exceeded}).
+
+    The whole-file plan budgets every region plus one: round 2 charges
+    two region windows even when source and destination share a region.
+    So every calibration query must be answered; one that is not is a
+    fault, not a zero. *)
 
 val lm :
   Psp_index.Database.t -> queries:(int * int) array -> Psp_index.Database.t
 (** Returns the database with its [Lm] plan bound to the workload
-    maximum. *)
+    maximum.
+    @raise Failure if a calibration query is not answered under the
+    whole-file plan. *)
 
 val af :
   Psp_index.Database.t -> queries:(int * int) array -> Psp_index.Database.t

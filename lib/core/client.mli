@@ -68,7 +68,8 @@ type endpoints = { sx : float; sy : float; tx : float; ty : float }
 
 val endpoints_of_nodes : Psp_graph.Graph.t -> (int * int) array -> endpoints array
 (** Resolve (source, destination) node-id pairs to coordinates through
-    the server-side graph — the harnesses' way in. *)
+    the server-side graph — the way in for callers that hold node ids:
+    [pspc query] and the tests. *)
 
 exception Replica_failed of {
   replica : int;

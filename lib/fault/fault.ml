@@ -119,12 +119,14 @@ let parse_schedule spec =
           | _ -> Error (Printf.sprintf "expected flap:UP,DOWN, got %S" arg))
       | k -> Error (Printf.sprintf "unknown schedule %S" k))
 
-let arm_spec ?seed spec =
+let parse_spec spec =
   match String.index_opt spec '=' with
   | None -> Error (Printf.sprintf "fault spec %S lacks '=' (point=schedule)" spec)
   | Some i ->
       let name = String.sub spec 0 i in
       let sched = String.sub spec (i + 1) (String.length spec - i - 1) in
       if name = "" then Error "empty failpoint name"
-      else
-        Result.map (fun s -> arm ?seed name s) (parse_schedule sched)
+      else Result.map (fun s -> (name, s)) (parse_schedule sched)
+
+let arm_spec ?seed spec =
+  Result.map (fun (name, s) -> arm ?seed name s) (parse_spec spec)

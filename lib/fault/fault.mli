@@ -62,8 +62,12 @@ val hits : string -> int
 val fired : string -> int
 (** How many of those passes failed. *)
 
-val arm_spec : ?seed:int -> string -> (unit, string) result
-(** Arm a point from a CLI/bench spec string:
+val parse_spec : string -> (string * schedule, string) result
+(** Parse a CLI/bench spec string,
     ["point=never|always|first:N|hits:N,N,...|p:F|flap:U,D"], e.g.
-    ["pir.fetch.transient=hits:2,5,9"] or ["pir.fetch.corrupt=p:0.05"].
-    Returns a parse diagnostic on malformed input. *)
+    ["pir.fetch.transient=hits:2,5,9"] or ["pir.fetch.corrupt=p:0.05"],
+    into the point's name and schedule; arms nothing.  Returns a parse
+    diagnostic on malformed input. *)
+
+val arm_spec : ?seed:int -> string -> (unit, string) result
+(** {!parse_spec}, then {!arm}. *)

@@ -379,8 +379,10 @@ let build_lm ~anchors ~seed ~page_size g =
   let data = PF.create ~name:"data" ~page_size in
   write_regions data ~pages_per_region:1
     (region_blobs config g partition ~region_of:partition.K.assignment ~landmark ());
-  (* the whole data file; calibration may tighten it *)
-  let plan = Query_plan.Lm { total_data_pages = PF.page_count data } in
+  (* the whole data file, plus the second round-2 window a query charges
+     even when source and destination share a region; calibration may
+     tighten it *)
+  let plan = Query_plan.Lm { total_data_pages = PF.page_count data + 1 } in
   let header, header_file =
     make_header ~scheme:"LM" ~g ~partition ~pages_per_region:1 ~plan ~config ~index_pages:0
       ~lookup_pages:0 ~data_pages:(PF.page_count data) ~data_offset:0 ~page_size
@@ -419,7 +421,8 @@ let build_af ~target_regions ~page_size g =
   let pages_per_region = max 1 ((max_blob + page_size - 1) / page_size) in
   let data = PF.create ~name:"data" ~page_size in
   write_regions data ~pages_per_region blobs;
-  let plan = Query_plan.Af { pages_per_region; max_regions = region_count } in
+  (* every region plus the shared-region dummy window, as for LM *)
+  let plan = Query_plan.Af { pages_per_region; max_regions = region_count + 1 } in
   let header, header_file =
     make_header ~scheme:"AF" ~g ~partition ~pages_per_region ~plan ~config ~index_pages:0
       ~lookup_pages:0 ~data_pages:(PF.page_count data) ~data_offset:0 ~page_size

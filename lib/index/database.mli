@@ -9,7 +9,9 @@
     answered a query (§6).
 
     LM and AF databases are built with a plan that budgets the whole
-    data file.  [Psp_core.Calibrate] may tighten it to a query
+    data file plus one region: round 2 charges two region windows even
+    when source and destination share a region, so a query that visits
+    every region consumes [regions + 1].  [Psp_core.Calibrate] may tighten it to a query
     workload's maximum (the paper derives the budget from exhaustive
     execution); a query that outgrows its plan fails closed. *)
 
@@ -86,9 +88,10 @@ val build_pi_star :
 val build_lm :
   anchors:int -> seed:int -> page_size:int -> Psp_graph.Graph.t ->
   t * Psp_graph.Landmark.t
-(** Landmark baseline (§4); the plan budgets the whole data file. *)
+(** Landmark baseline (§4); the plan budgets the whole data file plus one
+    page (see above). *)
 
 val build_af :
   target_regions:int -> page_size:int -> Psp_graph.Graph.t ->
   t * Psp_graph.Arcflag.t
-(** Arc-flag baseline (§4); the plan budgets every region. *)
+(** Arc-flag baseline (§4); the plan budgets every region plus one. *)

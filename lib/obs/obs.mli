@@ -203,4 +203,4 @@ val to_json : unit -> Json.t
     [BENCH_*.json] artifacts and [pspc --metrics]. *)
 
 val pp : Format.formatter -> unit -> unit
-(** Human-readable report (the [pspc stats] output). *)
+(** Human-readable report (the [pspc query --metrics] output). *)

@@ -40,4 +40,4 @@ val per_round_file_counts : t -> ((int * string) * int) list
     the published "query plan" shape. *)
 
 val pp : Format.formatter -> t -> unit
-(** Per-round rendering of the view, for [pspc trace]. *)
+(** Per-round rendering of the view, for [pspc query]. *)

@@ -622,6 +622,30 @@ let test_hy_fits_every_region_pair () =
           ~threshold:(max 1 (DB.prepared_max_cardinality p / 3))
           ~page_size:256 small ) ]
 
+(* The whole-file budget is a worst case: round 2 charges two region
+   windows even when source and destination share a region, so a query
+   that visits every region consumes regions + 1.  On a two-region LM
+   database, calibration must see that query, and every calibrated
+   query is answered. *)
+let test_whole_file_budget_covers_every_query () =
+  let g = Psp_netgen.Presets.graph ~scale:32.0 Psp_netgen.Presets.Oldenburg in
+  let pairs = Psp_netgen.Synthetic.random_queries g ~count:20 ~seed:2012 in
+  let lm, _ = DB.build_lm ~anchors:1 ~seed:2012 ~page_size:4096 g in
+  Alcotest.(check int) "two regions" 2 lm.DB.header.Psp_index.Header.region_count;
+  let lm = Calibrate.lm lm ~queries:pairs in
+  let server = Server.create ~cost ~key (DB.files lm) in
+  Array.iter
+    (fun (s, t) ->
+      let r = Client.query_nodes server g s t in
+      match (r.Client.status, r.Client.path) with
+      | (Client.Served | Client.Degraded _), Some (_, got) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d->%d exact" s t)
+            true
+            (close_cost got (Psp_graph.Dijkstra.distance g s t))
+      | _ -> Alcotest.fail (Printf.sprintf "LM %d->%d not answered" s t))
+    pairs
+
 (* Calibration starts from the whole-file plan, so its result does not
    depend on the plan it is given: re-calibrating changes nothing, and a
    plan tightened on a smaller workload does not cap a larger one. *)
@@ -1166,7 +1190,9 @@ let () =
       ( "calibration",
         [ Alcotest.test_case "tightens LM plan" `Quick test_calibration_tightens_lm_plan;
           Alcotest.test_case "baselines fetch more" `Quick test_baselines_fetch_more_than_ci;
-          Alcotest.test_case "idempotent" `Quick test_calibrate_idempotent ] );
+          Alcotest.test_case "idempotent" `Quick test_calibrate_idempotent;
+          Alcotest.test_case "whole-file budget covers every query" `Quick
+            test_whole_file_budget_covers_every_query ] );
       ( "one plan",
         [ Alcotest.test_case "LM out of calibration" `Slow (test_out_of_calibration "LM");
           Alcotest.test_case "AF out of calibration" `Slow (test_out_of_calibration "AF");
