@@ -15,11 +15,12 @@ smoke run did not regress:
     regression in the modeled schedule.
   - unavailable must not exceed the pinned count (availability gate)
   - correct must not fall below the pinned count (answer-quality gate)
-  - executed_slot_touches, level_scans and fetches_per_query must equal
-    the pinned integers exactly (work gate).  They are deterministic
-    counts of the executed store pass and of the plan, so any change
-    means the batch no longer reaches the store at the width it did —
-    a shift the latency band is far too loose to see.
+  - executed_slot_touches, level_scans, rewritten_slots and
+    fetches_per_query must equal the pinned integers exactly (work
+    gate).  They are deterministic counts of the executed store pass,
+    of its rebuilds and of the plan, so any change means the batch no
+    longer reaches the store at the width it did, or the store's layout
+    moved — a shift the latency band is far too loose to see.
 
 A pinned run that is missing from the artifact is an error (a silently
 dropped configuration is the regression CI exists to catch).  Runs
@@ -38,7 +39,7 @@ import sys
 REFS_PATH = os.path.join(os.path.dirname(__file__), "bench-refs.json")
 
 # Deterministic integer counts gated by exact equality when pinned.
-EXACT = ("executed_slot_touches", "level_scans", "fetches_per_query")
+EXACT = ("executed_slot_touches", "level_scans", "rewritten_slots", "fetches_per_query")
 
 
 def load(path):

@@ -25,6 +25,7 @@ RUN_INT_KEYS = (
     "unavailable",
     "executed_slot_touches",
     "level_scans",
+    "rewritten_slots",
 )
 
 

@@ -112,6 +112,7 @@ type run_record = {
   r_total : int;
   r_exec_touches : int;           (** executed oblivious-store slot touches *)
   r_level_scans : int;            (** executed merged level scans / sweeps *)
+  r_rewritten : int;              (** slots rewritten by executed flush rebuilds *)
 }
 
 let bench_runs : run_record list ref = ref []
@@ -195,7 +196,8 @@ let record tl ~label ~db ?(servers = []) () =
       r_correct = tl.correct;
       r_total = tl.total;
       r_exec_touches = sum Psp_pir.Server.executed_slot_touches;
-      r_level_scans = sum Psp_pir.Server.executed_level_scans }
+      r_level_scans = sum Psp_pir.Server.executed_level_scans;
+      r_rewritten = sum Psp_pir.Server.executed_rewritten_slots }
   in
   bench_runs := run :: !bench_runs;
   run
@@ -451,7 +453,8 @@ let run_json r =
       ("recovery_seconds", J.Float r.r_recovery_seconds);
       ("unavailable", J.Int r.r_unavailable);
       ("executed_slot_touches", J.Int r.r_exec_touches);
-      ("level_scans", J.Int r.r_level_scans) ]
+      ("level_scans", J.Int r.r_level_scans);
+      ("rewritten_slots", J.Int r.r_rewritten) ]
 
 let write_bench env ~experiment =
   let path = Printf.sprintf "BENCH_%s.json" experiment in

@@ -13,7 +13,7 @@
     table lookups per cycle-walk step instead of four PRF calls.  The
     tables take [4 · 2{^h}] words, O(√n): the SCP holds them beside its
     c·√N page budget, and at the paper's 2.5 GB file cap (the deepest
-    level's domain is under 2{^22}) they are 8192 words, 64 KB — far
+    level's domain is under 2{^20}) they are 4096 words, 32 KB — far
     inside [Psp_pir.Cost_model.scp_memory_needed] for that file, which
     [test_pir] asserts.  Building them is four {!Prf.fill} calls, one C
     call per round computing all 2{^h} entries (two SHA-256 compressions

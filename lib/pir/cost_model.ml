@@ -54,13 +54,14 @@ let pyramid_levels ~cache_capacity ~file_pages =
 let pyramid_level ~cache_capacity ~file_pages ~depth =
   let deepest = pyramid_levels ~cache_capacity ~file_pages in
   if depth < 1 || depth > deepest then invalid_arg "Cost_model.pyramid_level: depth out of range";
-  let c = cache_capacity in
-  (* the deepest level must absorb the initial n pages on top of the
-     usual merge traffic; a level's dummies cover the c*4^(j-1) queries
-     between its rebuilds, plus c of slack *)
-  let merge = c * (1 lsl (2 * depth)) in
-  let cap = if depth = deepest then file_pages + merge else merge in
-  (cap, (c * (1 lsl (2 * (depth - 1)))) + c)
+  (* level j is rebuilt every c*4^(j-1) reads, each of which takes at
+     most one of its dummies; a shallow level takes at most three merges
+     of c*4^(j-1) distinct pages before a deeper flush empties it, and
+     the deepest holds each of the file's n pages at most once (merges
+     deduplicate by page id).  DESIGN.md gives the induction. *)
+  let interval = cache_capacity * (1 lsl (2 * (depth - 1))) in
+  let cap = if depth = deepest then file_pages else 3 * interval in
+  (cap, interval)
 
 (* The physical basis of the batch amortization: a merged pass serves
    each request beyond the first with exactly one extra slot touch per

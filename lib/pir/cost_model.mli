@@ -53,12 +53,15 @@ val pyramid_levels : cache_capacity:int -> file_pages:int -> int
     [file_pages < 1]. *)
 
 val pyramid_level : cache_capacity:int -> file_pages:int -> depth:int -> int * int
-(** [(cap, dummies)] of level [depth] (from 1) of that store: it holds up
-    to [cap = c · 4{^depth}] items ([file_pages] more at the deepest
-    level, which takes the initial load) in [cap + dummies] slots, with
-    [dummies = c · 4{^depth-1} + c] covering the reads between two of its
-    rebuilds.  [cap + dummies] is the domain of the level's Feistel
-    permutation.
+(** [(cap, dummies)] of level [j = depth] (from 1) of that store, the
+    most it can ever hold: [cap = 3c · 4{^j-1}] items at a shallower
+    level (three merges of at most [c · 4{^j-1}] distinct pages before a
+    deeper flush empties it) and [cap = file_pages] at the deepest (a
+    merge keeps one copy per page), in [cap + dummies] slots, with
+    [dummies = c · 4{^j-1}], one per read between two of its rebuilds.
+    Both are functions of [c] and [file_pages] alone (DESIGN.md, "The
+    pyramid layout").  [cap + dummies] is the domain of the level's
+    Feistel permutation.
     @raise Invalid_argument as {!pyramid_levels}, or when [depth] is not
     in [[1, pyramid_levels]]. *)
 

@@ -27,7 +27,7 @@ let m_level_scans = Obs.counter "oram.pyramid.level_scans"
 type level = {
   depth : int;
   cap : int;     (* item capacity *)
-  dummies : int; (* dummy slots = queries served between rebuilds (+slack) *)
+  dummies : int; (* dummy slots = reads served between two rebuilds *)
   mutable epoch : int;
   mutable assign : (int, int) Hashtbl.t; (* logical id -> slot *)
   mutable contents : (int, bytes) Hashtbl.t; (* logical id -> plaintext *)
@@ -47,6 +47,7 @@ type t = {
   mutable flushes : int;
   mutable slot_touches : int; (* physical slots touched (trace Slot events) *)
   mutable scans : int; (* merged level scans executed (sweeps per level per chunk) *)
+  mutable rewritten : int; (* slots rewritten by flush rebuilds (their domains) *)
   trace : physical_event Psp_util.Dyn_array.t;
   nonce : bytes; (* scratch: the 12-byte nonce of the slot in hand *)
 }
@@ -96,6 +97,7 @@ let rebuild t level contents =
     end
     else Psp_crypto.Chacha20.keystream_into ~key:level.enc_key ~nonce:t.nonce level.slots.(slot)
   done;
+  t.rewritten <- t.rewritten + domain;
   Psp_util.Dyn_array.push t.trace (Rebuild { level = level.depth; items = domain })
   [@@oblivious]
 
@@ -105,9 +107,8 @@ let create ~key file =
   let n = Psp_storage.Page_file.page_count file in
   if n = 0 then invalid_arg "Pyramid_store.create: empty file";
   let c = default_cache_capacity in
-  (* deepest level must hold all n pages: cap_L = c * 4^L >= n.  The
-     formula lives in Cost_model so the simulated batch cost and this
-     layout can never drift apart. *)
+  (* the depth and each level's (cap, dummies) live in Cost_model, so
+     the simulated batch cost and this layout can never drift apart *)
   let deepest = Cost_model.pyramid_levels ~cache_capacity:c ~file_pages:n in
   let page_size = Psp_storage.Page_file.page_size file in
   let make_level depth =
@@ -135,17 +136,21 @@ let create ~key file =
       flushes = 0;
       slot_touches = 0;
       scans = 0;
+      rewritten = 0;
       trace = Psp_util.Dyn_array.create ();
       nonce = Bytes.make 12 '\000' }
   in
-  (* initial load: everything lives in the deepest level *)
+  (* initial load: everything lives in the deepest level; each level is
+     built once, the shallower ones empty *)
   let all = Hashtbl.create n in
   for i = 0 to n - 1 do
     Hashtbl.replace all i (Psp_storage.Page_file.read file i)
   done;
-  Array.iter (fun level -> rebuild t level (Hashtbl.create 8)) t.levels;
-  rebuild t t.levels.(deepest - 1) all;
+  Array.iteri
+    (fun i level -> rebuild t level (if i = deepest - 1 then all else Hashtbl.create 8))
+    t.levels;
   Psp_util.Dyn_array.clear t.trace;
+  t.rewritten <- 0;
   t
 
 let page_count t = t.n
@@ -376,3 +381,4 @@ let physical_trace t = Psp_util.Dyn_array.to_list t.trace
 let clear_trace t = Psp_util.Dyn_array.clear t.trace
 let slot_touches t = t.slot_touches
 let level_scans t = t.scans
+let rewritten_slots t = t.rewritten

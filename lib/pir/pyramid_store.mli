@@ -2,10 +2,12 @@
     Williams–Sion "Usable PIR" protocol [NDSS 2008] — the protocol the
     paper builds on.
 
-    Layout: a small cache lives in SCP memory; below it, level i holds
-    up to 4^i items in an array of encrypted slots scattered by a keyed
-    Feistel permutation.  A lookup walks the pyramid top-down and
-    touches exactly one physical slot per level:
+    Layout: a small cache of [c] pages lives in SCP memory; below it,
+    level [j] of [L] holds up to [3c · 4{^j-1}] items ([n], the file's
+    page count, at the deepest) in an array of encrypted slots scattered
+    by a keyed Feistel permutation ({!Cost_model.pyramid_level}).  A
+    lookup walks the pyramid top-down and touches exactly one physical
+    slot per level:
 
     - if the item was already found higher up (or is cached), a fresh
       dummy slot of the level is read;
@@ -97,6 +99,14 @@ val level_scans : t -> int
     one level's epoch, each serving a whole chunk's probes.  A width-k
     batch runs [level_count] scans per flush-cadence chunk instead of
     [k · level_count] — the executed-side amortization. *)
+
+val rewritten_slots : t -> int
+(** Slots rewritten by the rebuilds that flushes have executed since
+    creation: the sum of the rebuilt levels' domains ([cap + dummies]),
+    not counting the initial build.  The flush cadence and the layout
+    are public, so this is a public function of the access count and
+    {!Cost_model.pyramid_level} — the rebuild work a layout change
+    moves. *)
 
 val host_digest : t -> bytes
 (** SHA-256 over what the host stores: for each level, shallow to deep,

@@ -57,15 +57,18 @@ let file t name =
 let file_names t = t.order
 
 (* Executed-side accounting, summed over the instantiated pyramid
-   stores (zero in `Simulated mode, where no store exists).  Both totals
-   are public functions of the access count and the batch widths — what
-   the batch benchmark and test_batch.ml compare against the cost
-   model's page-touch basis. *)
+   stores (zero in `Simulated mode, where no store exists).  The totals
+   are public functions of the access count, the batch widths and the
+   layout — what the batch benchmark and test_batch.ml compare against
+   the cost model's page-touch basis. *)
 let executed_slot_touches t =
   Hashtbl.fold (fun _ s acc -> acc + Pyramid_store.slot_touches s) t.stores 0
 
 let executed_level_scans t =
   Hashtbl.fold (fun _ s acc -> acc + Pyramid_store.level_scans s) t.stores 0
+
+let executed_rewritten_slots t =
+  Hashtbl.fold (fun _ s acc -> acc + Pyramid_store.rewritten_slots s) t.stores 0
 
 let retained_physical_events t =
   Hashtbl.fold

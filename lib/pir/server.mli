@@ -89,6 +89,13 @@ val executed_level_scans : t -> int
     creation, summed over files (0 in [`Simulated] mode).  The executed-side amortization: a
     width-k batch runs one scan per level per chunk instead of k. *)
 
+val executed_rewritten_slots : t -> int
+(** Slots the server's pyramid stores have rewritten in flush rebuilds
+    since creation, summed over files (0 in [`Simulated] mode): the sum
+    of the rebuilt levels' domains, {!Pyramid_store.rewritten_slots}.
+    Like {!executed_slot_touches}, a public function of the access count
+    and the layout {!Cost_model.pyramid_level} fixes. *)
+
 val retained_physical_events : t -> int
 (** Host-visible events the server's stores still hold in their
     {!Pyramid_store.physical_trace}, summed over files.  Always 0

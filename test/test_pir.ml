@@ -76,12 +76,35 @@ let test_feistel_tables_fit_scp () =
   let deepest = words levels in
   let total = List.fold_left ( + ) 0 (List.init levels (fun i -> words (i + 1))) in
   let budget = CM.scp_memory_needed c ~file_pages in
-  Alcotest.(check int) "deepest level: 64 KB of tables" (64 * 1024) (8 * deepest);
+  Alcotest.(check int) "deepest level: 32 KB of tables" (32 * 1024) (8 * deepest);
   Alcotest.(check bool)
     (Printf.sprintf "%d table bytes over %d levels within the %d-byte budget" (8 * total)
        levels budget)
     true
     (8 * total <= budget)
+
+(* The layout the host sees, pinned: [(cap, dummies)] of every level of
+   the stores over a 1-page file, the 19-page CI data file of the perf
+   workloads, their 242-page PI index and the 30,195-page PI index of
+   Germany at scale 1.  A shallow level holds three merges of
+   c*4^(j-1) pages, the deepest the n pages of the file, and every level
+   has one dummy per read between two of its rebuilds (DESIGN.md). *)
+let test_pyramid_level_table () =
+  let cache_capacity = Psp_pir.Pyramid_store.default_cache_capacity in
+  let layout n =
+    List.init (CM.pyramid_levels ~cache_capacity ~file_pages:n) (fun i ->
+        CM.pyramid_level ~cache_capacity ~file_pages:n ~depth:(i + 1))
+  in
+  let host_slots n = List.fold_left (fun acc (cap, d) -> acc + cap + d) 0 (layout n) in
+  let pair = Alcotest.(list (pair int int)) in
+  Alcotest.check pair "1 page" [ (1, 4) ] (layout 1);
+  Alcotest.check pair "19 pages" [ (12, 4); (19, 16) ] (layout 19);
+  Alcotest.check pair "242 pages" [ (12, 4); (48, 16); (242, 64) ] (layout 242);
+  Alcotest.check pair "30195 pages"
+    [ (12, 4); (48, 16); (192, 64); (768, 256); (3072, 1024); (12288, 4096); (30195, 16384) ]
+    (layout 30195);
+  Alcotest.(check (list int)) "host slots" [ 5; 51; 386; 68419 ]
+    (List.map host_slots [ 1; 19; 242; 30195 ])
 
 let test_with_max_file () =
   let c = CM.with_max_file CM.ibm4764 ~bytes:10_000_000 in
@@ -191,11 +214,11 @@ let test_pyramid_golden_trace () =
   let trace = PS.physical_trace s in
   Alcotest.(check int) "events" 113 (List.length trace);
   Alcotest.(check string) "trace digest"
-    "649c42322d51b2381a9436344e82ba226fd4573d1a68c2001b3ac571f1a19902"
+    "f5379c123ee3a38d48d7ea956da1879ea24869feee6688745aa5c29fdec01e95"
     (Psp_crypto.Sha256.hex
        (Psp_crypto.Sha256.digest_string (String.concat ";" (List.map event trace))));
   Alcotest.(check string) "host bytes after the sequence"
-    "cf991cfd5182b14725397e0a790c06e40a34497aa4fc864baeefafcae083a46d"
+    "47e390808a0be00ec2e9fe255ec6bc616da8d86cbc1020b92328cb369f3db35b"
     (Psp_crypto.Sha256.hex (PS.host_digest s))
 
 (* The bytes the host stores, pinned after creation and after every
@@ -213,9 +236,49 @@ let test_pyramid_golden_host_bytes () =
   done;
   Alcotest.(check int) "snapshots" 18 (List.length !snapshots);
   Alcotest.(check string) "host bytes after every flush"
-    "c764e1af2b9f5db28bda158124b44bff3836c5eb6ccaf885db00ddf477abc4a9"
+    "04b737bc85e49aaae8eb6c81469fd666c1c078768bbb3255788fa1d8c9c94ee0"
     (Psp_crypto.Sha256.hex
        (Psp_crypto.Sha256.digest_string (String.concat ";" (List.rev !snapshots))))
+
+(* The tight layout under load: file sizes on both sides of every level
+   boundary up to four levels, fetch_many widths 1-16, and three access
+   patterns — all-distinct cyclic (fills each shallow level to its three
+   merges), random, and one repeated page (nearly every touch is a
+   dummy) — each run over two rebuild periods of the deepest level and
+   then a sweep of every page.  A level one item or one dummy short of
+   its bound raises (overflow or dummy exhaustion). *)
+let test_pyramid_layout_stress () =
+  let sizes = [ 1; 4; 5; 16; 17; 19; 48; 49; 64; 65; 192; 193; 256; 257 ] in
+  List.iter
+    (fun n ->
+      let f = make_file ~pages:n ~page_size:16 () in
+      let s = PS.create ~key f in
+      let period = PS.cache_capacity s * (1 lsl (2 * (PS.level_count s - 1))) in
+      let rng = Psp_util.Rng.create n in
+      let patterns =
+        [ (fun i -> i mod n); (fun _ -> Psp_util.Rng.int rng n); (fun _ -> n / 2) ]
+      in
+      let check ids =
+        Array.iteri
+          (fun m got ->
+            let want = Printf.sprintf "page-%06d" ids.(m) in
+            if Bytes.sub_string got 0 11 <> want then
+              Alcotest.failf "n=%d width=%d: %s read as %S" n (Array.length ids) want
+                (Bytes.sub_string got 0 11))
+          (PS.fetch_many s ids)
+      in
+      for width = 1 to 16 do
+        List.iter
+          (fun page ->
+            for q = 0 to ((2 * period) + width - 1) / width - 1 do
+              check (Array.init width (fun m -> page ((q * width) + m)))
+            done)
+          patterns;
+        for q = 0 to (n - 1) / width do
+          check (Array.init width (fun m -> ((q * width) + m) mod n))
+        done
+      done)
+    sizes
 
 let test_pyramid_server_mode () =
   let f = make_file ~pages:20 ~page_size:64 () in
@@ -429,6 +492,31 @@ let test_server_pyramid_retains_no_events () =
   done;
   Alcotest.(check bool) "the passes touched slots" true
     (Server.executed_slot_touches server > 0)
+
+(* Rebuild work is counted per flush, not per page: over a 19-page file
+   (level 1: 12 + 4 slots, level 2: 19 + 16) the first 16 reads flush
+   four times, rebuilding level 1 (16 slots) at each and level 2 (35) at
+   the fourth, 99 slots whichever pages were read.  The initial build is
+   not counted, and width-4 passes rewrite what 16 single reads do. *)
+let test_server_rewritten_slots () =
+  let rewritten pages ~width =
+    let server =
+      Server.create ~mode:`Pyramid ~cost:small_cost ~key
+        [ make_file ~pages:19 ~page_size:64 () ]
+    in
+    Alcotest.(check int) "none after create" 0 (Server.executed_rewritten_slots server);
+    let s = Session.start server ~width in
+    for q = 0 to (16 / width) - 1 do
+      let batch = Array.init width (fun m -> pages ((q * width) + m)) in
+      ignore (Session.fetch s ~file:"data" ~pages:batch)
+    done;
+    Server.executed_rewritten_slots server
+  in
+  Alcotest.(check int) "distinct pages" 99 (rewritten (fun i -> i) ~width:1);
+  Alcotest.(check int) "one page" 99 (rewritten (fun _ -> 7) ~width:1);
+  Alcotest.(check int) "width 4" 99 (rewritten (fun i -> 18 - i) ~width:4);
+  let simulated = Server.create ~cost:small_cost ~key [ make_file ~pages:19 ~page_size:64 () ] in
+  Alcotest.(check int) "simulated mode" 0 (Server.executed_rewritten_slots simulated)
 
 let test_server_file_too_large () =
   let cost = CM.with_max_file small_cost ~bytes:(64 * 4) in
@@ -679,6 +767,7 @@ let () =
           Alcotest.test_case "2.5GB cap" `Quick test_max_file_2_5gb;
           Alcotest.test_case "scp memory" `Quick test_scp_memory_needed;
           Alcotest.test_case "feistel tables fit scp" `Quick test_feistel_tables_fit_scp;
+          Alcotest.test_case "pyramid level table" `Quick test_pyramid_level_table;
           Alcotest.test_case "with_max_file" `Quick test_with_max_file;
           Alcotest.test_case "transfer" `Quick test_transfer_time ] );
       ( "oblivious_store",
@@ -699,6 +788,7 @@ let () =
           Alcotest.test_case "one touch per level" `Quick test_pyramid_one_touch_per_level;
           Alcotest.test_case "golden trace" `Quick test_pyramid_golden_trace;
           Alcotest.test_case "golden host bytes" `Quick test_pyramid_golden_host_bytes;
+          Alcotest.test_case "layout stress" `Quick test_pyramid_layout_stress;
           Alcotest.test_case "server mode" `Quick test_pyramid_server_mode ] );
       ( "server",
         [ Alcotest.test_case "fetch accounting" `Quick test_server_fetch_accounting;
@@ -706,6 +796,7 @@ let () =
           Alcotest.test_case "oblivious mode" `Quick test_server_oblivious_mode;
           Alcotest.test_case "pyramid retains no events" `Quick
             test_server_pyramid_retains_no_events;
+          Alcotest.test_case "rewritten slots" `Quick test_server_rewritten_slots;
           Alcotest.test_case "file too large" `Quick test_server_file_too_large;
           Alcotest.test_case "duplicate names" `Quick test_server_duplicate_names;
           Alcotest.test_case "download" `Quick test_server_download;
