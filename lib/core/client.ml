@@ -141,7 +141,7 @@ let query_batch ?(retry = default_retry)
                     in
                     (H.of_pages pages, Bytes.length pages.(0)))
               in
-              match Registry.find header.H.scheme header.H.plan with
+              match Registry.find header with
               | None -> `Unknown header.H.scheme
               | Some scheme ->
                   let ctx = { Engine.header; psize } in

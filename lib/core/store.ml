@@ -53,11 +53,20 @@ type t = {
   mutable flag_bytes : int;
   (* the decoded region being filed *)
   reader : E.region;
-  (* solver scratch over local ids *)
+  (* solver scratch over local ids, shared by [dijkstra] and the walk *)
   mutable dist : float array;
   mutable parent : int array;
   mutable closed : Bytes.t;
   heap : Psp_util.Min_heap.t;
+  (* the walk's own: the frontier region per local id, how many local
+     ids its scratch covers, its target, flag and region bounds, and the
+     node it paused on *)
+  mutable front : int array;
+  mutable covered : int;
+  mutable target : int;
+  mutable flag : int;
+  mutable bounds : float array;
+  mutable paused : int;
   mutable released : bool;
 }
 
@@ -100,6 +109,12 @@ let create () =
     parent = [||];
     closed = Bytes.empty;
     heap = Psp_util.Min_heap.create ~capacity:nodes ();
+    front = [||];
+    covered = 0;
+    target = no_id;
+    flag = 0;
+    bounds = [||];
+    paused = no_id;
     released = false }
 
 let clear st =
@@ -391,30 +406,46 @@ let snap st region ~x ~y =
     "client-local nearest-node scan over already-downloaded region records; \
      the server cannot observe this loop or its branches"]
 
-(* Dijkstra over local ids.  [parent] doubles as the reached mark:
-   [unreached] until a tentative distance is set, [no_id] at the source.
-   Every distance update pushes, and only strictly smaller ones follow
-   the first, so the first pop of a node carries exactly [dist] of it:
-   the loop reads [dist] instead of the popped priority. *)
+(* The solver scratch, shared by [dijkstra] and the walk.  [parent]
+   doubles as the reached mark: [unreached] until a tentative distance is
+   set, [no_id] at the source.  [reset_scratch st ~from] grows the arrays
+   to the table's capacity and resets local ids [from .. nodes-1],
+   keeping the entries below [from]. *)
 let unreached = -2
 
+let reset_scratch st ~from =
+  if Array.length st.parent < st.nodes then begin
+    let cap = Array.length st.global in
+    st.dist <- grow st.dist cap infinity;
+    st.parent <- grow st.parent cap unreached;
+    st.closed <- grow_bytes st.closed cap
+  end;
+  Array.fill st.parent from (st.nodes - from) unreached;
+  Bytes.fill st.closed from (st.nodes - from) '\000'
+
+(* The path to local id [t] along the parent chain, in global ids, and
+   its cost. *)
+let settled_path st t =
+  let rec build v acc =
+    match st.parent.(v) with
+    | -1 -> st.global.(v) :: acc
+    | p -> build p (st.global.(v) :: acc)
+  in
+  Some (build t [], st.dist.(t))
+
+(* Dijkstra over local ids.  Every distance update pushes, and only
+   strictly smaller ones follow the first, so the first pop of a node
+   carries exactly [dist] of it: the loop reads [dist] instead of the
+   popped priority. *)
 let dijkstra st ~source ~target =
   if source = target then Some ([ source ], 0.0)
   else
     match (local st source, local st target) with
     | -1, _ | _, -1 -> None
     | s, t ->
-        let n = st.nodes in
-        if Array.length st.parent < n then begin
-          let cap = Array.length st.global in
-          st.dist <- Array.make cap infinity;
-          st.parent <- Array.make cap unreached;
-          st.closed <- Bytes.make cap '\000'
-        end;
+        reset_scratch st ~from:0;
         let dist = st.dist and parent = st.parent and closed = st.closed in
         let heap = st.heap in
-        Array.fill parent 0 n unreached;
-        Bytes.fill closed 0 n '\000';
         Psp_util.Min_heap.clear heap;
         dist.(s) <- 0.0;
         parent.(s) <- no_id;
@@ -441,15 +472,109 @@ let dijkstra st ~source ~target =
             end
           end
         done;
-        if not !found then None
-        else begin
-          let rec build v acc =
-            match parent.(v) with
-            | -1 -> st.global.(v) :: acc
-            | p -> build p (st.global.(v) :: acc)
-          in
-          Some (build t [], dist.(t))
-        end
+        if not !found then None else settled_path st t
   [@@leak_ok
     "client-local Dijkstra over the already-downloaded adjacency; timing, \
      allocation and heap growth here are invisible to the server"]
+
+(* The LM/AF walk: best-first over the same scratch and heap, paused
+   whenever it pops a node whose record is not filed.  [front] holds the
+   region id a node's last improving edge carried.  [cover] resets the
+   scratch of the local ids interned since the walk last ran. *)
+let cover st =
+  reset_scratch st ~from:st.covered;
+  st.front <- grow st.front (Array.length st.parent) no_id;
+  Array.fill st.front st.covered (st.nodes - st.covered) no_id;
+  st.covered <- st.nodes
+
+(* The ALT bound from a filed node's landmark vectors to the target's;
+   a node not filed yet gets its frontier region's bound (0 if none). *)
+let heuristic st v =
+  let a = st.anchors in
+  if a = 0 then 0.0
+  else if st.region.(v) <> no_id then begin
+    let bound = ref 0.0 and vi = v * a and ti = st.target * a in
+    for i = 0 to a - 1 do
+      bound := Float.max !bound (st.to_anchor.(vi + i) -. st.to_anchor.(ti + i));
+      bound := Float.max !bound (st.from_anchor.(ti + i) -. st.from_anchor.(vi + i))
+    done;
+    Float.max !bound 0.0
+  end
+  else
+    let r = st.front.(v) in
+    if r >= 0 && r < Array.length st.bounds then st.bounds.(r) else 0.0
+
+let requeue st v =
+  Psp_util.Min_heap.push st.heap ~priority:(st.dist.(v) +. heuristic st v) v
+
+(* Relax [u]'s out-edges in adjacency order, only the flagged ones when
+   the store keeps arc-flags.  The mixed heuristic is admissible but not
+   consistent, so a strict improvement reopens a closed node; with
+   reopening, stopping at the target's first pop stays exact. *)
+let relax st u =
+  let d = st.dist.(u) and fb = st.flag_bytes in
+  let e = ref st.first_edge.(u) in
+  while !e <> no_id do
+    let i = !e in
+    if fb = 0 || Psp_util.Bitset.mem_bytes st.edge_flags ~pos:(i * fb) st.flag then begin
+      let v = st.edge_dst.(i) and nd = d +. st.edge_weight.(i) in
+      if st.parent.(v) = unreached || nd < st.dist.(v) then begin
+        st.dist.(v) <- nd;
+        st.parent.(v) <- u;
+        Bytes.set st.closed v '\000';
+        if st.region_ids && st.edge_region.(i) >= 0 then st.front.(v) <- st.edge_region.(i);
+        requeue st v
+      end
+    end;
+    e := st.edge_next.(i)
+  done
+
+let walk_start st ~source ~target ~flag ~region_bound =
+  let s = filed_local st source and t = filed_local st target in
+  if st.flag_bits > 0 && (flag < 0 || flag >= st.flag_bits) then
+    invalid_arg "Store.walk_start: flag outside the flag bits";
+  st.covered <- 0;
+  cover st;
+  st.target <- t;
+  st.flag <- flag;
+  st.bounds <- region_bound;
+  st.paused <- no_id;
+  Psp_util.Min_heap.clear st.heap;
+  st.dist.(s) <- 0.0;
+  st.parent.(s) <- no_id;
+  requeue st s
+  [@@leak_ok
+    "client-local search initialisation over already-filed regions; no fetch is \
+     issued here"]
+
+let walk_next st =
+  cover st;
+  if st.paused <> no_id then requeue st st.paused;
+  st.paused <- no_id;
+  let heap = st.heap and region = ref None and running = ref true in
+  while !running && not (Psp_util.Min_heap.is_empty heap) do
+    let key = Psp_util.Min_heap.min_priority heap in
+    let u = Psp_util.Min_heap.pop_min heap in
+    if Bytes.get st.closed u <> '\000' then ()
+    else if st.region.(u) = no_id then begin
+      if st.front.(u) = no_id then failwith "Client: frontier node with unknown region";
+      st.paused <- u;
+      region := Some st.front.(u);
+      running := false
+    end
+    (* queued before its record (and ALT bound) was known: the key
+       understates g + h, and closing the node now could be premature *)
+    else if key +. 1e-12 < st.dist.(u) +. heuristic st u then requeue st u
+    else begin
+      Bytes.set st.closed u '\001';
+      if u = st.target then running := false else relax st u
+    end
+  done;
+  !region
+  [@@leak_ok
+    "client-local search, run only inside a slot the engine issues anyway: the \
+     region it names picks which page fills that plan-fixed slot"]
+
+let walk_path st =
+  if Bytes.get st.closed st.target = '\000' then None else settled_path st st.target
+  [@@leak_ok "path reconstruction is client-local; no fetch is issued after it"]

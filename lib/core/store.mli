@@ -28,7 +28,10 @@
     {b Reuse.}  Each domain keeps a free list of stores.  {!acquire}
     takes a cleared store from it and {!release} clears a store and
     hands it back, so the tables, the reader's buffer, the solver's
-    arrays and its heap keep their capacity from query to query.  A store that is never released
+    arrays and its heap keep their capacity from query to query.  The
+    solver arrays (distance, parent and closed mark per local id) and
+    the heap are one scratch that both searches run on: {!dijkstra} for
+    CI/PI/HY and the walk for LM/AF.  A store that is never released
     (say, its walk raised) is simply garbage: nothing leaks, and no store
     is shared across domains.  Every batch runs to completion before the
     next one starts, so a domain holds at most one batch's stores, one
@@ -112,3 +115,37 @@ val dijkstra : t -> source:int -> target:int -> (int list * float) option
     [Some ([source], 0.0)] when [source = target]; [None]
     when the target is unreachable from the source within the store
     (including either end being unknown to it). *)
+
+(** {2 The LM/AF walk}
+
+    A best-first search that pauses whenever it pops a node whose record
+    is not filed yet, naming the region its last improving edge carried.
+    It runs on {!dijkstra}'s scratch and heap, extended as it resumes to
+    the nodes that regions filed meanwhile brought in.  With landmark
+    vectors it is A{^*} under the ALT bound, and a node not filed yet is
+    bounded by its region's [region_bound]; with arc-flags it relaxes
+    only edges flagged towards [flag].  The mixed bound is admissible
+    but not consistent, so an improved node is reopened, and the walk
+    ends at the target's first pop.  A store runs one search at a time:
+    {!dijkstra} or {!walk_start} discards a walk in progress. *)
+
+val walk_start :
+  t -> source:int -> target:int -> flag:int -> region_bound:float array -> unit
+(** Start a walk between two filed nodes.  [region_bound.(r)] must not
+    exceed the distance to [target] from any node of region [r]; a
+    region outside the array is bounded by 0.
+    @raise Invalid_argument if an end is not filed, or if arc-flags are
+    stored and [flag] is outside the flag bits. *)
+
+val walk_next : t -> int option
+(** Resume the walk: [Some r] when it pops a node not filed yet that was
+    reached into region [r] (the next call re-queues that node, so file
+    [r] first), [None] once the target is settled or the frontier is
+    empty.
+    @raise Failure if the node was reached by no edge carrying a region
+    id (malformed database). *)
+
+val walk_path : t -> (int list * float) option
+(** Once {!walk_next} has returned [None]: the path and its cost, summed
+    edge by edge along the walk, or [None] if the target was not
+    reached. *)

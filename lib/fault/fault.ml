@@ -127,6 +127,3 @@ let parse_spec spec =
       let sched = String.sub spec (i + 1) (String.length spec - i - 1) in
       if name = "" then Error "empty failpoint name"
       else Result.map (fun s -> (name, s)) (parse_schedule sched)
-
-let arm_spec ?seed spec =
-  Result.map (fun (name, s) -> arm ?seed name s) (parse_spec spec)

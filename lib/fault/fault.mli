@@ -68,6 +68,3 @@ val parse_spec : string -> (string * schedule, string) result
     ["pir.fetch.transient=hits:2,5,9"] or ["pir.fetch.corrupt=p:0.05"],
     into the point's name and schedule; arms nothing.  Returns a parse
     diagnostic on malformed input. *)
-
-val arm_spec : ?seed:int -> string -> (unit, string) result
-(** {!parse_spec}, then {!arm}. *)

@@ -9,10 +9,10 @@
 
    Functor instances are handled with *redirects*: both
 
-     module Lm = Incremental.Make (C)          (* module-level instance *)
-     include Incremental.Make (C)              (* whole-module instance *)
+     module M = F.Make (C)          (* module-level instance *)
+     include F.Make (C)             (* whole-module instance *)
 
-   record "…Lm ↦ …Incremental.Make", so a call to [Lm.next_page] lands on
+   record "…M ↦ …F.Make", so a call to [M.step] lands on
    the function indexed inside the functor body.  The functor's own
    parameter stays opaque (conservative: unresolved). *)
 

@@ -3,7 +3,7 @@
     Loaded [.cmt] structures are indexed under canonical fully qualified
     names (dune's wrapped-library mangling undone), including bindings
     nested in submodules and functor bodies.  Functor instances
-    ([module Lm = Incremental.Make (C)] or [include Incremental.Make (C)])
+    ([module M = F.Make (C)] or [include F.Make (C)])
     become redirects so calls through the instance resolve into the
     functor body. *)
 

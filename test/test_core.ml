@@ -376,10 +376,86 @@ let test_error_paths () =
       ("PI", QP.Pi_star { fi_span = 1; cluster = 1 });
       ("HY", QP.Ci { fi_span = 1; m = 2 });
       ("LM", QP.Af { pages_per_region = 1; max_regions = 4 }) ];
+  (* so is an LM or AF header whose region config cannot run its walk:
+     it must be refused up front, not fail partway through the walk *)
+  List.iter
+    (fun (tag, why, edit) ->
+      let module H = Psp_index.Header in
+      let db = List.assoc tag (Lazy.force databases) in
+      let header = { db.DB.header with H.config = edit db.DB.header } in
+      let files =
+        H.to_page_file header ~page_size
+        :: List.filter (fun f -> PF.name f <> "header") (DB.files db)
+      in
+      match Client.query_nodes (Server.create ~cost ~key files) g 1 2 with
+      | { Client.status = Client.Unknown_scheme { scheme }; path = None; _ } ->
+          Alcotest.(check string) "mismatched config reported" tag scheme
+      | _ -> Alcotest.failf "%s %s: expected Unknown_scheme" tag why
+      | exception e -> Alcotest.failf "%s %s: raised %s" tag why (Printexc.to_string e))
+    (let module E = Psp_index.Encoding in
+     let module H = Psp_index.Header in
+     [ ("LM", "without landmarks", fun h -> { h.H.config with E.landmark_anchors = 0 });
+       ("LM", "without region ids", fun h -> { h.H.config with E.with_region_ids = false });
+       ("AF", "without arc-flags", fun h -> { h.H.config with E.flag_bits = 0 });
+       ( "AF",
+         "with a flag bit short",
+         fun h -> { h.H.config with E.flag_bits = h.H.region_count - 1 } ) ]);
   (* malformed bundle directory *)
   (match Psp_index.Bundle.load ~dir:"/nonexistent-psp-dir" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument")
+
+(* A malformed LM/AF data file: every edge into node [v] carries the
+   next region's id instead of [v]'s own, so the walk may chase [v] into
+   a region that does not hold it.  Under the whole-file plan no query
+   runs out of budget: each one answers exactly or fails closed with
+   [Failure], and none may spin. *)
+let test_malformed_region_fails_closed () =
+  let module H = Psp_index.Header in
+  let module K = Psp_partition.Kdtree in
+  let lm, landmark = DB.build_lm ~anchors:4 ~seed:2 ~page_size g in
+  let af, _ = DB.build_af ~target_regions:14 ~page_size g in
+  let af_flags =
+    Psp_graph.Arcflag.flags_of_edge
+      (Psp_graph.Arcflag.compute g ~region_of:af.DB.partition.K.assignment
+         ~region_count:af.DB.partition.K.region_count)
+  in
+  let bump (db : DB.t) ?landmark ?flags v =
+    let part = db.DB.partition in
+    let region_of = Array.copy part.K.assignment in
+    region_of.(v) <- (region_of.(v) + 1) mod part.K.region_count;
+    let data = PF.create ~name:"data" ~page_size in
+    for r = 0 to part.K.region_count - 1 do
+      let blob =
+        Psp_index.Encoding.encode_region db.DB.header.H.config g ~region_of ?landmark
+          ?flags (K.nodes_of_region part r)
+      in
+      for p = 0 to db.DB.header.H.pages_per_region - 1 do
+        let start = p * page_size and len = Bytes.length blob in
+        if start >= len then ignore (PF.append_blank data)
+        else ignore (PF.append data (Bytes.sub blob start (min page_size (len - start))))
+      done
+    done;
+    { db with DB.data }
+  in
+  List.iter
+    (fun (name, db) ->
+      let server = Server.create ~cost ~key (DB.files db) in
+      let failed = ref 0 in
+      Array.iter
+        (fun (s, t) ->
+          match Client.query_nodes server g s t with
+          | exception Failure _ -> incr failed
+          | { Client.path = Some (_, got); _ } ->
+              if not (close_cost got (Psp_graph.Dijkstra.distance g s t)) then
+                Alcotest.failf "%s: %d->%d answered inexactly" name s t
+          | _ -> Alcotest.failf "%s: %d->%d neither answered nor failed" name s t)
+        queries;
+      if !failed = 0 then Alcotest.failf "%s: no query failed closed" name)
+    [ ("LM node 5", bump lm ~landmark 5);
+      ("LM node 40", bump lm ~landmark 40);
+      ("AF node 33", bump af ~flags:af_flags 33);
+      ("AF node 34", bump af ~flags:af_flags 34) ]
 
 let test_trace_leak_detection () =
   (* sanity check of the checker itself: a deviating trace is caught *)
@@ -409,7 +485,7 @@ let reference_walk (db : DB.t) (s, t) =
   let header = db.DB.header in
   let plan = header.H.plan in
   let (module S : Engine.SCHEME) =
-    match Registry.find header.H.scheme plan with
+    match Registry.find header with
     | Some scheme -> scheme
     | None -> Alcotest.fail ("unregistered scheme " ^ header.H.scheme)
   in
@@ -1206,7 +1282,9 @@ let () =
         [ Alcotest.test_case "bundle roundtrip" `Quick test_bundle_roundtrip ] );
       ( "checker",
         [ Alcotest.test_case "detects leaks" `Quick test_trace_leak_detection;
-          Alcotest.test_case "error paths" `Quick test_error_paths ] );
+          Alcotest.test_case "error paths" `Quick test_error_paths;
+          Alcotest.test_case "malformed region fails closed" `Quick
+            test_malformed_region_fails_closed ] );
       ( "page sequence",
         [ Alcotest.test_case "pinned digests" `Quick test_page_sequence_pinned ] );
       ( "store",

@@ -92,16 +92,16 @@ let test_spec_parsing () =
   F.reset ();
   List.iter
     (fun spec ->
-      match F.arm_spec spec with
-      | Ok () -> ()
+      match F.parse_spec spec with
+      | Ok (name, schedule) -> F.arm name schedule
       | Error e -> Alcotest.fail (Printf.sprintf "spec %S rejected: %s" spec e))
     [ "a=never"; "b=always"; "c=first:3"; "d=hits:1,4,9"; "e=p:0.25" ];
   Alcotest.(check bool) "armed" true (F.active ());
   List.iter
     (fun spec ->
-      match F.arm_spec spec with
+      match F.parse_spec spec with
       | Error _ -> ()
-      | Ok () -> Alcotest.fail (Printf.sprintf "spec %S accepted" spec))
+      | Ok _ -> Alcotest.fail (Printf.sprintf "spec %S accepted" spec))
     [ "nosep"; "=always"; "x=unknown"; "x=first:-1"; "x=hits:0"; "x=p:1.5"; "x=p:zz" ];
   F.reset ()
 
